@@ -57,7 +57,7 @@ EXIT_OK, EXIT_ERROR, EXIT_USAGE = 0, 1, 2
 
 SOLVER_CHOICES = METHODS + ("logistic", "svm")
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
-SECOND_ORDER_DIM_WARNING = 1500     # quasi-Newton / Newton are impractical beyond this
+QUASI_NEWTON_DIM_WARNING = 1500     # qn-broyden is impractical beyond this dimension
 
 SYNTH_DEFAULTS = {"n": 1000, "dim": 10, "pos_frac": 1.0 / 3.0, "sep": 1.0, "out": "."}
 EXTRACT_DEFAULTS = {
@@ -392,10 +392,11 @@ def _train_auc_model(train_std, test_std, eff, seed, trace_auc):
         rng_seed=seed,
     )
     problem = AucProblem(train_std, lam=float(eff["lambda"]))
-    if eff["solver"] in ("newton", "qn-broyden") and problem.dim_x + 1 > SECOND_ORDER_DIM_WARNING:
+    if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
         print(
-            f"warning: second-order solver on dimension {problem.dim_x + 1} "
-            f"(> {SECOND_ORDER_DIM_WARNING}) is likely impractical",
+            f"warning: qn-broyden on dimension {problem.dim_x + 1} "
+            f"(> {QUASI_NEWTON_DIM_WARNING}) is likely impractical: it refactors a dense "
+            "curvature matrix of that size on every iteration",
             file=sys.stderr,
         )
     d = train_std.n_features
@@ -494,6 +495,7 @@ def _cmd_train(args) -> int:
         outputs["trace"] = "trace.csv"
         results_meta = {"converged": result.converged,
                         "iterations_used": result.iterations_used,
+                        "skipped_updates": len(result.notes),
                         "threshold": threshold}
 
     report_train, report_test = _model_reports(

@@ -6,8 +6,12 @@ positive and negative classes.  Positive samples contribute
 ``(1-p)*((w@a - u)^2 - 2*(1+y)*w@a)`` and negative samples
 ``p*((w@a - v)^2 + 2*(1+y)*w@a)``; their mean plus ``lam/2 * ||x||^2``
 minus ``p*(1-p)*y^2`` is minimized over ``x`` and maximized over ``y``.
-The objective is jointly quadratic, so its Hessian over ``[x; y]`` does
-not depend on the evaluation point.
+The objective is jointly quadratic in ``z = [w; u; v; y]`` and vanishes at
+``z = 0``, so it equals ``1/2 z@H@z + b@z`` with a constant Hessian ``H``
+and ``b`` the gradient at zero.  ``AucProblem`` builds ``(H, b)`` once and
+answers every gradient, value and Hessian query from them; the module-level
+``objective_value``, ``gradient`` and ``hessian`` evaluate the per-sample
+formulas directly and serve as the reference.
 """
 
 from __future__ import annotations
@@ -221,7 +225,11 @@ class AucProblem:
     """Adapter exposing the objective to the saddle solvers.
 
     ``x`` is the packed primal vector [w; u; v] and ``y`` a length-1 array.
-    The Hessian is constant, so solvers may evaluate it once.
+    The constructor builds the quadratic form ``(H, b)`` once, from the
+    per-sample ``hessian`` and the ``gradient`` at the zero state; then
+    ``grad = H z + b`` and ``value = z@(grad + b) / 2`` cost O(d^2) per call,
+    independent of the number of samples.  ``hessian`` returns the cached
+    ``H`` itself, marked read-only.
     """
 
     constant_hessian = True
@@ -230,22 +238,27 @@ class AucProblem:
                  lam: float = DEFAULT_LAMBDA):
         self.dataset = dataset
         self.params = params if params is not None else ObjectiveParams.from_dataset(dataset, lam=lam)
-        _check_inputs(PrimalDualState.zeros(dataset.n_features), dataset, self.params)
+        zero = PrimalDualState.zeros(dataset.n_features)
+        self._h = hessian(zero, dataset, self.params)
+        self._h.setflags(write=False)
+        gx, gy = gradient(zero, dataset, self.params)
+        self._b = np.append(gx, gy)
         self.dim_x = dataset.n_features + 2
         self.dim_y = 1
 
-    def _state(self, x: np.ndarray, y: np.ndarray) -> PrimalDualState:
-        return PrimalDualState.from_packed(x, float(np.atleast_1d(y)[0]))
-
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return objective_value(self._state(x, y), self.dataset, self.params)
+        z = self.unpack(x, y).pack()
+        value = 0.5 * float(z @ (self._h @ z + 2.0 * self._b))
+        if not np.isfinite(value):
+            raise FloatingPointError("non-finite objective value (overflow)")
+        return value
 
     def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gx, gy = gradient(self._state(x, y), self.dataset, self.params)
-        return gx, np.array([gy])
+        g = self._h @ self.unpack(x, y).pack() + self._b
+        return g[:-1], g[-1:]
 
     def hessian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return hessian(self._state(x, y), self.dataset, self.params)
+        return self._h
 
     def unpack(self, x: np.ndarray, y: np.ndarray) -> PrimalDualState:
-        return self._state(x, y)
+        return PrimalDualState.from_packed(x, float(np.atleast_1d(y)[0]))

@@ -9,6 +9,14 @@ require ``hessian(x, y)`` returning the full symmetric second-derivative
 matrix over the stacked variable ``[x; y]``.  Problems whose Hessian is
 constant may set ``constant_hessian = True`` to let solvers evaluate it
 once.
+
+Second-order methods certify that the saddle is unique before stepping.
+Writing the Hessian as ``[[A, B], [B.T, -C]]`` with ``A`` the primal block,
+the problem is strongly-convex-strongly-concave exactly when ``A`` and the
+dual Schur complement ``S = C + B.T A^{-1} B`` are positive definite.  Both
+are Cholesky-factored, and each factor's LAPACK ``?pocon`` condition
+estimate must stay within ``CONDITION_LIMIT``; Newton then solves with the
+same factors (block elimination, Benzi, Golub & Liesen, Acta Numerica 2005).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ DIRECTION_RULES = ("greedy-basis", "random-gaussian")
 DIVERGENCE_LIMIT = 1e12       # gradient norm beyond which a run is declared divergent
 DENSE_TRACE_ROWS = 10_000     # first-order methods: record every iteration up to here,
 THIN_TRACE_EVERY = 10         # ... then only every 10th (bounded trace memory)
-CONDITION_LIMIT = 1e14        # Hessian condition estimate treated as singular
+CONDITION_LIMIT = 1e14        # condition estimate of a saddle factor treated as singular
 SR1_DENOMINATOR_FLOOR = 1e-12 # relative curvature floor for the SR1 denominator
 
 TRACE_HEADER = "iteration,grad_norm,objective,train_auc,test_auc"
@@ -193,10 +201,38 @@ def _resolve_step(problem, config, x, y) -> float:
     return 1.0 / (2.0 * lipschitz)
 
 
-def _check_conditioning(h_hat: np.ndarray):
-    cond = np.linalg.cond(h_hat)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+def _certified_cholesky(m: np.ndarray):
+    """Upper Cholesky factor of ``m`` in ``cho_solve`` form, or RuntimeError
+    when ``m`` is not positive definite or its condition estimate exceeds
+    ``CONDITION_LIMIT``."""
+    potrf, pocon = scipy.linalg.lapack.get_lapack_funcs(("potrf", "pocon"), (m,))
+    factor, info = potrf(m)
+    if info == 0:
+        rcond, info = pocon(factor, np.linalg.norm(m, 1))
+    if info != 0 or not rcond * CONDITION_LIMIT >= 1.0:
         raise RuntimeError("singular Hessian; increase lambda")
+    return factor, False
+
+
+def _saddle_factor(h_hat: np.ndarray, nx: int):
+    """Certify the saddle Hessian ``[[A, B], [B.T, -C]]`` (``A`` is the
+    leading ``nx`` x ``nx`` block) and return a solver for ``h_hat @ s = g``.
+
+    Factors ``A`` and the Schur complement ``S = C + B.T A^{-1} B``; raises
+    RuntimeError("singular Hessian; ...") unless both are positive definite
+    and well conditioned.  The solve eliminates the primal block.
+    """
+    a_factor = _certified_cholesky(h_hat[:nx, :nx])
+    b = h_hat[:nx, nx:]
+    a_inv_b = scipy.linalg.cho_solve(a_factor, b)
+    s_factor = _certified_cholesky(b.T @ a_inv_b - h_hat[nx:, nx:])
+
+    def solve_saddle(g: np.ndarray) -> np.ndarray:
+        a_inv_gx = scipy.linalg.cho_solve(a_factor, g[:nx])
+        step_y = scipy.linalg.cho_solve(s_factor, b.T @ a_inv_gx - g[nx:])
+        return np.concatenate([a_inv_gx - a_inv_b @ step_y, step_y])
+
+    return solve_saddle
 
 
 def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
@@ -276,8 +312,9 @@ def solve_extragradient(problem, config: SolverConfig, initial=None, auc_eval=No
 
 
 def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
-    """Full Newton step on the stacked system via a symmetric indefinite
-    solve (never an explicit inverse)."""
+    """Full Newton step on the stacked system, solved with the certified
+    Cholesky-Schur factors of the saddle Hessian (never an explicit
+    inverse)."""
     if config.method != "newton":
         raise ValueError("solve_newton requires method 'newton'")
     x, y = _initial_point(problem, initial)
@@ -289,17 +326,12 @@ def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> 
     if gn <= config.grad_tolerance:
         return _result(problem, x, y, True, 0, recorder)
 
-    h_hat = None
+    nx = x.size
+    solve_saddle = None
     for t in range(1, config.max_iterations + 1):
-        if h_hat is None or not constant:
-            h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-            _check_conditioning(h_hat)
-        g = np.concatenate([gx, gy])
-        try:
-            step = scipy.linalg.solve(h_hat, g, assume_a="sym")
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise RuntimeError("singular Hessian; increase lambda") from exc
-        nx = x.size
+        if solve_saddle is None or not constant:
+            solve_saddle = _saddle_factor(np.asarray(problem.hessian(x, y), dtype=float), nx)
+        step = solve_saddle(np.concatenate([gx, gy]))
         x = x - step[:nx]
         y = y - step[nx:]
         gx, gy, gn = _grads(problem, x, y)
@@ -405,7 +437,7 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
     notes: list[str] = []
 
     h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-    _check_conditioning(h_hat)
+    _saddle_factor(h_hat, x.size)               # certifies a unique saddle, or raises
     h_sq = h_hat @ h_hat
     n = h_sq.shape[0]
     lam_max = spectral_norm_estimate(h_sq, seed=config.rng_seed)
@@ -432,7 +464,7 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
 
         if not constant:
             h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-            _check_conditioning(h_hat)
+            _saddle_factor(h_hat, x.size)
             h_sq = h_hat @ h_hat
 
         for _ in range(config.updates_per_iteration):

@@ -4,10 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from aucmax import cli
 from aucmax.cli import main
-from aucmax.data import Standardizer, read_feature_csv, split, SplitSpec, fit_apply_standardizer
+from aucmax.data import (
+    Standardizer, load_labeled_csv, read_feature_csv, split, SplitSpec, fit_apply_standardizer,
+)
 from aucmax.metrics import classification_report, report_to_dict
+from aucmax.objective import AucProblem
 from aucmax.signals import TrialSignal, write_signal_binary, write_signal_csv
+from aucmax.solvers import SolverConfig, solve
 
 
 def run(*argv):
@@ -185,6 +190,36 @@ def test_train_baseline_solver(tmp_path):
     assert not (out / "trace.csv").exists()      # traces are for saddle solvers only
     report = json.loads((out / "report.json").read_text())
     assert report["test"]["auc"] > 0.7
+
+
+def test_train_reports_skipped_quasi_newton_updates(tmp_path):
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "qn-broyden", "--seed", 3,
+               "--out", out) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    dataset, _ = load_labeled_csv(path)
+    train_std, _, _ = fit_apply_standardizer(
+        *split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+    )
+    direct = solve(AucProblem(train_std, lam=1e-4), SolverConfig(method="qn-broyden", rng_seed=3))
+    assert len(direct.notes) > 0
+    assert results["skipped_updates"] == len(direct.notes)
+    assert results["iterations_used"] == direct.iterations_used
+
+
+def test_dimension_warning_only_for_quasi_newton(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "QUASI_NEWTON_DIM_WARNING", 10)   # below d + 3 = 11
+    path = synth_csv(tmp_path)
+    capsys.readouterr()
+    assert run("train", "--features", path, "--solver", "newton", "--seed", 1,
+               "--out", tmp_path / "newton") == 0
+    assert "warning" not in capsys.readouterr().err
+    assert run("train", "--features", path, "--solver", "qn-broyden", "--max-iter", 2,
+               "--seed", 1, "--out", tmp_path / "qn") == 0
+    err = capsys.readouterr().err
+    assert "warning: qn-broyden on dimension 11" in err
+    assert "on every iteration" in err
 
 
 def test_train_rerun_byte_identical(tmp_path):

@@ -205,13 +205,22 @@ def test_convexity_concavity_split():
 
 
 def test_problem_adapter_round_trip():
-    ds, params, state = random_instance(21)
-    problem = AucProblem(ds, params)
-    x = state.pack_x()
-    y = np.array([state.y])
-    gx, gy = problem.grad(x, y)
-    gx2, gy2 = gradient(state, ds, params)
-    assert np.array_equal(gx, gx2) and gy[0] == gy2
-    unpacked = problem.unpack(x, y)
-    assert np.array_equal(unpacked.w, state.w)
-    assert (unpacked.u, unpacked.v, unpacked.y) == (state.u, state.v, state.y)
+    # The adapter's cached quadratic form sums in another order than the
+    # per-sample formulas, so agreement is to rounding, not bitwise.
+    for seed in range(21, 26):
+        ds, params, state = random_instance(seed)
+        problem = AucProblem(ds, params)
+        x = state.pack_x()
+        y = np.array([state.y])
+        gx, gy = problem.grad(x, y)
+        gx2, gy2 = gradient(state, ds, params)
+        np.testing.assert_allclose(gx, gx2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gy, [gy2], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(problem.value(x, y), objective_value(state, ds, params),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(problem.hessian(x, y), hessian(state, ds, params),
+                                   rtol=1e-12, atol=1e-12)
+        assert not problem.hessian(x, y).flags.writeable     # the cached H, shared
+        unpacked = problem.unpack(x, y)
+        assert np.array_equal(unpacked.w, state.w)
+        assert (unpacked.u, unpacked.v, unpacked.y) == (state.u, state.v, state.y)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aucmax.data import SynthSpec, generate_synthetic
 from aucmax.objective import AucProblem, LabeledDataset
@@ -273,6 +274,39 @@ def test_newton_singular_hessian():
     with pytest.raises(RuntimeError, match="singular Hessian"):
         solve_newton(problem, SolverConfig(method="newton"),
                      initial=(np.array([1.0, 1.0, 1.0, -1.0]), np.array([0.5])))
+
+
+class IndefinitePrimal:
+    """f(x, y) = (x1^2 - x2^2)/2 - y^2/2: nonsingular, but H_xx is indefinite."""
+
+    dim_x, dim_y = 2, 1
+    constant_hessian = True
+
+    def value(self, x, y):
+        return float(0.5 * (x[0] ** 2 - x[1] ** 2 - y[0] ** 2))
+
+    def grad(self, x, y):
+        return np.array([x[0], -x[1]]), np.array([-y[0]])
+
+    def hessian(self, x, y):
+        return np.diag([1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("method", ["newton", "qn-broyden"])
+def test_singular_hessian_without_exact_zero_pivot(method):
+    # lam = 0 with a duplicated column: rounding lets the Cholesky of H_xx
+    # succeed, so only the condition estimate can reject it.
+    ds = generate_synthetic(SynthSpec(60, 4, 1 / 3, 2.0, seed=0))
+    duplicated = LabeledDataset(np.column_stack([ds.features, ds.features[:, 1]]), ds.labels)
+    problem = AucProblem(duplicated, lam=0.0)
+    h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
+    scipy.linalg.cholesky(h[:-1, :-1])
+    with pytest.raises(RuntimeError, match="singular Hessian"):
+        solve(problem, SolverConfig(method=method))
+    # A saddle that is nonsingular but not convex in x is not certified.
+    with pytest.raises(RuntimeError, match="singular Hessian"):
+        solve(IndefinitePrimal(), SolverConfig(method=method),
+              initial=(np.array([1.0, 1.0]), np.array([1.0])))
 
 
 # --- broyden family
