@@ -165,7 +165,8 @@ def generate_synthetic(spec: SynthSpec) -> LabeledDataset:
 
 
 def write_feature_csv(path, features, labels, feature_names):
-    """Label-first CSV: header ``label,<names...>``, labels as +1/-1."""
+    """Label-first CSV: header ``label,<names...>``, labels as +1/-1, values
+    at 17 significant digits (enough to read every float64 back exactly)."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     names = list(feature_names)
@@ -173,18 +174,56 @@ def write_feature_csv(path, features, labels, feature_names):
         raise ValueError("features, labels and feature_names have inconsistent shapes")
     if len(set(names)) != len(names):
         raise ValueError("feature names must be unique")
+    for name in names:
+        # the reader splits the header on commas and the file with str.splitlines
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"feature name {name!r} contains a comma or line break")
+    if not np.isin(y, (1, -1)).all():
+        raise ValueError("labels must be +1 or -1")
+    row_format = ",".join(["%.17g"] * len(names))
     lines = ["label," + ",".join(names)]
     for label, row in zip(y, x):
-        tag = "+1" if label == 1 else "-1"
-        lines.append(tag + "," + ",".join(f"{v:.17g}" for v in row))
+        # one row at a time: a whole-matrix tolist() holds every value as a Python float
+        lines.append(("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _loadtxt(lines, n_fields: int) -> np.ndarray:
+    """numpy's C parser over the value columns of label-first data lines.
+    ``comments=None``: a ``#`` is part of a value, not a comment."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float,
+                      usecols=range(1, n_fields))
+
+
+def _parse_values(path, data, numbers, n_fields: int) -> np.ndarray:
+    """Parse the data lines (file line ``numbers``) in one numpy call; on
+    failure raise naming the first line and value the parser rejects."""
+    try:
+        return _loadtxt(data, n_fields)
+    except ValueError as exc:
+        for i, line in zip(numbers, data):
+            try:
+                _loadtxt([line], n_fields)
+            except ValueError:
+                for field in line.split(",")[1:]:
+                    try:
+                        _loadtxt(["+1," + field], 2)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {i}: could not convert string to float: {field!r}"
+                        ) from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Read a label-first feature CSV into ``(features, labels, names)``.
 
-    Returns raw arrays: a file holding a single class (e.g. features of one
-    trial) is readable; construct a :class:`LabeledDataset` to train.
+    Blank lines are skipped and there are no comments. Labels are ``+1`` or
+    ``-1`` (``1`` is read as ``+1``). Every error names the file and line;
+    when a file has several, the first in line order is raised. Returns raw
+    arrays: a file holding a single class (e.g. features of one trial) or no
+    data rows at all is readable; construct a :class:`LabeledDataset` to
+    train.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -193,24 +232,33 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     if header[0] != "label" or len(header) < 2:
         raise ValueError(f"{path}: line 1: header must start with 'label' and name one feature")
     names = header[1:]
-    labels, rows = [], []
+    labels, data, numbers = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"{path}: line {i}: expected {len(header)} fields, found {len(fields)}")
-        if fields[0] not in ("+1", "-1", "1"):
-            raise ValueError(f"{path}: line {i}: label must be +1 or -1, found {fields[0]!r}")
-        labels.append(1 if fields[0] in ("+1", "1") else -1)
-        try:
-            rows.append([float(f) for f in fields[1:]])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {i}: {exc}") from exc
-    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int), names
+        error = None
+        if line.count(",") != len(names):
+            error = f"expected {len(header)} fields, found {line.count(',') + 1}"
+        elif (tag := line[:line.index(",")]) not in ("+1", "-1", "1"):
+            error = f"label must be +1 or -1, found {tag!r}"
+        if error:
+            if data:
+                _parse_values(path, data, numbers, len(header))   # a bad value above comes first
+            raise ValueError(f"{path}: line {i}: {error}")
+        labels.append(-1 if tag == "-1" else 1)
+        data.append(line)
+        numbers.append(i)
+    if not data:
+        return np.empty((0, len(names))), np.empty(0, dtype=int), names
+    return _parse_values(path, data, numbers, len(header)), np.asarray(labels, dtype=int), names
 
 
 def load_labeled_csv(path) -> tuple[LabeledDataset, list[str]]:
     """Read a feature CSV that must be trainable (two classes present)."""
     features, labels, names = read_feature_csv(path)
-    return LabeledDataset(features, labels), names
+    if labels.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        return LabeledDataset(features, labels), names
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

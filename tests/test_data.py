@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucmax.baselines import decision_scores, fit_logistic
 from aucmax.data import (
@@ -174,3 +180,149 @@ def test_feature_csv_errors(tmp_path):
     path.write_text("label,f0\n+1,1.0,9.0\n")
     with pytest.raises(ValueError, match="fields"):
         read_feature_csv(path)
+
+
+# Reference implementations: the per-value parser and writer that the
+# numpy-backed ones replaced.  Outputs must stay bit-identical to these.
+
+def reference_write_feature_csv(path, features, labels, feature_names):
+    x = np.asarray(features, dtype=float)
+    lines = ["label," + ",".join(feature_names)]
+    for label, row in zip(np.asarray(labels), x):
+        tag = "+1" if label == 1 else "-1"
+        lines.append(tag + "," + ",".join(f"{v:.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_read_feature_csv(path):
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    labels, rows = [], []
+    for line in lines[1:]:
+        if not line:
+            continue
+        fields = line.split(",")
+        labels.append(1 if fields[0] in ("+1", "1") else -1)
+        rows.append([float(f) for f in fields[1:]])
+    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int), header[1:]
+
+
+@st.composite
+def feature_tables(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6))
+    bits = st.integers(0, 2**64 - 1).map(lambda b: np.array(b, dtype=np.uint64).view(np.float64))
+    values = draw(st.lists(bits.filter(np.isfinite), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return np.array(values, dtype=float).reshape(n, d), np.array(labels)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(feature_tables())
+def test_feature_csv_matches_reference_bit_for_bit(table):
+    features, labels = table
+    names = [f"f{i}" for i in range(features.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        write_feature_csv(new, features, labels, names)
+        reference_write_feature_csv(ref, features, labels, names)
+        assert new.read_bytes() == ref.read_bytes()
+        got, got_labels, got_names = read_feature_csv(new)
+        want, want_labels, want_names = reference_read_feature_csv(new)
+    assert got.shape == want.shape == features.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), features.view(np.uint64))
+    assert np.array_equal(got_labels, want_labels) and got_names == want_names
+
+
+def _csv(tmp_path, text, name="t.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_feature_csv_bad_value_names_its_line(tmp_path):
+    path = _csv(tmp_path, "label,f0,f1\n+1,1,2\n-1,3,4\n+1,5,x\n")
+    with pytest.raises(ValueError, match=r"line 4: could not convert string to float: 'x'"):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("text, line, value", [
+    ("label,f0,f1\n+1,1,\n", 2, "''"),
+    ("label,f0\n+1,1\n-1,1_0\n", 3, "'1_0'"),      # float() accepts '1_0'; the format does not
+], ids=["empty", "underscore"])
+def test_feature_csv_empty_field_and_underscore_name_their_line(tmp_path, text, line, value):
+    path = _csv(tmp_path, text)
+    message = f"{path}: line {line}: could not convert string to float: {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_feature_csv(path)
+
+
+def test_feature_csv_blank_lines_skipped_and_counted(tmp_path):
+    path = _csv(tmp_path, "label,f0\n\n+1,1\n\n-1,2\n\n")
+    features, labels, _ = read_feature_csv(path)
+    assert features.tolist() == [[1.0], [2.0]] and labels.tolist() == [1, -1]
+    path = _csv(tmp_path, "label,f0\n\n+1,1\n\n-1,bad\n")
+    with pytest.raises(ValueError, match="line 5: could not convert"):
+        read_feature_csv(path)
+
+
+def test_feature_csv_hash_is_not_a_comment(tmp_path):
+    path = _csv(tmp_path, "label,f0,f1\n+1,1#2,3\n")
+    with pytest.raises(ValueError, match=r"line 2: could not convert string to float: '1#2'"):
+        read_feature_csv(path)
+
+
+def test_feature_csv_first_error_in_line_order(tmp_path):
+    path = _csv(tmp_path, "label,f0\n+1,1\n-1,oops\n+1,1,2\n")
+    with pytest.raises(ValueError, match="line 3: could not convert"):
+        read_feature_csv(path)
+
+
+def test_feature_csv_single_row_is_2d_and_label_1_accepted(tmp_path):
+    path = _csv(tmp_path, "label,f0,f1\n1,0.5,-2\n")
+    features, labels, names = read_feature_csv(path)
+    assert features.shape == (1, 2) and features.tolist() == [[0.5, -2.0]]
+    assert labels.tolist() == [1] and names == ["f0", "f1"]
+
+
+def test_feature_csv_crlf_reads_like_lf(tmp_path):
+    ds = two_to_one(9, seed=3)
+    lf = tmp_path / "lf.csv"
+    write_feature_csv(lf, ds.features, ds.labels, ["a", "b", "c"])
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for got, want in zip(read_feature_csv(crlf), read_feature_csv(lf)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [2, -1], [1, -2]])
+def test_feature_csv_writer_rejects_labels_outside_plus_minus_one(tmp_path, labels):
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        write_feature_csv(tmp_path / "x.csv", np.zeros((2, 1)), labels, ["f0"])
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\r", "\x0bb"])
+def test_feature_csv_writer_rejects_unreadable_names(tmp_path, bad):
+    with pytest.raises(ValueError, match="comma or line break"):
+        write_feature_csv(tmp_path / "x.csv", np.zeros((2, 2)), [1, -1], ["ok", bad])
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_feature_csv_header_only(tmp_path):
+    path = _csv(tmp_path, "label,f0,f1\n")
+    features, labels, names = read_feature_csv(path)
+    assert features.shape == (0, 2) and labels.shape == (0,) and names == ["f0", "f1"]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no data rows$"):
+        load_labeled_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label,f0\n+1,nan\n-1,1\n", "features contain NaN or Inf"),
+    ("label,f0\n+1,1\n+1,2\n", "single-class dataset"),
+], ids=["nan", "single-class"])
+def test_load_labeled_csv_errors_name_the_file(tmp_path, text, message):
+    path = _csv(tmp_path, text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_labeled_csv(path)
