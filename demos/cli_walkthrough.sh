@@ -17,7 +17,7 @@ echo; echo "== train: alternating GDA with the default protocol =="
 python3 -m aucmax train --features "$WORK/data/features.csv" --solver alt-gda \
     --seed 3 --out "$WORK/run"
 echo "trace head:"; head -4 "$WORK/run/trace.csv"
-echo "report:"; python3 -m json.tool "$WORK/run/report.json" | head -15
+echo "report:"; python3 -m json.tool "$WORK/run/report.json" | sed -n 1,15p
 
 echo; echo "== eval: the stored model on the full table =="
 python3 -m aucmax eval --features "$WORK/data/features.csv" \

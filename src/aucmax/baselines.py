@@ -25,6 +25,7 @@ __all__ = [
     "predict_proba",
     "model_to_dict",
     "model_from_dict",
+    "linear_rule",
     "save_model",
     "load_model",
 ]
@@ -181,27 +182,21 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
 
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:
-    """Linear scores ``beta @ [1; x]`` (logit for logistic, margin for svm)."""
-    xd = _design(features)
-    if xd.shape[1] != model.beta.size:
+    """Linear scores ``x @ beta[1:] + beta[0]`` (logit for logistic, margin for svm)."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D array")
+    if x.shape[1] != model.beta.size - 1:
         raise ValueError(
-            f"dimension mismatch: model expects {model.beta.size - 1} features, got {xd.shape[1] - 1}"
+            f"dimension mismatch: model expects {model.beta.size - 1} features, got {x.shape[1]}"
         )
-    return xd @ model.beta
-
-
-def _score_cut(model: LinearModel) -> float:
-    if model.kind == "logistic":                # probability threshold -> logit space
-        t = model.threshold
-        if not 0.0 < t < 1.0:
-            raise ValueError("logistic threshold must lie in (0, 1)")
-        return float(np.log(t / (1.0 - t)))
-    return float(model.threshold)
+    return x @ model.beta[1:] + model.beta[0]
 
 
 def predict(model: LinearModel, features) -> np.ndarray:
-    """+1 where the decision score exceeds the model threshold, else -1."""
-    return np.where(decision_scores(model, features) > _score_cut(model), 1, -1)
+    """+1 where the decision score exceeds the cut of ``linear_rule``, else -1."""
+    _, _, cut = linear_rule(model_to_dict(model))
+    return np.where(decision_scores(model, features) > cut, 1, -1)
 
 
 def predict_proba(model: LinearModel, features) -> np.ndarray:
@@ -228,6 +223,32 @@ def model_from_dict(obj: dict) -> LinearModel:
         C=obj.get("C"),
         train_meta=obj.get("train_meta", {}),
     )
+
+
+def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
+    """A stored model dict as ``(w, bias, cut)``: it predicts +1 where
+    ``features @ w + bias > cut``.
+
+    ``auc-linear`` has bias 0 and a score-space threshold; ``svm`` a margin
+    threshold; ``logistic`` a probability threshold, cut at its logit.
+    """
+    kind = obj.get("kind")
+    if kind == "auc-linear":
+        w, bias, cut = np.asarray(obj["w"], dtype=float), 0.0, float(obj["threshold"])
+    elif kind in ("logistic", "svm"):
+        beta = np.asarray(obj["beta"], dtype=float)
+        if beta.ndim != 1 or beta.size < 2:
+            raise ValueError("beta must be [intercept, weights...]")
+        w, bias, cut = beta[1:], float(beta[0]), float(obj["threshold"])
+        if kind == "logistic":                  # probability threshold -> logit space
+            if not 0.0 < cut < 1.0:
+                raise ValueError("logistic threshold must lie in (0, 1)")
+            cut = float(np.log(cut / (1.0 - cut)))
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if w.ndim != 1 or not (np.isfinite(w).all() and np.isfinite(bias)):
+        raise ValueError("model weights must be a vector of finite numbers")
+    return w, bias, cut
 
 
 def save_model(model: LinearModel, path):

@@ -25,9 +25,8 @@ from .baselines import (
     decision_scores,
     fit_linear_svm,
     fit_logistic,
-    model_from_dict,
+    linear_rule,
     model_to_dict,
-    predict,
 )
 from .data import (
     SplitSpec,
@@ -48,7 +47,7 @@ from .features import (
     set_level,
 )
 from .metrics import classification_report, report_csv_row, report_to_dict, roc_auc
-from .objective import AucProblem, LabeledDataset
+from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
 from .solvers import METHODS, SolverConfig, solve, write_trace_csv
 
@@ -69,7 +68,7 @@ EXTRACT_DEFAULTS = {
     "corr_lags": None,
     "out": ".",
 }
-TRAIN_DEFAULTS = {
+FIT_DEFAULTS = {
     "solver": "alt-gda",
     "step_size": None,
     "grad_tolerance": 1e-3,
@@ -78,30 +77,14 @@ TRAIN_DEFAULTS = {
     "broyden_tau": "sr1",
     "direction_rule": "greedy-basis",
     "updates_per_iteration": 1,
-    "C": 1.0,
-    "baseline_tol": None,
-    "baseline_max_iter": 10_000,
-    "train_fraction": 0.8,
-    "threshold": None,
-    "trace_auc": True,
-    "out": ".",
-}
-COMPARE_DEFAULTS = {
-    "solver": "alt-gda",
-    "step_size": None,
-    "grad_tolerance": 1e-3,
-    "max_iterations": 50_000,
-    "lambda": 1e-4,
-    "broyden_tau": "sr1",
-    "direction_rule": "greedy-basis",
-    "updates_per_iteration": 1,
-    "c_grid": list(DEFAULT_C_GRID),
     "baseline_tol": None,
     "baseline_max_iter": 10_000,
     "train_fraction": 0.8,
     "threshold": None,
     "out": ".",
 }
+TRAIN_DEFAULTS = {**FIT_DEFAULTS, "C": 1.0, "trace_auc": True}
+COMPARE_DEFAULTS = {**FIT_DEFAULTS, "c_grid": list(DEFAULT_C_GRID)}
 
 
 def main(argv=None) -> int:
@@ -156,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", dest="step_size", type=float, help="first-order step size")
         p.add_argument("--tol", dest="grad_tolerance", type=float, help="gradient norm tolerance")
         p.add_argument("--max-iter", dest="max_iterations", type=int, help="iteration cap")
-        p.add_argument("--lambda", dest="lam", type=float, help="L2 regularization weight")
+        p.add_argument("--lambda", dest="lambda", type=float, help="L2 regularization weight")
         p.add_argument("--tau", dest="broyden_tau", help="Broyden tau in [0,1] or sr1/dfp/bfgs")
         p.add_argument("--direction", dest="direction_rule",
                        choices=("greedy-basis", "random-gaussian"), help="quasi-Newton direction rule")
@@ -370,17 +353,34 @@ def _cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval / compare helpers
 
-def _split_standardize(dataset: LabeledDataset, train_fraction: float, seed: int):
-    spec = SplitSpec(train_fraction=train_fraction, seed=seed, stratified=True)
-    train, test = split(dataset, spec)
-    return fit_apply_standardizer(train, test)
+def _load_split(args, defaults: dict):
+    """Resolve the config, load the feature CSV, split it stratified, fit
+    the standardizer on the training part, and create the output directory."""
+    file_cfg = _load_config(args.config)
+    eff = _resolve(args, file_cfg, defaults)
+    eff["seed"] = _resolve_seed(args, file_cfg)
+    eff["features"] = args.features
+    eff["standardize"] = True
+
+    dataset, _ = load_labeled_csv(args.features)
+    spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"], stratified=True)
+    train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
+    return eff, dataset, train_std, test_std, standardizer, _out_dir(eff)
 
 
-def _auc_scores(weights: np.ndarray, dataset: LabeledDataset) -> np.ndarray:
-    return dataset.features @ weights
+def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
+    """Score ``features`` with the model's ``linear_rule`` and report against ``labels``."""
+    w, bias, cut = linear_rule(model_dict)
+    if w.size != features.shape[1]:
+        raise ValueError(
+            f"model expects {w.size} features, table has {features.shape[1]} after standardization"
+        )
+    scores = features @ w + bias
+    return classification_report(labels, np.where(scores > cut, 1, -1), scores)
 
 
-def _train_auc_model(train_std, test_std, eff, seed, trace_auc):
+def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_auc: bool):
+    """Solve the AUC saddle problem; returns the solver result and the model dict."""
     config = SolverConfig(
         method=eff["solver"],
         step_size=eff["step_size"],
@@ -389,7 +389,7 @@ def _train_auc_model(train_std, test_std, eff, seed, trace_auc):
         broyden_tau=_parse_tau(eff["broyden_tau"]),
         direction_rule=eff["direction_rule"],
         updates_per_iteration=int(eff["updates_per_iteration"]),
-        rng_seed=seed,
+        rng_seed=eff["seed"],
     )
     problem = AucProblem(train_std, lam=float(eff["lambda"]))
     if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
@@ -404,106 +404,72 @@ def _train_auc_model(train_std, test_std, eff, seed, trace_auc):
     if trace_auc:
         def auc_eval(x, y):
             return (
-                roc_auc(_auc_scores(x[:d], train_std), train_std.labels),
-                roc_auc(_auc_scores(x[:d], test_std), test_std.labels),
+                roc_auc(train_std.features @ x[:d], train_std.labels),
+                roc_auc(test_std.features @ x[:d], test_std.labels),
             )
     result = solve(problem, config, auc_eval=auc_eval)
-    state = result.final_state
+    state = problem.unpack(result.final_x, result.final_y)
     threshold = (
         float(eff["threshold"]) if eff["threshold"] is not None
         else (state.u + state.v) / 2.0
     )
-    return result, state, threshold
-
-
-def _auc_model_dict(state, threshold, lam, standardizer, extra_meta) -> dict:
-    return {
+    model_dict = {
         "kind": "auc-linear",
         "w": state.w.tolist(),
         "u": state.u,
         "v": state.v,
         "y": state.y,
         "threshold": threshold,
-        "lambda": lam,
-        "train_meta": {"standardizer": standardizer.to_dict(), **extra_meta},
+        "lambda": float(eff["lambda"]),
+        "train_meta": {
+            "standardizer": standardizer.to_dict(), **meta, "solver": eff["solver"],
+            "converged": result.converged, "iterations": result.iterations_used,
+        },
     }
+    return result, model_dict
 
 
-def _model_reports(scores_train, scores_test, preds_train, preds_test, train_std, test_std):
-    return (
-        classification_report(train_std.labels, preds_train, scores_train),
-        classification_report(test_std.labels, preds_test, scores_test),
-    )
-
-
-def _fit_baseline(kind: str, train_std, C: float, tol, max_iter: int) -> LinearModel:
-    if kind == "logistic":
-        return fit_logistic(train_std, C=C, tol=tol if tol is not None else 1e-6,
-                            max_iter=max_iter)
-    return fit_linear_svm(train_std, C=C, tol=tol if tol is not None else 1e-6,
-                          max_iter=max_iter)
+def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
+    fit = fit_logistic if kind == "logistic" else fit_linear_svm
+    tol = eff["baseline_tol"]
+    return fit(train_std, C=C, tol=tol if tol is not None else 1e-6,
+               max_iter=int(eff["baseline_max_iter"]))
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _load_config(args.config)
-    eff = _resolve(args, file_cfg, TRAIN_DEFAULTS)
-    eff["lambda"] = args.lam if args.lam is not None else file_cfg.get("lambda", TRAIN_DEFAULTS["lambda"])
-    eff["seed"] = _resolve_seed(args, file_cfg)
-    eff["features"] = args.features
-    eff["standardize"] = True
-    seed = eff["seed"]
-
-    dataset, _ = load_labeled_csv(args.features)
-    train_std, test_std, standardizer = _split_standardize(
-        dataset, float(eff["train_fraction"]), seed
-    )
-    out = _out_dir(eff)
+    eff, dataset, train_std, test_std, standardizer, out = _load_split(args, TRAIN_DEFAULTS)
     outputs = {"model": "model.json", "report": "report.json"}
     common_meta = {
-        "seed": seed,
+        "seed": eff["seed"],
         "train_fraction": float(eff["train_fraction"]),
         "n_train": train_std.n_samples,
         "n_test": test_std.n_samples,
     }
 
     if eff["solver"] in ("logistic", "svm"):
-        model = _fit_baseline(eff["solver"], train_std, float(eff["C"]),
-                              eff["baseline_tol"], int(eff["baseline_max_iter"]))
+        model = _fit_baseline(eff["solver"], train_std, float(eff["C"]), eff)
         model.train_meta.update(common_meta)
         model.train_meta["standardizer"] = standardizer.to_dict()
         model_dict = model_to_dict(model)
-        scores_train = decision_scores(model, train_std.features)
-        scores_test = decision_scores(model, test_std.features)
-        preds_train = predict(model, train_std.features)
-        preds_test = predict(model, test_std.features)
         results_meta = {"converged": model.train_meta.get("converged"),
                         "iterations_used": model.train_meta.get("iterations")}
     else:
-        result, state, threshold = _train_auc_model(
-            train_std, test_std, eff, seed, bool(eff["trace_auc"])
+        result, model_dict = _train_auc_model(
+            train_std, test_std, eff, standardizer, common_meta, bool(eff["trace_auc"])
         )
-        model_dict = _auc_model_dict(
-            state, threshold, float(eff["lambda"]), standardizer,
-            {**common_meta, "solver": eff["solver"], "converged": result.converged,
-             "iterations": result.iterations_used},
-        )
-        scores_train = _auc_scores(state.w, train_std)
-        scores_test = _auc_scores(state.w, test_std)
-        preds_train = np.where(scores_train > threshold, 1, -1)
-        preds_test = np.where(scores_test > threshold, 1, -1)
         write_trace_csv(result.trace, out / "trace.csv")
         outputs["trace"] = "trace.csv"
         results_meta = {"converged": result.converged,
                         "iterations_used": result.iterations_used,
                         "skipped_updates": len(result.notes),
-                        "threshold": threshold}
+                        "threshold": model_dict["threshold"]}
 
-    report_train, report_test = _model_reports(
-        scores_train, scores_test, preds_train, preds_test, train_std, test_std
-    )
+    report = {
+        part: report_to_dict(_report(model_dict, data.features, data.labels))
+        for part, data in (("train", train_std), ("test", test_std))
+    }
     _write_json(out / "model.json", model_dict)
-    _write_json(out / "report.json",
-                {"train": report_to_dict(report_train), "test": report_to_dict(report_test)})
+    _write_json(out / "report.json", report)
     manifest = {
         "command": "train",
         "config": eff,
@@ -530,17 +496,11 @@ def _cmd_eval(args) -> int:
     model_obj = json.loads(Path(args.model).read_text())
     standardizer = Standardizer.from_dict(model_obj["train_meta"]["standardizer"])
     features = standardizer.transform(dataset.features)
+    try:
+        report = _report(model_obj, features, dataset.labels)
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
 
-    if model_obj["kind"] == "auc-linear":
-        weights = np.asarray(model_obj["w"], dtype=float)
-        scores = features @ weights
-        preds = np.where(scores > float(model_obj["threshold"]), 1, -1)
-    else:
-        model = model_from_dict(model_obj)
-        scores = decision_scores(model, features)
-        preds = predict(model, features)
-
-    report = classification_report(dataset.labels, preds, scores)
     out = _out_dir(eff)
     _write_json(out / "report.json", report_to_dict(report))
     manifest = {
@@ -554,14 +514,14 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _tune_baseline(kind: str, train_std, c_grid, seed: int, tol, max_iter: int):
+def _tune_baseline(kind: str, train_std, eff):
     """Pick C by validation AUC on a 10% carve-out of the training split."""
-    carve = SplitSpec(train_fraction=0.9, seed=seed + 1, stratified=True)
+    carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1, stratified=True)
     fit_part, val_part = split(train_std, carve)
     best_c, best_auc = None, -np.inf
     grid_aucs = []
-    for c in c_grid:
-        model = _fit_baseline(kind, fit_part, float(c), tol, max_iter)
+    for c in eff["c_grid"]:
+        model = _fit_baseline(kind, fit_part, float(c), eff)
         auc = roc_auc(decision_scores(model, val_part.features), val_part.labels)
         grid_aucs.append({"C": float(c), "val_auc": float(auc)})
         if auc > best_auc:
@@ -570,72 +530,31 @@ def _tune_baseline(kind: str, train_std, c_grid, seed: int, tol, max_iter: int):
 
 
 def _cmd_compare(args) -> int:
-    file_cfg = _load_config(args.config)
-    eff = _resolve(args, file_cfg, COMPARE_DEFAULTS)
-    eff["lambda"] = args.lam if args.lam is not None else file_cfg.get("lambda", COMPARE_DEFAULTS["lambda"])
-    eff["seed"] = _resolve_seed(args, file_cfg)
-    eff["features"] = args.features
-    eff["standardize"] = True
+    eff, _, train_std, test_std, standardizer, out = _load_split(args, COMPARE_DEFAULTS)
     if isinstance(eff["c_grid"], str):
         eff["c_grid"] = _parse_float_list(eff["c_grid"])
-    seed = eff["seed"]
 
-    dataset, _ = load_labeled_csv(args.features)
-    train_std, test_std, standardizer = _split_standardize(
-        dataset, float(eff["train_fraction"]), seed
-    )
-    out = _out_dir(eff)
-
-    rows = []
     tuning = {}
-    model_files = {}
-
+    models = {}                                 # label -> (file name, model dict)
     for kind, label in (("logistic", "logistic"), ("svm", "linear-svm")):
-        best_c, grid_aucs = _tune_baseline(
-            kind, train_std, eff["c_grid"], seed, eff["baseline_tol"],
-            int(eff["baseline_max_iter"]),
-        )
-        model = _fit_baseline(kind, train_std, best_c, eff["baseline_tol"],
-                              int(eff["baseline_max_iter"]))
+        best_c, grid_aucs = _tune_baseline(kind, train_std, eff)
+        model = _fit_baseline(kind, train_std, best_c, eff)
         model.train_meta["standardizer"] = standardizer.to_dict()
         tuning[label] = {"C": best_c, "grid": grid_aucs}
-        report_train, report_test = _model_reports(
-            decision_scores(model, train_std.features),
-            decision_scores(model, test_std.features),
-            predict(model, train_std.features),
-            predict(model, test_std.features),
-            train_std, test_std,
-        )
-        rows.append((label, "train", report_train))
-        rows.append((label, "test", report_test))
-        filename = f"model_{kind}.json"
-        _write_json(out / filename, model_to_dict(model))
-        model_files[label] = filename
-
-    result, state, threshold = _train_auc_model(train_std, test_std, eff, seed, trace_auc=False)
-    scores_train = _auc_scores(state.w, train_std)
-    scores_test = _auc_scores(state.w, test_std)
-    report_train, report_test = _model_reports(
-        scores_train, scores_test,
-        np.where(scores_train > threshold, 1, -1),
-        np.where(scores_test > threshold, 1, -1),
-        train_std, test_std,
+        models[label] = (f"model_{kind}.json", model_to_dict(model))
+    result, auc_model = _train_auc_model(
+        train_std, test_std, eff, standardizer, {"seed": eff["seed"]}, trace_auc=False
     )
-    rows.append(("auc-max", "train", report_train))
-    rows.append(("auc-max", "test", report_test))
-    auc_model = _auc_model_dict(
-        state, threshold, float(eff["lambda"]), standardizer,
-        {"seed": seed, "solver": eff["solver"], "converged": result.converged,
-         "iterations": result.iterations_used},
-    )
-    _write_json(out / "model_auc.json", auc_model)
-    model_files["auc-max"] = "model_auc.json"
+    models["auc-max"] = ("model_auc.json", auc_model)
 
     csv_lines = ["model,split,accuracy,precision,recall,f1,auc,tp,fp,tn,fn"]
     json_rows = []
-    for label, part, report in rows:
-        csv_lines.append(f"{label},{part},{report_csv_row(report)}")
-        json_rows.append({"model": label, "split": part, **report_to_dict(report)})
+    for label, (filename, model_dict) in models.items():
+        _write_json(out / filename, model_dict)
+        for part, data in (("train", train_std), ("test", test_std)):
+            report = _report(model_dict, data.features, data.labels)
+            csv_lines.append(f"{label},{part},{report_csv_row(report)}")
+            json_rows.append({"model": label, "split": part, **report_to_dict(report)})
     (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
     _write_json(out / "comparison.json",
                 {"rows": json_rows, "tuning": tuning, "config": eff})
@@ -645,15 +564,14 @@ def _cmd_compare(args) -> int:
         "results": {
             "converged": result.converged,
             "iterations_used": result.iterations_used,
-            "threshold": threshold,
+            "threshold": auc_model["threshold"],
             "tuned_C": {label: tuning[label]["C"] for label in tuning},
         },
         "outputs": {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",
-                    "models": model_files},
+                    "models": {label: filename for label, (filename, _) in models.items()}},
     }
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -7,6 +7,7 @@ from aucmax.baselines import (
     decision_scores,
     fit_linear_svm,
     fit_logistic,
+    linear_rule,
     load_model,
     logistic_objective,
     model_from_dict,
@@ -144,6 +145,29 @@ def test_scores_rank_separable_data_perfectly():
     ds = blobs(seed=8)
     model = fit_logistic(ds, C=10.0)
     assert roc_auc(decision_scores(model, ds.features), ds.labels) == 1.0
+
+
+def test_linear_rule_matches_decision_scores_and_predict():
+    ds = generate_synthetic(SynthSpec(n_samples=300, n_features=5, positive_fraction=0.3,
+                                      class_separation=1.5, seed=4))
+    fitted = {"logistic": fit_logistic(ds, C=1.0), "svm": fit_linear_svm(ds, C=1.0)}
+    for kind, thresholds in (("logistic", (0.5, 0.3, 0.8)), ("svm", (0.0, -0.4, 0.7))):
+        for threshold in thresholds:
+            model = LinearModel(fitted[kind].beta, kind, threshold=threshold)
+            w, bias, cut = linear_rule(model_to_dict(model))
+            scores = ds.features @ w + bias
+            np.testing.assert_allclose(scores, decision_scores(model, ds.features),
+                                       rtol=0, atol=1e-12)
+            preds = np.where(scores > cut, 1, -1)
+            assert np.array_equal(preds, predict(model, ds.features))
+            assert 0 < np.count_nonzero(preds == 1) < ds.n_samples   # the cut splits the data
+            if kind == "logistic":
+                assert cut == pytest.approx(np.log(threshold / (1.0 - threshold)))
+
+
+def test_linear_rule_auc_model_has_no_bias():
+    w, bias, cut = linear_rule({"kind": "auc-linear", "w": [1.0, -2.0], "threshold": 0.25})
+    assert np.array_equal(w, [1.0, -2.0]) and bias == 0.0 and cut == 0.25
 
 
 def test_dimension_mismatch():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from aucmax import cli
+from aucmax.baselines import decision_scores, model_from_dict, predict
 from aucmax.cli import main
 from aucmax.data import (
     Standardizer, load_labeled_csv, read_feature_csv, split, SplitSpec, fit_apply_standardizer,
+    write_feature_csv,
 )
 from aucmax.metrics import classification_report, report_to_dict
 from aucmax.objective import AucProblem
@@ -267,6 +269,31 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert (out_env / "model.json").read_bytes() == (out_flag / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("command, flags, model_file", [
+    ("train", ("--solver", "newton"), "model.json"),
+    ("compare", ("--solver", "newton", "--c-grid", "1", "--baseline-max-iter", 200),
+     "model_auc.json"),
+], ids=["train", "compare"])
+def test_lambda_flag_beats_config_beats_default(tmp_path, command, flags, model_file):
+    path = synth_csv(tmp_path, n=200, dim=4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambda": 0.02}))
+    cases = {
+        "default": ((), 1e-4),
+        "config": (("--config", config), 0.02),
+        "flag": (("--config", config, "--lambda", 0.5), 0.5),
+    }
+    weights = set()
+    for name, (source, expected) in cases.items():
+        out = tmp_path / name
+        assert run(command, "--features", path, *flags, *source, "--seed", 1, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["lambda"] == expected
+        model = json.loads((out / model_file).read_text())
+        assert model["lambda"] == expected
+        weights.add(tuple(model["w"]))
+    assert len(weights) == 3                     # each lambda reached the solver
+
+
 # --- eval
 
 def test_eval_reproduces_training_split_metrics(tmp_path):
@@ -289,6 +316,51 @@ def test_eval_baseline_model(tmp_path):
     assert run("eval", "--features", path, "--model", out / "model.json",
                "--out", out_eval) == 0
     assert json.loads((out_eval / "report.json").read_text())["auc"] > 0.7
+
+
+@pytest.mark.parametrize("solver", ["logistic", "svm", "newton"])
+def test_eval_on_test_rows_reproduces_train_report(tmp_path, solver):
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", solver, "--seed", 3, "--out", out) == 0
+    dataset, names = load_labeled_csv(path)
+    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+    test_csv = tmp_path / "test.csv"
+    write_feature_csv(test_csv, test.features, test.labels, names)
+    out_eval = tmp_path / "eval"
+    assert run("eval", "--features", test_csv, "--model", out / "model.json",
+               "--out", out_eval) == 0
+    evaluated = json.loads((out_eval / "report.json").read_text())
+    assert evaluated == json.loads((out / "report.json").read_text())["test"]
+    # and both equal the library's own scoring of the stored model
+    stored = json.loads((out / "model.json").read_text())
+    features = Standardizer.from_dict(stored["train_meta"]["standardizer"]).transform(test.features)
+    if solver == "newton":
+        scores = features @ np.asarray(stored["w"])
+        preds = np.where(scores > stored["threshold"], 1, -1)
+    else:
+        model = model_from_dict(stored)
+        scores, preds = decision_scores(model, features), predict(model, features)
+    assert evaluated == report_to_dict(classification_report(test.labels, preds, scores))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(w=m["w"][:-1]), "model expects 7 features, table has 8 after standardization"),
+    (lambda m: m.update(w=m["w"] + [0.5]), "model expects 9 features, table has 8 after standardization"),
+    (lambda m: m.update(w=[float("nan")] + m["w"][1:]), "model weights must be a vector of finite numbers"),
+    (lambda m: m.update(kind="foo"), "unknown model kind 'foo'"),
+], ids=["short-w", "long-w", "nan-w", "unknown-kind"])
+def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "newton", "--seed", 3, "--out", out) == 0
+    model = json.loads((out / "model.json").read_text())
+    edit(model)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 # --- compare
