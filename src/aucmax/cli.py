@@ -36,6 +36,7 @@ from .data import (
     generate_synthetic,
     load_labeled_csv,
     split,
+    table_path,
     write_feature_csv,
 )
 from .features import (
@@ -261,7 +262,7 @@ def _cmd_synth(args) -> int:
             "n_features": dataset.n_features,
             "positive_count": int(np.count_nonzero(dataset.labels == 1)),
         },
-        "outputs": {"features": "features.csv"},
+        "outputs": {"features": "features.csv", "table": table_path("features.csv").name},
     }
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -344,7 +345,7 @@ def _cmd_extract(args) -> int:
         "config": eff,
         "layout": layout,
         "trials": trials_meta,
-        "outputs": {"features": "features.csv"},
+        "outputs": {"features": "features.csv", "table": table_path("features.csv").name},
     }
     _write_json(out / "manifest.json", manifest)
     return EXIT_OK
@@ -448,6 +449,8 @@ def _cmd_train(args) -> int:
 
     if eff["solver"] in ("logistic", "svm"):
         model = _fit_baseline(eff["solver"], train_std, float(eff["C"]), eff)
+        if eff["threshold"] is not None:
+            model.threshold = float(eff["threshold"])
         model.train_meta.update(common_meta)
         model.train_meta["standardizer"] = standardizer.to_dict()
         model_dict = model_to_dict(model)
@@ -494,10 +497,11 @@ def _cmd_eval(args) -> int:
 
     dataset, _ = load_labeled_csv(args.features)
     model_obj = json.loads(Path(args.model).read_text())
-    standardizer = Standardizer.from_dict(model_obj["train_meta"]["standardizer"])
-    features = standardizer.transform(dataset.features)
     try:
-        report = _report(model_obj, features, dataset.labels)
+        standardizer = Standardizer.from_dict(model_obj["train_meta"]["standardizer"])
+        report = _report(model_obj, standardizer.transform(dataset.features), dataset.labels)
+    except KeyError as exc:
+        raise ValueError(f"{args.model}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from None
 

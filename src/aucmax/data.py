@@ -1,8 +1,14 @@
 """Dataset splitting, train-fitted standardization, synthetic imbalanced
-Gaussian data, and the shared label-first feature CSV format."""
+Gaussian data, and the shared label-first feature CSV format with its binary
+table sidecar."""
 
 from __future__ import annotations
 
+import hashlib
+import locale
+import math
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +25,7 @@ __all__ = [
     "generate_synthetic",
     "write_feature_csv",
     "read_feature_csv",
+    "table_path",
     "load_labeled_csv",
 ]
 
@@ -164,9 +171,24 @@ def generate_synthetic(spec: SynthSpec) -> LabeledDataset:
     return LabeledDataset(features, labels)
 
 
+def table_path(csv_path) -> Path:
+    """The binary sidecar of a feature CSV: ``features.csv`` -> ``features.csv.table``.
+
+    Its suffix is neither ``.csv`` nor ``.bin``, so ``extract`` never takes it
+    for a trial file.
+    """
+    csv_path = Path(csv_path)
+    return csv_path.with_name(csv_path.name + ".table")
+
+
 def write_feature_csv(path, features, labels, feature_names):
     """Label-first CSV: header ``label,<names...>``, labels as +1/-1, values
-    at 17 significant digits (enough to read every float64 back exactly)."""
+    at 17 significant digits (enough to read every float64 back exactly).
+
+    Then writes the sidecar :func:`table_path`: the SHA-256 of the CSV's
+    bytes, followed by two ``np.save`` streams, the labels (int) and the
+    values (float64), exactly as :func:`read_feature_csv` returns them.
+    """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
     names = list(feature_names)
@@ -180,12 +202,66 @@ def write_feature_csv(path, features, labels, feature_names):
             raise ValueError(f"feature name {name!r} contains a comma or line break")
     if not np.isin(y, (1, -1)).all():
         raise ValueError("labels must be +1 or -1")
+    encoding = locale.getpreferredencoding(False)          # the encoding of Path.write_text
     row_format = ",".join(["%.17g"] * len(names))
-    lines = ["label," + ",".join(names)]
-    for label, row in zip(y, x):
-        # one row at a time: a whole-matrix tolist() holds every value as a Python float
-        lines.append(("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def lines():
+        yield "label," + ",".join(names)
+        for label, row in zip(y, x):
+            # one row at a time: a whole-matrix tolist() holds every value as a Python float
+            yield ("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist())
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in lines():                    # streamed: the whole text is never held
+            chunk = (line + "\n").encode(encoding)
+            digest.update(chunk)
+            fh.write(chunk)
+    if np.isnan(x).any():                       # the text keeps no NaN sign or payload
+        x = np.where(np.isnan(x), np.nan, x)
+    with open(table_path(path), "wb") as fh:
+        fh.write(digest.digest())
+        np.save(fh, np.where(y == 1, 1, -1), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(x), allow_pickle=False)
+
+
+def _load_npy(fh, dtype) -> np.ndarray:
+    """The next ``np.save`` stream of ``fh``. Raises ValueError unless it holds
+    a C-order array of ``dtype`` whose data fits in the rest of the file,
+    checked from its header before any data is read."""
+    start = fh.tell()
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("unsupported array format")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy warns on some corrupt headers
+            shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
+    except Exception as exc:                    # and raises Value/Type/Syntax/TokenError on others
+        raise ValueError("unreadable array header") from exc
+    if (fortran_order or found != np.dtype(dtype)
+            or math.prod(shape) * found.itemsize > os.fstat(fh.fileno()).st_size - fh.tell()):
+        raise ValueError("array does not match the sidecar")
+    fh.seek(start)
+    return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _read_table(path, raw: bytes):
+    """``(features, labels, names)`` from the sidecar of ``path`` if it is bound
+    to the CSV bytes ``raw`` and its arrays fit the CSV header; otherwise (no
+    sidecar, another digest, truncated, garbage) ``None``."""
+    try:
+        with open(table_path(path), "rb") as fh:
+            if fh.read(32) != hashlib.sha256(raw).digest():
+                return None
+            labels = _load_npy(fh, int)
+            features = _load_npy(fh, float)
+        # bound to these bytes, so the CSV is the writer's: its first line is the header
+        header = raw[:raw.index(b"\n")].decode(locale.getpreferredencoding(False)).split(",")
+    except (OSError, ValueError):
+        return None
+    if labels.ndim != 1 or features.shape != (labels.size, len(header) - 1):
+        return None
+    return features, labels, header[1:]
 
 
 def _loadtxt(lines, n_fields: int) -> np.ndarray:
@@ -224,8 +300,18 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     arrays: a file holding a single class (e.g. features of one trial) or no
     data rows at all is readable; construct a :class:`LabeledDataset` to
     train.
+
+    The CSV is the source of truth. Its sidecar (:func:`table_path`) is read
+    in place of parsing the text only when the SHA-256 it starts with is that
+    of the CSV's bytes and its arrays have the header's width and one label
+    per row; otherwise the text is parsed, silently. Readers never write a
+    sidecar.
     """
-    lines = Path(path).read_text().splitlines()
+    raw = Path(path).read_bytes()
+    table = _read_table(path, raw)
+    if table is not None:
+        return table
+    lines = raw.decode(locale.getpreferredencoding(False)).splitlines()   # as Path.read_text
     if not lines:
         raise ValueError(f"{path}: empty feature file")
     header = lines[0].split(",")

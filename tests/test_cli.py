@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from aucmax.baselines import decision_scores, model_from_dict, predict
 from aucmax.cli import main
 from aucmax.data import (
     Standardizer, load_labeled_csv, read_feature_csv, split, SplitSpec, fit_apply_standardizer,
-    write_feature_csv,
+    table_path, write_feature_csv,
 )
 from aucmax.metrics import classification_report, report_to_dict
 from aucmax.objective import AucProblem
@@ -139,6 +140,23 @@ def test_extract_missing_label(tmp_path, capsys):
     labels.write_text("trial,label\ntrial00,+1\n")
     assert run("extract", "--signals", sig_dir, "--labels", labels, "--out", tmp_path / "x") == 1
     assert "missing label" in capsys.readouterr().err
+
+
+def test_extract_ignores_feature_table_in_signal_directory(tmp_path):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1)
+    table = synth_csv(tmp_path, n=40, dim=3)
+    assert table_path(table).suffix not in (".csv", ".bin")
+    args = ["extract", "--signals", sig_dir, "--labels", labels, "--set", 1]
+    assert run(*args, "--out", tmp_path / "before") == 0
+    shutil.copyfile(table_path(table), table_path(sig_dir / "trial00.csv"))
+    assert run(*args, "--out", tmp_path / "after") == 0
+    for name in ("features.csv", "features.csv.table"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
+    for out in (table.parent, tmp_path / "after"):              # synth and extract
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == {"features": "features.csv", "table": "features.csv.table"}
+        assert (out / outputs["table"]).is_file()
+    assert len(json.loads((tmp_path / "after" / "manifest.json").read_text())["trials"]) == 1
 
 
 # --- train
@@ -362,6 +380,70 @@ def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
     assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+
+
+@pytest.mark.parametrize("solver, threshold", [("logistic", 0.3), ("svm", -0.2)])
+def test_baseline_threshold_is_stored_and_reproduced_by_eval(tmp_path, solver, threshold):
+    path = synth_csv(tmp_path)
+    runs = {}
+    for tag, extra in (("default", ()), ("override", ("--threshold", threshold))):
+        out = tmp_path / tag
+        assert run("train", "--features", path, "--solver", solver, "--seed", 3,
+                   *extra, "--out", out) == 0
+        runs[tag] = out
+    model = json.loads((runs["override"] / "model.json").read_text())
+    default = json.loads((runs["default"] / "model.json").read_text())
+    assert model["threshold"] == threshold != default["threshold"]
+    assert model["beta"] == default["beta"]
+    report = json.loads((runs["override"] / "report.json").read_text())
+    assert report != json.loads((runs["default"] / "report.json").read_text())
+    dataset, names = load_labeled_csv(path)
+    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+    test_csv = tmp_path / "test.csv"
+    write_feature_csv(test_csv, test.features, test.labels, names)
+    assert run("eval", "--features", test_csv, "--model", runs["override"] / "model.json",
+               "--out", tmp_path / "eval") == 0
+    assert json.loads((tmp_path / "eval" / "report.json").read_text()) == report["test"]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2])
+def test_logistic_threshold_outside_unit_interval_rejected(tmp_path, capsys, threshold):
+    path = synth_csv(tmp_path)
+    capsys.readouterr()
+    assert run("train", "--features", path, "--solver", "logistic", "--seed", 3,
+               "--threshold", threshold, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == "error: logistic threshold must lie in (0, 1)\n"
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+@pytest.mark.parametrize("solver, edit, message", [
+    ("svm", lambda m: m.pop("beta"), "missing field 'beta'"),
+    ("newton", lambda m: m.pop("train_meta"), "missing field 'train_meta'"),
+    ("newton", lambda m: m["train_meta"]["standardizer"].pop("means"), "missing field 'means'"),
+], ids=["beta", "train_meta", "standardizer-means"])
+def test_eval_missing_model_field_names_the_file(tmp_path, capsys, solver, edit, message):
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", solver, "--seed", 3, "--out", out) == 0
+    model = json.loads((out / "model.json").read_text())
+    edit(model)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_eval_standardizer_width_mismatch_names_the_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--features", synth_csv(tmp_path, dim=6, name="six"), "--solver",
+               "newton", "--seed", 3, "--out", out) == 0
+    capsys.readouterr()
+    assert run("eval", "--features", synth_csv(tmp_path, name="eight"),
+               "--model", out / "model.json", "--out", tmp_path / "eval") == 1
+    model = out / "model.json"
+    assert capsys.readouterr().err == (
+        f"error: {model}: feature width mismatch: expected 6, got (400, 8)\n")
 
 # --- compare
 

@@ -1,13 +1,18 @@
 import re
+import shutil
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aucmax import data
 from aucmax.baselines import decision_scores, fit_logistic
+from aucmax.cli import main
 from aucmax.data import (
     SplitSpec,
     load_labeled_csv,
@@ -17,6 +22,7 @@ from aucmax.data import (
     generate_synthetic,
     read_feature_csv,
     split,
+    table_path,
     write_feature_csv,
 )
 from aucmax.metrics import roc_auc
@@ -326,3 +332,144 @@ def test_load_labeled_csv_errors_name_the_file(tmp_path, text, message):
     path = _csv(tmp_path, text)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
         load_labeled_csv(path)
+
+
+# --- binary table sidecar
+
+def read_with_source(path):
+    """``read_feature_csv(path)``, which must not warn, and where it came
+    from: "table" or "text"."""
+    results = []
+    real = data._read_table
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(data, "_read_table", spy), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = read_feature_csv(path)
+    return table, "text" if results == [None] else "table"
+
+
+def read_by_text(path):
+    table, source = read_with_source(path)
+    assert source == "text"
+    return table
+
+
+def read_by_table(path):
+    table, source = read_with_source(path)
+    assert source == "table"
+    return table
+
+
+def assert_tables_equal(got, want):
+    assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def written_table(tmp_path, seed=8, n=12, name="features.csv"):
+    ds = two_to_one(n, seed=seed)
+    path = tmp_path / name
+    names = [f"s{seed}_{i}" for i in range(ds.n_features)]
+    write_feature_csv(path, ds.features, ds.labels, names)
+    return path, (ds.features, ds.labels, names)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(feature_tables())
+def test_feature_table_sidecar_matches_text_path_bit_for_bit(table):
+    features, labels = table
+    names = [f"f{i}" for i in range(features.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        write_feature_csv(path, features, labels, names)
+        assert table_path(path) == Path(tmp) / "features.csv.table"
+        got = read_by_table(path)
+        table_path(path).unlink()
+        want = read_by_text(path)
+    assert got[0].shape == features.shape and got[0].flags.c_contiguous
+    assert_tables_equal(got, want)
+    assert_tables_equal(got, (features, labels, names))
+
+
+def test_feature_table_nan_and_fortran_order_read_like_the_text(tmp_path):
+    negative_nan = np.array(0xFFF8000000000001, dtype=np.uint64).view(np.float64)
+    features = np.asfortranarray([[negative_nan, 1.0], [np.nan, -0.0], [np.inf, 2.0]])
+    path = tmp_path / "t.csv"
+    write_feature_csv(path, features, [1, -1, 1], ["a", "b"])
+    got = read_by_table(path)
+    table_path(path).unlink()
+    assert got[0].flags.c_contiguous
+    assert_tables_equal(got, read_by_text(path))
+
+
+def test_feature_table_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    write_feature_csv(path, np.empty((0, 2)), [], ["a", "b"])
+    got = read_by_table(path)
+    table_path(path).unlink()
+    assert got[0].shape == (0, 2)
+    assert_tables_equal(got, read_by_text(path))
+
+
+def test_feature_table_not_used_after_the_csv_changed(tmp_path):
+    path, (features, labels, _) = written_table(tmp_path)
+    raw = bytearray(path.read_bytes())
+    i = raw.rindex(b",") + 1                    # the leading digit of the last value
+    i += raw[i:i + 1] == b"-"
+    raw[i] = ord("0") + (raw[i] - ord("0") + 1) % 10
+    path.write_bytes(raw)
+    got = read_by_text(path)
+    assert got[0][-1, -1] != features[-1, -1]
+    assert np.array_equal(got[0][:-1], features[:-1]) and np.array_equal(got[1], labels)
+    # replaced by another table's CSV: that table is what reads back
+    other, want = written_table(tmp_path, seed=2, n=9, name="other.csv")
+    shutil.copyfile(other, path)
+    assert_tables_equal(read_by_text(path), want)
+
+
+@pytest.mark.parametrize("damage", [
+    "missing", "empty", "digest-only", "cut-in-labels-header", "cut-in-values-header",
+    "cut-in-values-data", "garbage", "garbage-after-digest", "header-unbalanced",
+    "header-python2", "labels-swapped", "wrong-width",
+])
+def test_feature_table_damaged_sidecar_falls_back_to_text(tmp_path, damage):
+    path, want = written_table(tmp_path)
+    sidecar = table_path(path)
+    blob = sidecar.read_bytes()
+    assert b"'shape': (12,)" in blob
+    values_start = blob.index(b"\x93NUMPY", 40)
+    narrow = tmp_path / "narrow.csv"
+    write_feature_csv(narrow, want[0][:, :2], want[1], want[2][:2])
+    damaged = {
+        "missing": None,
+        "empty": b"",
+        "digest-only": blob[:32],
+        "cut-in-labels-header": blob[:50],
+        "cut-in-values-header": blob[:values_start + 20],
+        "cut-in-values-data": blob[:-8],
+        "garbage": bytes(range(256)) * 4,
+        "garbage-after-digest": blob[:32] + b"\x93NUMPY\x01\x00" + bytes(range(200)),
+        # numpy's header parser raises tokenize.TokenError on the first, warns on the second
+        "header-unbalanced": blob.replace(b"(12,)", b"(12,(", 1),
+        "header-python2": blob.replace(b"(12,)", b"(12L)", 1),
+        # right digest, valid arrays, but not in the order or of the width of the CSV
+        "labels-swapped": blob[:32] + blob[values_start:] + blob[32:values_start],
+        "wrong-width": blob[:32] + table_path(narrow).read_bytes()[32:],
+    }[damage]
+    if damaged is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(damaged)
+    assert_tables_equal(read_by_text(path), want)
+    assert not sidecar.exists() if damaged is None else sidecar.read_bytes() == damaged
+
+
+def test_feature_table_bad_csv_next_to_old_sidecar_names_its_line(tmp_path):
+    path, _ = written_table(tmp_path)
+    path.write_text("label,s8_0,s8_1,s8_2\n+1,1,2,3\n-1,4,x,6\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: could not convert"):
+        read_feature_csv(path)
