@@ -88,6 +88,8 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     """
     if C <= 0:
         raise ValueError("C must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     beta = np.zeros(train.n_features + 1)
     value, grad = logistic_objective(beta, train.features, train.labels, C)
     step = 1.0
@@ -145,29 +147,38 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     schedule but bounded at the start.  The running average of iterates is
     returned; its objective is checkpointed every 50 iterations and the fit
     stops early once the relative improvement falls below ``tol``.
+
+    The label-scaled design ``y * [1, x]`` is formed once, so an iteration
+    is two matrix-vector products: margins, and the hinge subgradient as the
+    sum of the violating rows.
     """
     if C <= 0:
         raise ValueError("C must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     xd = _design(train.features)
     y = train.labels.astype(float)
     n = y.size
     lam = 1.0 / (C * n)
     r2 = float(np.mean(np.sum(xd * xd, axis=1)))
+    yx = y[:, None] * xd
+    yx_t = np.ascontiguousarray(yx.T)
+    penalized = np.ones(xd.shape[1])
+    penalized[0] = 0.0                          # the intercept is not regularized
     beta = np.zeros(xd.shape[1])
     average = beta.copy()
     trace: list[tuple[int, float]] = []
     previous = np.inf
     iterations = max_iter
     for t in range(max_iter):
-        margins = y * (xd @ beta)
-        violating = margins < 1.0
-        subgrad = lam * np.concatenate([[0.0], beta[1:]])
-        if violating.any():
-            subgrad = subgrad - (xd[violating].T @ y[violating]) / n
+        violating = (yx @ beta < 1.0).astype(float)
+        subgrad = lam * penalized * beta - (yx_t @ violating) / n
         beta = beta - subgrad / (r2 + lam * t)
         average = average * (t / (t + 1.0)) + beta / (t + 1.0)
         if (t + 1) % SVM_CHECK_EVERY == 0 or t + 1 == max_iter:
-            objective = svm_objective(average, train.features, train.labels, C)
+            weights = penalized * average       # svm_objective, without rebuilding the design
+            hinge = np.maximum(0.0, 1.0 - yx @ average)
+            objective = float(0.5 * lam * (weights @ weights) + hinge.mean())
             trace.append((t + 1, objective))
             if np.isfinite(previous) and previous - objective <= tol * max(1.0, abs(previous)):
                 iterations = t + 1

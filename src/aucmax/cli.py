@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr-lags", dest="corr_lags", help="comma-separated sample lags")
     p.set_defaults(handler=_cmd_extract)
 
-    def train_flags(p):
+    def train_flags(p, threshold_help):
         p.add_argument("--features", required=True, help="feature CSV (label column first)")
         p.add_argument("--eta", dest="step_size", type=float, help="first-order step size")
         p.add_argument("--tol", dest="grad_tolerance", type=float, help="gradient norm tolerance")
@@ -151,11 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--baseline-max-iter", dest="baseline_max_iter", type=int,
                        help="baseline iteration cap")
         p.add_argument("--train-frac", dest="train_fraction", type=float, help="train split fraction")
-        p.add_argument("--threshold", type=float, help="classification threshold override")
+        p.add_argument("--threshold", type=float, help=threshold_help)
 
     p = sub.add_parser("train", help="split, standardize, and train one model")
     common(p)
-    train_flags(p)
+    train_flags(p, "classification threshold override")
     p.add_argument("--solver", choices=SOLVER_CHOICES, help="saddle solver or baseline")
     auc_trace = p.add_mutually_exclusive_group()
     auc_trace.add_argument("--trace-auc", dest="trace_auc", action="store_true", default=None,
@@ -171,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="tuned logistic vs tuned SVM vs the AUC maximizer")
     common(p)
-    train_flags(p)
+    train_flags(p, "score threshold of the AUC model only; the tuned baselines keep "
+                   "their 0.5 probability (logistic) and 0 margin (svm) cuts")
     p.add_argument("--solver", choices=METHODS, help="saddle solver for the AUC maximizer")
     p.add_argument("--c-grid", dest="c_grid", help="comma-separated C grid for tuning")
     p.set_defaults(handler=_cmd_compare)
@@ -279,8 +280,6 @@ def _signal_files(raw_paths) -> list[Path]:
             files.extend(sorted(p for p in path.iterdir() if p.suffix in (".csv", ".bin")))
         else:
             files.append(path)
-    if not files:
-        raise ValueError("no signal files found")
     return files
 
 
@@ -306,7 +305,10 @@ def _cmd_extract(args) -> int:
     eff["labels"] = args.labels
 
     labels = read_trial_labels(args.labels)
-    files = _signal_files(args.signals)
+    table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
+    files = [p for p in _signal_files(args.signals) if p.resolve() != table]
+    if not files:
+        raise ValueError("no signal files found")
     spec = WindowSpec(float(eff["window"]), float(eff["stride"]))
     set_id = set_level(eff["set"])
 

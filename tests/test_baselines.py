@@ -3,6 +3,7 @@ import pytest
 from scipy.special import expit
 
 from aucmax.baselines import (
+    SVM_CHECK_EVERY,
     LinearModel,
     decision_scores,
     fit_linear_svm,
@@ -84,6 +85,13 @@ def test_logistic_rejects_bad_C():
         fit_logistic(blobs(), C=0.0)
 
 
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear_svm])
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_fit_rejects_non_positive_iteration_cap(fit, max_iter):
+    with pytest.raises(ValueError, match="^max_iter must be a positive integer$"):
+        fit(blobs(), C=1.0, max_iter=max_iter)
+
+
 # --- linear SVM
 
 def test_svm_separable_blobs():
@@ -121,6 +129,70 @@ def test_svm_averaged_objective_non_increasing():
     assert len(trace) >= 10
     values = [obj for _, obj in trace]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def reference_fit_linear_svm(train, C, tol, max_iter):
+    """The averaged subgradient loop written over the plain design: the
+    margins, a boolean copy of the violating rows, and ``svm_objective`` at
+    every checkpoint.  Returns ``(average, iterations, trace, quiet)``, where
+    ``quiet`` counts the iterations in which no row violated its margin."""
+    xd = np.hstack([np.ones((train.n_samples, 1)), train.features])
+    y = train.labels.astype(float)
+    n = y.size
+    lam = 1.0 / (C * n)
+    r2 = float(np.mean(np.sum(xd * xd, axis=1)))
+    beta = np.zeros(xd.shape[1])
+    average = beta.copy()
+    trace = []
+    previous = np.inf
+    iterations = max_iter
+    quiet = 0
+    for t in range(max_iter):
+        margins = y * (xd @ beta)
+        violating = margins < 1.0
+        subgrad = lam * np.concatenate([[0.0], beta[1:]])
+        if violating.any():
+            subgrad = subgrad - (xd[violating].T @ y[violating]) / n
+        else:
+            quiet += 1
+        beta = beta - subgrad / (r2 + lam * t)
+        average = average * (t / (t + 1.0)) + beta / (t + 1.0)
+        if (t + 1) % SVM_CHECK_EVERY == 0 or t + 1 == max_iter:
+            objective = svm_objective(average, train.features, train.labels, C)
+            trace.append((t + 1, objective))
+            if np.isfinite(previous) and previous - objective <= tol * max(1.0, abs(previous)):
+                iterations = t + 1
+                break
+            previous = objective
+    return average, iterations, trace, quiet
+
+
+@pytest.mark.parametrize("data, C, max_iter, stop", [
+    ("synth", 0.01, 10_000, "tol"),
+    ("synth", 1.0, 10_000, "tol"),
+    ("synth", 100.0, 10_000, "tol"),
+    ("synth", 0.01, 1000, "cap"),
+    ("synth", 100.0, 173, "cap"),           # not a multiple of the checkpoint interval
+    ("blobs", 100.0, 10_000, "tol"),        # separable: no row violates after a while
+])
+def test_svm_matches_reference_loop(data, C, max_iter, stop):
+    ds = (generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7)) if data == "synth"
+          else blobs(seed=1))
+    model = fit_linear_svm(ds, C=C, max_iter=max_iter)
+    beta, iterations, trace, quiet = reference_fit_linear_svm(ds, C, 1e-6, max_iter)
+    meta = model.train_meta
+    assert meta["iterations"] == iterations
+    assert (iterations < max_iter) == (stop == "tol")
+    assert [i for i, _ in meta["objective_trace"]] == [i for i, _ in trace]
+    if max_iter % SVM_CHECK_EVERY:
+        assert trace[-1][0] == max_iter
+    assert np.abs(model.beta - beta).max() <= 1e-12
+    for (_, got), (_, want) in zip(meta["objective_trace"], trace):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert meta["objective"] == meta["objective_trace"][-1][1]
+    assert meta["objective"] == pytest.approx(
+        svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+    assert (quiet > 0) == (data == "blobs")
 
 
 # --- scores, predictions, serialization

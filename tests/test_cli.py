@@ -159,6 +159,17 @@ def test_extract_ignores_feature_table_in_signal_directory(tmp_path):
     assert len(json.loads((tmp_path / "after" / "manifest.json").read_text())["trials"]) == 1
 
 
+def test_extract_rerun_into_its_signal_directory(tmp_path):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1)
+    args = ("extract", "--signals", sig_dir, "--labels", labels, "--set", 1, "--out", sig_dir)
+    assert run(*args) == 0
+    first = snapshot(sig_dir)
+    assert run(*args) == 0                       # features.csv is now among the signals
+    assert snapshot(sig_dir) == first
+    assert {"features.csv", "features.csv.table"} <= set(first)
+    assert len(json.loads((sig_dir / "manifest.json").read_text())["trials"]) == 1
+
+
 # --- train
 
 def test_train_alt_gda_converges_and_reports(tmp_path):
@@ -462,6 +473,31 @@ def test_compare_table_shape_and_patterns(tmp_path):
     assert auc_recall > float(by_key[("linear-svm", "test")]["recall"])
     payload = json.loads((out / "comparison.json").read_text())
     assert payload["tuning"]["logistic"]["C"] in (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def test_compare_threshold_applies_to_auc_model_only(tmp_path, capsys):
+    path = synth_csv(tmp_path, n=300, dim=4, name="t")
+    out = tmp_path / "cmp"
+    assert run("compare", "--features", path, "--solver", "newton", "--threshold", 0.3,
+               "--out", out) == 0
+    thresholds = {kind: json.loads((out / f"model_{kind}.json").read_text())["threshold"]
+                  for kind in ("auc", "logistic", "svm")}
+    assert thresholds == {"auc": 0.3, "logistic": 0.5, "svm": 0.0}
+    assert run("compare", "--help") == 0
+    assert "AUC model only" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command, cap", [
+    (("train", "--solver", "svm"), 0),
+    (("train", "--solver", "logistic"), -5),
+    (("compare", "--solver", "newton"), 0),
+])
+def test_non_positive_baseline_iteration_cap_rejected(tmp_path, capsys, command, cap):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    capsys.readouterr()
+    assert run(*command, "--features", path, "--baseline-max-iter", cap,
+               "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == "error: max_iter must be a positive integer\n"
 
 
 def test_compare_separable_all_aucs_high(tmp_path):
