@@ -146,7 +146,8 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     the mean squared row norm, decreasing like the strongly convex optimal
     schedule but bounded at the start.  The running average of iterates is
     returned; its objective is checkpointed every 50 iterations and the fit
-    stops early once the relative improvement falls below ``tol``.
+    stops early once the relative improvement falls below ``tol``
+    (``train_meta["converged"]``; False when ``max_iter`` ends the fit).
 
     The label-scaled design ``y * [1, x]`` is formed once, so an iteration
     is two matrix-vector products: margins, and the hinge subgradient as the
@@ -170,6 +171,7 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     trace: list[tuple[int, float]] = []
     previous = np.inf
     iterations = max_iter
+    converged = False
     for t in range(max_iter):
         violating = (yx @ beta < 1.0).astype(float)
         subgrad = lam * penalized * beta - (yx_t @ violating) / n
@@ -182,9 +184,11 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
             trace.append((t + 1, objective))
             if np.isfinite(previous) and previous - objective <= tol * max(1.0, abs(previous)):
                 iterations = t + 1
+                converged = True
                 break
             previous = objective
     meta = {
+        "converged": converged,
         "iterations": iterations,
         "objective": trace[-1][1],
         "objective_trace": [[i, o] for i, o in trace],

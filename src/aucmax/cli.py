@@ -357,13 +357,19 @@ def _cmd_extract(args) -> int:
 # train / eval / compare helpers
 
 def _load_split(args, defaults: dict):
-    """Resolve the config, load the feature CSV, split it stratified, fit
-    the standardizer on the training part, and create the output directory."""
+    """Resolve the config (refusing an empty C grid), load the feature CSV,
+    split it stratified, fit the standardizer on the training part, and
+    create the output directory."""
     file_cfg = _load_config(args.config)
     eff = _resolve(args, file_cfg, defaults)
     eff["seed"] = _resolve_seed(args, file_cfg)
     eff["features"] = args.features
     eff["standardize"] = True
+    if "c_grid" in eff:
+        if isinstance(eff["c_grid"], str):
+            eff["c_grid"] = _parse_float_list(eff["c_grid"])
+        if not eff["c_grid"]:
+            raise ValueError("c_grid must name at least one C")
 
     dataset, _ = load_labeled_csv(args.features)
     spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"], stratified=True)
@@ -537,8 +543,6 @@ def _tune_baseline(kind: str, train_std, eff):
 
 def _cmd_compare(args) -> int:
     eff, _, train_std, test_std, standardizer, out = _load_split(args, COMPARE_DEFAULTS)
-    if isinstance(eff["c_grid"], str):
-        eff["c_grid"] = _parse_float_list(eff["c_grid"])
 
     tuning = {}
     models = {}                                 # label -> (file name, model dict)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .signals import (
     DEFAULT_BANDS,
@@ -28,6 +27,9 @@ from .signals import (
     band_power_psd,
     butterworth_bandpass,
     channel_stats,
+    moment_stats,
+    pairwise_lagged_correlation,
+    pairwise_plv,
     segment,
 )
 
@@ -149,62 +151,6 @@ def layout_manifest(channel_ids, spec: WindowSpec, bands, set_id, corr_lags,
     }
 
 
-def _vector_stats(windows: np.ndarray) -> np.ndarray:
-    """segment_stats over the last axis, stacked in STAT_FIELDS order."""
-    lo = windows.min(axis=-1)
-    hi = windows.max(axis=-1)
-    mean = windows.mean(axis=-1)
-    variance = windows.var(axis=-1, ddof=1)
-    m2 = windows.var(axis=-1)
-    centered = windows - mean[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        skewness = np.where(m2 > 0, np.mean(centered**3, axis=-1) / m2**1.5, 0.0)
-        kurtosis = np.where(m2 > 0, np.mean(centered**4, axis=-1) / m2**2, 0.0)
-    return np.stack([lo, hi, hi - lo, mean, variance, skewness, kurtosis], axis=-1)
-
-
-def _pairwise_plv(band_windows: np.ndarray) -> np.ndarray:
-    """|mean unit phasor of the phase difference| for every channel pair.
-
-    Input (windows, channels, bands, w); output (windows, pairs, bands)
-    with pairs in row-major upper-triangular order.
-    """
-    phases = np.angle(hilbert(band_windows, axis=-1))
-    phasors = np.exp(1j * phases)
-    m, c, nbands, w = phasors.shape
-    flat = np.ascontiguousarray(phasors.transpose(0, 2, 1, 3)).reshape(m * nbands, c, w)
-    gram = flat @ flat.conj().transpose(0, 2, 1) / w
-    plv_all = np.abs(gram).reshape(m, nbands, c, c)
-    iu, ju = np.triu_indices(c, k=1)
-    return plv_all[:, :, iu, ju].transpose(0, 2, 1)     # (m, pairs, bands)
-
-
-def _pairwise_lagged_corr(windows: np.ndarray, lags) -> np.ndarray:
-    """lagged_correlation for every ordered pair (i < j) and lag.
-
-    Matches the scalar op: deviations from each window's full mean,
-    correlating channel i's leading stretch with channel j shifted by tau.
-    Output (windows, pairs, lags).
-    """
-    m, c, w = windows.shape
-    means = windows.mean(axis=-1)
-    iu, ju = np.triu_indices(c, k=1)
-    out = np.empty((m, iu.size, len(lags)))
-    for k, tau in enumerate(lags):
-        if not 0 <= tau < w - 1:
-            raise ValueError(f"correlation lag {tau} incompatible with {w}-sample windows")
-        da = windows[:, :, : w - tau] - means[..., None]
-        db = windows[:, :, tau:] - means[..., None]
-        ssa = np.sum(da * da, axis=-1)
-        ssb = np.sum(db * db, axis=-1)
-        numer = np.einsum("mcw,mdw->mcd", da, db)
-        denom = np.sqrt(ssa[:, :, None] * ssb[:, None, :])
-        if np.any(denom[:, iu, ju] == 0.0):
-            raise ValueError("zero variance segment in correlation block")
-        out[:, :, k] = (numer / denom)[:, iu, ju]
-    return out
-
-
 def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | None = None,
                        set_id="Set1", bands=DEFAULT_BANDS,
                        filter_order: int = DEFAULT_FILTER_ORDER,
@@ -258,7 +204,7 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     columns = [psd.reshape(m, -1), de.reshape(m, -1)]
 
     if level >= 2:
-        stats = _vector_stats(band_windows)                          # (m, c, b, 7)
+        stats = moment_stats(band_windows)                           # (m, c, b, 7)
         stream = np.concatenate([stats, psd[..., None], de[..., None]], axis=-1)
         diffs = np.zeros_like(stream)
         diffs[1:] = stream[1:] - stream[:-1]
@@ -269,8 +215,11 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         columns.append(np.broadcast_to(chan.reshape(1, -1), (m, chan.size)).copy())
 
     if level >= 4:
-        columns.append(_pairwise_plv(band_windows).reshape(m, -1))
-        columns.append(_pairwise_lagged_corr(windows, corr_lags).reshape(m, -1))
+        columns.append(pairwise_plv(band_windows).reshape(m, -1))
+        corr = pairwise_lagged_correlation(windows, corr_lags)
+        if np.isnan(corr).any():
+            raise ValueError("zero variance segment in correlation block")
+        columns.append(corr.reshape(m, -1))
 
     layout = feature_layout(channels, bands, level, corr_lags)
     names = [name for cols in layout.values() for name in cols]

@@ -35,6 +35,9 @@ __all__ = [
     "butterworth_gain_squared",
     "butterworth_highpass_gain_squared",
     "butterworth_bandpass",
+    "moment_stats",
+    "pairwise_plv",
+    "pairwise_lagged_correlation",
     "differential_entropy",
     "segment_stats",
     "segment_diff",
@@ -251,7 +254,7 @@ def differential_entropy(segment) -> float:
     x = np.asarray(segment, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two samples")
-    var = float(np.var(x, ddof=1))
+    var = segment_stats(x.ravel()).variance
     if var <= 0.0:
         raise ValueError("degenerate segment (zero variance)")
     return float(0.5 * np.log(2.0 * np.pi * np.e * var))
@@ -279,24 +282,76 @@ class ChannelStats(NamedTuple):
     argmax: float
 
 
+# One batched kernel per statistic; the scalar ops are wrappers over them.
+def moment_stats(x) -> np.ndarray:
+    """``segment_stats`` over the last axis, stacked along a new last axis."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    lo = x.min(axis=-1)
+    hi = x.max(axis=-1)
+    mean = x.mean(axis=-1)
+    variance = x.var(axis=-1, ddof=1)
+    m2 = x.var(axis=-1)                         # biased moments for the standardized forms
+    centered = x - mean[..., None]
+    c2 = centered * centered
+    m3 = np.einsum("...w,...w->...", c2, centered) / n
+    m4 = np.einsum("...w,...w->...", c2, c2) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skewness = np.where(m2 > 0, m3 / m2**1.5, 0.0)
+        kurtosis = np.where(m2 > 0, m4 / m2**2, 0.0)
+    return np.stack([lo, hi, hi - lo, mean, variance, skewness, kurtosis], axis=-1)
+
+
+def pairwise_plv(band_windows: np.ndarray) -> np.ndarray:
+    """|mean unit phasor of the phase difference| for every channel pair
+    (a zero of the analytic signal has phase 0).
+
+    Input (windows, channels, bands, w); output (windows, pairs, bands)
+    with pairs in row-major upper-triangular order.
+    """
+    m, c, nbands, w = band_windows.shape
+    analytic = hilbert(band_windows.transpose(0, 2, 1, 3), axis=-1)
+    flat = analytic.reshape(m * nbands, c, w)
+    amp = np.abs(flat)
+    live = amp > 0
+    np.divide(flat, amp, out=flat, where=live)  # unit phasors, in place
+    flat[~live] = 1.0
+    gram = flat @ flat.conj().transpose(0, 2, 1) / w
+    plv_all = np.abs(gram).reshape(m, nbands, c, c)
+    iu, ju = np.triu_indices(c, k=1)
+    return plv_all[:, :, iu, ju].transpose(0, 2, 1)     # (m, pairs, bands)
+
+
+def pairwise_lagged_correlation(windows: np.ndarray, lags) -> np.ndarray:
+    """``lagged_correlation`` for every pair i < j and lag: deviations from
+    each window's full mean, channel i's leading stretch against channel j
+    shifted by tau.  Output (windows, pairs, lags), NaN at zero variance.
+    """
+    m, c, w = windows.shape
+    means = windows.mean(axis=-1)
+    iu, ju = np.triu_indices(c, k=1)
+    out = np.empty((m, iu.size, len(lags)))
+    for k, tau in enumerate(lags):
+        if not 0 <= tau < w - 1:
+            raise ValueError(f"correlation lag {tau} incompatible with {w}-sample windows")
+        da = windows[:, :, : w - tau] - means[..., None]
+        db = windows[:, :, tau:] - means[..., None]
+        ssa = np.sum(da * da, axis=-1)
+        ssb = np.sum(db * db, axis=-1)
+        numer = np.einsum("mcw,mdw->mcd", da, db)
+        denom = np.sqrt(ssa[:, :, None] * ssb[:, None, :])
+        corr = np.divide(numer, denom, out=np.full_like(numer, np.nan), where=denom > 0)
+        out[:, :, k] = corr[:, iu, ju]
+    return out
+
+
 def segment_stats(segment) -> Stats:
     """Extrema, range, mean, unbiased variance, and standardized third/
     fourth moments (zero-variance segments report skewness = kurtosis = 0)."""
     x = np.asarray(segment, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a vector of at least two samples")
-    lo = float(x.min())
-    hi = float(x.max())
-    mean = float(x.mean())
-    variance = float(np.var(x, ddof=1))
-    m2 = float(np.var(x))                       # biased moments for the standardized forms
-    if m2 > 0.0:
-        centered = x - mean
-        skewness = float(np.mean(centered**3) / m2**1.5)
-        kurtosis = float(np.mean(centered**4) / m2**2)
-    else:
-        skewness = kurtosis = 0.0
-    return Stats(lo, hi, hi - lo, mean, variance, skewness, kurtosis)
+    return Stats(*moment_stats(x).tolist())
 
 
 def segment_diff(segment_a, segment_b) -> Stats:
@@ -327,9 +382,7 @@ def plv(x, y) -> float:
         raise ValueError("length mismatch")
     if a.ndim != 1 or a.size < 4:
         raise ValueError("need vectors of at least four samples")
-    phase_a = np.angle(hilbert(a))
-    phase_b = np.angle(hilbert(b))
-    return float(np.abs(np.mean(np.exp(1j * (phase_a - phase_b)))))
+    return float(pairwise_plv(np.stack([a, b])[None, :, None, :])[0, 0, 0])
 
 
 def lagged_correlation(x, y, tau: int, overlap_means: bool = False) -> float:
@@ -352,16 +405,12 @@ def lagged_correlation(x, y, tau: int, overlap_means: bool = False) -> float:
     overlap = a.size - tau
     if overlap < 2:
         raise ValueError("overlap too short")
-    aw = a[:overlap]
-    bw = b[tau:]
-    mean_a = float(np.mean(aw if overlap_means else a))
-    mean_b = float(np.mean(bw if overlap_means else b))
-    da = aw - mean_a
-    db = bw - mean_b
-    denom = float(np.sqrt(np.sum(da * da) * np.sum(db * db)))
-    if denom == 0.0:
+    if overlap_means:                           # the overlap as a whole series, at lag 0
+        a, b, tau = a[:overlap], b[tau:], 0
+    r = float(pairwise_lagged_correlation(np.stack([a, b])[None], [tau])[0, 0, 0])
+    if np.isnan(r):
         raise ValueError("zero variance in a windowed series")
-    return float(np.sum(da * db) / denom)
+    return r
 
 
 # ---------------------------------------------------------------------------

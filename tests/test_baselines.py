@@ -183,6 +183,7 @@ def test_svm_matches_reference_loop(data, C, max_iter, stop):
     meta = model.train_meta
     assert meta["iterations"] == iterations
     assert (iterations < max_iter) == (stop == "tol")
+    assert meta["converged"] is (stop == "tol")
     assert [i for i, _ in meta["objective_trace"]] == [i for i, _ in trace]
     if max_iter % SVM_CHECK_EVERY:
         assert trace[-1][0] == max_iter
@@ -193,6 +194,17 @@ def test_svm_matches_reference_loop(data, C, max_iter, stop):
     assert meta["objective"] == pytest.approx(
         svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
     assert (quiet > 0) == (data == "blobs")
+
+
+def test_svm_converged_when_tolerance_stops_at_the_cap():
+    # the stop test, not the iteration count, decides convergence
+    ds = generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
+    stopped = fit_linear_svm(ds, C=1.0, max_iter=10_000).train_meta
+    assert stopped["converged"] is True and stopped["iterations"] < 10_000
+    at_cap = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"]).train_meta
+    assert at_cap["converged"] is True and at_cap["iterations"] == stopped["iterations"]
+    before = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"] - SVM_CHECK_EVERY)
+    assert before.train_meta["converged"] is False
 
 
 # --- scores, predictions, serialization

@@ -223,6 +223,18 @@ def test_train_baseline_solver(tmp_path):
     assert report["test"]["auc"] > 0.7
 
 
+@pytest.mark.parametrize("cap, converged", [(10_000, True), (50, False)])
+def test_train_svm_manifest_reports_convergence(tmp_path, cap, converged):
+    path = synth_csv(tmp_path, n=200, dim=3)
+    out = tmp_path / "svm"
+    assert run("train", "--features", path, "--solver", "svm", "--seed", 1,
+               "--baseline-max-iter", cap, "--out", out) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    meta = json.loads((out / "model.json").read_text())["train_meta"]
+    assert results["converged"] is meta["converged"] is converged
+    assert (results["iterations_used"] < cap) is converged
+
+
 def test_train_reports_skipped_quasi_newton_updates(tmp_path):
     path = synth_csv(tmp_path)
     out = tmp_path / "run"
@@ -498,6 +510,20 @@ def test_non_positive_baseline_iteration_cap_rejected(tmp_path, capsys, command,
     assert run(*command, "--features", path, "--baseline-max-iter", cap,
                "--out", tmp_path / "x") == 1
     assert capsys.readouterr().err == "error: max_iter must be a positive integer\n"
+
+
+@pytest.mark.parametrize("grid", [("--c-grid", ""), ("--c-grid", ","), "config"])
+def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    if grid == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"c_grid": []}))
+        grid = ("--config", config)
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert run("compare", "--features", path, "--solver", "newton", *grid, "--out", out) == 1
+    assert capsys.readouterr().err == "error: c_grid must name at least one C\n"
+    assert not out.exists()
 
 
 def test_compare_separable_all_aucs_high(tmp_path):

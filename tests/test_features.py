@@ -140,6 +140,18 @@ def test_values_match_scalar_ops_spot_check():
     assert fm.values[m, col] == pytest.approx(lagged_correlation(raw[0], raw[2], 32), rel=1e-9)
 
 
+def test_silent_raw_window_refused_by_correlation_block():
+    # band filtering leaks into a silent stretch, so only the raw-window
+    # correlation sees the zero variance
+    trial = make_trial(n_channels=3, seconds=12.0, seed=6, pretrial=0.0)
+    samples = trial.samples.copy()
+    samples[1, : int(4 * FS)] = 0.0
+    silent = TrialSignal(samples, FS)
+    assert build_feature_sets(silent, channels=[0, 1, 2], set_id="Set3").n_rows > 0
+    with pytest.raises(ValueError, match="^zero variance segment in correlation block$"):
+        build_feature_sets(silent, channels=[0, 1, 2], set_id="Set4")
+
+
 def test_diff_block_first_window_zero_then_differences():
     trial = make_trial(n_channels=2, seconds=10.0, seed=5)
     fm = build_feature_sets(trial, channels=[0, 1], set_id="Set2")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import hilbert
 
 from aucmax.signals import (
     DEFAULT_BANDS,
@@ -13,6 +16,9 @@ from aucmax.signals import (
     channel_stats,
     differential_entropy,
     lagged_correlation,
+    moment_stats,
+    pairwise_lagged_correlation,
+    pairwise_plv,
     plv,
     power_spectrum,
     read_signal_binary,
@@ -311,6 +317,174 @@ def test_lagged_correlation_errors():
         lagged_correlation(x, x, 7)
     with pytest.raises(ValueError, match="zero variance"):
         lagged_correlation(np.ones(8), np.arange(8, dtype=float), 0)
+
+
+# --- kernels and scalar ops against the implementations they replaced
+#
+# Reference implementations: the scalar bodies and the batched feature
+# kernels from before each statistic had one implementation.  The kernels
+# reorder the moment sums and build unit phasors by division rather than
+# through the phase angle, so agreement is to rounding, not bit for bit.
+
+def reference_differential_entropy(segment):
+    x = np.asarray(segment, dtype=float)
+    var = float(np.var(x, ddof=1))
+    if var <= 0.0:
+        raise ValueError("degenerate segment (zero variance)")
+    return float(0.5 * np.log(2.0 * np.pi * np.e * var))
+
+
+def reference_segment_stats(segment):
+    x = np.asarray(segment, dtype=float)
+    lo = float(x.min())
+    hi = float(x.max())
+    mean = float(x.mean())
+    variance = float(np.var(x, ddof=1))
+    m2 = float(np.var(x))
+    if m2 > 0.0:
+        centered = x - mean
+        skewness = float(np.mean(centered**3) / m2**1.5)
+        kurtosis = float(np.mean(centered**4) / m2**2)
+    else:
+        skewness = kurtosis = 0.0
+    return (lo, hi, hi - lo, mean, variance, skewness, kurtosis)
+
+
+def reference_channel_stats(channel):
+    x = np.asarray(channel, dtype=float)
+    denom = x.size - 1
+    return reference_segment_stats(x) + (float(np.argmin(x)) / denom, float(np.argmax(x)) / denom)
+
+
+def reference_plv(x, y):
+    phase_a = np.angle(hilbert(np.asarray(x, dtype=float)))
+    phase_b = np.angle(hilbert(np.asarray(y, dtype=float)))
+    return float(np.abs(np.mean(np.exp(1j * (phase_a - phase_b)))))
+
+
+def reference_lagged_correlation(x, y, tau, overlap_means=False):
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(y, dtype=float)
+    overlap = a.size - tau
+    aw = a[:overlap]
+    bw = b[tau:]
+    mean_a = float(np.mean(aw if overlap_means else a))
+    mean_b = float(np.mean(bw if overlap_means else b))
+    da = aw - mean_a
+    db = bw - mean_b
+    denom = float(np.sqrt(np.sum(da * da) * np.sum(db * db)))
+    if denom == 0.0:
+        raise ValueError("zero variance in a windowed series")
+    return float(np.sum(da * db) / denom)
+
+
+def reference_vector_stats(windows):
+    lo = windows.min(axis=-1)
+    hi = windows.max(axis=-1)
+    mean = windows.mean(axis=-1)
+    variance = windows.var(axis=-1, ddof=1)
+    m2 = windows.var(axis=-1)
+    centered = windows - mean[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skewness = np.where(m2 > 0, np.mean(centered**3, axis=-1) / m2**1.5, 0.0)
+        kurtosis = np.where(m2 > 0, np.mean(centered**4, axis=-1) / m2**2, 0.0)
+    return np.stack([lo, hi, hi - lo, mean, variance, skewness, kurtosis], axis=-1)
+
+
+def reference_pairwise_plv(band_windows):
+    phases = np.angle(hilbert(band_windows, axis=-1))
+    phasors = np.exp(1j * phases)
+    m, c, nbands, w = phasors.shape
+    flat = np.ascontiguousarray(phasors.transpose(0, 2, 1, 3)).reshape(m * nbands, c, w)
+    gram = flat @ flat.conj().transpose(0, 2, 1) / w
+    plv_all = np.abs(gram).reshape(m, nbands, c, c)
+    iu, ju = np.triu_indices(c, k=1)
+    return plv_all[:, :, iu, ju].transpose(0, 2, 1)
+
+
+def close(got, want):
+    return got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def channel_batches(draw):
+    """2-4 channels of 4-48 samples: noise at scales 1e-3..1e3 with an
+    offset, exact constants, all zeros, half zeros, or small integers
+    (ties for argmin and argmax)."""
+    w = draw(st.integers(4, 48))
+    kinds = draw(st.lists(st.sampled_from(["noise", "constant", "zero", "half_zero", "ties"]),
+                          min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "noise":
+            scale = 10.0 ** draw(st.integers(-3, 3))
+            rows.append(scale * rng.standard_normal(w) + draw(st.sampled_from([0.0, 1.0, -50.0])))
+        elif kind == "constant":
+            rows.append(np.full(w, draw(st.sampled_from([1.0, -2.5, 3.0, 1024.0]))))
+        elif kind == "zero":
+            rows.append(np.zeros(w))
+        elif kind == "half_zero":
+            row = rng.standard_normal(w)
+            row[w // 2:] = 0.0
+            rows.append(row)
+        else:
+            rows.append(rng.integers(-2, 3, w).astype(float))
+    return np.array(rows)
+
+
+def same_outcome(call, reference):
+    """Both raise ValueError, or both return values that are close."""
+    try:
+        want = reference()
+    except ValueError:
+        with pytest.raises(ValueError):
+            call()
+        return True
+    return close(call(), want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(channel_batches())
+def test_kernels_and_scalar_ops_match_references(batch):
+    c, w = batch.shape
+    kernel = moment_stats(batch)
+    assert close(kernel, reference_vector_stats(batch))
+    assert close(moment_stats(np.stack([batch, -batch])),
+                 reference_vector_stats(np.stack([batch, -batch])))
+    for row, stats in zip(batch, kernel):
+        want = reference_segment_stats(row)
+        assert close(stats, want)
+        assert close(tuple(segment_stats(row)), want)
+        assert close(tuple(channel_stats(row)), reference_channel_stats(row))
+        if row.min() == row.max():
+            assert stats[5] == stats[6] == 0.0 and segment_stats(row).skewness == 0.0
+        assert same_outcome(lambda: differential_entropy(row),
+                            lambda: reference_differential_entropy(row))
+    assert same_outcome(lambda: differential_entropy(batch),
+                        lambda: reference_differential_entropy(batch))
+    diff = segment_diff(batch[0], batch[1])
+    assert close(tuple(diff), tuple(np.subtract(reference_segment_stats(batch[1]),
+                                                reference_segment_stats(batch[0]))))
+
+    band_windows = batch[None, :, None, :]
+    assert close(pairwise_plv(band_windows), reference_pairwise_plv(band_windows))
+    lags = sorted({0, w // 3, w - 2})
+    corr = pairwise_lagged_correlation(batch[None], lags)[0]     # (pairs, lags)
+    for p, (i, j) in enumerate(zip(*np.triu_indices(c, k=1))):
+        assert close(plv(batch[i], batch[j]), reference_plv(batch[i], batch[j]))
+        assert close(plv(batch[j], batch[i]), reference_plv(batch[j], batch[i]))
+        for k, tau in enumerate(lags):
+            try:
+                want = reference_lagged_correlation(batch[i], batch[j], tau)
+            except ValueError:
+                assert np.isnan(corr[p, k])
+            else:
+                assert close(corr[p, k], want)
+            for overlap_means in (False, True):
+                assert same_outcome(
+                    lambda: lagged_correlation(batch[i], batch[j], tau, overlap_means),
+                    lambda: reference_lagged_correlation(batch[i], batch[j], tau, overlap_means))
 
 
 # --- trial file formats
