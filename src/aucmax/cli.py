@@ -357,19 +357,25 @@ def _cmd_extract(args) -> int:
 # train / eval / compare helpers
 
 def _load_split(args, defaults: dict):
-    """Resolve the config (refusing an empty C grid), load the feature CSV,
-    split it stratified, fit the standardizer on the training part, and
-    create the output directory."""
+    """Resolve the config (refusing a C grid that is not a non-empty list of
+    positive numbers), load the feature CSV, split it stratified, fit the
+    standardizer on the training part, and create the output directory."""
     file_cfg = _load_config(args.config)
     eff = _resolve(args, file_cfg, defaults)
     eff["seed"] = _resolve_seed(args, file_cfg)
     eff["features"] = args.features
     eff["standardize"] = True
     if "c_grid" in eff:
-        if isinstance(eff["c_grid"], str):
-            eff["c_grid"] = _parse_float_list(eff["c_grid"])
-        if not eff["c_grid"]:
+        grid = eff["c_grid"]
+        if isinstance(grid, str):
+            grid = eff["c_grid"] = _parse_float_list(grid)
+        if not isinstance(grid, list) or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in grid):
+            raise ValueError("c_grid must be a list of numbers")
+        if not grid:
             raise ValueError("c_grid must name at least one C")
+        if not all(c > 0 for c in grid):
+            raise ValueError("c_grid: every C must be positive")
 
     dataset, _ = load_labeled_csv(args.features)
     spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"], stratified=True)
@@ -404,8 +410,8 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
     if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
         print(
             f"warning: qn-broyden on dimension {problem.dim_x + 1} "
-            f"(> {QUASI_NEWTON_DIM_WARNING}) is likely impractical: it refactors a dense "
-            "curvature matrix of that size on every iteration",
+            f"(> {QUASI_NEWTON_DIM_WARNING}) is likely impractical: it keeps a dense "
+            "curvature matrix of that size and updates it on every iteration",
             file=sys.stderr,
         )
     d = train_std.n_features

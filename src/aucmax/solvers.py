@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 __all__ = [
     "FIRST_ORDER_METHODS",
@@ -58,6 +59,7 @@ DENSE_TRACE_ROWS = 10_000     # first-order methods: record every iteration up t
 THIN_TRACE_EVERY = 10         # ... then only every 10th (bounded trace memory)
 CONDITION_LIMIT = 1e14        # condition estimate of a saddle factor treated as singular
 SR1_DENOMINATOR_FLOOR = 1e-12 # relative curvature floor for the SR1 denominator
+REBASE_RANK = 32              # qn-broyden: Woodbury pieces held before Q is refactored
 
 TRACE_HEADER = "iteration,grad_norm,objective,train_auc,test_auc"
 
@@ -173,20 +175,19 @@ def _result(problem, x, y, converged, iterations, recorder, **extra) -> SolveRes
 
 
 def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0, iterations: int = 300) -> float:
-    """Power-iteration estimate of the largest absolute eigenvalue."""
+    """Largest absolute eigenvalue of a symmetric matrix.
+
+    Lanczos (ARPACK ``eigsh``) from a start vector drawn from ``seed``, so a
+    repeated call returns the same bits; ``iterations`` caps ARPACK's
+    restarts.  A zero matrix gives 0.0.
+    """
     m = np.asarray(matrix, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iterations):
-        w = m @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        estimate = norm
-    return estimate
+    if m.shape[0] < 2 or not m.any():           # ARPACK needs k = 1 < n and a nonzero Krylov space
+        return float(np.abs(m).max(initial=0.0))
+    v0 = np.random.default_rng(seed).standard_normal(m.shape[0])
+    eigenvalue = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, maxiter=iterations,
+                                           return_eigenvectors=False)
+    return float(abs(eigenvalue[0]))
 
 
 def _resolve_step(problem, config, x, y) -> float:
@@ -343,29 +344,21 @@ def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> 
     return _result(problem, x, y, False, config.max_iterations, recorder)
 
 
-def broyden_update(Q: np.ndarray, H: np.ndarray, u: np.ndarray, tau: float | str):
-    """One Broyden-family curvature update of the dominating approximation.
+def _broyden_form(u: np.ndarray, qu: np.ndarray, hu: np.ndarray, tau: float | str):
+    """Coefficients of one Broyden-family update as a 2x2 form.
 
-    Returns ``(Q_new, skipped)`` where ``skipped`` names any component whose
-    denominator guard fired (that component leaves Q unchanged).  ``tau``
-    blends DFP (tau=1) with SR1 (tau=0); the string "bfgs" selects the
-    curvature-ratio value ``u@H@u / u@Q@u`` that reproduces the BFGS update.
-    Requires ``Q`` symmetric positive definite with ``Q - H`` positive
-    semidefinite for the guards to be meaningful.
+    Returns ``(S, skipped)`` with ``Q_new = Q + V S V.T`` for ``V = [Qu, Hu]``.
+    ``S`` blends the SR1 form ``-[[1, -1], [-1, 1]] / u.(Q - H)u`` with weight
+    ``1 - tau`` and the DFP form ``[[0, -1], [-1, 1 + uQu/uHu]] / uHu`` with
+    weight ``tau``; a component whose denominator guard fires is named in
+    ``skipped`` and contributes nothing.
     """
-    Q = np.asarray(Q, dtype=float)
-    H = np.asarray(H, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if Q.shape != H.shape or Q.shape[0] != u.size:
-        raise ValueError("dimension mismatch between Q, H and u")
     u_norm2 = float(u @ u)
     if u_norm2 == 0.0:
         raise ValueError("update direction u must be nonzero")
-
-    hu = H @ u
-    qu = Q @ u
     uhu = float(u @ hu)
     uqu = float(u @ qu)
+    form = np.zeros((2, 2))
 
     if isinstance(tau, str):
         if tau == "sr1":
@@ -374,7 +367,7 @@ def broyden_update(Q: np.ndarray, H: np.ndarray, u: np.ndarray, tau: float | str
             tau_val = 1.0
         elif tau == "bfgs":
             if uhu <= 0.0 or uqu <= 0.0:
-                return Q, ("bfgs",)
+                return form, ("bfgs",)
             tau_val = uhu / uqu
         else:
             raise ValueError(f"unknown broyden tau mode {tau!r}")
@@ -384,35 +377,63 @@ def broyden_update(Q: np.ndarray, H: np.ndarray, u: np.ndarray, tau: float | str
             raise ValueError("tau must lie in [0, 1]")
 
     skipped = []
-    sr1_term = Q
     if tau_val < 1.0:
-        residual = qu - hu                      # (Q - H) u
-        denom = float(u @ residual)
+        denom = float(u @ (qu - hu))            # u.(Q - H)u
         if denom <= SR1_DENOMINATOR_FLOOR * u_norm2:
             skipped.append("sr1")               # update skipped (degenerate curvature pair)
         else:
-            sr1_term = Q - np.outer(residual, residual) / denom
-
-    dfp_term = Q
+            form += ((tau_val - 1.0) / denom) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     if tau_val > 0.0:
         if uhu <= 0.0:
             skipped.append("dfp")               # update skipped (degenerate curvature pair)
         else:
-            dfp_term = (
-                Q
-                - (np.outer(hu, qu) + np.outer(qu, hu)) / uhu
-                + (1.0 + uqu / uhu) * np.outer(hu, hu) / uhu
-            )
-
-    q_new = tau_val * dfp_term + (1.0 - tau_val) * sr1_term
-    q_new = 0.5 * (q_new + q_new.T)             # kill round-off asymmetry
-    return q_new, tuple(skipped)
+            form += (tau_val / uhu) * np.array([[0.0, -1.0], [-1.0, 1.0 + uqu / uhu]])
+    return form, tuple(skipped)
 
 
-def greedy_direction(Q: np.ndarray, H: np.ndarray) -> int:
-    """Standard-basis index maximizing Q_ii / H_ii (ties -> lowest index)."""
-    dq = np.diagonal(np.asarray(Q, dtype=float))
-    dh = np.diagonal(np.asarray(H, dtype=float))
+def broyden_update(Q: np.ndarray, H: np.ndarray, u: np.ndarray, tau: float | str):
+    """One Broyden-family curvature update of the dominating approximation.
+
+    Returns ``(Q_new, skipped)`` where ``skipped`` names any component whose
+    denominator guard fired (that component leaves Q unchanged).  ``tau``
+    blends DFP (tau=1) with SR1 (tau=0); the string "bfgs" selects the
+    curvature-ratio value ``u@H@u / u@Q@u`` that reproduces the BFGS update.
+    Requires ``Q`` symmetric positive definite with ``Q - H`` positive
+    semidefinite for the guards to be meaningful.  This is the dense
+    reference; ``solve_quasi_newton`` applies the same form in factored form.
+    """
+    Q = np.asarray(Q, dtype=float)
+    H = np.asarray(H, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if Q.shape != H.shape or Q.shape[0] != u.size:
+        raise ValueError("dimension mismatch between Q, H and u")
+    V = np.column_stack([Q @ u, H @ u])
+    form, skipped = _broyden_form(u, V[:, 0], V[:, 1], tau)
+    if not form.any():
+        return Q, skipped
+    q_new = Q + V @ form @ V.T
+    return 0.5 * (q_new + q_new.T), skipped     # kill round-off asymmetry
+
+
+def _rank_one_pieces(form: np.ndarray, qu: np.ndarray, hu: np.ndarray):
+    """Split ``V S V.T`` (``V = [qu, hu]``) into signed rank-1 pieces
+    ``(sigma, a)``, positive pieces first.
+
+    A 2x2 LDL^T pivoted on the larger diagonal entry of ``S``; a piece with
+    ``sigma == 0`` is dropped, so an SR1 form (exactly singular) gives one
+    and a zero form none.
+    """
+    if not form.any():
+        return []
+    (s00, s01), (_, s11) = form
+    if abs(s00) > abs(s11):
+        s00, s11, qu, hu = s11, s00, hu, qu
+    pieces = [(s11, hu + (s01 / s11) * qu), ((s00 * s11 - s01 * s01) / s11, qu)]
+    return sorted((p for p in pieces if p[0] != 0.0), key=lambda p: p[0] < 0.0)
+
+
+def _greedy_index(dq: np.ndarray, dh: np.ndarray) -> int:
+    """Index maximizing dq_i / dh_i over two diagonals (ties -> lowest index)."""
     if dq.size != dh.size:
         raise ValueError("Q and H must have matching shapes")
     if np.any(dh <= 0.0):
@@ -420,30 +441,95 @@ def greedy_direction(Q: np.ndarray, H: np.ndarray) -> int:
     return int(np.argmax(dq / dh))
 
 
+def greedy_direction(Q: np.ndarray, H: np.ndarray) -> int:
+    """Standard-basis index maximizing Q_ii / H_ii (ties -> lowest index)."""
+    return _greedy_index(np.diagonal(np.asarray(Q, dtype=float)),
+                         np.diagonal(np.asarray(H, dtype=float)))
+
+
+class _Curvature:
+    """The dominating approximation ``Q`` of ``H = H_hat @ H_hat``.
+
+    ``Q`` is kept dense (for ``Q u``, its diagonal and ``record_q``) and
+    changed in place by signed rank-1 pieces ``sigma a a.T``.  ``Q^{-1}`` is
+    applied as the inverse of a base (the scalar ``c`` of ``Q = c I`` at the
+    start, later a Cholesky factor of ``Q``) minus a Woodbury correction in
+    product form: piece ``j`` adds ``-gamma_j w_j w_j.T`` with
+    ``w_j = Q^{-1} a_j`` and ``gamma_j = sigma_j / (1 + sigma_j a_j.w_j)``
+    taken just before it (Sherman-Morrison).  The determinant lemma makes
+    ``1 + sigma a.Q^{-1}a > 0`` the certificate that the piece keeps ``Q``
+    positive definite.  Once the correction holds ``REBASE_RANK`` pieces,
+    ``Q`` is refactored and becomes the base.
+    """
+
+    def __init__(self, n: int, scale: float):
+        self.q = scale * np.eye(n)
+        self.scale = scale
+        self.factor = None
+        self.w = np.empty((REBASE_RANK, n))
+        self.gamma = np.empty(REBASE_RANK)
+        self.rank = 0
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """``Q^{-1} v``."""
+        if self.factor is None:
+            x = v / self.scale
+        else:
+            x = scipy.linalg.cho_solve(self.factor, v, check_finite=False)
+        if self.rank:
+            w = self.w[:self.rank]
+            x -= (self.gamma[:self.rank] * (w @ v)) @ w
+        return x
+
+    def add(self, sigma: float, a: np.ndarray):
+        """``Q += sigma a a.T``, or RuntimeError if that would lose positive
+        definiteness."""
+        if self.rank == REBASE_RANK:
+            try:
+                self.factor = scipy.linalg.cho_factor(self.q, check_finite=False)
+            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+                raise RuntimeError("curvature approximation lost positive definiteness") from exc
+            self.rank = 0
+        w = self.solve(a)
+        certificate = 1.0 + sigma * float(a @ w)
+        if not certificate > 0.0:
+            raise RuntimeError("curvature approximation lost positive definiteness")
+        self.w[self.rank] = w
+        self.gamma[self.rank] = sigma / certificate
+        self.rank += 1
+        # Q is symmetric, so updating its (Fortran-ordered) transpose in place updates Q
+        scipy.linalg.blas.dger(sigma, a, a, a=self.q.T, overwrite_a=True)
+
+
 def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=None,
                        record_q=False) -> SolveResult:
     """Quasi-Newton iteration on the squared-Hessian reformulation.
 
     Maintains a positive definite ``Q`` dominating ``H = H_hat @ H_hat``,
-    steps by ``-Q^{-1} H_hat g`` through a Cholesky solve, then refines
-    ``Q`` with ``updates_per_iteration`` Broyden-family updates along
-    greedily selected basis vectors or seeded Gaussian directions.
+    steps by ``-Q^{-1} H_hat g``, then refines ``Q`` with
+    ``updates_per_iteration`` Broyden-family updates along greedily selected
+    basis vectors or seeded Gaussian directions.  ``H`` is never formed:
+    ``H u = H_hat (H_hat u)``, ``diag(H)`` is the squared column norms of
+    ``H_hat`` and ``lambda_max(H) = ||H_hat||_2^2``.  Each update costs
+    O(d^2) (see ``_Curvature``); ``Q`` is refactored once per
+    ``REBASE_RANK`` rank-1 pieces, never per iteration.
     """
     if config.method != "qn-broyden":
         raise ValueError("solve_quasi_newton requires method 'qn-broyden'")
     x, y = _initial_point(problem, initial)
     constant = getattr(problem, "constant_hessian", False)
+    greedy = config.direction_rule == "greedy-basis"
     recorder = _Recorder(dense=True, auc_eval=auc_eval)
     notes: list[str] = []
 
     h_hat = np.asarray(problem.hessian(x, y), dtype=float)
     _saddle_factor(h_hat, x.size)               # certifies a unique saddle, or raises
-    h_sq = h_hat @ h_hat
-    n = h_sq.shape[0]
-    lam_max = spectral_norm_estimate(h_sq, seed=config.rng_seed)
-    Q = (1.01 * lam_max) * np.eye(n)            # dominance Q >= H at initialization
+    n = h_hat.shape[0]
+    lam_max = spectral_norm_estimate(h_hat, seed=config.rng_seed) ** 2
+    curvature = _Curvature(n, 1.01 * lam_max)   # dominance Q >= H at initialization
+    dh = np.einsum("ij,ij->j", h_hat, h_hat)    # diag(H)
     rng = np.random.default_rng(config.rng_seed)
-    q_history = [Q.copy()] if record_q else None
+    q_history = [curvature.q.copy()] if record_q else None
 
     gx, gy, gn = _grads(problem, x, y)
     recorder.record(0, gn, problem, x, y, force=True)
@@ -451,13 +537,7 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
         return _result(problem, x, y, True, 0, recorder, notes=notes, q_history=q_history)
 
     for t in range(1, config.max_iterations + 1):
-        g = np.concatenate([gx, gy])
-        rhs = h_hat @ g
-        try:
-            factor = scipy.linalg.cho_factor(Q)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise RuntimeError("curvature approximation lost positive definiteness") from exc
-        step = scipy.linalg.cho_solve(factor, rhs)
+        step = curvature.solve(h_hat @ np.concatenate([gx, gy]))
         nx = x.size
         x = x - step[:nx]
         y = y - step[nx:]
@@ -465,21 +545,27 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
         if not constant:
             h_hat = np.asarray(problem.hessian(x, y), dtype=float)
             _saddle_factor(h_hat, x.size)
-            h_sq = h_hat @ h_hat
+            dh = np.einsum("ij,ij->j", h_hat, h_hat)
 
         for _ in range(config.updates_per_iteration):
-            if config.direction_rule == "greedy-basis":
+            if greedy:
+                i = _greedy_index(np.diagonal(curvature.q), dh)
                 u = np.zeros(n)
-                u[greedy_direction(Q, h_sq)] = 1.0
+                u[i] = 1.0
+                hu = h_hat @ h_hat[:, i]
             else:
                 u = rng.standard_normal(n)
-            Q, skipped = broyden_update(Q, h_sq, u, config.broyden_tau)
+                hu = h_hat @ (h_hat @ u)
+            qu = curvature.q @ u
+            form, skipped = _broyden_form(u, qu, hu, config.broyden_tau)
+            for sigma, a in _rank_one_pieces(form, qu, hu):
+                curvature.add(sigma, a)
             for component in skipped:
                 notes.append(
                     f"iteration {t}: {component} update skipped (degenerate curvature pair)"
                 )
         if record_q:
-            q_history.append(Q.copy())
+            q_history.append(curvature.q.copy())
 
         gx, gy, gn = _grads(problem, x, y)
         _check_divergence(gn)

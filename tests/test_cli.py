@@ -526,6 +526,27 @@ def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"c_grid": 5}, "c_grid must be a list of numbers"),
+    ({"c_grid": [1.0, "10"]}, "c_grid must be a list of numbers"),
+    ({"c_grid": [0.1, -1]}, "c_grid: every C must be positive"),
+    (("--c-grid=-1",), "c_grid: every C must be positive"),
+    (("--c-grid", "1,0"), "c_grid: every C must be positive"),
+    (("--c-grid", "nan"), "c_grid: every C must be positive"),
+])
+def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, message):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    if isinstance(grid, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(grid))
+        grid = ("--config", config)
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert run("compare", "--features", path, "--solver", "newton", *grid, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_compare_separable_all_aucs_high(tmp_path):
     path = synth_csv(tmp_path, n=600, dim=6, sep=8.0, seed=2, name="sep")
     out = tmp_path / "cmp"

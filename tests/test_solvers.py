@@ -5,7 +5,10 @@ import scipy.linalg
 from aucmax.data import SynthSpec, generate_synthetic
 from aucmax.objective import AucProblem, LabeledDataset
 from aucmax.solvers import (
+    DIRECTION_RULES,
+    REBASE_RANK,
     SolverConfig,
+    _Curvature,
     broyden_update,
     greedy_direction,
     solve,
@@ -414,6 +417,114 @@ def test_quasi_newton_random_rule_deterministic():
     assert np.array_equal(first.final_x, second.final_x)
 
 
+@pytest.mark.parametrize("rule", DIRECTION_RULES)
+def test_quasi_newton_record_q_does_not_change_the_run(rule):
+    problem = auc_problem(n=60, d=8, seed=5)
+    cfg = SolverConfig(method="qn-broyden", broyden_tau="bfgs", direction_rule=rule,
+                       updates_per_iteration=2, rng_seed=3)
+    recorded = solve_quasi_newton(problem, cfg, record_q=True)
+    plain = solve_quasi_newton(problem, cfg)
+    assert plain.q_history is None
+    assert len(recorded.q_history) == recorded.iterations_used + 1
+    assert np.array_equal(recorded.final_x, plain.final_x)
+    assert np.array_equal(recorded.final_y, plain.final_y)
+    assert recorded.trace == plain.trace and recorded.notes == plain.notes
+
+
+class VaryingHessianView:
+    """An AUC problem that does not declare its Hessian constant."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim_x, self.dim_y = problem.dim_x, problem.dim_y
+        self.hessian_calls = 0
+
+    def value(self, x, y):
+        return self.problem.value(x, y)
+
+    def grad(self, x, y):
+        return self.problem.grad(x, y)
+
+    def hessian(self, x, y):
+        self.hessian_calls += 1
+        return self.problem.hessian(x, y)
+
+
+@pytest.mark.parametrize("rule", DIRECTION_RULES)
+def test_quasi_newton_non_constant_hessian_takes_the_same_path(rule):
+    problem = auc_problem(n=60, d=8, seed=6)
+    cfg = SolverConfig(method="qn-broyden", direction_rule=rule, updates_per_iteration=2,
+                       max_iterations=6, grad_tolerance=1e-12)
+    constant = solve_quasi_newton(problem, cfg)
+    view = VaryingHessianView(problem)
+    varying = solve_quasi_newton(view, cfg)
+    assert view.hessian_calls == varying.iterations_used + 1        # re-read every iteration
+    assert np.array_equal(constant.final_x, varying.final_x)
+    assert constant.trace == varying.trace and constant.notes == varying.notes
+
+
+DENSE_NOTE = "iteration {}: {} update skipped (degenerate curvature pair)"
+
+
+def test_curvature_certificate_orders_bfgs_pieces():
+    # BFGS on Q = c I along e0: + hu hu.T / uHu and - qu qu.T / uQu.  The
+    # downdate alone leaves Q exactly singular; after the update it does not.
+    c, u = 2.0, np.eye(3)[0]
+    hu = np.array([0.5, 0.25, 0.0])
+    alone = _Curvature(3, c)
+    with pytest.raises(RuntimeError, match="lost positive definiteness"):
+        alone.add(-1.0 / c, c * u)
+    ordered = _Curvature(3, c)
+    ordered.add(1.0 / float(u @ hu), hu)
+    ordered.add(-1.0 / c, c * u)
+    v = np.array([1.0, -2.0, 3.0])
+    assert np.allclose(ordered.solve(v), np.linalg.solve(ordered.q, v), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("rule", DIRECTION_RULES)
+@pytest.mark.parametrize("tau", ["sr1", "dfp", "bfgs", 0.3])
+def test_factored_quasi_newton_tracks_dense_reference(tau, rule, k):
+    # Replays the solver's run with the dense broyden_update and np.linalg.solve:
+    # every recorded Q, every skip note and every trace row must agree, over at
+    # least 60 updates, more than REBASE_RANK of them applied (so Q is refactored).
+    problem = auc_problem(n=200, d=40, seed=21)
+    iterations = 60 // k
+    cfg = SolverConfig(method="qn-broyden", broyden_tau=tau, direction_rule=rule,
+                       updates_per_iteration=k, max_iterations=iterations,
+                       grad_tolerance=1e-300, rng_seed=4)
+    res = solve_quasi_newton(problem, cfg, record_q=True)
+    assert res.iterations_used == iterations
+
+    x, y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
+    h_hat = problem.hessian(x, y)
+    h_sq = h_hat @ h_hat
+    n = h_sq.shape[0]
+    q = 1.01 * np.linalg.eigvalsh(h_sq).max() * np.eye(n)
+    assert np.abs(res.q_history[0] - q).max() <= 1e-12 * q[0, 0]
+    rng = np.random.default_rng(cfg.rng_seed)
+    g0 = res.trace[0].grad_norm
+    notes, applied = [], 0
+    for t in range(1, iterations + 1):
+        gx, gy = problem.grad(x, y)
+        step = np.linalg.solve(q, h_hat @ np.concatenate([gx, gy]))
+        x, y = x - step[:problem.dim_x], y - step[problem.dim_x:]
+        for _ in range(k):
+            if rule == "greedy-basis":
+                u = np.eye(n)[greedy_direction(q, h_sq)]
+            else:
+                u = rng.standard_normal(n)
+            q, skipped = broyden_update(q, h_sq, u, tau)
+            notes += [DENSE_NOTE.format(t, component) for component in skipped]
+            applied += not skipped
+        assert np.abs(res.q_history[t] - q).max() <= 1e-10 * np.abs(q).max(), t
+        gx, gy = problem.grad(x, y)
+        grad_norm = float(np.linalg.norm(np.concatenate([gx, gy])))
+        assert abs(res.trace[t].grad_norm - grad_norm) <= 1e-8 * g0, t
+    assert res.notes == notes
+    assert applied > REBASE_RANK
+
+
 def test_cross_solver_agreement_small():
     problem = auc_problem(n=60, d=6, seed=15)
     results = [
@@ -446,6 +557,33 @@ def test_spectral_norm_estimate():
     m = a + a.T
     exact = np.abs(np.linalg.eigvalsh(m)).max()
     assert spectral_norm_estimate(m, seed=0) == pytest.approx(exact, rel=1e-6)
+
+
+def test_spectral_norm_estimate_negative_extreme_eigenvalue():
+    # a saddle-shaped matrix whose largest-magnitude eigenvalue is negative
+    rotation, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))
+    m = rotation @ np.diag([-5.0, 3.0, 2.0, -1.0, 0.5, 4.0]) @ rotation.T
+    assert spectral_norm_estimate(m, seed=1) == pytest.approx(5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[1.0, 2.0], [2.0, -5.0]], 2.0 + np.sqrt(13.0)),
+    ([[0.0, 1.0], [1.0, 0.0]], 1.0),
+    ([[1.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 2.0]], 3.0),
+    ([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]], 2.0 + np.sqrt(2.0)),
+    ([[-7.0]], 7.0),
+    (np.zeros((3, 3)), 0.0),
+])
+def test_spectral_norm_estimate_small_and_degenerate(matrix, expected):
+    assert spectral_norm_estimate(np.array(matrix)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spectral_norm_estimate_same_seed_same_bits():
+    problem = auc_problem(n=80, d=30, seed=4)
+    h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
+    first = spectral_norm_estimate(h, seed=11)
+    assert spectral_norm_estimate(h, seed=11) == first
+    assert first == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)
 
 
 def test_trace_csv_format():
