@@ -59,7 +59,7 @@ svm = tune(fit_linear_svm, "linear SVM")
 
 problem = AucProblem(train_std, lam=1e-4)
 result = solve(problem, SolverConfig(method="alt-gda"))
-state = result.final_state
+state = problem.unpack(result.final_x, result.final_y)
 threshold = (state.u + state.v) / 2.0
 print(f"AUC maximizer (alt-gda): converged={result.converged} in "
       f"{result.iterations_used} iterations; threshold (u+v)/2 = {threshold:.4f}")

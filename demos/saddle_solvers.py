@@ -50,7 +50,7 @@ print(f"{'method':24s} {'converged':>9s} {'iters':>7s} {'final grad':>12s} {'tra
 finals = {}
 for name, config in configs.items():
     result = solve(problem, config)
-    state = result.final_state
+    state = problem.unpack(result.final_x, result.final_y)
     auc = roc_auc(dataset.features @ state.w, dataset.labels)
     finals[name] = np.concatenate([result.final_x, result.final_y])
     print(f"{name:24s} {str(result.converged):>9s} {result.iterations_used:7d} "

@@ -182,13 +182,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
-    obj = json.loads(Path(path).read_text())
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object stored in ``path``; ValueError naming the file otherwise."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
+        raise ValueError(f"{path}: {what} must hold a JSON object")
     return obj
+
+
+def _load_config(path) -> dict:
+    return _read_json_object(path, "config file") if path else {}
 
 
 def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
@@ -205,9 +211,12 @@ def _resolve_seed(args, file_cfg: dict) -> int:
     if "seed" in file_cfg:
         return int(file_cfg["seed"])
     env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
 
 
 def _out_dir(effective: dict) -> Path:
@@ -510,13 +519,13 @@ def _cmd_eval(args) -> int:
     eff["model"] = args.model
 
     dataset, _ = load_labeled_csv(args.features)
-    model_obj = json.loads(Path(args.model).read_text())
+    model_obj = _read_json_object(args.model, "model file")
     try:
         standardizer = Standardizer.from_dict(model_obj["train_meta"]["standardizer"])
         report = _report(model_obj, standardizer.transform(dataset.features), dataset.labels)
     except KeyError as exc:
         raise ValueError(f"{args.model}: missing field {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:     # TypeError: a field of the wrong JSON type
         raise ValueError(f"{args.model}: {exc}") from None
 
     out = _out_dir(eff)

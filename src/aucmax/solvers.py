@@ -1,7 +1,8 @@
 """First- and second-order solvers for strongly-convex-strongly-concave
 saddle problems, with per-iteration trace logging and a uniform
 termination contract (stacked gradient norm below tolerance, or an
-iteration cap).
+iteration cap).  Every solver supplies only its step; one loop
+(``_iterate``) enforces the contract and the trace-thinning policy.
 
 A problem object must provide ``dim_x``, ``dim_y`` and ``grad(x, y)``
 returning the two gradient blocks; second-order methods additionally
@@ -115,38 +116,13 @@ class SolveResult:
     converged: bool
     iterations_used: int
     trace: list[TraceRow]
-    final_state: object | None = None       # problem-specific view (PrimalDualState for AUC)
     notes: list[str] = field(default_factory=list)
     q_history: list[np.ndarray] | None = None
-
-
-class _Recorder:
-    """Applies the trace-thinning policy and fills optional AUC columns."""
-
-    def __init__(self, dense: bool, auc_eval=None):
-        self.dense = dense
-        self.auc_eval = auc_eval
-        self.rows: list[TraceRow] = []
-
-    def _due(self, iteration: int) -> bool:
-        return self.dense or iteration <= DENSE_TRACE_ROWS or iteration % THIN_TRACE_EVERY == 0
-
-    def record(self, iteration, grad_norm, problem, x, y, force=False):
-        if not (force or self._due(iteration)):
-            return
-        train_auc = test_auc = None
-        if self.auc_eval is not None:
-            train_auc, test_auc = self.auc_eval(x, y)
-        self.rows.append(
-            TraceRow(iteration, float(grad_norm), float(problem.value(x, y)), train_auc, test_auc)
-        )
 
 
 def _initial_point(problem, initial) -> tuple[np.ndarray, np.ndarray]:
     if initial is None:
         return np.zeros(problem.dim_x), np.zeros(problem.dim_y)
-    if hasattr(initial, "pack_x"):          # PrimalDualState
-        return initial.pack_x(), np.array([initial.y], dtype=float)
     x0, y0 = initial
     return (
         np.atleast_1d(np.asarray(x0, dtype=float)).copy(),
@@ -161,17 +137,42 @@ def _grads(problem, x, y):
     return gx, gy, float(np.sqrt(gx @ gx + gy @ gy))
 
 
-def _check_divergence(grad_norm: float):
-    if not np.isfinite(grad_norm) or grad_norm > DIVERGENCE_LIMIT:
-        raise RuntimeError("diverged (step size too large)")
+def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResult:
+    """The iteration loop shared by every solver.
 
+    ``step(t, x, y, gx, gy)`` returns iterate ``t`` from iterate ``t - 1``
+    and its gradient blocks.  The loop stops once the stacked gradient norm
+    is within ``grad_tolerance`` (converged) or after ``max_iterations``
+    steps, and raises RuntimeError when the norm is non-finite or exceeds
+    ``DIVERGENCE_LIMIT``.  The trace holds row 0 and the last row; between
+    them every row when ``dense``, otherwise every row up to
+    ``DENSE_TRACE_ROWS`` and every ``THIN_TRACE_EVERY``-th one after.
+    ``extra`` goes into the ``SolveResult`` unchanged.
+    """
+    tol, cap = config.grad_tolerance, config.max_iterations
+    trace: list[TraceRow] = []
 
-def _result(problem, x, y, converged, iterations, recorder, **extra) -> SolveResult:
-    state = problem.unpack(x, y) if hasattr(problem, "unpack") else None
-    return SolveResult(
-        final_x=x, final_y=y, converged=converged, iterations_used=iterations,
-        trace=recorder.rows, final_state=state, **extra,
-    )
+    def record(t, gn, x, y):
+        train_auc = test_auc = None
+        if auc_eval is not None:
+            train_auc, test_auc = auc_eval(x, y)
+        trace.append(TraceRow(t, float(gn), float(problem.value(x, y)), train_auc, test_auc))
+
+    gx, gy, gn = _grads(problem, x, y)
+    record(0, gn, x, y)
+    t = 0
+    converged = gn <= tol
+    while not converged and t < cap:
+        t += 1
+        x, y = step(t, x, y, gx, gy)
+        gx, gy, gn = _grads(problem, x, y)
+        if not np.isfinite(gn) or gn > DIVERGENCE_LIMIT:
+            raise RuntimeError("diverged (step size too large)")
+        converged = gn <= tol
+        if dense or converged or t == cap or t <= DENSE_TRACE_ROWS or t % THIN_TRACE_EVERY == 0:
+            record(t, gn, x, y)
+    return SolveResult(final_x=x, final_y=y, converged=bool(converged), iterations_used=t,
+                       trace=trace, **extra)
 
 
 def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0, iterations: int = 300) -> float:
@@ -259,28 +260,15 @@ def solve_gda(problem, config: SolverConfig, initial=None, auc_eval=None) -> Sol
     x, y = _initial_point(problem, initial)
     eta = _resolve_step(problem, config, x, y)
     alternate = config.method == "alt-gda"
-    recorder = _Recorder(dense=False, auc_eval=auc_eval)
 
-    gx, gy, gn = _grads(problem, x, y)
-    recorder.record(0, gn, problem, x, y, force=True)
-    if gn <= config.grad_tolerance:
-        return _result(problem, x, y, True, 0, recorder)
-
-    for t in range(1, config.max_iterations + 1):
+    def step(t, x, y, gx, gy):
         x_next = x - eta * gx
         if alternate:
             _, gy_new = problem.grad(x_next, y)
-            y = y + eta * np.atleast_1d(np.asarray(gy_new, dtype=float))
-        else:
-            y = y + eta * gy
-        x = x_next
-        gx, gy, gn = _grads(problem, x, y)
-        _check_divergence(gn)
-        converged = gn <= config.grad_tolerance
-        recorder.record(t, gn, problem, x, y, force=converged or t == config.max_iterations)
-        if converged:
-            return _result(problem, x, y, True, t, recorder)
-    return _result(problem, x, y, False, config.max_iterations, recorder)
+            return x_next, y + eta * np.atleast_1d(np.asarray(gy_new, dtype=float))
+        return x_next, y + eta * gy
+
+    return _iterate(problem, config, x, y, step, auc_eval, dense=False)
 
 
 def solve_extragradient(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
@@ -290,26 +278,12 @@ def solve_extragradient(problem, config: SolverConfig, initial=None, auc_eval=No
         raise ValueError("solve_extragradient requires method 'extragradient'")
     x, y = _initial_point(problem, initial)
     eta = _resolve_step(problem, config, x, y)
-    recorder = _Recorder(dense=False, auc_eval=auc_eval)
 
-    gx, gy, gn = _grads(problem, x, y)
-    recorder.record(0, gn, problem, x, y, force=True)
-    if gn <= config.grad_tolerance:
-        return _result(problem, x, y, True, 0, recorder)
+    def step(t, x, y, gx, gy):
+        gx_mid, gy_mid, _ = _grads(problem, x - eta * gx, y + eta * gy)
+        return x - eta * gx_mid, y + eta * gy_mid
 
-    for t in range(1, config.max_iterations + 1):
-        x_mid = x - eta * gx
-        y_mid = y + eta * gy
-        gx_mid, gy_mid, _ = _grads(problem, x_mid, y_mid)
-        x = x - eta * gx_mid
-        y = y + eta * gy_mid
-        gx, gy, gn = _grads(problem, x, y)
-        _check_divergence(gn)
-        converged = gn <= config.grad_tolerance
-        recorder.record(t, gn, problem, x, y, force=converged or t == config.max_iterations)
-        if converged:
-            return _result(problem, x, y, True, t, recorder)
-    return _result(problem, x, y, False, config.max_iterations, recorder)
+    return _iterate(problem, config, x, y, step, auc_eval, dense=False)
 
 
 def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
@@ -320,28 +294,17 @@ def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> 
         raise ValueError("solve_newton requires method 'newton'")
     x, y = _initial_point(problem, initial)
     constant = getattr(problem, "constant_hessian", False)
-    recorder = _Recorder(dense=True, auc_eval=auc_eval)
-
-    gx, gy, gn = _grads(problem, x, y)
-    recorder.record(0, gn, problem, x, y, force=True)
-    if gn <= config.grad_tolerance:
-        return _result(problem, x, y, True, 0, recorder)
-
     nx = x.size
     solve_saddle = None
-    for t in range(1, config.max_iterations + 1):
+
+    def step(t, x, y, gx, gy):
+        nonlocal solve_saddle
         if solve_saddle is None or not constant:
             solve_saddle = _saddle_factor(np.asarray(problem.hessian(x, y), dtype=float), nx)
-        step = solve_saddle(np.concatenate([gx, gy]))
-        x = x - step[:nx]
-        y = y - step[nx:]
-        gx, gy, gn = _grads(problem, x, y)
-        _check_divergence(gn)
-        converged = gn <= config.grad_tolerance
-        recorder.record(t, gn, problem, x, y, force=True)
-        if converged:
-            return _result(problem, x, y, True, t, recorder)
-    return _result(problem, x, y, False, config.max_iterations, recorder)
+        s = solve_saddle(np.concatenate([gx, gy]))
+        return x - s[:nx], y - s[nx:]
+
+    return _iterate(problem, config, x, y, step, auc_eval, dense=True)
 
 
 def _broyden_form(u: np.ndarray, qu: np.ndarray, hu: np.ndarray, tau: float | str):
@@ -519,32 +482,26 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
     x, y = _initial_point(problem, initial)
     constant = getattr(problem, "constant_hessian", False)
     greedy = config.direction_rule == "greedy-basis"
-    recorder = _Recorder(dense=True, auc_eval=auc_eval)
     notes: list[str] = []
 
     h_hat = np.asarray(problem.hessian(x, y), dtype=float)
     _saddle_factor(h_hat, x.size)               # certifies a unique saddle, or raises
-    n = h_hat.shape[0]
+    n, nx = h_hat.shape[0], x.size
     lam_max = spectral_norm_estimate(h_hat, seed=config.rng_seed) ** 2
     curvature = _Curvature(n, 1.01 * lam_max)   # dominance Q >= H at initialization
     dh = np.einsum("ij,ij->j", h_hat, h_hat)    # diag(H)
     rng = np.random.default_rng(config.rng_seed)
     q_history = [curvature.q.copy()] if record_q else None
 
-    gx, gy, gn = _grads(problem, x, y)
-    recorder.record(0, gn, problem, x, y, force=True)
-    if gn <= config.grad_tolerance:
-        return _result(problem, x, y, True, 0, recorder, notes=notes, q_history=q_history)
-
-    for t in range(1, config.max_iterations + 1):
-        step = curvature.solve(h_hat @ np.concatenate([gx, gy]))
-        nx = x.size
-        x = x - step[:nx]
-        y = y - step[nx:]
+    def step(t, x, y, gx, gy):
+        nonlocal h_hat, dh
+        s = curvature.solve(h_hat @ np.concatenate([gx, gy]))
+        x = x - s[:nx]
+        y = y - s[nx:]
 
         if not constant:
             h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-            _saddle_factor(h_hat, x.size)
+            _saddle_factor(h_hat, nx)
             dh = np.einsum("ij,ij->j", h_hat, h_hat)
 
         for _ in range(config.updates_per_iteration):
@@ -566,15 +523,10 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
                 )
         if record_q:
             q_history.append(curvature.q.copy())
+        return x, y
 
-        gx, gy, gn = _grads(problem, x, y)
-        _check_divergence(gn)
-        converged = gn <= config.grad_tolerance
-        recorder.record(t, gn, problem, x, y, force=True)
-        if converged:
-            return _result(problem, x, y, True, t, recorder, notes=notes, q_history=q_history)
-    return _result(problem, x, y, False, config.max_iterations, recorder,
-                   notes=notes, q_history=q_history)
+    return _iterate(problem, config, x, y, step, auc_eval, dense=True,
+                    notes=notes, q_history=q_history)
 
 
 def _fmt(value) -> str:

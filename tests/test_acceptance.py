@@ -311,7 +311,7 @@ def test_criterion_8_directional_benchmark():
         svm = tune_and_fit(fit_linear_svm, train_std, seed)
         problem = AucProblem(train_std, lam=1e-4)
         result = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-3))
-        state = result.final_state
+        state = problem.unpack(result.final_x, result.final_y)
         threshold = (state.u + state.v) / 2.0
         auc_scores = test_std.features @ state.w
 

@@ -310,6 +310,13 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert (out_env / "model.json").read_bytes() == (out_flag / "model.json").read_bytes()
 
 
+def test_env_seed_not_an_integer_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AUCMAX_SEED", "abc")
+    assert run("synth", "--n", 50, "--out", tmp_path / "s") == 1
+    assert capsys.readouterr().err == "error: AUCMAX_SEED must be an integer, got 'abc'\n"
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("command, flags, model_file", [
     ("train", ("--solver", "newton"), "model.json"),
     ("compare", ("--solver", "newton", "--c-grid", "1", "--baseline-max-iter", 200),
@@ -467,6 +474,35 @@ def test_eval_standardizer_width_mismatch_names_the_file(tmp_path, capsys):
     model = out / "model.json"
     assert capsys.readouterr().err == (
         f"error: {model}: feature width mismatch: expected 6, got (400, 8)\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "model file must hold a JSON object"),
+    ('{"kind": "auc-linear", "train_meta": 5}', "'int' object is not subscriptable"),
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+], ids=["list", "train_meta-int", "truncated"])
+def test_eval_unreadable_model_names_the_file(tmp_path, capsys, text, message):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ("[1, 2]", "config file must hold a JSON object"),
+], ids=["truncated", "list"])
+def test_unreadable_config_names_the_file(tmp_path, capsys, text, message):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    capsys.readouterr()
+    assert run("train", "--features", path, "--config", config, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 # --- compare
 

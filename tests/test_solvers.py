@@ -5,8 +5,13 @@ import scipy.linalg
 from aucmax.data import SynthSpec, generate_synthetic
 from aucmax.objective import AucProblem, LabeledDataset
 from aucmax.solvers import (
+    DENSE_TRACE_ROWS,
     DIRECTION_RULES,
+    FIRST_ORDER_METHODS,
+    METHODS,
     REBASE_RANK,
+    SECOND_ORDER_METHODS,
+    THIN_TRACE_EVERY,
     SolverConfig,
     _Curvature,
     broyden_update,
@@ -97,12 +102,20 @@ def test_alt_gda_scalar_toy():
     assert abs(res.final_x[0]) < 1e-3 and abs(res.final_y[0]) < 1e-3
 
 
-def test_immediate_return_when_converged():
-    for method in ("sim-gda", "extragradient"):
+@pytest.mark.parametrize("method", METHODS)
+def test_immediate_return_when_converged(method):
+    if method in SECOND_ORDER_METHODS:          # these need a Hessian: start at the AUC saddle
+        problem = auc_problem()
+        saddle = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
+        start = (saddle.final_x, saddle.final_y)
+        cfg = SolverConfig(method=method, grad_tolerance=1e-3)
+    else:
+        problem, start = ScalarSaddle(), ([0.0], [0.0])
         cfg = SolverConfig(method=method, step_size=0.5, grad_tolerance=1e-3)
-        res = solve(ScalarSaddle(), cfg, initial=([0.0], [0.0]))
-        assert res.converged and res.iterations_used == 0
-        assert len(res.trace) == 1 and res.trace[0].iteration == 0
+    res = solve(problem, cfg, initial=start)
+    assert res.converged and res.iterations_used == 0
+    assert len(res.trace) == 1 and res.trace[0].iteration == 0
+    assert np.array_equal(res.final_x, start[0]) and np.array_equal(res.final_y, start[1])
 
 
 def test_sim_gda_divergence_error():
@@ -175,13 +188,29 @@ def test_trace_thinning_long_run():
     assert res.trace[-1].grad_norm <= cfg.grad_tolerance
 
 
-def test_trace_integrity_at_cap():
-    cfg = SolverConfig(method="sim-gda", step_size=0.1, max_iterations=5, grad_tolerance=1e-9)
-    res = solve_gda(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
+# a cap past the dense rows that is not a multiple of THIN_TRACE_EVERY: only
+# the always-record-the-last-row rule keeps the cap row in a thinned trace
+THINNED_CAP = DENSE_TRACE_ROWS + 3
+
+
+@pytest.mark.parametrize("method, cap", [(m, 5) for m in METHODS]
+                         + [(m, THINNED_CAP) for m in FIRST_ORDER_METHODS])
+def test_trace_integrity_at_cap(method, cap):
+    if method in SECOND_ORDER_METHODS:          # round-off keeps the gradient above 1e-30
+        problem, start, step, tol = auc_problem(), None, None, 1e-30
+    else:
+        problem, start, step, tol = ScalarSaddle(), ([1.0], [1.0]), 0.1, 1e-9
+        if cap == THINNED_CAP:                  # contracts slowly enough to stay above tol
+            problem, step = SlowQuadratic(1e-4), 1.0
+    cfg = SolverConfig(method=method, step_size=step, max_iterations=cap, grad_tolerance=tol)
+    res = solve(problem, cfg, initial=start)
     assert not res.converged
-    assert res.iterations_used == 5
-    assert res.trace[-1].iteration == 5
+    assert res.iterations_used == cap
+    assert res.trace[-1].iteration == cap
     assert res.trace[-1].grad_norm > cfg.grad_tolerance
+    iters = [row.iteration for row in res.trace]
+    assert iters[:DENSE_TRACE_ROWS + 1] == list(range(min(cap, DENSE_TRACE_ROWS) + 1))
+    assert all(i % THIN_TRACE_EVERY == 0 for i in iters[DENSE_TRACE_ROWS + 1:-1])
 
 
 class AffineSaddle:
@@ -544,9 +573,10 @@ def test_cross_solver_agreement_small():
 def test_final_state_unpacked_for_auc():
     problem = auc_problem()
     res = solve(problem, SolverConfig(method="newton"))
-    assert res.final_state is not None
-    assert res.final_state.w.shape == (5,)
-    assert np.array_equal(res.final_state.pack_x(), res.final_x)
+    state = problem.unpack(res.final_x, res.final_y)
+    assert state is not None
+    assert state.w.shape == (5,)
+    assert np.array_equal(state.pack_x(), res.final_x)
 
 
 # --- utilities
