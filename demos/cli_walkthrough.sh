@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full command-line tour: synthesize data, train, evaluate, compare.
+# Full command-line tour: synthesize data, extract features from trial
+# signals, train, evaluate, compare.
 # Every command is deterministic: identical flags and seeds reproduce
 # byte-identical outputs.
 set -euo pipefail
@@ -12,6 +13,31 @@ echo; echo "== synth: a 2:1-imbalanced Gaussian feature table =="
 python3 -m aucmax synth --n 2000 --dim 12 --pos-frac 0.333 --sep 1.5 --seed 7 \
     --out "$WORK/data"
 head -c 300 "$WORK/data/features.csv"; echo; echo "..."
+
+echo; echo "== extract: Set2 features from two generated trials (one CSV, one binary) =="
+python3 - "$WORK/trials" <<'PY'
+import sys
+from pathlib import Path
+import numpy as np
+from aucmax.signals import TrialSignal, write_signal_binary, write_signal_csv
+out = Path(sys.argv[1])
+out.mkdir()
+rng = np.random.default_rng(0)
+t = np.arange(20 * 128) / 128.0                 # 20 s at 128 Hz, 3 s of it pre-trial
+for i, (write, name) in enumerate(((write_signal_csv, "trial0.csv"),
+                                   (write_signal_binary, "trial1.bin"))):
+    data = rng.standard_normal((14, t.size)) + 0.5 * np.sin(2 * np.pi * (8 + 4 * i) * t)
+    write(TrialSignal(data, 128.0, pretrial_seconds=3.0), out / name)
+(out.parent / "labels.csv").write_text("trial,label\ntrial0,+1\ntrial1,-1\n")
+PY
+python3 -m aucmax extract --signals "$WORK/trials" --labels "$WORK/labels.csv" --set 2 \
+    --out "$WORK/ext"
+python3 - "$WORK/ext/manifest.json" <<'PY'
+import json, sys
+manifest = json.load(open(sys.argv[1]))
+rows = sum(trial["rows"] for trial in manifest["trials"])
+print(f"{rows} windows x {manifest['layout']['n_features']} features")
+PY
 
 echo; echo "== train: alternating GDA with the default protocol =="
 python3 -m aucmax train --features "$WORK/data/features.csv" --solver alt-gda \

@@ -47,7 +47,13 @@ from .features import (
     read_trial_labels,
     set_level,
 )
-from .metrics import classification_report, report_csv_row, report_to_dict, roc_auc
+from .metrics import (
+    REPORT_CSV_HEADER,
+    classification_report,
+    report_csv_row,
+    report_to_dict,
+    roc_auc,
+)
 from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
 from .solvers import METHODS, SolverConfig, solve, write_trace_csv
@@ -193,30 +199,29 @@ def _read_json_object(path, what: str) -> dict:
     return obj
 
 
-def _load_config(path) -> dict:
-    return _read_json_object(path, "config file") if path else {}
-
-
-def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    effective = {}
+def _config(args, defaults: dict) -> dict:
+    """Each key of ``defaults`` from its flag, else the ``--config`` file, else
+    the default; then ``seed`` from ``--seed``, else the file (a JSON integer),
+    else ``$AUCMAX_SEED``, else 0.  Refuses a bad file or seed before any output."""
+    file_cfg = _read_json_object(args.config, "config file") if args.config else {}
+    eff = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        effective[key] = flag if flag is not None else file_cfg.get(key, default)
-    return effective
-
-
-def _resolve_seed(args, file_cfg: dict) -> int:
+        eff[key] = flag if flag is not None else file_cfg.get(key, default)
     if args.seed is not None:
-        return int(args.seed)
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+        eff["seed"] = args.seed
+    elif "seed" in file_cfg:
+        seed = file_cfg["seed"]
+        if type(seed) is not int:               # JSON true/false load as bool, 1.7 as float
+            raise ValueError(f"{args.config}: seed must be an integer, got {json.dumps(seed)}")
+        eff["seed"] = seed
+    else:
+        env = os.environ.get(ENV_SEED, "0")
+        try:
+            eff["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+    return eff
 
 
 def _out_dir(effective: dict) -> Path:
@@ -227,6 +232,20 @@ def _out_dir(effective: dict) -> Path:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _finish(out: Path, command: str, eff: dict, outputs: dict, **sections) -> int:
+    """Write the command's ``manifest.json``: its resolved config, output files
+    and ``sections``."""
+    _write_json(out / "manifest.json",
+                {"command": command, "config": eff, "outputs": outputs, **sections})
+    return EXIT_OK
+
+
+def _write_table(out: Path, values, labels, names) -> dict:
+    """Write ``features.csv`` with its binary sidecar; returns the manifest's ``outputs``."""
+    write_feature_csv(out / "features.csv", values, labels, names)
+    return {"features": "features.csv", "table": table_path("features.csv").name}
 
 
 def _parse_tau(raw):
@@ -252,9 +271,7 @@ def _parse_float_list(raw):
 # synth
 
 def _cmd_synth(args) -> int:
-    file_cfg = _load_config(args.config)
-    eff = _resolve(args, file_cfg, SYNTH_DEFAULTS)
-    eff["seed"] = _resolve_seed(args, file_cfg)
+    eff = _config(args, SYNTH_DEFAULTS)
     spec = SynthSpec(
         n_samples=int(eff["n"]), n_features=int(eff["dim"]),
         positive_fraction=float(eff["pos_frac"]), class_separation=float(eff["sep"]),
@@ -263,19 +280,12 @@ def _cmd_synth(args) -> int:
     dataset = generate_synthetic(spec)
     out = _out_dir(eff)
     names = [f"f{i:03d}" for i in range(spec.n_features)]
-    write_feature_csv(out / "features.csv", dataset.features, dataset.labels, names)
-    manifest = {
-        "command": "synth",
-        "config": eff,
-        "dataset": {
-            "n_samples": dataset.n_samples,
-            "n_features": dataset.n_features,
-            "positive_count": int(np.count_nonzero(dataset.labels == 1)),
-        },
-        "outputs": {"features": "features.csv", "table": table_path("features.csv").name},
-    }
-    _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    outputs = _write_table(out, dataset.features, dataset.labels, names)
+    return _finish(out, "synth", eff, outputs, dataset={
+        "n_samples": dataset.n_samples,
+        "n_features": dataset.n_features,
+        "positive_count": int(np.count_nonzero(dataset.labels == 1)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +317,8 @@ def _resolve_channels(raw, n_channels: int) -> list[int]:
 
 
 def _cmd_extract(args) -> int:
-    file_cfg = _load_config(args.config)
-    eff = _resolve(args, file_cfg, EXTRACT_DEFAULTS)
-    eff["seed"] = _resolve_seed(args, file_cfg)
-    eff["signals"] = list(args.signals)
-    eff["labels"] = args.labels
+    eff = _config(args, EXTRACT_DEFAULTS)
+    eff.update(signals=list(args.signals), labels=args.labels)
 
     labels = read_trial_labels(args.labels)
     table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
@@ -348,18 +355,9 @@ def _cmd_extract(args) -> int:
         all_labels.extend([labels[trial_id]] * fm.n_rows)
         trials_meta.append({"trial": trial_id, "rows": fm.n_rows, "label": labels[trial_id]})
 
-    values = np.vstack(all_rows)
     out = _out_dir(eff)
-    write_feature_csv(out / "features.csv", values, np.asarray(all_labels), names)
-    manifest = {
-        "command": "extract",
-        "config": eff,
-        "layout": layout,
-        "trials": trials_meta,
-        "outputs": {"features": "features.csv", "table": table_path("features.csv").name},
-    }
-    _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    outputs = _write_table(out, np.vstack(all_rows), np.asarray(all_labels), names)
+    return _finish(out, "extract", eff, outputs, layout=layout, trials=trials_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +367,8 @@ def _load_split(args, defaults: dict):
     """Resolve the config (refusing a C grid that is not a non-empty list of
     positive numbers), load the feature CSV, split it stratified, fit the
     standardizer on the training part, and create the output directory."""
-    file_cfg = _load_config(args.config)
-    eff = _resolve(args, file_cfg, defaults)
-    eff["seed"] = _resolve_seed(args, file_cfg)
-    eff["features"] = args.features
-    eff["standardize"] = True
+    eff = _config(args, defaults)
+    eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
         grid = eff["c_grid"]
         if isinstance(grid, str):
@@ -460,6 +455,17 @@ def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
                max_iter=int(eff["baseline_max_iter"]))
 
 
+def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dict,
+                    threshold=None) -> dict:
+    """Fit ``kind`` on the full training split, apply the threshold override,
+    stamp ``meta`` and the standardizer into ``train_meta``; the stored dict."""
+    model = _fit_baseline(kind, train_std, C, eff)
+    if threshold is not None:
+        model.threshold = float(threshold)
+    model.train_meta.update(meta, standardizer=standardizer.to_dict())
+    return model_to_dict(model)
+
+
 def _cmd_train(args) -> int:
     eff, dataset, train_std, test_std, standardizer, out = _load_split(args, TRAIN_DEFAULTS)
     outputs = {"model": "model.json", "report": "report.json"}
@@ -471,14 +477,11 @@ def _cmd_train(args) -> int:
     }
 
     if eff["solver"] in ("logistic", "svm"):
-        model = _fit_baseline(eff["solver"], train_std, float(eff["C"]), eff)
-        if eff["threshold"] is not None:
-            model.threshold = float(eff["threshold"])
-        model.train_meta.update(common_meta)
-        model.train_meta["standardizer"] = standardizer.to_dict()
-        model_dict = model_to_dict(model)
-        results_meta = {"converged": model.train_meta.get("converged"),
-                        "iterations_used": model.train_meta.get("iterations")}
+        model_dict = _baseline_model(eff["solver"], train_std, float(eff["C"]), eff,
+                                     standardizer, common_meta, eff["threshold"])
+        fit_meta = model_dict["train_meta"]
+        results_meta = {"converged": fit_meta["converged"],
+                        "iterations_used": fit_meta["iterations"]}
     else:
         result, model_dict = _train_auc_model(
             train_std, test_std, eff, standardizer, common_meta, bool(eff["trace_auc"])
@@ -496,27 +499,16 @@ def _cmd_train(args) -> int:
     }
     _write_json(out / "model.json", model_dict)
     _write_json(out / "report.json", report)
-    manifest = {
-        "command": "train",
-        "config": eff,
-        "dataset": {
-            "n_samples": dataset.n_samples,
-            "n_features": dataset.n_features,
-            "positive_fraction": float(np.count_nonzero(dataset.labels == 1) / dataset.n_samples),
-        },
-        "results": results_meta,
-        "outputs": outputs,
-    }
-    _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    return _finish(out, "train", eff, outputs, results=results_meta, dataset={
+        "n_samples": dataset.n_samples,
+        "n_features": dataset.n_features,
+        "positive_fraction": float(np.count_nonzero(dataset.labels == 1) / dataset.n_samples),
+    })
 
 
 def _cmd_eval(args) -> int:
-    file_cfg = _load_config(args.config)
-    eff = {"out": args.out if args.out is not None else file_cfg.get("out", ".")}
-    eff["seed"] = _resolve_seed(args, file_cfg)
-    eff["features"] = args.features
-    eff["model"] = args.model
+    eff = _config(args, {"out": "."})
+    eff.update(features=args.features, model=args.model)
 
     dataset, _ = load_labeled_csv(args.features)
     model_obj = _read_json_object(args.model, "model file")
@@ -530,15 +522,8 @@ def _cmd_eval(args) -> int:
 
     out = _out_dir(eff)
     _write_json(out / "report.json", report_to_dict(report))
-    manifest = {
-        "command": "eval",
-        "config": eff,
-        "model_kind": model_obj["kind"],
-        "dataset": {"n_samples": dataset.n_samples, "n_features": dataset.n_features},
-        "outputs": {"report": "report.json"},
-    }
-    _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    return _finish(out, "eval", eff, {"report": "report.json"}, model_kind=model_obj["kind"],
+                   dataset={"n_samples": dataset.n_samples, "n_features": dataset.n_features})
 
 
 def _tune_baseline(kind: str, train_std, eff):
@@ -563,16 +548,15 @@ def _cmd_compare(args) -> int:
     models = {}                                 # label -> (file name, model dict)
     for kind, label in (("logistic", "logistic"), ("svm", "linear-svm")):
         best_c, grid_aucs = _tune_baseline(kind, train_std, eff)
-        model = _fit_baseline(kind, train_std, best_c, eff)
-        model.train_meta["standardizer"] = standardizer.to_dict()
         tuning[label] = {"C": best_c, "grid": grid_aucs}
-        models[label] = (f"model_{kind}.json", model_to_dict(model))
+        models[label] = (f"model_{kind}.json",
+                         _baseline_model(kind, train_std, best_c, eff, standardizer, {}))
     result, auc_model = _train_auc_model(
         train_std, test_std, eff, standardizer, {"seed": eff["seed"]}, trace_auc=False
     )
     models["auc-max"] = ("model_auc.json", auc_model)
 
-    csv_lines = ["model,split,accuracy,precision,recall,f1,auc,tp,fp,tn,fn"]
+    csv_lines = ["model,split," + REPORT_CSV_HEADER]
     json_rows = []
     for label, (filename, model_dict) in models.items():
         _write_json(out / filename, model_dict)
@@ -583,20 +567,14 @@ def _cmd_compare(args) -> int:
     (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
     _write_json(out / "comparison.json",
                 {"rows": json_rows, "tuning": tuning, "config": eff})
-    manifest = {
-        "command": "compare",
-        "config": eff,
-        "results": {
-            "converged": result.converged,
-            "iterations_used": result.iterations_used,
-            "threshold": auc_model["threshold"],
-            "tuned_C": {label: tuning[label]["C"] for label in tuning},
-        },
-        "outputs": {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",
-                    "models": {label: filename for label, (filename, _) in models.items()}},
-    }
-    _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    outputs = {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",
+               "models": {label: filename for label, (filename, _) in models.items()}}
+    return _finish(out, "compare", eff, outputs, results={
+        "converged": result.converged,
+        "iterations_used": result.iterations_used,
+        "threshold": auc_model["threshold"],
+        "tuned_C": {label: tuning[label]["C"] for label in tuning},
+    })
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,7 +8,9 @@ positive and negative classes.  Positive samples contribute
 minus ``p*(1-p)*y^2`` is minimized over ``x`` and maximized over ``y``.
 The objective is jointly quadratic in ``z = [w; u; v; y]`` and vanishes at
 ``z = 0``, so it equals ``1/2 z@H@z + b@z`` with a constant Hessian ``H``
-and ``b`` the gradient at zero.  ``AucProblem`` builds ``(H, b)`` once and
+and ``b`` the gradient at zero.  The linear terms ``-+2*w@a`` carry the
+coefficients of the cross terms ``-+2*y*w@a``, so ``b`` is ``H[:d, d+2]`` in
+the ``w`` block and zero elsewhere.  ``AucProblem`` builds ``(H, b)`` once and
 answers every gradient, value and Hessian query from them; the module-level
 ``objective_value``, ``gradient`` and ``hessian`` evaluate the per-sample
 formulas directly and serve as the reference.
@@ -225,11 +227,11 @@ class AucProblem:
     """Adapter exposing the objective to the saddle solvers.
 
     ``x`` is the packed primal vector [w; u; v] and ``y`` a length-1 array.
-    The constructor builds the quadratic form ``(H, b)`` once, from the
-    per-sample ``hessian`` and the ``gradient`` at the zero state; then
-    ``grad = H z + b`` and ``value = z@(grad + b) / 2`` cost O(d^2) per call,
-    independent of the number of samples.  ``hessian`` returns the cached
-    ``H`` itself, marked read-only.
+    The constructor builds the quadratic form ``(H, b)`` once, from one
+    per-sample ``hessian`` pass; ``b`` is read off its ``w``-``y`` block.
+    Then ``grad = H z + b`` and ``value = z@(grad + b) / 2`` on the stacked
+    ``z = [x; y]`` cost O(d^2) per call, independent of the number of
+    samples.  ``hessian`` returns the cached ``H`` itself, marked read-only.
     """
 
     constant_hessian = True
@@ -238,23 +240,23 @@ class AucProblem:
                  lam: float = DEFAULT_LAMBDA):
         self.dataset = dataset
         self.params = params if params is not None else ObjectiveParams.from_dataset(dataset, lam=lam)
-        zero = PrimalDualState.zeros(dataset.n_features)
-        self._h = hessian(zero, dataset, self.params)
+        d = dataset.n_features
+        self._h = hessian(PrimalDualState.zeros(d), dataset, self.params)
         self._h.setflags(write=False)
-        gx, gy = gradient(zero, dataset, self.params)
-        self._b = np.append(gx, gy)
-        self.dim_x = dataset.n_features + 2
+        self._b = np.zeros(d + 3)
+        self._b[:d] = self._h[:d, d + 2]
+        self.dim_x = d + 2
         self.dim_y = 1
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        z = self.unpack(x, y).pack()
+        z = np.concatenate([x, np.atleast_1d(y)])
         value = 0.5 * float(z @ (self._h @ z + 2.0 * self._b))
         if not np.isfinite(value):
             raise FloatingPointError("non-finite objective value (overflow)")
         return value
 
     def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self._h @ self.unpack(x, y).pack() + self._b
+        g = self._h @ np.concatenate([x, np.atleast_1d(y)]) + self._b
         return g[:-1], g[-1:]
 
     def hessian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -317,6 +317,50 @@ def test_env_seed_not_an_integer_is_named(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("text, shown", [
+    ('"abc"', '"abc"'), ("1.7", "1.7"), ("true", "true"), ('"5"', '"5"'),
+], ids=["string", "float", "bool", "numeric-string"])
+def test_config_seed_not_a_json_integer_is_named(tmp_path, capsys, text, shown):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": %s}' % text)
+    assert run("synth", "--n", 50, "--config", config, "--out", tmp_path / "s") == 1
+    assert capsys.readouterr().err == f"error: {config}: seed must be an integer, got {shown}\n"
+    assert not (tmp_path / "s").exists()
+    assert run("synth", "--n", 50, "--config", config, "--seed", 4, "--out", tmp_path / "s") == 0
+
+
+def test_manifest_sections_per_command(tmp_path):
+    path = synth_csv(tmp_path, n=200, dim=4)
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1)
+    cases = [       # output dir, argv, command, sections besides config/outputs, output keys
+        (path.parent, (), "synth", {"dataset"}, {"features", "table"}),
+        (tmp_path / "ext", ("extract", "--signals", sig_dir, "--labels", labels),
+         "extract", {"layout", "trials"}, {"features", "table"}),
+        (tmp_path / "auc", ("train", "--features", path, "--solver", "newton"),
+         "train", {"dataset", "results"}, {"model", "report", "trace"}),
+        (tmp_path / "svm", ("train", "--features", path, "--solver", "svm"),
+         "train", {"dataset", "results"}, {"model", "report"}),
+        (tmp_path / "eval", ("eval", "--features", path, "--model", tmp_path / "auc" / "model.json"),
+         "eval", {"dataset", "model_kind"}, {"report"}),
+        (tmp_path / "cmp", ("compare", "--features", path, "--solver", "newton", "--c-grid", "1",
+                            "--baseline-max-iter", 200),
+         "compare", {"results"}, {"comparison_csv", "comparison_json", "models"}),
+    ]
+    for out, argv, command, sections, outputs in cases:
+        if argv:
+            assert run(*argv, "--seed", 2, "--out", out) == 0, out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command, out
+        assert set(manifest) == {"command", "config", "outputs"} | sections, out
+        assert set(manifest["outputs"]) == outputs, out
+        files = [f for f in manifest["outputs"].values() if isinstance(f, str)]
+        files += manifest["outputs"].get("models", {}).values()
+        assert all((out / f).is_file() for f in files), out
+    assert manifest["outputs"]["models"] == {
+        "logistic": "model_logistic.json", "linear-svm": "model_svm.json",
+        "auc-max": "model_auc.json"}
+
+
 @pytest.mark.parametrize("command, flags, model_file", [
     ("train", ("--solver", "newton"), "model.json"),
     ("compare", ("--solver", "newton", "--c-grid", "1", "--baseline-max-iter", 200),

@@ -224,3 +224,14 @@ def test_problem_adapter_round_trip():
         unpacked = problem.unpack(x, y)
         assert np.array_equal(unpacked.w, state.w)
         assert (unpacked.u, unpacked.v, unpacked.y) == (state.u, state.v, state.y)
+
+
+def test_problem_gradient_at_zero_is_the_reference_gradient():
+    # b is read off H's w-y block; at z = 0 the adapter returns it bit for bit.
+    for seed in range(21, 26):
+        ds, params, _ = random_instance(seed)
+        d = ds.n_features
+        gx, gy = AucProblem(ds, params).grad(np.zeros(d + 2), np.zeros(1))
+        gx_ref, gy_ref = gradient(PrimalDualState.zeros(d), ds, params)
+        assert np.array_equal(gx, gx_ref)
+        assert np.array_equal(gy, [gy_ref])
