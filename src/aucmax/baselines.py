@@ -20,6 +20,7 @@ __all__ = [
     "svm_objective",
     "fit_logistic",
     "fit_linear_svm",
+    "fit_linear_svm_grid",
     "decision_scores",
     "predict",
     "predict_proba",
@@ -58,6 +59,19 @@ def _design(features) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def _penalty(C, n: int) -> float:
+    """The L2 weight ``1/(C*N)`` that both fits put on the non-intercept
+    weights; refuses a ``C`` for which it is not a finite number."""
+    if not C > 0:
+        raise ValueError("C must be positive")
+    if not np.isfinite(C):
+        raise ValueError("C must be finite")
+    lam = 1.0 / (C * n)
+    if not np.isfinite(lam):
+        raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {n}")
+    return lam
+
+
 def logistic_objective(beta, features, labels, C: float):
     """Mean logistic loss plus ``1/(2*C*N)`` L2 on the non-intercept weights.
 
@@ -86,8 +100,7 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     ``max_iter`` accepted steps; predicts +1 when the modeled probability
     exceeds 0.5.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _penalty(C, train.n_samples)
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
     beta = np.zeros(train.n_features + 1)
@@ -140,7 +153,15 @@ SVM_CHECK_EVERY = 50
 
 def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
                    max_iter: int = 10_000) -> LinearModel:
-    """Averaged subgradient descent on the hinge form of the soft-margin SVM.
+    """The soft-margin SVM at one ``C``: the one-column call of
+    ``fit_linear_svm_grid``, which documents the method."""
+    return fit_linear_svm_grid(train, [C], tol=tol, max_iter=max_iter)[0]
+
+
+def fit_linear_svm_grid(train: LabeledDataset, Cs, tol: float = 1e-6,
+                        max_iter: int = 10_000) -> list[LinearModel]:
+    """Averaged subgradient descent on the hinge form of the soft-margin SVM,
+    run for every ``C`` of ``Cs`` at once; one model per ``C``, in grid order.
 
     Steps follow ``1 / (R^2 + lam * t)`` with ``lam = 1/(C*N)`` and ``R^2``
     the mean squared row norm, decreasing like the strongly convex optimal
@@ -149,51 +170,85 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     stops early once the relative improvement falls below ``tol``
     (``train_meta["converged"]``; False when ``max_iter`` ends the fit).
 
-    The label-scaled design ``y * [1, x]`` is formed once, so an iteration
-    is two matrix-vector products: margins, and the hinge subgradient as the
-    sum of the violating rows.
+    The label-scaled design ``y * [1, x]`` is formed once, and the iterates
+    of the grid are the columns of one matrix with a per-column ``lam``, so
+    an iteration is two matrix products: margins, and the hinge subgradients
+    as the sums of the violating rows.  A column whose own stop test fires is
+    frozen and leaves the product.  Each column takes the steps and stops at
+    the checkpoint of a fit at its ``C`` alone; ``fit_linear_svm`` is that
+    one-column fit.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    Cs = list(Cs)
+    n = train.n_samples
+    per_c = [_penalty(C, n) for C in Cs]
+    if not per_c:
+        raise ValueError("Cs must name at least one C")
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
     xd = _design(train.features)
     y = train.labels.astype(float)
-    n = y.size
-    lam = 1.0 / (C * n)
+    # The fit depends on C only through lam.  Each distinct lam is one column,
+    # in ascending order, so a column's bits do not depend on where or how
+    # often its C appears in the grid.
+    lam, column_of = np.unique(per_c, return_inverse=True)
     r2 = float(np.mean(np.sum(xd * xd, axis=1)))
     yx = y[:, None] * xd
     yx_t = np.ascontiguousarray(yx.T)
-    penalized = np.ones(xd.shape[1])
+    penalized = np.ones((xd.shape[1], 1))
     penalized[0] = 0.0                          # the intercept is not regularized
-    beta = np.zeros(xd.shape[1])
+    beta = np.zeros((xd.shape[1], lam.size))
     average = beta.copy()
-    trace: list[tuple[int, float]] = []
-    previous = np.inf
-    iterations = max_iter
-    converged = False
+    decay = lam * penalized                     # the L2 subgradient's factor on beta
+    violating = np.empty((n, lam.size))         # 1.0 where a row violates its margin
+    active = np.arange(lam.size)                # the column index of each running iterate
+    traces: list[list[tuple[int, float]]] = [[] for _ in active]
+    previous = [np.inf] * lam.size
+    stopped: list = [None] * lam.size           # (average, iterations, converged) per column
     for t in range(max_iter):
-        violating = (yx @ beta < 1.0).astype(float)
-        subgrad = lam * penalized * beta - (yx_t @ violating) / n
+        np.less(yx @ beta, 1.0, out=violating, casting="unsafe")
+        subgrad = decay * beta - (yx_t @ violating) / n
         beta = beta - subgrad / (r2 + lam * t)
         average = average * (t / (t + 1.0)) + beta / (t + 1.0)
         if (t + 1) % SVM_CHECK_EVERY == 0 or t + 1 == max_iter:
-            weights = penalized * average       # svm_objective, without rebuilding the design
-            hinge = np.maximum(0.0, 1.0 - yx @ average)
-            objective = float(0.5 * lam * (weights @ weights) + hinge.mean())
-            trace.append((t + 1, objective))
-            if np.isfinite(previous) and previous - objective <= tol * max(1.0, abs(previous)):
-                iterations = t + 1
-                converged = True
+            running = []
+            for j, objective in enumerate(_svm_objectives(yx, average, lam, penalized)):
+                col = active[j]
+                before = previous[col]
+                traces[col].append((t + 1, objective))
+                converged = bool(np.isfinite(before)
+                                 and before - objective <= tol * max(1.0, abs(before)))
+                if converged or t + 1 == max_iter:
+                    stopped[col] = (average[:, j], t + 1, converged)
+                else:
+                    previous[col] = objective
+                    running.append(j)
+            if not running:
                 break
-            previous = objective
-    meta = {
-        "converged": converged,
-        "iterations": iterations,
-        "objective": trace[-1][1],
-        "objective_trace": [[i, o] for i, o in trace],
-    }
-    return LinearModel(average, "svm", threshold=0.0, C=C, train_meta=meta)
+            if len(running) < active.size:      # freeze the stopped columns
+                beta, average = beta[:, running], average[:, running]
+                lam, active = lam[running], active[running]
+                decay, violating = decay[:, running], violating[:, running]
+    models = []
+    for C, col in zip(Cs, column_of):
+        final, iterations, converged = stopped[col]
+        meta = {
+            "converged": converged,
+            "iterations": iterations,
+            "objective": traces[col][-1][1],
+            "objective_trace": [[i, o] for i, o in traces[col]],
+        }
+        models.append(LinearModel(final.copy(), "svm", threshold=0.0, C=C, train_meta=meta))
+    return models
+
+
+def _svm_objectives(yx, average, lam, penalized) -> list[float]:
+    """``svm_objective`` of each column of ``average``, from the label-scaled
+    design.  Each column is reduced as a contiguous vector, in the order a
+    one-column fit reduces it."""
+    weights = np.ascontiguousarray((penalized * average).T)
+    hinge = np.ascontiguousarray(np.maximum(0.0, 1.0 - yx @ average).T)
+    return [float(0.5 * lam[j] * (weights[j] @ weights[j]) + hinge[j].mean())
+            for j in range(lam.size)]
 
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .baselines import (
     LinearModel,
     decision_scores,
     fit_linear_svm,
+    fit_linear_svm_grid,
     fit_logistic,
     linear_rule,
     model_to_dict,
@@ -363,28 +365,48 @@ def _cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval / compare helpers
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_positive_finite(values, subject: str) -> None:
+    if not all(v > 0 for v in values):             # NaN is not positive
+        raise ValueError(f"{subject} must be positive")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{subject} must be finite")
+
+
 def _load_split(args, defaults: dict):
-    """Resolve the config (refusing a C grid that is not a non-empty list of
-    positive numbers), load the feature CSV, split it stratified, fit the
-    standardizer on the training part, and create the output directory."""
+    """Resolve the config, load the feature CSV, split it stratified and fit
+    the standardizer on the training part.
+
+    Refuses, before any output exists, a C grid that is not a non-empty list
+    of positive finite numbers, a C that is not one positive finite number,
+    and a threshold that is not a finite number: none of them can be fit or
+    written as JSON."""
     eff = _config(args, defaults)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
         grid = eff["c_grid"]
         if isinstance(grid, str):
             grid = eff["c_grid"] = _parse_float_list(grid)
-        if not isinstance(grid, list) or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in grid):
+        if not isinstance(grid, list) or not all(_is_number(c) for c in grid):
             raise ValueError("c_grid must be a list of numbers")
         if not grid:
             raise ValueError("c_grid must name at least one C")
-        if not all(c > 0 for c in grid):
-            raise ValueError("c_grid: every C must be positive")
+        _check_positive_finite(grid, "c_grid: every C")
+    if "C" in eff:
+        if not _is_number(eff["C"]):
+            raise ValueError("C must be a number")
+        _check_positive_finite([eff["C"]], "C")
+    threshold = eff["threshold"]
+    if threshold is not None and not (_is_number(threshold) and math.isfinite(threshold)):
+        raise ValueError("threshold must be a finite number")
 
     dataset, _ = load_labeled_csv(args.features)
     spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"], stratified=True)
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
-    return eff, dataset, train_std, test_std, standardizer, _out_dir(eff)
+    return eff, dataset, train_std, test_std, standardizer
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
@@ -448,11 +470,15 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
     return result, model_dict
 
 
+def _fit_limits(eff) -> dict:
+    """The baselines' ``tol`` and ``max_iter`` keyword arguments."""
+    tol = eff["baseline_tol"]
+    return {"tol": tol if tol is not None else 1e-6, "max_iter": int(eff["baseline_max_iter"])}
+
+
 def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
     fit = fit_logistic if kind == "logistic" else fit_linear_svm
-    tol = eff["baseline_tol"]
-    return fit(train_std, C=C, tol=tol if tol is not None else 1e-6,
-               max_iter=int(eff["baseline_max_iter"]))
+    return fit(train_std, C=C, **_fit_limits(eff))
 
 
 def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dict,
@@ -467,7 +493,7 @@ def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dic
 
 
 def _cmd_train(args) -> int:
-    eff, dataset, train_std, test_std, standardizer, out = _load_split(args, TRAIN_DEFAULTS)
+    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_DEFAULTS)
     outputs = {"model": "model.json", "report": "report.json"}
     common_meta = {
         "seed": eff["seed"],
@@ -486,7 +512,6 @@ def _cmd_train(args) -> int:
         result, model_dict = _train_auc_model(
             train_std, test_std, eff, standardizer, common_meta, bool(eff["trace_auc"])
         )
-        write_trace_csv(result.trace, out / "trace.csv")
         outputs["trace"] = "trace.csv"
         results_meta = {"converged": result.converged,
                         "iterations_used": result.iterations_used,
@@ -497,6 +522,9 @@ def _cmd_train(args) -> int:
         part: report_to_dict(_report(model_dict, data.features, data.labels))
         for part, data in (("train", train_std), ("test", test_std))
     }
+    out = _out_dir(eff)
+    if "trace" in outputs:
+        write_trace_csv(result.trace, out / "trace.csv")
     _write_json(out / "model.json", model_dict)
     _write_json(out / "report.json", report)
     return _finish(out, "train", eff, outputs, results=results_meta, dataset={
@@ -527,28 +555,35 @@ def _cmd_eval(args) -> int:
 
 
 def _tune_baseline(kind: str, train_std, eff):
-    """Pick C by validation AUC on a 10% carve-out of the training split."""
+    """Pick C by validation AUC on a 10% carve-out of the training split; the
+    earliest C wins a tie.  The SVM fits the whole grid in one call."""
     carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1, stratified=True)
     fit_part, val_part = split(train_std, carve)
+    grid = [float(c) for c in eff["c_grid"]]
+    if kind == "svm":
+        models = fit_linear_svm_grid(fit_part, grid, **_fit_limits(eff))
+    else:
+        models = [_fit_baseline(kind, fit_part, c, eff) for c in grid]
     best_c, best_auc = None, -np.inf
-    grid_aucs = []
-    for c in eff["c_grid"]:
-        model = _fit_baseline(kind, fit_part, float(c), eff)
+    grid_fits = []
+    for c, model in zip(grid, models):
         auc = roc_auc(decision_scores(model, val_part.features), val_part.labels)
-        grid_aucs.append({"C": float(c), "val_auc": float(auc)})
+        grid_fits.append({"C": c, "val_auc": float(auc),
+                          "iterations": model.train_meta["iterations"],
+                          "converged": model.train_meta["converged"]})
         if auc > best_auc:
-            best_c, best_auc = float(c), float(auc)
-    return best_c, grid_aucs
+            best_c, best_auc = c, float(auc)
+    return best_c, grid_fits
 
 
 def _cmd_compare(args) -> int:
-    eff, _, train_std, test_std, standardizer, out = _load_split(args, COMPARE_DEFAULTS)
+    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_DEFAULTS)
 
     tuning = {}
     models = {}                                 # label -> (file name, model dict)
     for kind, label in (("logistic", "logistic"), ("svm", "linear-svm")):
-        best_c, grid_aucs = _tune_baseline(kind, train_std, eff)
-        tuning[label] = {"C": best_c, "grid": grid_aucs}
+        best_c, grid_fits = _tune_baseline(kind, train_std, eff)
+        tuning[label] = {"C": best_c, "grid": grid_fits}
         models[label] = (f"model_{kind}.json",
                          _baseline_model(kind, train_std, best_c, eff, standardizer, {}))
     result, auc_model = _train_auc_model(
@@ -556,6 +591,7 @@ def _cmd_compare(args) -> int:
     )
     models["auc-max"] = ("model_auc.json", auc_model)
 
+    out = _out_dir(eff)
     csv_lines = ["model,split," + REPORT_CSV_HEADER]
     json_rows = []
     for label, (filename, model_dict) in models.items():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,6 +9,7 @@ from aucmax.baselines import (
     LinearModel,
     decision_scores,
     fit_linear_svm,
+    fit_linear_svm_grid,
     fit_logistic,
     linear_rule,
     load_model,
@@ -205,6 +208,100 @@ def test_svm_converged_when_tolerance_stops_at_the_cap():
     assert at_cap["converged"] is True and at_cap["iterations"] == stopped["iterations"]
     before = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"] - SVM_CHECK_EVERY)
     assert before.train_meta["converged"] is False
+
+
+def synth_400():
+    return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
+
+
+def assert_matches_reference(model, ds, C, max_iter, tol=1e-6):
+    """``model`` stopped where the one-C reference loop stops, with the same
+    checkpoints and ``converged``, and lies within 1e-12 of its iterate."""
+    beta, iterations, trace, _ = reference_fit_linear_svm(ds, C, tol, max_iter)
+    values = [o for _, o in trace]
+    converged = len(values) > 1 and values[-2] - values[-1] <= tol * max(1.0, abs(values[-2]))
+    meta = model.train_meta
+    assert model.C == C
+    assert meta["iterations"] == iterations
+    assert meta["converged"] is converged
+    assert [i for i, _ in meta["objective_trace"]] == [i for i, _ in trace]
+    assert np.abs(model.beta - beta).max() <= 1e-12
+    for (_, got), (_, want) in zip(meta["objective_trace"], trace):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert meta["objective"] == meta["objective_trace"][-1][1]
+
+
+@pytest.mark.parametrize("data, Cs, max_iter, stops", [
+    ("synth", [0.01, 1.0, 100.0], 10_000, 3),   # each column freezes at its own checkpoint
+    ("synth", [100.0, 0.01, 10.0, 0.1], 173, 1),  # all at the cap, not a multiple of 50
+    ("blobs", [1.0, 100.0], 10_000, 2),         # separable: no row violates after a while
+    ("synth", [1.0, 0.01, 1.0], 10_000, 2),     # a duplicated C
+])
+def test_svm_grid_matches_reference_loop(data, Cs, max_iter, stops):
+    ds = synth_400() if data == "synth" else blobs(seed=1)
+    models = fit_linear_svm_grid(ds, Cs, max_iter=max_iter)
+    assert len(models) == len(Cs)
+    for model, C in zip(models, Cs):
+        assert_matches_reference(model, ds, C, max_iter)
+    assert len({m.train_meta["iterations"] for m in models}) == stops
+    if max_iter % SVM_CHECK_EVERY:
+        assert all(m.train_meta["iterations"] == max_iter for m in models)
+
+
+def same_model(a, b):
+    return (a.C == b.C and np.array_equal(a.beta, b.beta) and a.train_meta == b.train_meta
+            and a.kind == b.kind and a.threshold == b.threshold)
+
+
+# Grids of nine and more columns: a blocked matrix product may round a column
+# differently by its position, which these identities must not see.
+WIDE_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
+
+
+def test_svm_grid_duplicated_c_gives_identical_columns():
+    models = fit_linear_svm_grid(synth_400(), [1.0, *WIDE_GRID, 1.0])
+    assert same_model(models[0], models[5]) and same_model(models[0], models[10])
+    assert models[0].beta is not models[10].beta
+    assert not np.array_equal(models[0].beta, models[1].beta)
+
+
+def test_svm_grid_permuted_grid_gives_permuted_models():
+    ds = synth_400()
+    grid = WIDE_GRID
+    order = [8, 3, 0, 6, 2, 7, 4, 1, 5]
+    models = fit_linear_svm_grid(ds, grid)
+    permuted = fit_linear_svm_grid(ds, [grid[i] for i in order])
+    assert all(same_model(p, models[i]) for p, i in zip(permuted, order))
+
+
+@pytest.mark.parametrize("data, C, max_iter", [
+    ("synth", 1.0, 10_000), ("synth", 0.01, 173), ("blobs", 100.0, 10_000),
+])
+def test_svm_grid_single_c_is_fit_linear_svm(data, C, max_iter):
+    ds = synth_400() if data == "synth" else blobs(seed=1)
+    (model,) = fit_linear_svm_grid(ds, [C], max_iter=max_iter)
+    assert same_model(model, fit_linear_svm(ds, C=C, max_iter=max_iter))
+
+
+def test_svm_grid_rejects_empty_grid():
+    with pytest.raises(ValueError, match="^Cs must name at least one C$"):
+        fit_linear_svm_grid(blobs(), [])
+
+
+@pytest.mark.parametrize("C, message", [
+    (0.0, "C must be positive"),
+    (float("nan"), "C must be positive"),
+    (float("inf"), "C must be finite"),
+    (1e-320, "C = 1e-320 is too small: 1/(C*N) overflows at N = 60"),
+])
+@pytest.mark.parametrize("fit", [
+    fit_logistic,
+    fit_linear_svm,
+    lambda ds, C: fit_linear_svm_grid(ds, [1.0, C]),
+], ids=["logistic", "svm", "svm-grid"])
+def test_fits_refuse_unusable_c(fit, C, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(blobs(), C=C)
 
 
 # --- scores, predictions, serialization

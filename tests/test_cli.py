@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from aucmax import cli
-from aucmax.baselines import decision_scores, model_from_dict, predict
+from aucmax.baselines import (
+    decision_scores, fit_linear_svm, fit_logistic, model_from_dict, predict,
+)
 from aucmax.cli import main
 from aucmax.data import (
     Standardizer, load_labeled_csv, read_feature_csv, split, SplitSpec, fit_apply_standardizer,
     table_path, write_feature_csv,
 )
-from aucmax.metrics import classification_report, report_to_dict
+from aucmax.metrics import classification_report, report_to_dict, roc_auc
 from aucmax.objective import AucProblem
 from aucmax.signals import TrialSignal, write_signal_binary, write_signal_csv
 from aucmax.solvers import SolverConfig, solve
@@ -613,6 +615,9 @@ def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
     (("--c-grid=-1",), "c_grid: every C must be positive"),
     (("--c-grid", "1,0"), "c_grid: every C must be positive"),
     (("--c-grid", "nan"), "c_grid: every C must be positive"),
+    (("--c-grid=-inf,1",), "c_grid: every C must be positive"),
+    (("--c-grid", "1,inf"), "c_grid: every C must be finite"),
+    ({"c_grid": [0.1, 1e400]}, "c_grid: every C must be finite"),
 ])
 def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, message):
     path = synth_csv(tmp_path, n=100, dim=3)
@@ -625,6 +630,95 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, messag
     assert run("compare", "--features", path, "--solver", "newton", *grid, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ("--solver", "svm", "--C", "inf"), "C must be finite"),
+    ("train", ("--solver", "svm", "--C", "0"), "C must be positive"),
+    ("train", ("--solver", "logistic", "--C", "nan"), "C must be positive"),
+    ("train", ("--solver", "newton", "--C", "inf"), "C must be finite"),
+    ("train", {"C": "1"}, "C must be a number"),
+    ("train", ("--solver", "newton", "--threshold", "nan"), "threshold must be a finite number"),
+    ("train", ("--solver", "svm", "--threshold", "inf"), "threshold must be a finite number"),
+    ("compare", ("--threshold=-inf",), "threshold must be a finite number"),
+    ("compare", ("--threshold", "nan"), "threshold must be a finite number"),
+    ("compare", {"threshold": "0.5"}, "threshold must be a finite number"),
+])
+def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, command, flags, message):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    if isinstance(flags, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(flags))
+        flags = ("--config", config)
+    if command == "compare":
+        flags = ("--solver", "newton", *flags)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(command, "--features", path, *flags, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def tuning_split(path, seed):
+    """The training split of ``compare --seed seed`` and its tuning carve-out."""
+    dataset, _ = load_labeled_csv(path)
+    train, test = split(dataset, SplitSpec(train_fraction=0.8, seed=seed, stratified=True))
+    train_std, _, _ = fit_apply_standardizer(train, test)
+    return train_std, split(train_std, SplitSpec(train_fraction=0.9, seed=seed + 1,
+                                                 stratified=True))
+
+
+@pytest.mark.parametrize("solver", ["svm", "logistic"])
+def test_c_whose_penalty_overflows_is_named_and_leaves_no_output(tmp_path, capsys, solver):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    n_train = tuning_split(path, seed=2)[0].n_samples
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run("train", "--features", path, "--solver", solver, "--C", "1e-320",
+               "--seed", 2, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: C = 1e-320 is too small: 1/(C*N) overflows at N = {n_train}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, cap", [("0.01,0.1,1,10,100", 10_000), ("1,1,10", 10_000),
+                                       ("100,0.01,1", 40)])
+def test_compare_tuning_matches_per_c_fits(tmp_path, grid, cap):
+    path = synth_csv(tmp_path, n=400, dim=5, sep=1.0, seed=3)
+    out = tmp_path / "cmp"
+    seed = 5
+    assert run("compare", "--features", path, "--solver", "newton", "--seed", seed,
+               "--c-grid", grid, "--baseline-max-iter", cap, "--out", out) == 0
+    tuning = json.loads((out / "comparison.json").read_text())["tuning"]
+    _, (fit_part, val_part) = tuning_split(path, seed)
+    cs = [float(c) for c in grid.split(",")]
+    for label, fit in (("logistic", fit_logistic), ("linear-svm", fit_linear_svm)):
+        expected = []
+        for c in cs:
+            model = fit(fit_part, C=c, tol=1e-6, max_iter=cap)
+            expected.append({
+                "C": c,
+                "val_auc": roc_auc(decision_scores(model, val_part.features), val_part.labels),
+                "iterations": model.train_meta["iterations"],
+                "converged": model.train_meta["converged"],
+            })
+        assert tuning[label]["grid"] == expected
+        best = max(expected, key=lambda e: e["val_auc"])     # the first of equal maxima
+        assert tuning[label]["C"] == best["C"]
+    if cap == 40:                               # one checkpoint: nothing to improve on
+        assert all(e["iterations"] == 40 and e["converged"] is False
+                   for e in tuning["linear-svm"]["grid"])
+
+
+def test_compare_tie_picks_the_earliest_c(tmp_path):
+    path = synth_csv(tmp_path, n=300, dim=4, sep=8.0, seed=2, name="sep")
+    out = tmp_path / "cmp"
+    assert run("compare", "--features", path, "--solver", "newton", "--seed", 1,
+               "--c-grid", "10,1,100", "--out", out) == 0
+    tuning = json.loads((out / "comparison.json").read_text())["tuning"]
+    for label in ("logistic", "linear-svm"):
+        assert [e["val_auc"] for e in tuning[label]["grid"]] == [1.0, 1.0, 1.0]
+        assert tuning[label]["C"] == 10.0
 
 
 def test_compare_separable_all_aucs_high(tmp_path):
