@@ -5,9 +5,7 @@ descent with Pegasos-style decreasing steps)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -23,12 +21,8 @@ __all__ = [
     "fit_linear_svm_grid",
     "decision_scores",
     "predict",
-    "predict_proba",
     "model_to_dict",
-    "model_from_dict",
     "linear_rule",
-    "save_model",
-    "load_model",
 ]
 
 
@@ -269,13 +263,8 @@ def predict(model: LinearModel, features) -> np.ndarray:
     return np.where(decision_scores(model, features) > cut, 1, -1)
 
 
-def predict_proba(model: LinearModel, features) -> np.ndarray:
-    if model.kind != "logistic":
-        raise ValueError("probabilities are defined for logistic models only")
-    return expit(decision_scores(model, features))
-
-
 def model_to_dict(model: LinearModel) -> dict:
+    """The stored (JSON) form of a fitted model; ``linear_rule`` reads it."""
     return {
         "kind": model.kind,
         "beta": model.beta.tolist(),
@@ -283,16 +272,6 @@ def model_to_dict(model: LinearModel) -> dict:
         "C": model.C,
         "train_meta": model.train_meta,
     }
-
-
-def model_from_dict(obj: dict) -> LinearModel:
-    return LinearModel(
-        beta=np.asarray(obj["beta"], dtype=float),
-        kind=obj["kind"],
-        threshold=float(obj["threshold"]),
-        C=obj.get("C"),
-        train_meta=obj.get("train_meta", {}),
-    )
 
 
 def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
@@ -319,11 +298,3 @@ def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
     if w.ndim != 1 or not (np.isfinite(w).all() and np.isfinite(bias)):
         raise ValueError("model weights must be a vector of finite numbers")
     return w, bias, cut
-
-
-def save_model(model: LinearModel, path):
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n")
-
-
-def load_model(path) -> LinearModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

@@ -382,8 +382,9 @@ def _load_split(args, defaults: dict):
 
     Refuses, before any output exists, a C grid that is not a non-empty list
     of positive finite numbers, a C that is not one positive finite number,
-    and a threshold that is not a finite number: none of them can be fit or
-    written as JSON."""
+    a threshold that is not a finite number, and a baseline tolerance that is
+    not a nonnegative finite number: none of them can be fit or written as
+    JSON."""
     eff = _config(args, defaults)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
@@ -402,9 +403,12 @@ def _load_split(args, defaults: dict):
     threshold = eff["threshold"]
     if threshold is not None and not (_is_number(threshold) and math.isfinite(threshold)):
         raise ValueError("threshold must be a finite number")
+    tol = eff["baseline_tol"]                   # None: the fits' default
+    if tol is not None and not (_is_number(tol) and 0 <= tol < math.inf):
+        raise ValueError("baseline_tol must be a nonnegative finite number")
 
     dataset, _ = load_labeled_csv(args.features)
-    spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"], stratified=True)
+    spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"])
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
     return eff, dataset, train_std, test_std, standardizer
 
@@ -557,7 +561,7 @@ def _cmd_eval(args) -> int:
 def _tune_baseline(kind: str, train_std, eff):
     """Pick C by validation AUC on a 10% carve-out of the training split; the
     earliest C wins a tie.  The SVM fits the whole grid in one call."""
-    carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1, stratified=True)
+    carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1)
     fit_part, val_part = split(train_std, carve)
     grid = [float(c) for c in eff["c_grid"]]
     if kind == "svm":

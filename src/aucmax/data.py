@@ -36,7 +36,6 @@ ZERO_VARIANCE_STD = 1e-12
 class SplitSpec:
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -44,35 +43,25 @@ class SplitSpec:
 
 
 def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded shuffle into train/test; stratified mode keeps each class's
-    train share within one sample of the requested fraction."""
+    """Seeded stratified shuffle into train/test: each class's train share is
+    within one sample of the requested fraction, and each side keeps at least
+    one sample of each class."""
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        train_parts, test_parts = [], []
-        for label in (1, -1):                   # fixed class order for reproducibility
-            idx = np.flatnonzero(dataset.labels == label)
-            idx = idx[rng.permutation(idx.size)]
-            k = int(round(spec.train_fraction * idx.size))
-            if k < 1 or k >= idx.size:
-                raise ValueError("too few samples per class to stratify")
-            train_parts.append(idx[:k])
-            test_parts.append(idx[k:])
-        train_idx = np.concatenate(train_parts)
-        test_idx = np.concatenate(test_parts)
-        train_idx = train_idx[rng.permutation(train_idx.size)]
-        test_idx = test_idx[rng.permutation(test_idx.size)]
-    else:
-        perm = rng.permutation(dataset.n_samples)
-        k = int(round(spec.train_fraction * dataset.n_samples))
-        if k < 1 or k >= dataset.n_samples:
-            raise ValueError("split would leave an empty subset")
-        train_idx, test_idx = perm[:k], perm[k:]
-
-    try:
-        train = LabeledDataset(dataset.features[train_idx], dataset.labels[train_idx])
-        test = LabeledDataset(dataset.features[test_idx], dataset.labels[test_idx])
-    except ValueError as exc:
-        raise ValueError(f"split produced an invalid subset ({exc}); use stratified mode") from exc
+    train_parts, test_parts = [], []
+    for label in (1, -1):                       # fixed class order for reproducibility
+        idx = np.flatnonzero(dataset.labels == label)
+        idx = idx[rng.permutation(idx.size)]
+        k = int(round(spec.train_fraction * idx.size))
+        if k < 1 or k >= idx.size:
+            raise ValueError("too few samples per class to stratify")
+        train_parts.append(idx[:k])
+        test_parts.append(idx[k:])
+    train_idx = np.concatenate(train_parts)
+    test_idx = np.concatenate(test_parts)
+    train_idx = train_idx[rng.permutation(train_idx.size)]
+    test_idx = test_idx[rng.permutation(test_idx.size)]
+    train = LabeledDataset(dataset.features[train_idx], dataset.labels[train_idx])
+    test = LabeledDataset(dataset.features[test_idx], dataset.labels[test_idx])
     return train, test
 
 

@@ -125,6 +125,8 @@ class ObjectiveParams:
             raise ValueError("p must lie strictly between 0 and 1")
         if self.lam < 0.0:
             raise ValueError("lambda must be nonnegative")
+        if not np.isfinite(self.lam):                # NaN is not negative
+            raise ValueError("lambda must be finite")
 
     @classmethod
     def from_dataset(cls, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA) -> "ObjectiveParams":
@@ -236,10 +238,9 @@ class AucProblem:
 
     constant_hessian = True
 
-    def __init__(self, dataset: LabeledDataset, params: ObjectiveParams | None = None,
-                 lam: float = DEFAULT_LAMBDA):
+    def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
         self.dataset = dataset
-        self.params = params if params is not None else ObjectiveParams.from_dataset(dataset, lam=lam)
+        self.params = ObjectiveParams.from_dataset(dataset, lam=lam)
         d = dataset.n_features
         self._h = hessian(PrimalDualState.zeros(d), dataset, self.params)
         self._h.setflags(write=False)

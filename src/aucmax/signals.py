@@ -385,13 +385,12 @@ def plv(x, y) -> float:
     return float(pairwise_plv(np.stack([a, b])[None, :, None, :])[0, 0, 0])
 
 
-def lagged_correlation(x, y, tau: int, overlap_means: bool = False) -> float:
+def lagged_correlation(x, y, tau: int) -> float:
     """Pearson correlation of ``x(t)`` with ``y(t + tau)`` over the overlap.
 
-    Deviations are taken from the full-series means by default; pass
-    ``overlap_means=True`` for the textbook variant that recomputes means
-    on the overlapping windows.  At ``tau = 0`` the two variants coincide
-    with the ordinary Pearson coefficient.
+    Deviations are taken from the full-series means, not from means
+    recomputed on the overlapping windows; at ``tau = 0`` this is the
+    ordinary Pearson coefficient.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -405,8 +404,6 @@ def lagged_correlation(x, y, tau: int, overlap_means: bool = False) -> float:
     overlap = a.size - tau
     if overlap < 2:
         raise ValueError("overlap too short")
-    if overlap_means:                           # the overlap as a whole series, at lag 0
-        a, b, tau = a[:overlap], b[tau:], 0
     r = float(pairwise_lagged_correlation(np.stack([a, b])[None], [tau])[0, 0, 0])
     if np.isnan(r):
         raise ValueError("zero variance in a windowed series")

@@ -1,13 +1,14 @@
 import csv
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from aucmax import cli
 from aucmax.baselines import (
-    decision_scores, fit_linear_svm, fit_logistic, model_from_dict, predict,
+    decision_scores, fit_linear_svm, fit_logistic, linear_rule,
 )
 from aucmax.cli import main
 from aucmax.data import (
@@ -245,7 +246,7 @@ def test_train_reports_skipped_quasi_newton_updates(tmp_path):
     results = json.loads((out / "manifest.json").read_text())["results"]
     dataset, _ = load_labeled_csv(path)
     train_std, _, _ = fit_apply_standardizer(
-        *split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+        *split(dataset, SplitSpec(train_fraction=0.8, seed=3))
     )
     direct = solve(AucProblem(train_std, lam=1e-4), SolverConfig(method="qn-broyden", rng_seed=3))
     assert len(direct.notes) > 0
@@ -418,7 +419,7 @@ def test_eval_on_test_rows_reproduces_train_report(tmp_path, solver):
     out = tmp_path / "run"
     assert run("train", "--features", path, "--solver", solver, "--seed", 3, "--out", out) == 0
     dataset, names = load_labeled_csv(path)
-    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3))
     test_csv = tmp_path / "test.csv"
     write_feature_csv(test_csv, test.features, test.labels, names)
     out_eval = tmp_path / "eval"
@@ -426,15 +427,12 @@ def test_eval_on_test_rows_reproduces_train_report(tmp_path, solver):
                "--out", out_eval) == 0
     evaluated = json.loads((out_eval / "report.json").read_text())
     assert evaluated == json.loads((out / "report.json").read_text())["test"]
-    # and both equal the library's own scoring of the stored model
+    # and both equal linear_rule, the one reader of every stored kind
     stored = json.loads((out / "model.json").read_text())
     features = Standardizer.from_dict(stored["train_meta"]["standardizer"]).transform(test.features)
-    if solver == "newton":
-        scores = features @ np.asarray(stored["w"])
-        preds = np.where(scores > stored["threshold"], 1, -1)
-    else:
-        model = model_from_dict(stored)
-        scores, preds = decision_scores(model, features), predict(model, features)
+    w, bias, cut = linear_rule(stored)
+    scores = features @ w + bias
+    preds = np.where(scores > cut, 1, -1)
     assert evaluated == report_to_dict(classification_report(test.labels, preds, scores))
 
 
@@ -474,7 +472,7 @@ def test_baseline_threshold_is_stored_and_reproduced_by_eval(tmp_path, solver, t
     report = json.loads((runs["override"] / "report.json").read_text())
     assert report != json.loads((runs["default"] / "report.json").read_text())
     dataset, names = load_labeled_csv(path)
-    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3, stratified=True))
+    _, test = split(dataset, SplitSpec(train_fraction=0.8, seed=3))
     test_csv = tmp_path / "test.csv"
     write_feature_csv(test_csv, test.features, test.labels, names)
     assert run("eval", "--features", test_csv, "--model", runs["override"] / "model.json",
@@ -632,6 +630,9 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, messag
     assert not out.exists()
 
 
+TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("train", ("--solver", "svm", "--C", "inf"), "C must be finite"),
     ("train", ("--solver", "svm", "--C", "0"), "C must be positive"),
@@ -643,6 +644,21 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, messag
     ("compare", ("--threshold=-inf",), "threshold must be a finite number"),
     ("compare", ("--threshold", "nan"), "threshold must be a finite number"),
     ("compare", {"threshold": "0.5"}, "threshold must be a finite number"),
+    ("train", ("--solver", "newton", "--lambda", "nan"), "lambda must be finite"),
+    ("train", ("--solver", "newton", "--lambda", "inf"), "lambda must be finite"),
+    ("train", ("--solver", "alt-gda", "--lambda", "nan"), "lambda must be finite"),
+    ("train", ("--solver", "newton", "--lambda=-1"), "lambda must be nonnegative"),
+    ("compare", ("--lambda", "nan", "--c-grid", "1"), "lambda must be finite"),
+    ("compare", {"lambda": float("inf"), "c_grid": [1]}, "lambda must be finite"),
+    ("train", ("--solver", "svm", "--baseline-tol", "nan"), TOL_MESSAGE),
+    ("train", ("--solver", "svm", "--baseline-tol", "inf"), TOL_MESSAGE),
+    ("train", ("--solver", "logistic", "--baseline-tol=-1"), TOL_MESSAGE),
+    ("train", {"baseline_tol": float("nan")}, TOL_MESSAGE),
+    ("train", {"baseline_tol": "1e-6"}, TOL_MESSAGE),
+    ("compare", ("--baseline-tol", "nan"), TOL_MESSAGE),
+    ("compare", ("--baseline-tol=-inf",), TOL_MESSAGE),
+    ("compare", {"baseline_tol": True}, TOL_MESSAGE),
+    ("compare", {"baseline_tol": -1e-6}, TOL_MESSAGE),
 ])
 def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, command, flags, message):
     path = synth_csv(tmp_path, n=100, dim=3)
@@ -654,18 +670,33 @@ def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, command
         flags = ("--solver", "newton", *flags)
     out = tmp_path / "run"
     capsys.readouterr()
-    assert run(command, "--features", path, *flags, "--out", out) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, "--features", path, *flags, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_null_baseline_tol_keeps_the_default(tmp_path):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"baseline_tol": None}))
+    for name, flags in (("null", ("--config", config)), ("default", ()), ("zero", ("--baseline-tol", 0))):
+        assert run("train", "--features", path, "--solver", "svm", *flags,
+                   "--out", tmp_path / name) == 0       # a zero tolerance is usable
+    null, default = (json.loads((tmp_path / name / "model.json").read_text())
+                     for name in ("null", "default"))
+    assert null["beta"] == default["beta"]
+    assert null["train_meta"]["iterations"] == default["train_meta"]["iterations"]
 
 
 def tuning_split(path, seed):
     """The training split of ``compare --seed seed`` and its tuning carve-out."""
     dataset, _ = load_labeled_csv(path)
-    train, test = split(dataset, SplitSpec(train_fraction=0.8, seed=seed, stratified=True))
+    train, test = split(dataset, SplitSpec(train_fraction=0.8, seed=seed))
     train_std, _, _ = fit_apply_standardizer(train, test)
-    return train_std, split(train_std, SplitSpec(train_fraction=0.9, seed=seed + 1,
-                                                 stratified=True))
+    return train_std, split(train_std, SplitSpec(train_fraction=0.9, seed=seed + 1))
 
 
 @pytest.mark.parametrize("solver", ["svm", "logistic"])
@@ -740,7 +771,7 @@ def test_compare_reports_consistent_with_stored_models(tmp_path):
                "--out", out) == 0
     features, labels, _ = read_feature_csv(path)
     from aucmax.objective import LabeledDataset
-    train, test = split(LabeledDataset(features, labels), SplitSpec(train_fraction=0.8, seed=seed, stratified=True))
+    train, test = split(LabeledDataset(features, labels), SplitSpec(train_fraction=0.8, seed=seed))
     train_std, test_std, _ = fit_apply_standardizer(train, test)
     model = json.loads((out / "model_auc.json").read_text())
     weights = np.asarray(model["w"])

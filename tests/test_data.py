@@ -72,12 +72,6 @@ def test_split_too_few_per_class():
         split(ds, SplitSpec(train_fraction=0.9, seed=0))
 
 
-def test_split_unstratified_mode():
-    ds = two_to_one(60, seed=2)
-    train, test = split(ds, SplitSpec(train_fraction=0.8, seed=1, stratified=False))
-    assert train.n_samples == 48 and test.n_samples == 12
-
-
 # --- standardizer
 
 def test_standardizer_hand_case():

@@ -93,6 +93,9 @@ def test_params_validation():
         ObjectiveParams(p=1.0)
     with pytest.raises(ValueError):
         ObjectiveParams(p=0.5, lam=-1.0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^lambda must be finite$"):
+            ObjectiveParams(p=0.5, lam=lam)
 
 
 def test_params_must_match_dataset():
@@ -209,7 +212,7 @@ def test_problem_adapter_round_trip():
     # per-sample formulas, so agreement is to rounding, not bitwise.
     for seed in range(21, 26):
         ds, params, state = random_instance(seed)
-        problem = AucProblem(ds, params)
+        problem = AucProblem(ds, lam=params.lam)
         x = state.pack_x()
         y = np.array([state.y])
         gx, gy = problem.grad(x, y)
@@ -231,7 +234,7 @@ def test_problem_gradient_at_zero_is_the_reference_gradient():
     for seed in range(21, 26):
         ds, params, _ = random_instance(seed)
         d = ds.n_features
-        gx, gy = AucProblem(ds, params).grad(np.zeros(d + 2), np.zeros(1))
+        gx, gy = AucProblem(ds, lam=params.lam).grad(np.zeros(d + 2), np.zeros(1))
         gx_ref, gy_ref = gradient(PrimalDualState.zeros(d), ds, params)
         assert np.array_equal(gx, gx_ref)
         assert np.array_equal(gy, [gy_ref])

@@ -306,7 +306,6 @@ def test_lagged_correlation_matches_pearson_at_zero():
         dx, dy = x - x.mean(), y - y.mean()
         direct = float(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
         assert ours == pytest.approx(direct, rel=1e-12)
-        assert lagged_correlation(x, y, 0, overlap_means=True) == pytest.approx(direct, rel=1e-12)
 
 
 def test_lagged_correlation_errors():
@@ -362,16 +361,12 @@ def reference_plv(x, y):
     return float(np.abs(np.mean(np.exp(1j * (phase_a - phase_b)))))
 
 
-def reference_lagged_correlation(x, y, tau, overlap_means=False):
+def reference_lagged_correlation(x, y, tau):
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     overlap = a.size - tau
-    aw = a[:overlap]
-    bw = b[tau:]
-    mean_a = float(np.mean(aw if overlap_means else a))
-    mean_b = float(np.mean(bw if overlap_means else b))
-    da = aw - mean_a
-    db = bw - mean_b
+    da = a[:overlap] - float(np.mean(a))
+    db = b[tau:] - float(np.mean(b))
     denom = float(np.sqrt(np.sum(da * da) * np.sum(db * db)))
     if denom == 0.0:
         raise ValueError("zero variance in a windowed series")
@@ -481,10 +476,9 @@ def test_kernels_and_scalar_ops_match_references(batch):
                 assert np.isnan(corr[p, k])
             else:
                 assert close(corr[p, k], want)
-            for overlap_means in (False, True):
-                assert same_outcome(
-                    lambda: lagged_correlation(batch[i], batch[j], tau, overlap_means),
-                    lambda: reference_lagged_correlation(batch[i], batch[j], tau, overlap_means))
+            assert same_outcome(
+                lambda: lagged_correlation(batch[i], batch[j], tau),
+                lambda: reference_lagged_correlation(batch[i], batch[j], tau))
 
 
 # --- trial file formats
