@@ -55,6 +55,7 @@ from .metrics import (
     report_csv_row,
     report_to_dict,
     roc_auc,
+    roc_auc_columns,
 )
 from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
@@ -382,9 +383,9 @@ def _load_split(args, defaults: dict):
 
     Refuses, before any output exists, a C grid that is not a non-empty list
     of positive finite numbers, a C that is not one positive finite number,
-    a threshold that is not a finite number, and a baseline tolerance that is
-    not a nonnegative finite number: none of them can be fit or written as
-    JSON."""
+    a threshold that is not a finite number, and a lambda or a baseline
+    tolerance that is not a nonnegative finite number: none of them can be
+    fit or written as JSON.  Every refusal comes before the table is read."""
     eff = _config(args, defaults)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
@@ -403,6 +404,13 @@ def _load_split(args, defaults: dict):
     threshold = eff["threshold"]
     if threshold is not None and not (_is_number(threshold) and math.isfinite(threshold)):
         raise ValueError("threshold must be a finite number")
+    lam = eff["lambda"]
+    if not _is_number(lam):
+        raise ValueError("lambda must be a number")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
     tol = eff["baseline_tol"]                   # None: the fits' default
     if tol is not None and not (_is_number(tol) and 0 <= tol < math.inf):
         raise ValueError("baseline_tol must be a nonnegative finite number")
@@ -447,10 +455,11 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
     d = train_std.n_features
     auc_eval = None
     if trace_auc:
-        def auc_eval(x, y):
+        def auc_eval(xs):                       # a block of recorded primal iterates
+            weights = xs[:, :d].T
             return (
-                roc_auc(train_std.features @ x[:d], train_std.labels),
-                roc_auc(test_std.features @ x[:d], test_std.labels),
+                roc_auc_columns(train_std.features @ weights, train_std.labels),
+                roc_auc_columns(test_std.features @ weights, test_std.labels),
             )
     result = solve(problem, config, auc_eval=auc_eval)
     state = problem.unpack(result.final_x, result.final_y)

@@ -11,9 +11,12 @@ The objective is jointly quadratic in ``z = [w; u; v; y]`` and vanishes at
 and ``b`` the gradient at zero.  The linear terms ``-+2*w@a`` carry the
 coefficients of the cross terms ``-+2*y*w@a``, so ``b`` is ``H[:d, d+2]`` in
 the ``w`` block and zero elsewhere.  ``AucProblem`` builds ``(H, b)`` once and
-answers every gradient, value and Hessian query from them; the module-level
-``objective_value``, ``gradient`` and ``hessian`` evaluate the per-sample
-formulas directly and serve as the reference.
+answers every gradient, value and Hessian query from them.  Its ``w``-``w``
+block is one row-weighted Gram matrix: with ``c_i = 1-p`` on positive rows
+and ``p`` on negative ones, ``H_ww = S.T @ S + lam*I`` for
+``S = sqrt(2c/n) * A``.  The module-level ``objective_value``, ``gradient``
+and ``hessian`` evaluate the per-sample (per-class) formulas directly and
+serve as the reference.
 """
 
 from __future__ import annotations
@@ -204,12 +207,19 @@ def hessian(state: PrimalDualState, dataset: LabeledDataset, params: ObjectivePa
     d = dataset.n_features
     pos = dataset.labels == 1
     a_pos, a_neg = dataset.features[pos], dataset.features[~pos]
-    sum_pos = a_pos.sum(axis=0)
-    sum_neg = a_neg.sum(axis=0)
 
     full = np.zeros((d + 3, d + 3))
     full[:d, :d] = 2.0 * ((1.0 - p) * a_pos.T @ a_pos + p * a_neg.T @ a_neg) / n
     full[:d, :d] += lam * np.eye(d)
+    _fill_border(full, a_pos.sum(axis=0), a_neg.sum(axis=0), p, lam, n)
+    return full
+
+
+def _fill_border(full: np.ndarray, sum_pos: np.ndarray, sum_neg: np.ndarray,
+                 p: float, lam: float, n: int) -> None:
+    """Write the ``u``, ``v`` and ``y`` rows and columns of the zero-initialized
+    Hessian ``full`` from the two class sums of the feature rows."""
+    d = sum_pos.size
     wu = -2.0 * (1.0 - p) * sum_pos / n
     wv = -2.0 * p * sum_neg / n
     wy = (-2.0 * (1.0 - p) * sum_pos + 2.0 * p * sum_neg) / n
@@ -222,18 +232,22 @@ def hessian(state: PrimalDualState, dataset: LabeledDataset, params: ObjectivePa
     full[d, d] = 2.0 * (1.0 - p) * p + lam
     full[d + 1, d + 1] = 2.0 * p * (1.0 - p) + lam
     full[d + 2, d + 2] = -2.0 * p * (1.0 - p)
-    return full
 
 
 class AucProblem:
     """Adapter exposing the objective to the saddle solvers.
 
     ``x`` is the packed primal vector [w; u; v] and ``y`` a length-1 array.
-    The constructor builds the quadratic form ``(H, b)`` once, from one
-    per-sample ``hessian`` pass; ``b`` is read off its ``w``-``y`` block.
-    Then ``grad = H z + b`` and ``value = z@(grad + b) / 2`` on the stacked
-    ``z = [x; y]`` cost O(d^2) per call, independent of the number of
-    samples.  ``hessian`` returns the cached ``H`` itself, marked read-only.
+    The constructor builds the quadratic form ``(H, b)`` once: ``H_ww`` from
+    one row-weighted Gram product (a BLAS ``syrk``), the other rows from the
+    two class sums, and ``b`` read off the ``w``-``y`` block, so that ``b`` is
+    bit-equal to the reference ``gradient`` at zero.  Then ``grad = H z + b``
+    and ``value = z@(H z + 2b) / 2`` on the stacked ``z = [x; y]`` cost
+    O(d^2) per call, independent of the number of samples.  ``grad`` keeps
+    its ``z`` and ``H z``; ``value`` reuses that product when its own ``z`` is
+    bit-equal to the kept one, which is the case when a solver records the
+    objective at the point whose gradient it just took.  ``hessian`` returns
+    the cached ``H`` itself, marked read-only.
     """
 
     constant_hessian = True
@@ -241,23 +255,37 @@ class AucProblem:
     def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
         self.dataset = dataset
         self.params = ObjectiveParams.from_dataset(dataset, lam=lam)
-        d = dataset.n_features
-        self._h = hessian(PrimalDualState.zeros(d), dataset, self.params)
-        self._h.setflags(write=False)
+        a = dataset.features
+        n, d = a.shape
+        p = self.params.p
+        pos = dataset.labels == 1
+        h = np.zeros((d + 3, d + 3))
+        _fill_border(h, a[pos].sum(axis=0), a[~pos].sum(axis=0), p, self.params.lam, n)
+        s = np.sqrt(2.0 * np.where(pos, 1.0 - p, p) / n)[:, None] * a
+        np.matmul(s.T, s, out=h[:d, :d])        # S.T @ S of one array: numpy calls syrk
+        h[:d, :d][np.diag_indices(d)] += self.params.lam
+        h.setflags(write=False)
+        self._h = h
         self._b = np.zeros(d + 3)
-        self._b[:d] = self._h[:d, d + 2]
+        self._b[:d] = h[:d, d + 2]
+        self._z = self._hz = None               # the last grad's point and H @ z
         self.dim_x = d + 2
         self.dim_y = 1
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         z = np.concatenate([x, np.atleast_1d(y)])
-        value = 0.5 * float(z @ (self._h @ z + 2.0 * self._b))
+        reuse = self._z is not None and z.tobytes() == self._z.tobytes()
+        hz = self._hz if reuse else self._h @ z
+        value = 0.5 * float(z @ (hz + 2.0 * self._b))
         if not np.isfinite(value):
             raise FloatingPointError("non-finite objective value (overflow)")
         return value
 
     def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self._h @ np.concatenate([x, np.atleast_1d(y)]) + self._b
+        z = np.concatenate([x, np.atleast_1d(y)])     # a copy: the caller may reuse x
+        hz = self._h @ z
+        self._z, self._hz = z, hz
+        g = hz + self._b
         return g[:-1], g[-1:]
 
     def hessian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,6 +11,15 @@ matrix over the stacked variable ``[x; y]``.  Problems whose Hessian is
 constant may set ``constant_hessian = True`` to let solvers evaluate it
 once.
 
+Every trace row also holds the objective (``value(x, y)`` at the row's
+iterate) and, when the caller passes ``auc_eval``, a train and a test AUC.
+The AUCs are scored in blocks: the loop keeps the primal iterate ``x`` of
+each recorded row and calls ``auc_eval(xs)`` with the k x ``dim_x`` matrix
+``xs`` of those iterates, ``TRACE_AUC_BLOCK`` rows at a time and the rows
+left over when the run ends.  The callback returns two length-k columns,
+the train and the test AUC of each row in order; an entry may be None for a
+cell to leave empty.
+
 Second-order methods certify that the saddle is unique before stepping.
 Writing the Hessian as ``[[A, B], [B.T, -C]]`` with ``A`` the primal block,
 the problem is strongly-convex-strongly-concave exactly when ``A`` and the
@@ -58,6 +67,7 @@ DIRECTION_RULES = ("greedy-basis", "random-gaussian")
 DIVERGENCE_LIMIT = 1e12       # gradient norm beyond which a run is declared divergent
 DENSE_TRACE_ROWS = 10_000     # first-order methods: record every iteration up to here,
 THIN_TRACE_EVERY = 10         # ... then only every 10th (bounded trace memory)
+TRACE_AUC_BLOCK = 16          # recorded iterates per auc_eval call; bounds the score block's memory
 CONDITION_LIMIT = 1e14        # condition estimate of a saddle factor treated as singular
 SR1_DENOMINATOR_FLOOR = 1e-12 # relative curvature floor for the SR1 denominator
 REBASE_RANK = 32              # qn-broyden: Woodbury pieces held before Q is refactored
@@ -146,17 +156,27 @@ def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResu
     steps, and raises RuntimeError when the norm is non-finite or exceeds
     ``DIVERGENCE_LIMIT``.  The trace holds row 0 and the last row; between
     them every row when ``dense``, otherwise every row up to
-    ``DENSE_TRACE_ROWS`` and every ``THIN_TRACE_EVERY``-th one after.
-    ``extra`` goes into the ``SolveResult`` unchanged.
+    ``DENSE_TRACE_ROWS`` and every ``THIN_TRACE_EVERY``-th one after.  The
+    recorded rows' AUCs come from ``auc_eval`` in blocks (see the module
+    docstring).  ``extra`` goes into the ``SolveResult`` unchanged.
     """
     tol, cap = config.grad_tolerance, config.max_iterations
     trace: list[TraceRow] = []
+    pending: list[np.ndarray] = []              # primal iterates of the rows awaiting AUCs
+
+    def score_pending():
+        train, test = auc_eval(np.stack(pending))
+        for row, train_auc, test_auc in zip(trace[-len(pending):], train, test, strict=True):
+            row.train_auc = None if train_auc is None else float(train_auc)
+            row.test_auc = None if test_auc is None else float(test_auc)
+        pending.clear()
 
     def record(t, gn, x, y):
-        train_auc = test_auc = None
+        trace.append(TraceRow(t, float(gn), float(problem.value(x, y))))
         if auc_eval is not None:
-            train_auc, test_auc = auc_eval(x, y)
-        trace.append(TraceRow(t, float(gn), float(problem.value(x, y)), train_auc, test_auc))
+            pending.append(np.array(x, dtype=float))
+            if len(pending) == TRACE_AUC_BLOCK:
+                score_pending()
 
     gx, gy, gn = _grads(problem, x, y)
     record(0, gn, x, y)
@@ -171,6 +191,8 @@ def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResu
         converged = gn <= tol
         if dense or converged or t == cap or t <= DENSE_TRACE_ROWS or t % THIN_TRACE_EVERY == 0:
             record(t, gn, x, y)
+    if pending:
+        score_pending()
     return SolveResult(final_x=x, final_y=y, converged=bool(converged), iterations_used=t,
                        trace=trace, **extra)
 

@@ -192,6 +192,31 @@ def test_train_alt_gda_converges_and_reports(tmp_path):
     assert len(model["w"]) == 8
 
 
+@pytest.mark.parametrize("cap", [5, 20])        # 6 trace rows: under one block; 21: over one
+def test_trace_aucs_equal_roc_auc_of_each_rows_iterate(tmp_path, monkeypatch, cap):
+    points = []
+
+    class RecordingAucProblem(AucProblem):      # value() runs once per row, at its iterate
+        def value(self, x, y):
+            points.append(np.array(x))
+            return super().value(x, y)
+
+    monkeypatch.setattr(cli, "AucProblem", RecordingAucProblem)
+    path = synth_csv(tmp_path, n=200, dim=5, sep=1.0)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "alt-gda", "--max-iter", cap,
+               "--tol", 1e-12, "--seed", 3, "--out", out) == 0
+    dataset, _ = load_labeled_csv(path)
+    train, test, _ = fit_apply_standardizer(*split(dataset, SplitSpec(train_fraction=0.8, seed=3)))
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(points) == cap + 1
+    for row, x in zip(rows, points):
+        w = x[:train.n_features]
+        assert float(row["train_auc"]) == roc_auc(train.features @ w, train.labels)
+        assert float(row["test_auc"]) == roc_auc(test.features @ w, test.labels)
+
+
 def test_train_newton_agrees_with_alt_gda(tmp_path):
     path = synth_csv(tmp_path)
     out_a = tmp_path / "a"
@@ -659,9 +684,20 @@ TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
     ("compare", ("--baseline-tol=-inf",), TOL_MESSAGE),
     ("compare", {"baseline_tol": True}, TOL_MESSAGE),
     ("compare", {"baseline_tol": -1e-6}, TOL_MESSAGE),
+    ("train", ("--solver", "svm", "--lambda", "nan"), "lambda must be finite"),
+    ("train", ("--solver", "logistic", "--lambda", "inf"), "lambda must be finite"),
+    ("train", ("--solver", "logistic", "--lambda=-1e-3"), "lambda must be nonnegative"),
+    ("compare", ("--lambda=-inf",), "lambda must be nonnegative"),
+    ("train", {"lambda": "1e-4"}, "lambda must be a number"),
+    ("compare", {"lambda": None}, "lambda must be a number"),
 ])
-def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, command, flags, message):
+def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, monkeypatch,
+                                                      command, flags, message):
     path = synth_csv(tmp_path, n=100, dim=3)
+    work = []                                   # refused before the table is read or any fit runs
+    for name in ("load_labeled_csv", "fit_logistic", "fit_linear_svm", "fit_linear_svm_grid",
+                 "solve"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
     if isinstance(flags, dict):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(flags))
@@ -676,6 +712,7 @@ def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, command
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+    assert work == []
 
 
 def test_null_baseline_tol_keeps_the_default(tmp_path):

@@ -9,6 +9,7 @@ from aucmax.metrics import (
     report_csv_row,
     report_to_dict,
     roc_auc,
+    roc_auc_columns,
 )
 
 
@@ -75,6 +76,35 @@ def test_auc_errors():
         roc_auc([0.1, 0.2, 0.3], [1, -1])
     with pytest.raises(ValueError, match="finite"):
         roc_auc([np.nan, 0.2], [1, -1])
+
+
+def test_auc_columns_equal_roc_auc_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        _, labels = random_scored_labels(seed)
+        n = labels.size
+        columns = [rng.standard_normal(n),                  # continuous: no ties
+                   rng.integers(0, 4, n).astype(float),     # heavy ties
+                   np.full(n, 2.5),                         # constant: every score tied
+                   np.where(labels == 1, 1.0, 0.0)]         # perfect separation
+        block = np.column_stack(columns)
+        aucs = roc_auc_columns(block, labels)
+        assert aucs.shape == (len(columns),)
+        for j, column in enumerate(columns):
+            assert aucs[j] == roc_auc(column, labels)
+            assert roc_auc_columns(block[:, j:j + 1], labels)[0] == roc_auc(column, labels)
+    assert roc_auc_columns(np.full((3, 1), 7.0), [1, -1, -1])[0] == 0.5
+
+
+def test_auc_columns_errors():
+    with pytest.raises(ValueError, match="one row per label"):
+        roc_auc_columns([0.1, 0.2], [1, -1])                # a vector, not a matrix
+    with pytest.raises(ValueError, match="one row per label"):
+        roc_auc_columns(np.zeros((3, 2)), [1, -1])
+    with pytest.raises(ValueError, match="finite"):
+        roc_auc_columns([[0.1, np.inf], [0.2, 0.3]], [1, -1])
+    with pytest.raises(ValueError, match="single-class"):
+        roc_auc_columns(np.zeros((2, 2)), [-1, -1])
 
 
 # --- classification report

@@ -238,3 +238,29 @@ def test_problem_gradient_at_zero_is_the_reference_gradient():
         gx_ref, gy_ref = gradient(PrimalDualState.zeros(d), ds, params)
         assert np.array_equal(gx, gx_ref)
         assert np.array_equal(gy, [gy_ref])
+
+
+def uncached_value(problem, b, x, y):
+    """``value``'s formula with a fresh ``H @ z``; ``b`` is the gradient at zero."""
+    z = np.concatenate([x, y])
+    return 0.5 * float(z @ (problem.hessian(x, y) @ z + 2.0 * b))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_value_reuses_the_gradient_product_only_at_the_same_point(seed):
+    ds, params, state = random_instance(seed)
+    problem = AucProblem(ds, lam=params.lam)
+    b = np.concatenate(problem.grad(np.zeros(problem.dim_x), np.zeros(1)))
+    rng = np.random.default_rng(seed)
+    x, y = state.pack_x(), np.array([state.y])
+    # value after grad at another point: a fresh product
+    problem.grad(rng.standard_normal(problem.dim_x), rng.standard_normal(1))
+    assert problem.value(x, y) == uncached_value(problem, b, x, y)
+    # value after grad at the same point: the kept product, same bits
+    problem.grad(x, y)
+    assert problem.value(x, y) == uncached_value(problem, b, x, y)
+    # the caller changed x and y in place after grad: not the stale product
+    problem.grad(x, y)
+    x[0] += 1.0
+    y[0] -= 0.5
+    assert problem.value(x, y) == uncached_value(problem, b, x, y)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from aucmax.data import SynthSpec, generate_synthetic
+from aucmax.data import SplitSpec, SynthSpec, generate_synthetic, split
+from aucmax.metrics import roc_auc, roc_auc_columns
 from aucmax.objective import AucProblem, LabeledDataset
 from aucmax.solvers import (
     DENSE_TRACE_ROWS,
@@ -12,6 +13,7 @@ from aucmax.solvers import (
     REBASE_RANK,
     SECOND_ORDER_METHODS,
     THIN_TRACE_EVERY,
+    TRACE_AUC_BLOCK,
     SolverConfig,
     _Curvature,
     broyden_update,
@@ -327,8 +329,10 @@ class IndefinitePrimal:
 @pytest.mark.parametrize("method", ["newton", "qn-broyden"])
 def test_singular_hessian_without_exact_zero_pivot(method):
     # lam = 0 with a duplicated column: rounding lets the Cholesky of H_xx
-    # succeed, so only the condition estimate can reject it.
-    ds = generate_synthetic(SynthSpec(60, 4, 1 / 3, 2.0, seed=0))
+    # succeed, so only the condition estimate can reject it.  The instance is
+    # one whose Cholesky succeeds for the weighted-Gram H_ww under syrk, gemm
+    # and einsum rounding alike.
+    ds = generate_synthetic(SynthSpec(60, 4, 1 / 3, 2.0, seed=6))
     duplicated = LabeledDataset(np.column_stack([ds.features, ds.features[:, 1]]), ds.labels)
     problem = AucProblem(duplicated, lam=0.0)
     h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
@@ -619,7 +623,7 @@ def test_spectral_norm_estimate_same_seed_same_bits():
 def test_trace_csv_format():
     problem = auc_problem()
     res = solve(problem, SolverConfig(method="newton"),
-                auc_eval=lambda x, y: (0.75, None))
+                auc_eval=lambda xs: ([0.75] * len(xs), [None] * len(xs)))
     text = trace_to_csv(res.trace)
     lines = text.strip().split("\n")
     assert lines[0] == "iteration,grad_norm,objective,train_auc,test_auc"
@@ -627,3 +631,45 @@ def test_trace_csv_format():
     assert first[0] == "0"
     assert first[3] == "0.75" and first[4] == ""      # absent AUC column is empty
     assert float(first[1]) == res.trace[0].grad_norm  # 17 significant digits round-trip
+
+
+class RecordingAucProblem(AucProblem):
+    """Keeps the iterate of every ``value`` call: the loop calls ``value``
+    once per trace row, at that row's iterate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.points = []
+
+    def value(self, x, y):
+        self.points.append(np.array(x))
+        return super().value(x, y)
+
+
+@pytest.mark.parametrize("method, cap, rows", [
+    ("newton", 5, 2),                                           # fewer rows than one block
+    ("sim-gda", 2 * TRACE_AUC_BLOCK + 2, 2 * TRACE_AUC_BLOCK + 3),  # not a multiple of it
+    ("extragradient", TRACE_AUC_BLOCK - 1, TRACE_AUC_BLOCK),    # exactly one block
+])
+def test_trace_aucs_scored_in_blocks_match_each_rows_iterate(method, cap, rows):
+    data = generate_synthetic(SynthSpec(120, 6, 1 / 3, 1.0, seed=5))
+    train, test = split(data, SplitSpec(train_fraction=0.8, seed=1))
+    problem = RecordingAucProblem(train, lam=1e-4)
+    d = train.n_features
+    blocks = []
+
+    def auc_eval(xs):
+        blocks.append(len(xs))
+        weights = xs[:, :d].T
+        return (roc_auc_columns(train.features @ weights, train.labels),
+                roc_auc_columns(test.features @ weights, test.labels))
+
+    res = solve(problem, SolverConfig(method=method, max_iterations=cap, grad_tolerance=1e-12),
+                auc_eval=auc_eval)
+    assert len(res.trace) == len(problem.points) == rows
+    assert blocks == [TRACE_AUC_BLOCK] * (rows // TRACE_AUC_BLOCK) + (
+        [rows % TRACE_AUC_BLOCK] if rows % TRACE_AUC_BLOCK else [])
+    for row, x in zip(res.trace, problem.points):
+        assert row.train_auc == roc_auc(train.features @ x[:d], train.labels)
+        assert row.test_auc == roc_auc(test.features @ x[:d], test.labels)
+        assert type(row.train_auc) is float and type(row.test_auc) is float
