@@ -57,6 +57,10 @@ STAT_FIELDS = ("min", "max", "range", "mean", "variance", "skewness", "kurtosis"
 CHANNEL_STAT_FIELDS = STAT_FIELDS + ("argmin", "argmax")
 DIFF_FIELDS = STAT_FIELDS + ("psd", "de")      # per-stream quantities differenced per window
 
+# Windows whose band-filtered features are evaluated together: a trial's
+# transient memory grows with this block, not with the trial's length.
+WINDOW_BLOCK = 16
+
 
 def default_channel_indices() -> list[int]:
     """0-based rows of the standard montage (requires >= 32 channels)."""
@@ -151,6 +155,11 @@ def layout_manifest(channel_ids, spec: WindowSpec, bands, set_id, corr_lags,
     }
 
 
+def _window_blocks(m: int):
+    """Consecutive slices of at most ``WINDOW_BLOCK`` windows covering ``m``."""
+    return (slice(lo, min(lo + WINDOW_BLOCK, m)) for lo in range(0, m, WINDOW_BLOCK))
+
+
 def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | None = None,
                        set_id="Set1", bands=DEFAULT_BANDS,
                        filter_order: int = DEFAULT_FILTER_ORDER,
@@ -163,7 +172,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     Band-domain features are computed on the zero-phase band-filtered
     channels; PSD is taken from the raw window's spectrum.  The diff block
     holds per-stream changes versus the previous window (zeros on the
-    first window).
+    first window).  Band-window features are evaluated ``WINDOW_BLOCK``
+    windows at a time, bit-equal to evaluating every window at once.
     """
     level = set_level(set_id)
     fs = trial.sampling_rate
@@ -182,7 +192,7 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
 
     sub = TrialSignal(trial.samples[channels], fs, trial.pretrial_seconds)
     windows, _ = segment(sub, spec)             # (m, c, w)
-    m = windows.shape[0]
+    m, c, w = windows.shape
     data = sub.post_pretrial()                  # (c, t')
 
     psd = band_power_psd(windows, fs, bands)    # (m, c, nbands)
@@ -191,20 +201,31 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     filtered = np.stack(
         [butterworth_bandpass(data, fs, band, filter_order) for band in bands], axis=1
     )                                           # (c, nbands, t')
-    w = spec.window_samples(fs)
-    s = spec.stride_samples(fs)
-    window_idx = s * np.arange(m)[:, None] + np.arange(w)[None, :]
-    band_windows = filtered[:, :, window_idx].transpose(2, 0, 1, 3)  # (m, c, nbands, w)
-
-    band_var = band_windows.var(axis=-1, ddof=1)
-    if np.any(band_var <= 0.0):
-        raise ValueError("degenerate segment (zero variance) in a band-filtered window")
-    de = 0.5 * np.log(2.0 * np.pi * np.e * band_var)                 # (m, c, nbands)
+    starts = spec.stride_samples(fs) * np.arange(m)
+    de = np.empty(psd.shape)
+    if level >= 2:
+        stats = np.empty(psd.shape + (len(STAT_FIELDS),))
+    if level >= 4:
+        plv = np.empty((m, c * (c - 1) // 2, len(bands)))
+    for block in _window_blocks(m):
+        window_idx = starts[block, None] + np.arange(w)
+        # Kept in the (c, nbands, k, w) memory order of the fancy index: the
+        # reductions below then sum in the same order at every block size.
+        band_windows = filtered[:, :, window_idx].transpose(2, 0, 1, 3)  # (k, c, nbands, w)
+        if level >= 2:
+            stats[block] = moment_stats(band_windows)
+            band_var = stats[block, ..., STAT_FIELDS.index("variance")]
+        else:
+            band_var = band_windows.var(axis=-1, ddof=1)
+        if np.any(band_var <= 0.0):
+            raise ValueError("degenerate segment (zero variance) in a band-filtered window")
+        de[block] = 0.5 * np.log(2.0 * np.pi * np.e * band_var)
+        if level >= 4:
+            plv[block] = pairwise_plv(band_windows)
 
     columns = [psd.reshape(m, -1), de.reshape(m, -1)]
 
     if level >= 2:
-        stats = moment_stats(band_windows)                           # (m, c, b, 7)
         stream = np.concatenate([stats, psd[..., None], de[..., None]], axis=-1)
         diffs = np.zeros_like(stream)
         diffs[1:] = stream[1:] - stream[:-1]
@@ -215,8 +236,10 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         columns.append(np.broadcast_to(chan.reshape(1, -1), (m, chan.size)).copy())
 
     if level >= 4:
-        columns.append(pairwise_plv(band_windows).reshape(m, -1))
-        corr = pairwise_lagged_correlation(windows, corr_lags)
+        columns.append(plv.reshape(m, -1))
+        corr = np.empty((m, plv.shape[1], len(corr_lags)))
+        for block in _window_blocks(m):
+            corr[block] = pairwise_lagged_correlation(windows[block], corr_lags)
         if np.isnan(corr).any():
             raise ValueError("zero variance segment in correlation block")
         columns.append(corr.reshape(m, -1))

@@ -290,10 +290,12 @@ def moment_stats(x) -> np.ndarray:
     lo = x.min(axis=-1)
     hi = x.max(axis=-1)
     mean = x.mean(axis=-1)
-    variance = x.var(axis=-1, ddof=1)
-    m2 = x.var(axis=-1)                         # biased moments for the standardized forms
     centered = x - mean[..., None]
     c2 = centered * centered
+    # Both variances from one sum of squares, as ``np.var`` computes each.
+    ss = np.add.reduce(c2, axis=-1)
+    variance = ss / (n - 1)
+    m2 = ss / n                                 # biased moments for the standardized forms
     m3 = np.einsum("...w,...w->...", c2, centered) / n
     m4 = np.einsum("...w,...w->...", c2, c2) / n
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -460,7 +462,7 @@ def read_signal_csv(path) -> TrialSignal:
         if not line:
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append(np.array(line.split(","), dtype=float))
         except ValueError:
             raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample") from None
     if len(rows) != channels:
@@ -470,7 +472,7 @@ def read_signal_csv(path) -> TrialSignal:
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise ValueError(f"{path}: malformed signal file: channel rows have unequal lengths {sorted(lengths)}")
-    return TrialSignal(np.asarray(rows, dtype=float), fs, pretrial)
+    return TrialSignal(np.stack(rows), fs, pretrial)
 
 
 def write_signal_binary(trial: TrialSignal, path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aucmax.features import (
     DEFAULT_CHANNELS_1BASED,
+    WINDOW_BLOCK,
     FeatureMatrix,
     build_feature_sets,
     default_channel_indices,
@@ -17,8 +20,11 @@ from aucmax.signals import (
     WindowSpec,
     band_power_psd,
     butterworth_bandpass,
+    channel_stats,
     differential_entropy,
     lagged_correlation,
+    pairwise_lagged_correlation,
+    pairwise_plv,
     plv,
     segment,
 )
@@ -191,3 +197,115 @@ def test_read_trial_labels(tmp_path):
     path.write_text("id,label\n")
     with pytest.raises(ValueError, match="header"):
         read_trial_labels(path)
+
+
+# --- windows in blocks: bit-equal to one pass over the whole trial
+
+def reference_moment_stats(x):
+    """Moment statistics with a separate variance call per moment."""
+    n = x.shape[-1]
+    lo, hi, mean = x.min(axis=-1), x.max(axis=-1), x.mean(axis=-1)
+    variance = x.var(axis=-1, ddof=1)
+    m2 = x.var(axis=-1)
+    centered = x - mean[..., None]
+    c2 = centered * centered
+    m3 = np.einsum("...w,...w->...", c2, centered) / n
+    m4 = np.einsum("...w,...w->...", c2, c2) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skewness = np.where(m2 > 0, m3 / m2**1.5, 0.0)
+        kurtosis = np.where(m2 > 0, m4 / m2**2, 0.0)
+    return np.stack([lo, hi, hi - lo, mean, variance, skewness, kurtosis], axis=-1)
+
+
+def reference_set4_values(trial, channels, spec, corr_lags):
+    """Set4 columns from every window of the trial at once."""
+    sub = TrialSignal(trial.samples[channels], FS, trial.pretrial_seconds)
+    windows, _ = segment(sub, spec)
+    m = windows.shape[0]
+    data = sub.post_pretrial()
+    psd = band_power_psd(windows, FS, DEFAULT_BANDS)
+    filtered = np.stack([butterworth_bandpass(data, FS, band, 4) for band in DEFAULT_BANDS], axis=1)
+    w, s = spec.window_samples(FS), spec.stride_samples(FS)
+    window_idx = s * np.arange(m)[:, None] + np.arange(w)[None, :]
+    band_windows = filtered[:, :, window_idx].transpose(2, 0, 1, 3)
+    band_var = band_windows.var(axis=-1, ddof=1)
+    if np.any(band_var <= 0.0):
+        raise ValueError("degenerate segment (zero variance) in a band-filtered window")
+    de = 0.5 * np.log(2.0 * np.pi * np.e * band_var)
+    stats = reference_moment_stats(band_windows)
+    stream = np.concatenate([stats, psd[..., None], de[..., None]], axis=-1)
+    diffs = np.zeros_like(stream)
+    diffs[1:] = stream[1:] - stream[:-1]
+    chan = np.array([channel_stats(row) for row in data])
+    corr = pairwise_lagged_correlation(windows, corr_lags)
+    if np.isnan(corr).any():
+        raise ValueError("zero variance segment in correlation block")
+    return np.hstack([psd.reshape(m, -1), de.reshape(m, -1), stats.reshape(m, -1),
+                      diffs.reshape(m, -1), np.broadcast_to(chan.reshape(1, -1), (m, chan.size)),
+                      pairwise_plv(band_windows).reshape(m, -1), corr.reshape(m, -1)])
+
+
+def trial_with_windows(count, spec, seed, n_channels=14, pretrial=3.0):
+    """A trial whose post-pretrial part holds exactly ``count`` windows."""
+    w, s = spec.window_samples(FS), spec.stride_samples(FS)
+    return make_trial(n_channels, pretrial + (w + s * (count - 1)) / FS, seed, pretrial)
+
+
+@pytest.mark.parametrize("count, window, stride", [
+    (1, 2.0, 0.5), (WINDOW_BLOCK, 2.0, 0.5), (WINDOW_BLOCK + 1, 2.0, 0.5), (117, 2.0, 0.5),
+    (477, 0.5, 0.125),
+])
+def test_blocked_windows_bit_equal_to_whole_trial(count, window, stride):
+    spec = WindowSpec(window, stride)
+    trial = trial_with_windows(count, spec, seed=count)
+    channels, lags = list(range(14)), (0, int(0.25 * spec.window_samples(FS)))
+    want = reference_set4_values(trial, channels, spec, lags)
+    assert want.shape == (count, 1680)
+    for level in (1, 2, 3, 4):
+        got = build_feature_sets(trial, channels=channels, spec=spec, set_id=level,
+                                 corr_lags=lags).values
+        assert np.array_equal(got, want[:, : got.shape[1]]), level
+
+
+@pytest.mark.parametrize("count", [1, WINDOW_BLOCK + 1])
+def test_zero_variance_band_window_refused_at_every_level(count):
+    trial = trial_with_windows(count, WindowSpec(), seed=8, n_channels=3)
+    samples = trial.samples.copy()
+    samples[2] = 0.0                             # every window, raw and filtered, is flat
+    silent = TrialSignal(samples, FS, trial.pretrial_seconds)
+    message = "^degenerate segment \\(zero variance\\) in a band-filtered window$"
+    with pytest.raises(ValueError, match=message):
+        reference_set4_values(silent, [0, 1, 2], WindowSpec(), (0, 32))
+    for level in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match=message):
+            build_feature_sets(silent, channels=[0, 1, 2], set_id=level)
+
+
+def test_zero_variance_raw_window_in_a_later_block_refused():
+    # the silent raw window lies in the second block; band filtering leaks
+    # into it, so only the correlation block sees the zero variance
+    spec = WindowSpec()
+    trial = trial_with_windows(WINDOW_BLOCK + 5, spec, seed=9, n_channels=3, pretrial=0.0)
+    start = (WINDOW_BLOCK + 2) * spec.stride_samples(FS)
+    samples = trial.samples.copy()
+    samples[1, start: start + spec.window_samples(FS)] = 0.0
+    silent = TrialSignal(samples, FS)
+    message = "^zero variance segment in correlation block$"
+    with pytest.raises(ValueError, match=message):
+        reference_set4_values(silent, [0, 1, 2], spec, (0, 32))
+    assert build_feature_sets(silent, channels=[0, 1, 2], set_id="Set3").n_rows == WINDOW_BLOCK + 5
+    with pytest.raises(ValueError, match=message):
+        build_feature_sets(silent, channels=[0, 1, 2], set_id="Set4")
+
+
+def test_set4_trial_memory_bounded_by_the_window_block():
+    # a 63 s, 32-channel trial: one pass over all 117 windows peaks near 93 MB
+    trial = make_trial(n_channels=32, seconds=63.0, seed=10)
+    tracemalloc.start()
+    try:
+        fm = build_feature_sets(trial, set_id=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fm.values.shape == (117, 1680)
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -485,11 +485,14 @@ def test_kernels_and_scalar_ops_match_references(batch):
 
 def test_signal_csv_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    trial = TrialSignal(rng.standard_normal((3, 50)), 128.0, pretrial_seconds=0.25)
+    samples = rng.standard_normal((3, 50)) * 10.0 ** rng.integers(-300, 300, (3, 50))
+    samples[0, :6] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    trial = TrialSignal(samples, 128.0, pretrial_seconds=0.25)
     path = tmp_path / "trial.csv"
     write_signal_csv(trial, path)
     loaded = read_signal_csv(path)
-    assert np.array_equal(loaded.samples, trial.samples)
+    assert loaded.samples.dtype == np.float64 and loaded.samples.flags.c_contiguous
+    assert loaded.samples.tobytes() == samples.tobytes()     # -0.0 keeps its sign bit
     assert loaded.sampling_rate == trial.sampling_rate
     assert loaded.pretrial_seconds == trial.pretrial_seconds
 
@@ -516,6 +519,22 @@ def test_signal_csv_malformed_row(tmp_path):
     path.write_text("fs=128,pretrial=0,channels=1\n1.0,xyz\n")
     with pytest.raises(ValueError, match="line 2"):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1.0,2.0,3.0\n4.0,abc,6.0\n", "{path}: malformed signal file at line 3: non-numeric sample"),
+    ("1.0,,3.0\n4.0,5.0,6.0\n", "{path}: malformed signal file at line 2: non-numeric sample"),
+    ("1.0,2.0,3.0\n\n4.0,5.0,6.0,\n", "{path}: malformed signal file at line 4: non-numeric sample"),
+    ("1.0,2.0,3.0\n4.0,5.0\n", "{path}: malformed signal file: channel rows have unequal lengths [2, 3]"),
+    ("1.0,2.0,3.0\n", "{path}: malformed signal file: header declares 2 channels, found 1 rows"),
+    ("1.0,nan,3.0\n4.0,5.0,6.0\n", "samples contain NaN or Inf"),
+])
+def test_signal_csv_malformed_rows_named(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("fs=128,pretrial=0,channels=2\n" + body)
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_csv(path)
+    assert str(excinfo.value) == message.format(path=path)
 
 
 def test_signal_binary_truncated(tmp_path):

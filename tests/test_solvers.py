@@ -6,6 +6,7 @@ from aucmax.data import SplitSpec, SynthSpec, generate_synthetic, split
 from aucmax.metrics import roc_auc, roc_auc_columns
 from aucmax.objective import AucProblem, LabeledDataset
 from aucmax.solvers import (
+    CONDITION_LIMIT,
     DENSE_TRACE_ROWS,
     DIRECTION_RULES,
     FIRST_ORDER_METHODS,
@@ -328,15 +329,20 @@ class IndefinitePrimal:
 
 @pytest.mark.parametrize("method", ["newton", "qn-broyden"])
 def test_singular_hessian_without_exact_zero_pivot(method):
-    # lam = 0 with a duplicated column: rounding lets the Cholesky of H_xx
-    # succeed, so only the condition estimate can reject it.  The instance is
-    # one whose Cholesky succeeds for the weighted-Gram H_ww under syrk, gemm
-    # and einsum rounding alike.
+    # lam = 0 with a nearly collinear column (a copy perturbed by 1e-7): the
+    # Cholesky of H_xx succeeds with a last pivot well above rounding, so
+    # only the condition estimate (about 1e15, past CONDITION_LIMIT) rejects.
     ds = generate_synthetic(SynthSpec(60, 4, 1 / 3, 2.0, seed=6))
-    duplicated = LabeledDataset(np.column_stack([ds.features, ds.features[:, 1]]), ds.labels)
-    problem = AucProblem(duplicated, lam=0.0)
+    nudge = 1e-7 * np.random.default_rng(1).standard_normal(len(ds.labels))
+    collinear = LabeledDataset(np.column_stack([ds.features, ds.features[:, 1] + nudge]),
+                               ds.labels)
+    problem = AucProblem(collinear, lam=0.0)
     h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
-    scipy.linalg.cholesky(h[:-1, :-1])
+    h_xx = h[:-1, :-1]
+    factor = scipy.linalg.cholesky(h_xx)
+    assert np.diag(factor).min() ** 2 > 4 * np.finfo(float).eps * h_xx.diagonal().max()
+    rcond, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(h_xx, 1))
+    assert info == 0 and rcond * CONDITION_LIMIT < 0.2
     with pytest.raises(RuntimeError, match="singular Hessian"):
         solve(problem, SolverConfig(method=method))
     # A saddle that is nonsingular but not convex in x is not certified.
