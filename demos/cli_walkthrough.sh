@@ -66,3 +66,13 @@ cp "$WORK/run/model.json" "$WORK/model_first.json"
 python3 -m aucmax train --features "$WORK/data/features.csv" --solver alt-gda \
     --seed 3 --out "$WORK/run"
 cmp "$WORK/model_first.json" "$WORK/run/model.json" && echo "byte-identical model"
+
+echo; echo "== config file: the same train with its keys in --config =="
+cat > "$WORK/train.json" <<JSON
+{"solver": "alt-gda", "seed": 3, "out": "$WORK/run_config"}
+JSON
+python3 -m aucmax train --features "$WORK/data/features.csv" --config "$WORK/train.json"
+for name in model.json report.json trace.csv; do
+    cmp "$WORK/run/$name" "$WORK/run_config/$name"
+done
+echo "byte-identical model, report and trace"

@@ -3,10 +3,11 @@ extraction, training (saddle solvers or baselines), evaluation of stored
 models, and a three-way model comparison.
 
 Every command accepts ``--config <json>``; explicit flags override config
-file entries, which override built-in defaults.  The resolved configuration
-is echoed into each output manifest, and identical flags plus seeds always
-reproduce byte-identical outputs.  Exit codes: 0 success, 1 runtime or data
-error, 2 usage error.
+file entries, which override built-in defaults.  Each value, from any of the
+three, must be of its key's kind (the ``*_KEYS`` tables).  The resolved
+configuration is echoed into each output manifest, and identical flags plus
+seeds always reproduce byte-identical outputs.  Exit codes: 0 success, 1
+runtime or data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .features import (
     WindowSpec,
     build_feature_sets,
     default_channel_indices,
+    default_corr_lags,
     layout_manifest,
     read_trial_labels,
     set_level,
@@ -59,7 +63,7 @@ from .metrics import (
 )
 from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
-from .solvers import METHODS, SolverConfig, solve, write_trace_csv
+from .solvers import BROYDEN_MODES, METHODS, SolverConfig, solve, write_trace_csv
 
 ENV_SEED = "AUCMAX_SEED"
 EXIT_OK, EXIT_ERROR, EXIT_USAGE = 0, 1, 2
@@ -68,33 +72,56 @@ SOLVER_CHOICES = METHODS + ("logistic", "svm")
 DEFAULT_C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 QUASI_NEWTON_DIM_WARNING = 1500     # qn-broyden is impractical beyond this dimension
 
-SYNTH_DEFAULTS = {"n": 1000, "dim": 10, "pos_frac": 1.0 / 3.0, "sep": 1.0, "out": "."}
-EXTRACT_DEFAULTS = {
-    "set": 1,
-    "window": 2.0,
-    "stride": 0.5,
-    "order": 4,
-    "channels": "auto",
-    "corr_lags": None,
-    "out": ".",
+
+def _is_int(value) -> bool:
+    return type(value) is int                   # JSON true/false load as bool, 1.7 as float
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class Kind(NamedTuple):
+    """What a config value must be: ``test`` accepts it, ``what`` names it in
+    the refusal, ``convert`` gives the value that runs and is echoed."""
+
+    test: Callable[[object], bool]
+    what: str
+    convert: Callable = lambda value: value
+
+
+INTEGER = Kind(_is_int, "an integer")
+NUMBER = Kind(_is_number, "a number", float)
+FINITE = Kind(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
+NONNEGATIVE = Kind(lambda v: _is_number(v) and 0 <= v < math.inf,
+                   "a nonnegative finite number", float)
+NUMBERS = Kind(lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers",
+               lambda v: [float(c) for c in v])
+INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers')
+TEXT = Kind(lambda v: isinstance(v, str), "text")
+TAU = Kind(lambda v: v in BROYDEN_MODES or _is_number(v), "a number or sr1/dfp/bfgs",
+           lambda v: v if isinstance(v, str) else float(v))
+SWITCH = Kind(lambda v: isinstance(v, bool), "true or false")
+
+# Each command's config keys: key -> (default, kind).  ``null`` is a value
+# only where the default is None.
+SYNTH_KEYS = {"n": (1000, INTEGER), "dim": (10, INTEGER), "pos_frac": (1.0 / 3.0, NUMBER),
+              "sep": (1.0, NUMBER), "out": (".", TEXT)}
+EXTRACT_KEYS = {"set": (1, INTEGER), "window": (2.0, NUMBER), "stride": (0.5, NUMBER),
+                "order": (4, INTEGER), "channels": ("auto", CHANNELS),
+                "corr_lags": (None, INTEGERS), "out": (".", TEXT)}
+FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
+    "solver": ("alt-gda", TEXT), "step_size": (None, NUMBER), "grad_tolerance": (1e-3, NUMBER),
+    "max_iterations": (50_000, INTEGER), "broyden_tau": ("sr1", TAU),
+    "direction_rule": ("greedy-basis", TEXT), "updates_per_iteration": (1, INTEGER),
+    "lambda": (1e-4, NUMBER), "baseline_tol": (None, NONNEGATIVE),
+    "baseline_max_iter": (10_000, INTEGER), "train_fraction": (0.8, NUMBER),
+    "threshold": (None, FINITE), "out": (".", TEXT),
 }
-FIT_DEFAULTS = {
-    "solver": "alt-gda",
-    "step_size": None,
-    "grad_tolerance": 1e-3,
-    "max_iterations": 50_000,
-    "lambda": 1e-4,
-    "broyden_tau": "sr1",
-    "direction_rule": "greedy-basis",
-    "updates_per_iteration": 1,
-    "baseline_tol": None,
-    "baseline_max_iter": 10_000,
-    "train_fraction": 0.8,
-    "threshold": None,
-    "out": ".",
-}
-TRAIN_DEFAULTS = {**FIT_DEFAULTS, "C": 1.0, "trace_auc": True}
-COMPARE_DEFAULTS = {**FIT_DEFAULTS, "c_grid": list(DEFAULT_C_GRID)}
+TRAIN_KEYS = {**FIT_KEYS, "C": (1.0, NUMBER), "trace_auc": (True, SWITCH)}
+COMPARE_KEYS = {**FIT_KEYS, "c_grid": (list(DEFAULT_C_GRID), NUMBERS)}
+EVAL_KEYS = {"out": (".", TEXT)}
 
 
 def main(argv=None) -> int:
@@ -140,8 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, help="window length in seconds")
     p.add_argument("--stride", type=float, help="stride in seconds")
     p.add_argument("--order", type=int, help="Butterworth filter order")
-    p.add_argument("--channels", help="'auto' or comma-separated 0-based channel rows")
-    p.add_argument("--corr-lags", dest="corr_lags", help="comma-separated sample lags")
+    p.add_argument("--channels", type=_parse_channels,
+                   help="'auto' or comma-separated 0-based channel rows")
+    p.add_argument("--corr-lags", dest="corr_lags", type=_parse_int_list,
+                   help="comma-separated sample lags")
     p.set_defaults(handler=_cmd_extract)
 
     def train_flags(p, threshold_help):
@@ -150,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", dest="grad_tolerance", type=float, help="gradient norm tolerance")
         p.add_argument("--max-iter", dest="max_iterations", type=int, help="iteration cap")
         p.add_argument("--lambda", dest="lambda", type=float, help="L2 regularization weight")
-        p.add_argument("--tau", dest="broyden_tau", help="Broyden tau in [0,1] or sr1/dfp/bfgs")
+        p.add_argument("--tau", dest="broyden_tau", type=_parse_tau,
+                       help="Broyden tau in [0,1] or sr1/dfp/bfgs")
         p.add_argument("--direction", dest="direction_rule",
                        choices=("greedy-basis", "random-gaussian"), help="quasi-Newton direction rule")
         p.add_argument("--k-updates", dest="updates_per_iteration", type=int,
@@ -183,7 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
     train_flags(p, "score threshold of the AUC model only; the tuned baselines keep "
                    "their 0.5 probability (logistic) and 0 margin (svm) cuts")
     p.add_argument("--solver", choices=METHODS, help="saddle solver for the AUC maximizer")
-    p.add_argument("--c-grid", dest="c_grid", help="comma-separated C grid for tuning")
+    p.add_argument("--c-grid", dest="c_grid", type=_parse_float_list,
+                   help="comma-separated C grid for tuning")
     p.set_defaults(handler=_cmd_compare)
     return parser
 
@@ -202,28 +233,38 @@ def _read_json_object(path, what: str) -> dict:
     return obj
 
 
-def _config(args, defaults: dict) -> dict:
-    """Each key of ``defaults`` from its flag, else the ``--config`` file, else
-    the default; then ``seed`` from ``--seed``, else the file (a JSON integer),
-    else ``$AUCMAX_SEED``, else 0.  Refuses a bad file or seed before any output."""
+def _config(args, table: dict) -> dict:
+    """Each key of ``table`` (``key: (default, kind)``) from its flag, else the
+    ``--config`` file, else the default, converted by its kind; then ``seed``
+    from ``--seed``, else the file (a JSON integer), else ``$AUCMAX_SEED``,
+    else 0.  Refuses a bad file, a value not of its key's kind and a negative
+    seed by name, before any input is read or output written."""
     file_cfg = _read_json_object(args.config, "config file") if args.config else {}
     eff = {}
-    for key, default in defaults.items():
+    for key, (default, kind) in table.items():
         flag = getattr(args, key, None)
-        eff[key] = flag if flag is not None else file_cfg.get(key, default)
+        value = flag if flag is not None else file_cfg.get(key, default)
+        if value is None and default is None:
+            eff[key] = None
+        elif kind.test(value):
+            eff[key] = kind.convert(value)
+        else:
+            raise ValueError(f"{key} must be {kind.what}")
     if args.seed is not None:
-        eff["seed"] = args.seed
+        seed = args.seed
     elif "seed" in file_cfg:
         seed = file_cfg["seed"]
-        if type(seed) is not int:               # JSON true/false load as bool, 1.7 as float
+        if not _is_int(seed):
             raise ValueError(f"{args.config}: seed must be an integer, got {json.dumps(seed)}")
-        eff["seed"] = seed
     else:
         env = os.environ.get(ENV_SEED, "0")
         try:
-            eff["seed"] = int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    eff["seed"] = seed
     return eff
 
 
@@ -251,35 +292,29 @@ def _write_table(out: Path, values, labels, names) -> dict:
     return {"features": "features.csv", "table": table_path("features.csv").name}
 
 
-def _parse_tau(raw):
-    if raw is None or isinstance(raw, (int, float)):
-        return raw
-    if raw in ("sr1", "dfp", "bfgs"):
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"--tau must be a number in [0,1] or sr1/dfp/bfgs, got {raw!r}") from None
+def _parse_tau(raw: str):
+    return raw if raw in BROYDEN_MODES else float(raw)
 
 
-def _parse_int_list(raw):
-    return [int(tok) for tok in str(raw).split(",") if tok != ""]
+def _parse_int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",") if tok != ""]
 
 
-def _parse_float_list(raw):
-    return [float(tok) for tok in str(raw).split(",") if tok != ""]
+def _parse_float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split(",") if tok != ""]
+
+
+def _parse_channels(raw: str):
+    return raw if raw == "auto" else _parse_int_list(raw)
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 def _cmd_synth(args) -> int:
-    eff = _config(args, SYNTH_DEFAULTS)
-    spec = SynthSpec(
-        n_samples=int(eff["n"]), n_features=int(eff["dim"]),
-        positive_fraction=float(eff["pos_frac"]), class_separation=float(eff["sep"]),
-        seed=eff["seed"],
-    )
+    eff = _config(args, SYNTH_KEYS)
+    spec = SynthSpec(n_samples=eff["n"], n_features=eff["dim"], positive_fraction=eff["pos_frac"],
+                     class_separation=eff["sep"], seed=eff["seed"])
     dataset = generate_synthetic(spec)
     out = _out_dir(eff)
     names = [f"f{i:03d}" for i in range(spec.n_features)]
@@ -306,21 +341,17 @@ def _signal_files(raw_paths) -> list[Path]:
 
 
 def _read_trial(path: Path):
-    if path.suffix == ".csv":
-        return read_signal_csv(path)
-    return read_signal_binary(path)
-
-
-def _resolve_channels(raw, n_channels: int) -> list[int]:
-    if raw is None or raw == "auto":
-        if n_channels >= 32:
-            return default_channel_indices()
-        return list(range(n_channels))
-    return _parse_int_list(raw)
+    """The trial stored in ``path``; every refusal names the file."""
+    try:
+        return read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
+    except ValueError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_extract(args) -> int:
-    eff = _config(args, EXTRACT_DEFAULTS)
+    eff = _config(args, EXTRACT_KEYS)
     eff.update(signals=list(args.signals), labels=args.labels)
 
     labels = read_trial_labels(args.labels)
@@ -328,7 +359,7 @@ def _cmd_extract(args) -> int:
     files = [p for p in _signal_files(args.signals) if p.resolve() != table]
     if not files:
         raise ValueError("no signal files found")
-    spec = WindowSpec(float(eff["window"]), float(eff["stride"]))
+    spec = WindowSpec(eff["window"], eff["stride"])
     set_id = set_level(eff["set"])
 
     all_rows, all_labels, layout = [], [], None
@@ -339,19 +370,20 @@ def _cmd_extract(args) -> int:
         trial_id = path.stem
         if trial_id not in labels:
             raise ValueError(f"missing label for trial {trial_id!r} in {args.labels}")
-        channels = _resolve_channels(eff["channels"], trial.n_channels)
-        corr_lags = (
-            _parse_int_list(eff["corr_lags"]) if eff["corr_lags"] is not None
-            else (0, int(round(trial.sampling_rate / 4.0)))
-        )
+        channels, corr_lags = eff["channels"], eff["corr_lags"]
+        if channels == "auto":                  # the standard montage needs >= 32 channels
+            n = trial.n_channels
+            channels = default_channel_indices() if n >= 32 else list(range(n))
+        if corr_lags is None:
+            corr_lags = default_corr_lags(trial.sampling_rate)
         fm = build_feature_sets(
             trial, channels=channels, spec=spec, set_id=set_id,
-            bands=DEFAULT_BANDS, filter_order=int(eff["order"]), corr_lags=corr_lags,
+            bands=DEFAULT_BANDS, filter_order=eff["order"], corr_lags=corr_lags,
         )
         if names is None:
             names = fm.feature_names
             layout = layout_manifest(channels, spec, DEFAULT_BANDS, set_id, corr_lags,
-                                     filter_order=int(eff["order"]))
+                                     filter_order=eff["order"])
         elif fm.feature_names != names:
             raise ValueError(f"{path}: trial produced an inconsistent feature layout")
         all_rows.append(fm.values)
@@ -366,10 +398,6 @@ def _cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval / compare helpers
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_positive_finite(values, subject: str) -> None:
     if not all(v > 0 for v in values):             # NaN is not positive
         raise ValueError(f"{subject} must be positive")
@@ -377,46 +405,28 @@ def _check_positive_finite(values, subject: str) -> None:
         raise ValueError(f"{subject} must be finite")
 
 
-def _load_split(args, defaults: dict):
+def _load_split(args, table: dict):
     """Resolve the config, load the feature CSV, split it stratified and fit
     the standardizer on the training part.
 
-    Refuses, before any output exists, a C grid that is not a non-empty list
-    of positive finite numbers, a C that is not one positive finite number,
-    a threshold that is not a finite number, and a lambda or a baseline
-    tolerance that is not a nonnegative finite number: none of them can be
-    fit or written as JSON.  Every refusal comes before the table is read."""
-    eff = _config(args, defaults)
+    Refuses, before the table is read, an empty C grid or one holding a C
+    that is not positive and finite, such a C, and a lambda that is not
+    nonnegative and finite: none of them can be fit or written as JSON."""
+    eff = _config(args, table)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
-        grid = eff["c_grid"]
-        if isinstance(grid, str):
-            grid = eff["c_grid"] = _parse_float_list(grid)
-        if not isinstance(grid, list) or not all(_is_number(c) for c in grid):
-            raise ValueError("c_grid must be a list of numbers")
-        if not grid:
+        if not eff["c_grid"]:
             raise ValueError("c_grid must name at least one C")
-        _check_positive_finite(grid, "c_grid: every C")
+        _check_positive_finite(eff["c_grid"], "c_grid: every C")
     if "C" in eff:
-        if not _is_number(eff["C"]):
-            raise ValueError("C must be a number")
         _check_positive_finite([eff["C"]], "C")
-    threshold = eff["threshold"]
-    if threshold is not None and not (_is_number(threshold) and math.isfinite(threshold)):
-        raise ValueError("threshold must be a finite number")
-    lam = eff["lambda"]
-    if not _is_number(lam):
-        raise ValueError("lambda must be a number")
-    if lam < 0:
+    if eff["lambda"] < 0:
         raise ValueError("lambda must be nonnegative")
-    if not math.isfinite(lam):
+    if not math.isfinite(eff["lambda"]):
         raise ValueError("lambda must be finite")
-    tol = eff["baseline_tol"]                   # None: the fits' default
-    if tol is not None and not (_is_number(tol) and 0 <= tol < math.inf):
-        raise ValueError("baseline_tol must be a nonnegative finite number")
 
     dataset, _ = load_labeled_csv(args.features)
-    spec = SplitSpec(train_fraction=float(eff["train_fraction"]), seed=eff["seed"])
+    spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
     return eff, dataset, train_std, test_std, standardizer
 
@@ -434,17 +444,9 @@ def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
 
 def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_auc: bool):
     """Solve the AUC saddle problem; returns the solver result and the model dict."""
-    config = SolverConfig(
-        method=eff["solver"],
-        step_size=eff["step_size"],
-        max_iterations=int(eff["max_iterations"]),
-        grad_tolerance=float(eff["grad_tolerance"]),
-        broyden_tau=_parse_tau(eff["broyden_tau"]),
-        direction_rule=eff["direction_rule"],
-        updates_per_iteration=int(eff["updates_per_iteration"]),
-        rng_seed=eff["seed"],
-    )
-    problem = AucProblem(train_std, lam=float(eff["lambda"]))
+    config = SolverConfig(method=eff["solver"], rng_seed=eff["seed"],
+                          **{f.name: eff[f.name] for f in fields(SolverConfig) if f.name in eff})
+    problem = AucProblem(train_std, lam=eff["lambda"])
     if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
         print(
             f"warning: qn-broyden on dimension {problem.dim_x + 1} "
@@ -463,10 +465,7 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
             )
     result = solve(problem, config, auc_eval=auc_eval)
     state = problem.unpack(result.final_x, result.final_y)
-    threshold = (
-        float(eff["threshold"]) if eff["threshold"] is not None
-        else (state.u + state.v) / 2.0
-    )
+    threshold = eff["threshold"] if eff["threshold"] is not None else (state.u + state.v) / 2.0
     model_dict = {
         "kind": "auc-linear",
         "w": state.w.tolist(),
@@ -474,7 +473,7 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
         "v": state.v,
         "y": state.y,
         "threshold": threshold,
-        "lambda": float(eff["lambda"]),
+        "lambda": eff["lambda"],
         "train_meta": {
             "standardizer": standardizer.to_dict(), **meta, "solver": eff["solver"],
             "converged": result.converged, "iterations": result.iterations_used,
@@ -486,7 +485,7 @@ def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_a
 def _fit_limits(eff) -> dict:
     """The baselines' ``tol`` and ``max_iter`` keyword arguments."""
     tol = eff["baseline_tol"]
-    return {"tol": tol if tol is not None else 1e-6, "max_iter": int(eff["baseline_max_iter"])}
+    return {"tol": tol if tol is not None else 1e-6, "max_iter": eff["baseline_max_iter"]}
 
 
 def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
@@ -500,30 +499,30 @@ def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dic
     stamp ``meta`` and the standardizer into ``train_meta``; the stored dict."""
     model = _fit_baseline(kind, train_std, C, eff)
     if threshold is not None:
-        model.threshold = float(threshold)
+        model.threshold = threshold
     model.train_meta.update(meta, standardizer=standardizer.to_dict())
     return model_to_dict(model)
 
 
 def _cmd_train(args) -> int:
-    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_DEFAULTS)
+    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
     outputs = {"model": "model.json", "report": "report.json"}
     common_meta = {
         "seed": eff["seed"],
-        "train_fraction": float(eff["train_fraction"]),
+        "train_fraction": eff["train_fraction"],
         "n_train": train_std.n_samples,
         "n_test": test_std.n_samples,
     }
 
     if eff["solver"] in ("logistic", "svm"):
-        model_dict = _baseline_model(eff["solver"], train_std, float(eff["C"]), eff,
+        model_dict = _baseline_model(eff["solver"], train_std, eff["C"], eff,
                                      standardizer, common_meta, eff["threshold"])
         fit_meta = model_dict["train_meta"]
         results_meta = {"converged": fit_meta["converged"],
                         "iterations_used": fit_meta["iterations"]}
     else:
         result, model_dict = _train_auc_model(
-            train_std, test_std, eff, standardizer, common_meta, bool(eff["trace_auc"])
+            train_std, test_std, eff, standardizer, common_meta, eff["trace_auc"]
         )
         outputs["trace"] = "trace.csv"
         results_meta = {"converged": result.converged,
@@ -548,7 +547,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    eff = _config(args, {"out": "."})
+    eff = _config(args, EVAL_KEYS)
     eff.update(features=args.features, model=args.model)
 
     dataset, _ = load_labeled_csv(args.features)
@@ -572,7 +571,7 @@ def _tune_baseline(kind: str, train_std, eff):
     earliest C wins a tie.  The SVM fits the whole grid in one call."""
     carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1)
     fit_part, val_part = split(train_std, carve)
-    grid = [float(c) for c in eff["c_grid"]]
+    grid = eff["c_grid"]
     if kind == "svm":
         models = fit_linear_svm_grid(fit_part, grid, **_fit_limits(eff))
     else:
@@ -590,7 +589,7 @@ def _tune_baseline(kind: str, train_std, eff):
 
 
 def _cmd_compare(args) -> int:
-    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_DEFAULTS)
+    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
 
     tuning = {}
     models = {}                                 # label -> (file name, model dict)

@@ -183,6 +183,8 @@ def write_feature_csv(path, features, labels, feature_names):
     names = list(feature_names)
     if x.ndim != 2 or x.shape != (y.size, len(names)):
         raise ValueError("features, labels and feature_names have inconsistent shapes")
+    if not names:                               # the reader needs a header naming one feature
+        raise ValueError("feature_names must name at least one feature")
     if len(set(names)) != len(names):
         raise ValueError("feature names must be unique")
     for name in names:

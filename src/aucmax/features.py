@@ -41,6 +41,7 @@ __all__ = [
     "DIFF_FIELDS",
     "FeatureMatrix",
     "default_channel_indices",
+    "default_corr_lags",
     "set_level",
     "feature_layout",
     "layout_manifest",
@@ -65,6 +66,11 @@ WINDOW_BLOCK = 16
 def default_channel_indices() -> list[int]:
     """0-based rows of the standard montage (requires >= 32 channels)."""
     return [c - 1 for c in DEFAULT_CHANNELS_1BASED]
+
+
+def default_corr_lags(sampling_rate: float) -> list[int]:
+    """Set4's correlation lags when none are given: 0 and a quarter second."""
+    return [0, int(round(sampling_rate / 4.0))]
 
 
 def set_level(set_id) -> int:
@@ -104,8 +110,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def feature_layout(channel_ids, bands=DEFAULT_BANDS, set_id="Set4",
-                   corr_lags=(0, 32)) -> dict[str, list[str]]:
+def feature_layout(channel_ids, bands, set_id, corr_lags) -> dict[str, list[str]]:
     """Ordered column names per block for the requested set level.
 
     ``channel_ids`` are the absolute trial rows used in the names, in
@@ -181,13 +186,15 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     if channels is None:
         channels = default_channel_indices()
     channels = [int(c) for c in channels]
+    if not channels:
+        raise ValueError("channels must name at least one channel")
     if len(set(channels)) != len(channels):
         raise ValueError("duplicate channel indices")
     for c in channels:
         if not 0 <= c < trial.n_channels:
             raise ValueError(f"channel index {c} out of range for {trial.n_channels}-channel trial")
     if corr_lags is None:
-        corr_lags = (0, int(round(fs / 4.0)))
+        corr_lags = default_corr_lags(fs)
     corr_lags = [int(t) for t in corr_lags]
 
     sub = TrialSignal(trial.samples[channels], fs, trial.pretrial_seconds)

@@ -12,6 +12,7 @@ row-major f64 samples.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,10 +91,10 @@ class TrialSignal:
             raise ValueError("samples must be a channels x time 2-D array")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples contain NaN or Inf")
-        if not self.sampling_rate > 0:
-            raise ValueError("sampling_rate must be positive")
-        if self.pretrial_seconds < 0:
-            raise ValueError("pretrial_seconds must be nonnegative")
+        if not 0 < self.sampling_rate < math.inf:
+            raise ValueError("sampling_rate must be a positive finite number")
+        if not 0 <= self.pretrial_seconds < math.inf:
+            raise ValueError("pretrial_seconds must be a nonnegative finite number")
         if self.samples.shape[1] <= self.pretrial_seconds * self.sampling_rate:
             raise ValueError("signal is not longer than its pre-trial stretch")
 
@@ -433,13 +434,14 @@ def _header_field(fields, index, key, path, offset):
         raise ValueError(
             f"{path}: corrupt signal header at byte {offset}: expected '{key}=<value>'"
         )
+    text = fields[index][len(key) + 1:]
     try:
-        return float(fields[index][len(key) + 1:])
+        value = float(text)
     except ValueError:
-        raise ValueError(
-            f"{path}: corrupt signal header at byte {offset}: bad {key} value "
-            f"{fields[index][len(key) + 1:]!r}"
-        ) from None
+        value = math.nan                        # refused below with nan and inf
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: corrupt signal header at byte {offset}: bad {key} value {text!r}")
+    return value
 
 
 def read_signal_csv(path) -> TrialSignal:
@@ -489,6 +491,9 @@ def read_signal_binary(path) -> TrialSignal:
             f"{path}: corrupt signal header at byte {len(raw)}: need {_BIN_HEADER.size} header bytes"
         )
     channels, samples, fs, pretrial = _BIN_HEADER.unpack_from(raw)
+    for key, value, offset in (("fs", fs, 8), ("pretrial", pretrial, 16)):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: corrupt signal header at byte {offset}: bad {key} value {value!r}")
     expected = _BIN_HEADER.size + channels * samples * 8
     if len(raw) != expected:
         raise ValueError(

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -831,3 +832,171 @@ def test_compare_rerun_byte_identical(tmp_path):
     first = snapshot(out)
     assert run(*args) == 0
     assert snapshot(out) == first
+
+
+# --- config keys: each value checked against its key's kind, whatever its source
+
+_NEWTON = ("--solver", "newton")
+_GDA = ("--solver", "alt-gda", "--max-iter", 30)
+_QN = ("--solver", "qn-broyden", "--max-iter", 10)
+_SVM = ("--solver", "svm", "--baseline-max-iter", 50)
+_TUNE = ("--c-grid", 1, "--baseline-max-iter", 50)      # compare's tuning, kept short
+_FIT_CASES = [      # key, flags both runs share, the key's flags, its config entries
+    ("step_size", _GDA, ("--eta", 0.05), {"step_size": 0.05}),
+    ("grad_tolerance", _GDA, ("--tol", 1), {"grad_tolerance": 1}),
+    ("max_iterations", ("--solver", "alt-gda"), ("--max-iter", 20), {"max_iterations": 20}),
+    ("lambda", _NEWTON, ("--lambda", 0.01), {"lambda": 0.01}),
+    ("broyden_tau", _QN, ("--tau", 1), {"broyden_tau": 1}),
+    ("direction_rule", _QN, ("--direction", "random-gaussian"),
+     {"direction_rule": "random-gaussian"}),
+    ("updates_per_iteration", _QN, ("--k-updates", 2), {"updates_per_iteration": 2}),
+    ("train_fraction", _NEWTON, ("--train-frac", 0.7), {"train_fraction": 0.7}),
+    ("threshold", _NEWTON, ("--threshold", 0), {"threshold": 0}),
+    ("seed", _NEWTON, ("--seed", 4), {"seed": 4}),
+]
+_KEY_CASES = {      # command -> its cli table and cases covering every key; each moves out too
+    "synth": ("SYNTH_KEYS", [
+        ("n", (), ("--n", 120), {"n": 120}),
+        ("dim", (), ("--dim", 3), {"dim": 3}),
+        ("pos_frac", (), ("--pos-frac", 0.25), {"pos_frac": 0.25}),
+        ("sep", (), ("--sep", 2), {"sep": 2}),
+        ("seed", (), ("--seed", 5), {"seed": 5}),
+    ]),
+    "extract": ("EXTRACT_KEYS", [
+        ("set", (), ("--set", 2), {"set": 2}),
+        ("window", (), ("--window", 1), {"window": 1}),
+        ("stride", (), ("--stride", 1), {"stride": 1}),
+        ("order", (), ("--order", 3), {"order": 3}),
+        ("channels", (), ("--channels", "0,2"), {"channels": [0, 2]}),
+        ("corr_lags", ("--set", 4), ("--corr-lags", "0,4"), {"corr_lags": [0, 4]}),
+        ("seed", (), ("--seed", 5), {"seed": 5}),
+    ]),
+    "train": ("TRAIN_KEYS", _FIT_CASES + [
+        ("solver", (), ("--solver", "newton"), {"solver": "newton"}),
+        ("baseline_tol", _SVM, ("--baseline-tol", 0.001), {"baseline_tol": 0.001}),
+        ("baseline_max_iter", ("--solver", "svm"), ("--baseline-max-iter", 40),
+         {"baseline_max_iter": 40}),
+        ("C", _SVM, ("--C", 2), {"C": 2}),
+        ("trace_auc", _NEWTON, ("--no-trace-auc",), {"trace_auc": False}),
+    ]),
+    "compare": ("COMPARE_KEYS", [(key, (*shared, *_TUNE), flags, entries)
+                                   for key, shared, flags, entries in _FIT_CASES] + [
+        ("solver", _TUNE, ("--solver", "newton"), {"solver": "newton"}),
+        ("baseline_tol", (*_NEWTON, *_TUNE), ("--baseline-tol", 0.001), {"baseline_tol": 0.001}),
+        ("baseline_max_iter", (*_NEWTON, "--c-grid", 1), ("--baseline-max-iter", 40),
+         {"baseline_max_iter": 40}),
+        ("c_grid", (*_NEWTON, "--baseline-max-iter", 50), ("--c-grid", "1,10"),
+         {"c_grid": [1, 10]}),
+    ]),
+    "eval": ("EVAL_KEYS", [("seed", (), ("--seed", 5), {"seed": 5})]),
+}
+
+
+def test_every_key_by_flag_or_by_config_writes_the_same_bytes(tmp_path):
+    """Each case runs twice into one --out: once with the key (and --out) as
+    flags, once with them in --config.  The kind's conversion makes the two
+    directories byte-identical, manifests included."""
+    table = synth_csv(tmp_path, n=120, dim=3)
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=2, n_channels=4, seconds=8.0)
+    assert run("train", "--features", table, "--solver", "newton", "--out", tmp_path / "m") == 0
+    inputs = {
+        "synth": (), "extract": ("--signals", sig_dir, "--labels", labels),
+        "train": ("--features", table), "compare": ("--features", table),
+        "eval": ("--features", table, "--model", tmp_path / "m" / "model.json"),
+    }
+    config = tmp_path / "config.json"
+    for command, (table_name, cases) in _KEY_CASES.items():
+        keys = getattr(cli, table_name)
+        assert {case[0] for case in cases} | {"out"} == set(keys) | {"seed"}, command
+        for key, shared, flags, entries in cases:
+            out = tmp_path / "runs" / command / key
+            assert run(command, *inputs[command], *shared, *flags, "--out", out) == 0, (command, key)
+            by_flag = snapshot(out)
+            config.write_text(json.dumps({**entries, "out": str(out)}))
+            assert run(command, *inputs[command], *shared, "--config", config) == 0, (command, key)
+            assert snapshot(out) == by_flag, (command, key)
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("synth", {"n": 1.7}, "n must be an integer"),
+    ("synth", {"n": None}, "n must be an integer"),
+    ("synth", {"pos_frac": "0.5"}, "pos_frac must be a number"),
+    ("extract", {"order": 4.5}, "order must be an integer"),
+    ("extract", {"channels": "no"}, 'channels must be "auto" or a list of integers'),
+    ("extract", {"channels": [0, "1"]}, 'channels must be "auto" or a list of integers'),
+    ("extract", {"corr_lags": [0, "1"]}, "corr_lags must be a list of integers"),
+    ("train", {"max_iterations": 1.7}, "max_iterations must be an integer"),
+    ("train", {"updates_per_iteration": 2.9}, "updates_per_iteration must be an integer"),
+    ("train", {"step_size": "0.5"}, "step_size must be a number"),
+    ("train", {"grad_tolerance": True}, "grad_tolerance must be a number"),
+    ("train", {"solver": True}, "solver must be text"),
+    ("train", {"broyden_tau": "0.5"}, "broyden_tau must be a number or sr1/dfp/bfgs"),
+    ("train", {"trace_auc": "no"}, "trace_auc must be true or false"),
+    ("compare", {"direction_rule": [0, "1"]}, "direction_rule must be text"),
+    ("compare", {"baseline_max_iter": True}, "baseline_max_iter must be an integer"),
+    ("eval", {"out": 1.7}, "out must be text"),
+    ("train", ("--seed", -1), "seed must be nonnegative, got -1"),
+    ("extract", {"seed": -2}, "seed must be nonnegative, got -2"),
+    ("synth", "env", "seed must be nonnegative, got -3"),
+])
+def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, source, message):
+    work = []                                   # no input is read and nothing runs
+    for name in ("generate_synthetic", "read_trial_labels", "read_signal_csv",
+                 "read_signal_binary", "load_labeled_csv", "solve", "fit_logistic",
+                 "fit_linear_svm", "fit_linear_svm_grid"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
+    inputs = {
+        "synth": (), "extract": ("--signals", tmp_path, "--labels", tmp_path / "labels.csv"),
+        "train": ("--features", tmp_path / "f.csv"), "compare": ("--features", tmp_path / "f.csv"),
+        "eval": ("--features", tmp_path / "f.csv", "--model", tmp_path / "model.json"),
+    }[command]
+    out = tmp_path / "out"
+    out_flag = ("--out", out)
+    if source == "env":
+        monkeypatch.setenv("AUCMAX_SEED", "-3")
+        source = ()
+    elif isinstance(source, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(source))
+        out_flag = () if "out" in source else out_flag
+        source = ("--config", config)
+    assert run(command, *inputs, *source, *out_flag) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert work == []
+
+
+@pytest.mark.parametrize("name, write, message", [
+    ("nan.csv", lambda p: p.write_text("fs=128,pretrial=0,channels=1\n1.0,nan,3.0\n"),
+     "samples contain NaN or Inf"),
+    ("inf.bin", lambda p: p.write_bytes(struct.pack("<IIdd", 1, 3, 128.0, 0.0)
+                                        + np.array([1.0, np.inf, 3.0]).tobytes()),
+     "samples contain NaN or Inf"),
+    ("rate.bin", lambda p: p.write_bytes(struct.pack("<IIdd", 1, 3, 0.0, 0.0) + bytes(24)),
+     "sampling_rate must be a positive finite number"),
+    ("short.csv", lambda p: p.write_text("fs=1,pretrial=5,channels=1\n1.0,2.0,3.0\n"),
+     "signal is not longer than its pre-trial stretch"),
+], ids=["nan-sample", "inf-sample", "zero-rate", "all-pretrial"])
+def test_extract_refusal_names_the_trial_file(tmp_path, capsys, name, write, message):
+    sig_dir = tmp_path / "signals"
+    sig_dir.mkdir()
+    write(sig_dir / name)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"trial,label\n{name.split('.')[0]},+1\n")
+    assert run("extract", "--signals", sig_dir, "--labels", labels, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == f"error: {sig_dir / name}: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("source", [("--channels=",), {"channels": []}], ids=["flag", "config"])
+def test_extract_empty_channel_list_refused(tmp_path, capsys, source):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=4, seconds=8.0)
+    if isinstance(source, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(source))
+        source = ("--config", config)
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", sig_dir, "--labels", labels, *source, "--out", out) == 1
+    assert capsys.readouterr().err == "error: channels must name at least one channel\n"
+    assert not out.exists()

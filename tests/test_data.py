@@ -310,6 +310,13 @@ def test_feature_csv_writer_rejects_unreadable_names(tmp_path, bad):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_feature_csv_writer_rejects_zero_feature_names(tmp_path):
+    with pytest.raises(ValueError, match="^feature_names must name at least one feature$"):
+        write_feature_csv(tmp_path / "x.csv", np.zeros((2, 0)), [1, -1], [])
+    assert not (tmp_path / "x.csv").exists()
+    assert not table_path(tmp_path / "x.csv").exists()
+
+
 def test_feature_csv_header_only(tmp_path):
     path = _csv(tmp_path, "label,f0,f1\n")
     features, labels, names = read_feature_csv(path)

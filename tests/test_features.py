@@ -108,6 +108,13 @@ def test_channel_index_out_of_range():
         build_feature_sets(trial, set_id="Set1")     # default montage needs 32 channels
 
 
+def test_empty_channel_list_refused():
+    trial = make_trial(n_channels=4, seconds=10.0, pretrial=0.0)
+    for level in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="^channels must name at least one channel$"):
+            build_feature_sets(trial, channels=[], set_id=level)
+
+
 def test_trial_too_short_for_one_window():
     trial = TrialSignal(np.random.default_rng(0).standard_normal((2, 200)), FS)
     with pytest.raises(ValueError, match="exceeds"):

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -542,3 +545,47 @@ def test_signal_binary_truncated(tmp_path):
     path.write_bytes(b"\x01\x00")
     with pytest.raises(ValueError, match="byte"):
         read_signal_binary(path)
+
+
+@pytest.mark.parametrize("rate, pretrial, message", [
+    (math.nan, 0.0, "sampling_rate must be a positive finite number"),
+    (math.inf, 0.0, "sampling_rate must be a positive finite number"),
+    (0.0, 0.0, "sampling_rate must be a positive finite number"),
+    (128.0, math.nan, "pretrial_seconds must be a nonnegative finite number"),
+    (128.0, math.inf, "pretrial_seconds must be a nonnegative finite number"),
+    (128.0, -1.0, "pretrial_seconds must be a nonnegative finite number"),
+])
+def test_trial_signal_refuses_non_finite_rate_or_pretrial(rate, pretrial, message):
+    with pytest.raises(ValueError) as excinfo:
+        TrialSignal(np.zeros((1, 8)), rate, pretrial_seconds=pretrial)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("header, offset, key, text", [
+    ("fs=nan,pretrial=0,channels=1", 0, "fs", "nan"),
+    ("fs=inf,pretrial=0,channels=1", 0, "fs", "inf"),
+    ("fs=128,pretrial=nan,channels=1", 7, "pretrial", "nan"),
+    ("fs=128,pretrial=0,channels=nan", 18, "channels", "nan"),
+    ("fs=128,pretrial=0,channels=inf", 18, "channels", "inf"),
+])
+def test_signal_csv_non_finite_header_value_names_the_file(tmp_path, header, offset, key, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1.0,2.0,3.0\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_csv(path)
+    assert str(excinfo.value) == (
+        f"{path}: corrupt signal header at byte {offset}: bad {key} value {text!r}")
+
+
+@pytest.mark.parametrize("rate, pretrial, offset, key", [
+    (math.nan, 0.0, 8, "fs"), (math.inf, 0.0, 8, "fs"), (128.0, math.nan, 16, "pretrial"),
+])
+def test_signal_binary_non_finite_header_value_names_the_file(tmp_path, rate, pretrial,
+                                                              offset, key):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(struct.pack("<IIdd", 1, 3, rate, pretrial) + np.ones(3).tobytes())
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_binary(path)
+    value = rate if key == "fs" else pretrial
+    assert str(excinfo.value) == (
+        f"{path}: corrupt signal header at byte {offset}: bad {key} value {value!r}")
