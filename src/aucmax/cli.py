@@ -51,7 +51,6 @@ from .features import (
     default_corr_lags,
     layout_manifest,
     read_trial_labels,
-    set_level,
 )
 from .metrics import (
     REPORT_CSV_HEADER,
@@ -63,7 +62,9 @@ from .metrics import (
 )
 from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
-from .solvers import BROYDEN_MODES, METHODS, SolverConfig, solve, write_trace_csv
+from .solvers import (
+    BROYDEN_MODES, DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
+)
 
 ENV_SEED = "AUCMAX_SEED"
 EXIT_OK, EXIT_ERROR, EXIT_USAGE = 0, 1, 2
@@ -82,46 +83,103 @@ def _is_number(value) -> bool:
 
 
 class Kind(NamedTuple):
-    """What a config value must be: ``test`` accepts it, ``what`` names it in
-    the refusal, ``convert`` gives the value that runs and is echoed."""
+    """What a key's value must be: ``test`` accepts a config value, ``what``
+    names it in the refusal, ``convert`` gives the value that runs and is
+    echoed, ``parse`` reads the flag's text, and ``choices``, where given,
+    are the flag's only values."""
 
     test: Callable[[object], bool]
     what: str
     convert: Callable = lambda value: value
+    parse: Callable[[str], object] = str
+    choices: tuple | None = None
 
 
-INTEGER = Kind(_is_int, "an integer")
-NUMBER = Kind(_is_number, "a number", float)
-FINITE = Kind(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
+def choice(options: tuple) -> Kind:
+    """The kind whose values are exactly ``options``, all of one type."""
+    of_type = type(options[0])
+    return Kind(lambda v: type(v) is of_type and v in options,
+                "one of " + ", ".join(map(str, options)), parse=of_type, choices=options)
+
+
+INTEGER = Kind(_is_int, "an integer", parse=int)
+NUMBER = Kind(_is_number, "a number", float, float)
+FINITE = Kind(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float, float)
 NONNEGATIVE = Kind(lambda v: _is_number(v) and 0 <= v < math.inf,
-                   "a nonnegative finite number", float)
+                   "a nonnegative finite number", float, float)
 NUMBERS = Kind(lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers",
-               lambda v: [float(c) for c in v])
-INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
-CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers')
+               lambda v: [float(c) for c in v],
+               lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
+INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers",
+                parse=lambda raw: [int(tok) for tok in raw.split(",") if tok != ""])
+CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers',
+                parse=lambda raw: raw if raw == "auto" else INTEGERS.parse(raw))
 TEXT = Kind(lambda v: isinstance(v, str), "text")
 TAU = Kind(lambda v: v in BROYDEN_MODES or _is_number(v), "a number or sr1/dfp/bfgs",
-           lambda v: v if isinstance(v, str) else float(v))
-SWITCH = Kind(lambda v: isinstance(v, bool), "true or false")
+           lambda v: v if isinstance(v, str) else float(v),
+           lambda raw: raw if raw in BROYDEN_MODES else float(raw))
+SWITCH = Kind(lambda v: isinstance(v, bool), "true or false")   # a --key/--no-key flag pair
 
-# Each command's config keys: key -> (default, kind).  ``null`` is a value
-# only where the default is None.
-SYNTH_KEYS = {"n": (1000, INTEGER), "dim": (10, INTEGER), "pos_frac": (1.0 / 3.0, NUMBER),
-              "sep": (1.0, NUMBER), "out": (".", TEXT)}
-EXTRACT_KEYS = {"set": (1, INTEGER), "window": (2.0, NUMBER), "stride": (0.5, NUMBER),
-                "order": (4, INTEGER), "channels": ("auto", CHANNELS),
-                "corr_lags": (None, INTEGERS), "out": (".", TEXT)}
-FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
-    "solver": ("alt-gda", TEXT), "step_size": (None, NUMBER), "grad_tolerance": (1e-3, NUMBER),
-    "max_iterations": (50_000, INTEGER), "broyden_tau": ("sr1", TAU),
-    "direction_rule": ("greedy-basis", TEXT), "updates_per_iteration": (1, INTEGER),
-    "lambda": (1e-4, NUMBER), "baseline_tol": (None, NONNEGATIVE),
-    "baseline_max_iter": (10_000, INTEGER), "train_fraction": (0.8, NUMBER),
-    "threshold": (None, FINITE), "out": (".", TEXT),
+
+class Key(NamedTuple):
+    """One config key: its default, its kind, its flag's help and, only where
+    it is not ``--`` plus the key with ``_`` as ``-``, its flag's spelling.
+    ``null`` is a value only where the default is None."""
+
+    default: object
+    kind: Kind
+    help: str
+    flag: str | None = None
+
+
+# Each command's config keys, and so its flags.
+OUT = {"out": Key(".", TEXT, "output directory (created if missing)")}
+SYNTH_KEYS = {
+    **OUT,
+    "n": Key(1000, INTEGER, "number of samples"),
+    "dim": Key(10, INTEGER, "number of features"),
+    "pos_frac": Key(1.0 / 3.0, NUMBER, "positive-class fraction"),
+    "sep": Key(1.0, NUMBER, "class mean separation"),
 }
-TRAIN_KEYS = {**FIT_KEYS, "C": (1.0, NUMBER), "trace_auc": (True, SWITCH)}
-COMPARE_KEYS = {**FIT_KEYS, "c_grid": (list(DEFAULT_C_GRID), NUMBERS)}
-EVAL_KEYS = {"out": (".", TEXT)}
+EXTRACT_KEYS = {
+    **OUT,
+    "set": Key(1, choice((1, 2, 3, 4)), "cumulative feature set"),
+    "window": Key(2.0, NUMBER, "window length in seconds"),
+    "stride": Key(0.5, NUMBER, "stride in seconds"),
+    "order": Key(4, INTEGER, "Butterworth filter order"),
+    "channels": Key("auto", CHANNELS, "'auto' or comma-separated 0-based channel rows"),
+    "corr_lags": Key(None, INTEGERS, "comma-separated sample lags"),
+}
+FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
+    **OUT,
+    "step_size": Key(None, NUMBER, "first-order step size", "--eta"),
+    "grad_tolerance": Key(1e-3, NUMBER, "gradient norm tolerance", "--tol"),
+    "max_iterations": Key(50_000, INTEGER, "iteration cap", "--max-iter"),
+    "lambda": Key(1e-4, NUMBER, "L2 regularization weight"),
+    "broyden_tau": Key("sr1", TAU, "Broyden tau in [0,1] or sr1/dfp/bfgs", "--tau"),
+    "direction_rule": Key("greedy-basis", choice(DIRECTION_RULES), "quasi-Newton direction rule",
+                          "--direction"),
+    "updates_per_iteration": Key(1, INTEGER, "curvature updates per quasi-Newton iteration",
+                                 "--k-updates"),
+    "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance"),
+    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap"),
+    "train_fraction": Key(0.8, NUMBER, "train split fraction", "--train-frac"),
+}
+TRAIN_KEYS = {
+    **FIT_KEYS,
+    "C": Key(1.0, NUMBER, "baseline trade-off parameter"),
+    "threshold": Key(None, FINITE, "classification threshold override"),
+    "solver": Key("alt-gda", choice(SOLVER_CHOICES), "saddle solver or baseline"),
+    "trace_auc": Key(True, SWITCH, "record train/test AUC on every trace row (default)"),
+}
+COMPARE_KEYS = {                # no C: compare tunes it over c_grid
+    **FIT_KEYS,
+    "threshold": Key(None, FINITE, "score threshold of the AUC model only; the tuned baselines "
+                     "keep their 0.5 probability (logistic) and 0 margin (svm) cuts"),
+    "solver": Key("alt-gda", choice(METHODS), "saddle solver for the AUC maximizer"),
+    "c_grid": Key(list(DEFAULT_C_GRID), NUMBERS, "comma-separated C grid for tuning"),
+}
+EVAL_KEYS = OUT
 
 
 def main(argv=None) -> int:
@@ -144,79 +202,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"aucmax {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    features = {"--features": {"help": "feature CSV (label column first)"}}
+    commands = (        # name, help, handler, key table (one flag per key), input paths
+        ("synth", "generate a synthetic imbalanced feature CSV", _cmd_synth, SYNTH_KEYS, {}),
+        ("extract", "extract feature sets from trial signal files", _cmd_extract, EXTRACT_KEYS,
+         {"--signals": {"nargs": "+", "help": "signal files (.csv/.bin) or directories of them"},
+          "--labels": {"help": "sidecar CSV mapping trial id to +1/-1"}}),
+        ("train", "split, standardize, and train one model", _cmd_train, TRAIN_KEYS, features),
+        ("eval", "evaluate a stored model on a feature CSV", _cmd_eval, EVAL_KEYS,
+         {**features, "--model": {"help": "model JSON produced by train/compare"}}),
+        ("compare", "tuned logistic vs tuned SVM vs the AUC maximizer", _cmd_compare,
+         COMPARE_KEYS, features),
+    )
+    for name, command_help, handler, table, inputs in commands:
+        p = sub.add_parser(name, help=command_help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
-        p.add_argument("--out", help="output directory (created if missing)")
-
-    p = sub.add_parser("synth", help="generate a synthetic imbalanced feature CSV")
-    common(p)
-    p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--dim", type=int, help="number of features")
-    p.add_argument("--pos-frac", dest="pos_frac", type=float, help="positive-class fraction")
-    p.add_argument("--sep", type=float, help="class mean separation")
-    p.set_defaults(handler=_cmd_synth)
-
-    p = sub.add_parser("extract", help="extract feature sets from trial signal files")
-    common(p)
-    p.add_argument("--signals", nargs="+", required=True,
-                   help="signal files (.csv/.bin) or directories of them")
-    p.add_argument("--labels", required=True, help="sidecar CSV mapping trial id to +1/-1")
-    p.add_argument("--set", type=int, choices=(1, 2, 3, 4), help="cumulative feature set")
-    p.add_argument("--window", type=float, help="window length in seconds")
-    p.add_argument("--stride", type=float, help="stride in seconds")
-    p.add_argument("--order", type=int, help="Butterworth filter order")
-    p.add_argument("--channels", type=_parse_channels,
-                   help="'auto' or comma-separated 0-based channel rows")
-    p.add_argument("--corr-lags", dest="corr_lags", type=_parse_int_list,
-                   help="comma-separated sample lags")
-    p.set_defaults(handler=_cmd_extract)
-
-    def train_flags(p, threshold_help):
-        p.add_argument("--features", required=True, help="feature CSV (label column first)")
-        p.add_argument("--eta", dest="step_size", type=float, help="first-order step size")
-        p.add_argument("--tol", dest="grad_tolerance", type=float, help="gradient norm tolerance")
-        p.add_argument("--max-iter", dest="max_iterations", type=int, help="iteration cap")
-        p.add_argument("--lambda", dest="lambda", type=float, help="L2 regularization weight")
-        p.add_argument("--tau", dest="broyden_tau", type=_parse_tau,
-                       help="Broyden tau in [0,1] or sr1/dfp/bfgs")
-        p.add_argument("--direction", dest="direction_rule",
-                       choices=("greedy-basis", "random-gaussian"), help="quasi-Newton direction rule")
-        p.add_argument("--k-updates", dest="updates_per_iteration", type=int,
-                       help="curvature updates per quasi-Newton iteration")
-        p.add_argument("--C", type=float, help="baseline trade-off parameter")
-        p.add_argument("--baseline-tol", dest="baseline_tol", type=float, help="baseline tolerance")
-        p.add_argument("--baseline-max-iter", dest="baseline_max_iter", type=int,
-                       help="baseline iteration cap")
-        p.add_argument("--train-frac", dest="train_fraction", type=float, help="train split fraction")
-        p.add_argument("--threshold", type=float, help=threshold_help)
-
-    p = sub.add_parser("train", help="split, standardize, and train one model")
-    common(p)
-    train_flags(p, "classification threshold override")
-    p.add_argument("--solver", choices=SOLVER_CHOICES, help="saddle solver or baseline")
-    auc_trace = p.add_mutually_exclusive_group()
-    auc_trace.add_argument("--trace-auc", dest="trace_auc", action="store_true", default=None,
-                           help="record train/test AUC on every trace row (default)")
-    auc_trace.add_argument("--no-trace-auc", dest="trace_auc", action="store_false", default=None)
-    p.set_defaults(handler=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a stored model on a feature CSV")
-    common(p)
-    p.add_argument("--features", required=True, help="feature CSV (label column first)")
-    p.add_argument("--model", required=True, help="model JSON produced by train/compare")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("compare", help="tuned logistic vs tuned SVM vs the AUC maximizer")
-    common(p)
-    train_flags(p, "score threshold of the AUC model only; the tuned baselines keep "
-                   "their 0.5 probability (logistic) and 0 margin (svm) cuts")
-    p.add_argument("--solver", choices=METHODS, help="saddle solver for the AUC maximizer")
-    p.add_argument("--c-grid", dest="c_grid", type=_parse_float_list,
-                   help="comma-separated C grid for tuning")
-    p.set_defaults(handler=_cmd_compare)
+        for flag, options in inputs.items():
+            p.add_argument(flag, required=True, **options)
+        for key, entry in table.items():
+            _add_flag(p, key, entry)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _add_flag(p: argparse.ArgumentParser, key: str, entry: Key) -> None:
+    """Add ``key``'s flag, whose text its kind parses, or a switch's ``--no-`` pair."""
+    flag = entry.flag or "--" + key.replace("_", "-")
+    if entry.kind is SWITCH:
+        pair = p.add_mutually_exclusive_group()
+        pair.add_argument(flag, dest=key, action="store_true", default=None, help=entry.help)
+        pair.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
+        return
+    kind = entry.kind
+
+    def parse(raw: str):
+        try:
+            return kind.parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not {kind.what}") from None
+
+    p.add_argument(flag, dest=key, type=parse, choices=kind.choices, help=entry.help)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +260,15 @@ def _read_json_object(path, what: str) -> dict:
 
 
 def _config(args, table: dict) -> dict:
-    """Each key of ``table`` (``key: (default, kind)``) from its flag, else the
+    """Each key of ``table`` (``key: Key``) from its flag, else the
     ``--config`` file, else the default, converted by its kind; then ``seed``
     from ``--seed``, else the file (a JSON integer), else ``$AUCMAX_SEED``,
     else 0.  Refuses a bad file, a value not of its key's kind and a negative
     seed by name, before any input is read or output written."""
     file_cfg = _read_json_object(args.config, "config file") if args.config else {}
     eff = {}
-    for key, (default, kind) in table.items():
-        flag = getattr(args, key, None)
+    for key, (default, kind, *_) in table.items():
+        flag = getattr(args, key)
         value = flag if flag is not None else file_cfg.get(key, default)
         if value is None and default is None:
             eff[key] = None
@@ -292,22 +318,6 @@ def _write_table(out: Path, values, labels, names) -> dict:
     return {"features": "features.csv", "table": table_path("features.csv").name}
 
 
-def _parse_tau(raw: str):
-    return raw if raw in BROYDEN_MODES else float(raw)
-
-
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok != ""]
-
-
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok != ""]
-
-
-def _parse_channels(raw: str):
-    return raw if raw == "auto" else _parse_int_list(raw)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -340,33 +350,22 @@ def _signal_files(raw_paths) -> list[Path]:
     return files
 
 
-def _read_trial(path: Path):
-    """The trial stored in ``path``; every refusal names the file."""
-    try:
-        return read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
-    except ValueError as exc:
-        if str(exc).startswith(f"{path}: "):
-            raise
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _cmd_extract(args) -> int:
     eff = _config(args, EXTRACT_KEYS)
     eff.update(signals=list(args.signals), labels=args.labels)
+    spec = WindowSpec(eff["window"], eff["stride"])
 
     labels = read_trial_labels(args.labels)
     table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
     files = [p for p in _signal_files(args.signals) if p.resolve() != table]
     if not files:
         raise ValueError("no signal files found")
-    spec = WindowSpec(eff["window"], eff["stride"])
-    set_id = set_level(eff["set"])
 
     all_rows, all_labels, layout = [], [], None
     names = None
     trials_meta = []
     for path in files:
-        trial = _read_trial(path)
+        trial = read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
         trial_id = path.stem
         if trial_id not in labels:
             raise ValueError(f"missing label for trial {trial_id!r} in {args.labels}")
@@ -377,12 +376,12 @@ def _cmd_extract(args) -> int:
         if corr_lags is None:
             corr_lags = default_corr_lags(trial.sampling_rate)
         fm = build_feature_sets(
-            trial, channels=channels, spec=spec, set_id=set_id,
+            trial, channels=channels, spec=spec, set_id=eff["set"],
             bands=DEFAULT_BANDS, filter_order=eff["order"], corr_lags=corr_lags,
         )
         if names is None:
             names = fm.feature_names
-            layout = layout_manifest(channels, spec, DEFAULT_BANDS, set_id, corr_lags,
+            layout = layout_manifest(channels, spec, DEFAULT_BANDS, eff["set"], corr_lags,
                                      filter_order=eff["order"])
         elif fm.feature_names != names:
             raise ValueError(f"{path}: trial produced an inconsistent feature layout")
@@ -406,12 +405,11 @@ def _check_positive_finite(values, subject: str) -> None:
 
 
 def _load_split(args, table: dict):
-    """Resolve the config, load the feature CSV, split it stratified and fit
-    the standardizer on the training part.
-
-    Refuses, before the table is read, an empty C grid or one holding a C
-    that is not positive and finite, such a C, and a lambda that is not
-    nonnegative and finite: none of them can be fit or written as JSON."""
+    """Resolve the config and the saddle solver's ``SolverConfig`` (None for a
+    baseline), load the feature CSV, split it stratified and fit the
+    standardizer on the training part.  Before the table is read, refuses an
+    empty C grid, a C that is not positive and finite, a lambda that is not
+    nonnegative and finite, and what ``SplitSpec`` or ``SolverConfig`` refuse."""
     eff = _config(args, table)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
@@ -424,11 +422,15 @@ def _load_split(args, table: dict):
         raise ValueError("lambda must be nonnegative")
     if not math.isfinite(eff["lambda"]):
         raise ValueError("lambda must be finite")
+    spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
+    config = SolverConfig(
+        method=eff["solver"], rng_seed=eff["seed"],
+        **{f.name: eff[f.name] for f in fields(SolverConfig) if f.name in eff},
+    ) if eff["solver"] in METHODS else None
 
     dataset, _ = load_labeled_csv(args.features)
-    spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
-    return eff, dataset, train_std, test_std, standardizer
+    return eff, config, dataset, train_std, test_std, standardizer
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
@@ -442,10 +444,8 @@ def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
     return classification_report(labels, np.where(scores > cut, 1, -1), scores)
 
 
-def _train_auc_model(train_std, test_std, eff, standardizer, meta: dict, trace_auc: bool):
+def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict, trace_auc: bool):
     """Solve the AUC saddle problem; returns the solver result and the model dict."""
-    config = SolverConfig(method=eff["solver"], rng_seed=eff["seed"],
-                          **{f.name: eff[f.name] for f in fields(SolverConfig) if f.name in eff})
     problem = AucProblem(train_std, lam=eff["lambda"])
     if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
         print(
@@ -505,7 +505,7 @@ def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dic
 
 
 def _cmd_train(args) -> int:
-    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
+    eff, config, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
     outputs = {"model": "model.json", "report": "report.json"}
     common_meta = {
         "seed": eff["seed"],
@@ -514,7 +514,7 @@ def _cmd_train(args) -> int:
         "n_test": test_std.n_samples,
     }
 
-    if eff["solver"] in ("logistic", "svm"):
+    if config is None:
         model_dict = _baseline_model(eff["solver"], train_std, eff["C"], eff,
                                      standardizer, common_meta, eff["threshold"])
         fit_meta = model_dict["train_meta"]
@@ -522,7 +522,7 @@ def _cmd_train(args) -> int:
                         "iterations_used": fit_meta["iterations"]}
     else:
         result, model_dict = _train_auc_model(
-            train_std, test_std, eff, standardizer, common_meta, eff["trace_auc"]
+            train_std, test_std, eff, config, standardizer, common_meta, eff["trace_auc"]
         )
         outputs["trace"] = "trace.csv"
         results_meta = {"converged": result.converged,
@@ -589,7 +589,7 @@ def _tune_baseline(kind: str, train_std, eff):
 
 
 def _cmd_compare(args) -> int:
-    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
+    eff, config, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
 
     tuning = {}
     models = {}                                 # label -> (file name, model dict)
@@ -599,7 +599,7 @@ def _cmd_compare(args) -> int:
         models[label] = (f"model_{kind}.json",
                          _baseline_model(kind, train_std, best_c, eff, standardizer, {}))
     result, auc_model = _train_auc_model(
-        train_std, test_std, eff, standardizer, {"seed": eff["seed"]}, trace_auc=False
+        train_std, test_std, eff, config, standardizer, {"seed": eff["seed"]}, trace_auc=False
     )
     models["auc-max"] = ("model_auc.json", auc_model)
 

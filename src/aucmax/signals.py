@@ -444,6 +444,14 @@ def _header_field(fields, index, key, path, offset):
     return value
 
 
+def _trial(path, samples: np.ndarray, fs: float, pretrial: float) -> TrialSignal:
+    """The trial read from ``path``; a ``TrialSignal`` refusal names the file."""
+    try:
+        return TrialSignal(samples, fs, pretrial)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_signal_csv(path) -> TrialSignal:
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -474,7 +482,7 @@ def read_signal_csv(path) -> TrialSignal:
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise ValueError(f"{path}: malformed signal file: channel rows have unequal lengths {sorted(lengths)}")
-    return TrialSignal(np.stack(rows), fs, pretrial)
+    return _trial(path, np.stack(rows), fs, pretrial)
 
 
 def write_signal_binary(trial: TrialSignal, path):
@@ -501,4 +509,4 @@ def read_signal_binary(path) -> TrialSignal:
             f"{channels}x{samples} samples, found {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<f8", offset=_BIN_HEADER.size).reshape(channels, samples)
-    return TrialSignal(data.copy(), fs, pretrial)
+    return _trial(path, data.copy(), fs, pretrial)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -657,6 +658,7 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, messag
 
 
 TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
+FRACTION_MESSAGE = "train_fraction must lie strictly between 0 and 1"
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -691,6 +693,12 @@ TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
     ("compare", ("--lambda=-inf",), "lambda must be nonnegative"),
     ("train", {"lambda": "1e-4"}, "lambda must be a number"),
     ("compare", {"lambda": None}, "lambda must be a number"),
+    ("train", ("--solver", "newton", "--train-frac", "1.5"), FRACTION_MESSAGE),
+    ("train", {"solver": "logistic", "train_fraction": 1.0}, FRACTION_MESSAGE),
+    ("compare", ("--train-frac", "0"), FRACTION_MESSAGE),
+    ("train", ("--solver", "qn-broyden", "--k-updates", "0"),
+     "updates_per_iteration must be at least 1"),
+    ("compare", ("--tau", "2"), "broyden_tau must lie in [0, 1]"),
 ])
 def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, monkeypatch,
                                                       command, flags, message):
@@ -917,6 +925,11 @@ def test_every_key_by_flag_or_by_config_writes_the_same_bytes(tmp_path):
             assert snapshot(out) == by_flag, (command, key)
 
 
+COMPARE_SOLVERS = "sim-gda, alt-gda, extragradient, newton, qn-broyden"
+TRAIN_SOLVERS = f"{COMPARE_SOLVERS}, logistic, svm"
+DIRECTIONS = "greedy-basis, random-gaussian"
+
+
 @pytest.mark.parametrize("command, source, message", [
     ("synth", {"n": 1.7}, "n must be an integer"),
     ("synth", {"n": None}, "n must be an integer"),
@@ -929,15 +942,22 @@ def test_every_key_by_flag_or_by_config_writes_the_same_bytes(tmp_path):
     ("train", {"updates_per_iteration": 2.9}, "updates_per_iteration must be an integer"),
     ("train", {"step_size": "0.5"}, "step_size must be a number"),
     ("train", {"grad_tolerance": True}, "grad_tolerance must be a number"),
-    ("train", {"solver": True}, "solver must be text"),
+    ("train", {"solver": True}, f"solver must be one of {TRAIN_SOLVERS}"),
     ("train", {"broyden_tau": "0.5"}, "broyden_tau must be a number or sr1/dfp/bfgs"),
     ("train", {"trace_auc": "no"}, "trace_auc must be true or false"),
-    ("compare", {"direction_rule": [0, "1"]}, "direction_rule must be text"),
+    ("compare", {"direction_rule": [0, "1"]}, f"direction_rule must be one of {DIRECTIONS}"),
     ("compare", {"baseline_max_iter": True}, "baseline_max_iter must be an integer"),
     ("eval", {"out": 1.7}, "out must be text"),
     ("train", ("--seed", -1), "seed must be nonnegative, got -1"),
     ("extract", {"seed": -2}, "seed must be nonnegative, got -2"),
     ("synth", "env", "seed must be nonnegative, got -3"),
+    ("compare", {"solver": "logistic"}, f"solver must be one of {COMPARE_SOLVERS}"),
+    ("train", {"solver": "svm", "direction_rule": "foo"},
+     f"direction_rule must be one of {DIRECTIONS}"),
+    ("extract", {"set": 7}, "set must be one of 1, 2, 3, 4"),
+    ("extract", {"set": True}, "set must be one of 1, 2, 3, 4"),
+    ("extract", ("--window=-1",), "window and stride must be positive"),
+    ("extract", {"stride": 0}, "window and stride must be positive"),
 ])
 def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                       command, source, message):
@@ -965,6 +985,47 @@ def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert work == []
+
+
+_INPUTS = {"synth": set(), "extract": {"signals", "labels"}, "train": {"features"},
+           "eval": {"features", "model"}, "compare": {"features"}}
+
+
+@pytest.mark.parametrize("command, table", [("synth", "SYNTH_KEYS"), ("extract", "EXTRACT_KEYS"),
+                                            ("train", "TRAIN_KEYS"), ("eval", "EVAL_KEYS"),
+                                            ("compare", "COMPARE_KEYS")])
+def test_each_command_flag_is_a_key_of_its_table(command, table):
+    """Besides --config, --seed and the input paths, a command has exactly
+    one flag (or --key/--no-key pair) per key of its table."""
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in commands.choices[command]._actions} - {"help"}
+    assert dests == set(getattr(cli, table)) | {"config", "seed"} | _INPUTS[command]
+
+
+def test_compare_takes_no_c_flag(tmp_path, capsys):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert run("compare", "--features", path, "--C", 1, "--out", out) == 2
+    assert "unrecognized arguments: --C 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trace-auc", "--no-trace-auc"),
+     "argument --no-trace-auc: not allowed with argument --trace-auc"),
+    (("--channels", "0,x"), "argument --channels: '0,x' is not \"auto\" or a list of integers"),
+    (("--tau", "bfg"), "argument --tau: 'bfg' is not a number or sr1/dfp/bfgs"),
+    (("--direction", "foo"), "argument --direction: invalid choice: 'foo'"),
+])
+def test_flag_text_not_of_its_kind_is_a_usage_error(tmp_path, capsys, flags, message):
+    command = "extract" if flags[0] == "--channels" else "train"
+    inputs = {"extract": ("--signals", tmp_path, "--labels", tmp_path / "labels.csv"),
+              "train": ("--features", tmp_path / "f.csv")}[command]
+    assert run(command, *inputs, *flags, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, write, message", [

@@ -530,7 +530,7 @@ def test_signal_csv_malformed_row(tmp_path):
     ("1.0,2.0,3.0\n\n4.0,5.0,6.0,\n", "{path}: malformed signal file at line 4: non-numeric sample"),
     ("1.0,2.0,3.0\n4.0,5.0\n", "{path}: malformed signal file: channel rows have unequal lengths [2, 3]"),
     ("1.0,2.0,3.0\n", "{path}: malformed signal file: header declares 2 channels, found 1 rows"),
-    ("1.0,nan,3.0\n4.0,5.0,6.0\n", "samples contain NaN or Inf"),
+    ("1.0,nan,3.0\n4.0,5.0,6.0\n", "{path}: samples contain NaN or Inf"),
 ])
 def test_signal_csv_malformed_rows_named(tmp_path, body, message):
     path = tmp_path / "bad.csv"
