@@ -409,7 +409,8 @@ def _load_split(args, table: dict):
     baseline), load the feature CSV, split it stratified and fit the
     standardizer on the training part.  Before the table is read, refuses an
     empty C grid, a C that is not positive and finite, a lambda that is not
-    nonnegative and finite, and what ``SplitSpec`` or ``SolverConfig`` refuse."""
+    nonnegative and finite, a baseline iteration cap below 1, and what
+    ``SplitSpec`` or ``SolverConfig`` refuse."""
     eff = _config(args, table)
     eff.update(features=args.features, standardize=True)
     if "c_grid" in eff:
@@ -422,6 +423,8 @@ def _load_split(args, table: dict):
         raise ValueError("lambda must be nonnegative")
     if not math.isfinite(eff["lambda"]):
         raise ValueError("lambda must be finite")
+    if eff["baseline_max_iter"] < 1:
+        raise ValueError("baseline_max_iter must be a positive integer")
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
     config = SolverConfig(
         method=eff["solver"], rng_seed=eff["seed"],

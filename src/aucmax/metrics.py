@@ -1,13 +1,13 @@
 """Imbalance-aware evaluation: confusion counts, threshold metrics, and
-rank-statistic ROC-AUC with half credit for tied scores.  One rank-sum
-kernel scores a matrix of score columns; ``roc_auc`` is its one-column call."""
+rank-statistic ROC-AUC with half credit for tied scores.  One in-package
+average-rank kernel scores a matrix of score columns in one sort; ``roc_auc``
+is its one-column call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "ConfusionCounts",
@@ -81,11 +81,30 @@ def roc_auc(scores, labels) -> float:
     return float(roc_auc_columns(s[:, None], l)[0])
 
 
+def _positive_rank_sums(s: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Per column of ``s``, the sum of the average ranks (1-based, ties
+    sharing the mean of their ranks) of the rows where ``positive`` holds.
+
+    One column sort for all columns: a tie group occupying sorted positions
+    ``start .. end - 1`` gets rank ``(start + end + 1) / 2``."""
+    n = s.shape[0]
+    order = np.argsort(s, axis=0)
+    ranked = np.take_along_axis(s, order, axis=0)
+    new_value = np.ones(s.shape, dtype=bool)          # a tie group starts here
+    np.not_equal(ranked[1:], ranked[:-1], out=new_value[1:])
+    position = np.arange(n)[:, None]
+    start = np.maximum.accumulate(np.where(new_value, position, 0), axis=0)
+    last = np.ones(s.shape, dtype=bool)               # a tie group ends here
+    last[:-1] = new_value[1:]
+    end = np.minimum.accumulate(np.where(last, position + 1, n)[::-1], axis=0)[::-1]
+    return ((start + end + 1) / 2.0 * positive[order]).sum(axis=0)
+
+
 def roc_auc_columns(scores, labels) -> np.ndarray:
     """``roc_auc`` of each column of the N x k matrix ``scores``, from one
-    ``rankdata(axis=0)`` call; each entry is bit-equal to ``roc_auc`` of its
-    column, because average ranks are multiples of 1/2 far below 2**53 and
-    every rank sum is exact."""
+    average-rank pass over all columns; each entry is bit-equal to
+    ``roc_auc`` of its column, because average ranks are multiples of 1/2
+    far below 2**53 and every rank sum is exact."""
     s = np.asarray(scores, dtype=float)
     l = _check_labels(labels, "labels")
     if s.ndim != 2 or s.shape[0] != l.size:
@@ -96,7 +115,7 @@ def roc_auc_columns(scores, labels) -> np.ndarray:
     n_neg = l.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("single-class labels")
-    rank_sum_pos = rankdata(s, axis=0)[l == 1].sum(axis=0)
+    rank_sum_pos = _positive_rank_sums(s, l == 1)
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

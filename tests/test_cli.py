@@ -1,9 +1,13 @@
 import argparse
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,13 +614,19 @@ def test_compare_threshold_applies_to_auc_model_only(tmp_path, capsys):
     (("train", "--solver", "svm"), 0),
     (("train", "--solver", "logistic"), -5),
     (("compare", "--solver", "newton"), 0),
+    (("train", "--solver", "svm"), -3),
 ])
-def test_non_positive_baseline_iteration_cap_rejected(tmp_path, capsys, command, cap):
+def test_non_positive_baseline_iteration_cap_rejected(tmp_path, capsys, monkeypatch, command, cap):
     path = synth_csv(tmp_path, n=100, dim=3)
+    reads = []                                  # refused before the table is read
+    real_load = cli.load_labeled_csv
+    monkeypatch.setattr(cli, "load_labeled_csv", lambda *a, **k: reads.append(a) or real_load(*a, **k))
     capsys.readouterr()
     assert run(*command, "--features", path, "--baseline-max-iter", cap,
                "--out", tmp_path / "x") == 1
-    assert capsys.readouterr().err == "error: max_iter must be a positive integer\n"
+    assert capsys.readouterr().err == "error: baseline_max_iter must be a positive integer\n"
+    assert reads == []
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("grid", [("--c-grid", ""), ("--c-grid", ","), "config"])
@@ -1061,3 +1071,15 @@ def test_extract_empty_channel_list_refused(tmp_path, capsys, source):
     assert run("extract", "--signals", sig_dir, "--labels", labels, *source, "--out", out) == 1
     assert capsys.readouterr().err == "error: channels must name at least one channel\n"
     assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_stats_and_interpolate():
+    # a fresh interpreter: this one has scipy.signal from the signal tests
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, aucmax.cli; print(sorted(m for m in sys.modules if "
+             "m.startswith(('scipy.signal', 'scipy.stats', 'scipy.interpolate'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from aucmax.metrics import (
     REPORT_CSV_HEADER,
@@ -94,6 +95,34 @@ def test_auc_columns_equal_roc_auc_bit_for_bit():
             assert aucs[j] == roc_auc(column, labels)
             assert roc_auc_columns(block[:, j:j + 1], labels)[0] == roc_auc(column, labels)
     assert roc_auc_columns(np.full((3, 1), 7.0), [1, -1, -1])[0] == 0.5
+
+
+def rankdata_auc_columns(scores, labels):
+    """Per-column AUC from ``scipy.stats.rankdata`` average ranks."""
+    labels = np.asarray(labels)
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = labels.size - n_pos
+    rank_sum_pos = rankdata(scores, axis=0)[labels == 1].sum(axis=0)
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_columns_bit_equal_to_rankdata_reference():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 17, 600, 3001):
+        for n_pos in {1, max(1, n // 3), n - 1}:
+            labels = np.full(n, -1)
+            labels[rng.permutation(n)[:n_pos]] = 1
+            noise = rng.standard_normal((n, 16))
+            block = np.column_stack([
+                noise[:, :8],
+                np.round(noise[:, 8:14], 1),                 # tie-heavy
+                np.full(n, -3.25),                           # every score tied
+                np.where(labels == 1, 0.0, 1.0),             # two tie groups, reversed
+            ])
+            aucs = roc_auc_columns(block, labels)
+            assert np.array_equal(aucs, rankdata_auc_columns(block, labels))
+            for j in range(block.shape[1]):
+                assert aucs[j] == roc_auc(block[:, j], labels)
 
 
 def test_auc_columns_errors():

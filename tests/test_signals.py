@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
+from aucmax import signals
 from aucmax.signals import (
     DEFAULT_BANDS,
     BandDef,
@@ -278,6 +279,32 @@ def test_plv_independent_noise_small():
 def test_plv_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         plv(np.ones(8), np.ones(9))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 64, 65, 127, 128])
+def test_analytic_signal_bit_equal_to_scipy_hilbert(w):
+    rng = np.random.default_rng(w)
+    band_windows = rng.standard_normal((3, 5, 4, w))        # (m, c, bands, w)
+    band_windows[1, 2] = 0.0                                 # all-zero rows
+    view = band_windows.transpose(0, 2, 1, 3)                # what pairwise_plv passes
+    assert not view.flags.c_contiguous
+    got = signals._analytic_signal(view)
+    want = hilbert(view, axis=-1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(signals._analytic_signal(np.zeros((2, w))), hilbert(np.zeros((2, w))))
+    assert np.array_equal(signals._analytic_signal(band_windows[0, 0, 0]),
+                          hilbert(band_windows[0, 0, 0]))
+
+
+@pytest.mark.parametrize("w", [2, 63, 64])
+def test_pairwise_plv_bit_equal_with_scipy_hilbert(monkeypatch, w):
+    rng = np.random.default_rng(w)
+    band_windows = rng.standard_normal((4, 5, 3, w))
+    band_windows[2, 1] = 0.0                                 # a silent channel: phase 0
+    got = pairwise_plv(band_windows)
+    monkeypatch.setattr(signals, "_analytic_signal", lambda x: hilbert(x, axis=-1))
+    assert np.array_equal(got, pairwise_plv(band_windows))
 
 
 # --- lagged correlation
