@@ -60,6 +60,14 @@ widths = [max(len(r[i][:10]) for r in rows) for i in range(len(rows[0]))]
 for r in rows:
     print("  ".join(f"{c[:10]:>{w}}" for c, w in zip(r, widths)))
 PY
+python3 - "$WORK/cmp/model_svm.json" <<'PY'
+import json, sys
+meta = json.load(open(sys.argv[1]))["train_meta"]
+assert meta["converged"] is True, meta["converged"]
+assert 0.0 <= meta["duality_gap"] <= 1e-6 * meta["objective"], meta
+print(f"SVM refit: {meta['iterations']} interior-point iterations, "
+      f"certified gap {meta['duality_gap']:.2e} on objective {meta['objective']:.6f}")
+PY
 
 echo; echo "== determinism: rerun train with identical flags =="
 cp "$WORK/run/model.json" "$WORK/model_first.json"

@@ -1,13 +1,14 @@
 """Linear baseline classifiers fit by deterministic full-batch methods:
 L2-regularized logistic regression (gradient descent with backtracking)
-and a soft-margin linear SVM in its hinge-loss form (averaged subgradient
-descent with Pegasos-style decreasing steps)."""
+and a soft-margin linear SVM in its hinge-loss form (a primal-dual
+interior-point method that stops on a certified duality gap)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
 from .objective import LabeledDataset
@@ -18,7 +19,6 @@ __all__ = [
     "svm_objective",
     "fit_logistic",
     "fit_linear_svm",
-    "fit_linear_svm_grid",
     "decision_scores",
     "predict",
     "model_to_dict",
@@ -142,107 +142,129 @@ def svm_objective(beta, features, labels, C: float) -> float:
     return float(0.5 * lam * (weights @ weights) + hinge.mean())
 
 
-SVM_CHECK_EVERY = 50
+SVM_STALL_STEP = 1e-8
 
 
 def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
                    max_iter: int = 10_000) -> LinearModel:
-    """The soft-margin SVM at one ``C``: the one-column call of
-    ``fit_linear_svm_grid``, which documents the method."""
-    return fit_linear_svm_grid(train, [C], tol=tol, max_iter=max_iter)[0]
+    """The soft-margin SVM at one ``C``, in its hinge form
 
+        min  lam/2 ||w||^2 + mean(xi)   s.t.  y_i (x_i . w + b) >= 1 - xi_i,  xi >= 0,
 
-def fit_linear_svm_grid(train: LabeledDataset, Cs, tol: float = 1e-6,
-                        max_iter: int = 10_000) -> list[LinearModel]:
-    """Averaged subgradient descent on the hinge form of the soft-margin SVM,
-    run for every ``C`` of ``Cs`` at once; one model per ``C``, in grid order.
+    with ``lam = 1/(C*N)`` and the intercept ``b`` unregularized, solved by a
+    Mehrotra predictor-corrector primal-dual interior-point method (Ferris &
+    Munson, SIAM J. Optim. 2002).
 
-    Steps follow ``1 / (R^2 + lam * t)`` with ``lam = 1/(C*N)`` and ``R^2``
-    the mean squared row norm, decreasing like the strongly convex optimal
-    schedule but bounded at the start.  The running average of iterates is
-    returned; its objective is checkpointed every 50 iterations and the fit
-    stops early once the relative improvement falls below ``tol``
-    (``train_meta["converged"]``; False when ``max_iter`` ends the fit).
+    The rows ``z_i = y_i [1, x_i]`` are formed once.  An iteration factors one
+    ``(d+1) x (d+1)`` matrix ``lam P + Z^T diag(theta) Z`` (``P`` the identity
+    without its intercept entry) by Cholesky and solves with it twice, for
+    the predictor and for the corrector; one step length, 0.99 of the largest
+    feasible one, moves the slacks, the hinge variables and both multipliers.
 
-    The label-scaled design ``y * [1, x]`` is formed once, and the iterates
-    of the grid are the columns of one matrix with a per-column ``lam``, so
-    an iteration is two matrix products: margins, and the hinge subgradients
-    as the sums of the violating rows.  A column whose own stop test fires is
-    frozen and leaves the product.  Each column takes the steps and stops at
-    the checkpoint of a fit at its ``C`` alone; ``fit_linear_svm`` is that
-    one-column fit.
+    The fit stops once the certified duality gap ``P(beta) - D(alpha)`` is at
+    most ``tol * P(beta)`` (``train_meta["converged"]``).  ``alpha`` is the
+    dual iterate clipped to ``[0, 1/N]`` and scaled down on the class with the
+    larger sum so that ``sum(alpha_i y_i) = 0``; it is dual feasible, so
+    ``D(alpha)`` is a lower bound on the optimum and ``P(beta)`` lies within
+    ``train_meta["duality_gap"]`` of it.  ``max_iter`` caps the iterations.
+    The fit also ends, not converged, when floating point allows no further
+    progress: the complementarity falls below the rounding of ``P``, the
+    step length below ``SVM_STALL_STEP``, the Cholesky factorization fails,
+    or a step is not finite.  It then returns the last finite iterate.
     """
-    Cs = list(Cs)
     n = train.n_samples
-    per_c = [_penalty(C, n) for C in Cs]
-    if not per_c:
-        raise ValueError("Cs must name at least one C")
+    lam = _penalty(C, n)
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
-    xd = _design(train.features)
-    y = train.labels.astype(float)
-    # The fit depends on C only through lam.  Each distinct lam is one column,
-    # in ascending order, so a column's bits do not depend on where or how
-    # often its C appears in the grid.
-    lam, column_of = np.unique(per_c, return_inverse=True)
-    r2 = float(np.mean(np.sum(xd * xd, axis=1)))
-    yx = y[:, None] * xd
-    yx_t = np.ascontiguousarray(yx.T)
-    penalized = np.ones((xd.shape[1], 1))
-    penalized[0] = 0.0                          # the intercept is not regularized
-    beta = np.zeros((xd.shape[1], lam.size))
-    average = beta.copy()
-    decay = lam * penalized                     # the L2 subgradient's factor on beta
-    violating = np.empty((n, lam.size))         # 1.0 where a row violates its margin
-    active = np.arange(lam.size)                # the column index of each running iterate
-    traces: list[list[tuple[int, float]]] = [[] for _ in active]
-    previous = [np.inf] * lam.size
-    stopped: list = [None] * lam.size           # (average, iterations, converged) per column
-    for t in range(max_iter):
-        np.less(yx @ beta, 1.0, out=violating, casting="unsafe")
-        subgrad = decay * beta - (yx_t @ violating) / n
-        beta = beta - subgrad / (r2 + lam * t)
-        average = average * (t / (t + 1.0)) + beta / (t + 1.0)
-        if (t + 1) % SVM_CHECK_EVERY == 0 or t + 1 == max_iter:
-            running = []
-            for j, objective in enumerate(_svm_objectives(yx, average, lam, penalized)):
-                col = active[j]
-                before = previous[col]
-                traces[col].append((t + 1, objective))
-                converged = bool(np.isfinite(before)
-                                 and before - objective <= tol * max(1.0, abs(before)))
-                if converged or t + 1 == max_iter:
-                    stopped[col] = (average[:, j], t + 1, converged)
-                else:
-                    previous[col] = objective
-                    running.append(j)
-            if not running:
+    z = train.labels[:, None] * _design(train.features)
+    zt = np.ascontiguousarray(z.T)
+    reg = np.full(z.shape[1], lam)
+    reg[0] = 0.0                                # the intercept is not regularized
+    positive = train.labels == 1
+    beta = np.zeros(z.shape[1])
+    margins = np.zeros(n)                       # z @ beta
+    v = np.empty((4, n))                        # the positive vectors s, xi, alpha, nu
+    v[:2], v[2:] = 1.0, 0.5 / n
+    s, xi, alpha, nu = v                        # views: updating v updates them
+    objective, gap = _svm_certificate(zt, margins, beta, alpha, lam, positive)
+    trace = []
+    converged = False
+    with np.errstate(all="ignore"):             # a non-finite step ends the fit below
+        for t in range(1, max_iter + 1):
+            products = v[:2] * v[2:]            # the complementary pairs s*alpha, xi*nu
+            complementarity = products.sum()    # 2N mu
+            if complementarity <= np.finfo(float).eps * objective:
                 break
-            if len(running) < active.size:      # freeze the stopped columns
-                beta, average = beta[:, running], average[:, running]
-                lam, active = lam[running], active[running]
-                decay, violating = decay[:, running], violating[:, running]
-    models = []
-    for C, col in zip(Cs, column_of):
-        final, iterations, converged = stopped[col]
-        meta = {
-            "converged": converged,
-            "iterations": iterations,
-            "objective": traces[col][-1][1],
-            "objective_trace": [[i, o] for i, o in traces[col]],
-        }
-        models.append(LinearModel(final.copy(), "svm", threshold=0.0, C=C, train_meta=meta))
-    return models
+            r_beta = reg * beta - zt @ alpha
+            r_xi = 1.0 / n - alpha - nu
+            r_p = margins + xi - s - 1.0
+            theta = nu * alpha / (alpha * xi + s * nu)
+            system = (zt * theta) @ z
+            system.flat[::system.shape[0] + 1] += reg
+            try:
+                factor = cho_factor(system, check_finite=False)
+            except LinAlgError:
+                break
+
+            def direction(r):
+                """The Newton step whose complementarity rows have right sides ``r``."""
+                rhs = r[0] / alpha - r_p - (r[1] - xi * r_xi) / nu
+                d_beta = cho_solve(factor, zt @ (theta * rhs) - r_beta, check_finite=False)
+                d_v = np.empty_like(v)
+                d_v[2] = theta * (rhs - z @ d_beta)
+                d_v[3] = r_xi - d_v[2]
+                d_v[:2] = (r - v[:2] * d_v[2:]) / v[2:]
+                return d_beta, d_v
+
+            _, d_v = direction(-products)       # predictor: the affine step
+            affine = v + min(1.0, _max_step(v, d_v)) * d_v
+            sigma = (np.vdot(affine[:2], affine[2:]) / complementarity) ** 3
+            target = sigma * complementarity / (2 * n)       # the centred mu
+            d_beta, d_v = direction(target - products - d_v[:2] * d_v[2:])
+            step = min(1.0, 0.99 * _max_step(v, d_v))
+            if not (step >= SVM_STALL_STEP and np.isfinite(d_beta).all()
+                    and np.isfinite(d_v).all()):
+                break
+            beta = beta + step * d_beta
+            v += step * d_v
+            margins = z @ beta
+            objective, gap = _svm_certificate(zt, margins, beta, alpha, lam, positive)
+            trace.append([t, objective])
+            if gap <= tol * objective:
+                converged = True
+                break
+    meta = {
+        "converged": converged,
+        "iterations": len(trace),
+        "objective": objective,
+        "duality_gap": gap,
+        "objective_trace": trace,
+    }
+    return LinearModel(beta, "svm", threshold=0.0, C=C, train_meta=meta)
 
 
-def _svm_objectives(yx, average, lam, penalized) -> list[float]:
-    """``svm_objective`` of each column of ``average``, from the label-scaled
-    design.  Each column is reduced as a contiguous vector, in the order a
-    one-column fit reduces it."""
-    weights = np.ascontiguousarray((penalized * average).T)
-    hinge = np.ascontiguousarray(np.maximum(0.0, 1.0 - yx @ average).T)
-    return [float(0.5 * lam[j] * (weights[j] @ weights[j]) + hinge[j].mean())
-            for j in range(lam.size)]
+def _max_step(v, d_v) -> float:
+    """The largest ``a`` with ``v + a * d_v >= 0`` for a positive ``v`` (inf
+    when no entry decreases)."""
+    fastest = float(np.max(-d_v / v))          # the largest relative decrease
+    return 1.0 / fastest if fastest > 0.0 else np.inf
+
+
+def _svm_certificate(zt, margins, beta, alpha, lam, positive) -> tuple[float, float]:
+    """``(P(beta), P(beta) - D(alpha_hat))``: the primal objective and the
+    gap to the dual objective at the dual-feasible projection of ``alpha``."""
+    n = margins.size
+    w = beta[1:]
+    primal = float(0.5 * lam * (w @ w) + np.maximum(0.0, 1.0 - margins).sum() / n)
+    a = np.clip(alpha, 0.0, 1.0 / n)
+    on_pos, on_neg = a[positive].sum(), a[~positive].sum()
+    if on_pos > on_neg:
+        a[positive] *= on_neg / on_pos
+    elif on_neg > on_pos:
+        a[~positive] *= on_pos / on_neg
+    pull = zt[1:] @ a                           # sum_i alpha_i y_i x_i
+    dual = float(a.sum() - (pull @ pull) / (2.0 * lam))
+    return primal, primal - dual
 
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:

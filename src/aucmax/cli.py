@@ -28,7 +28,6 @@ from .baselines import (
     LinearModel,
     decision_scores,
     fit_linear_svm,
-    fit_linear_svm_grid,
     fit_logistic,
     linear_rule,
     model_to_dict,
@@ -161,8 +160,10 @@ FIT_KEYS = {                    # the solver's keys are SolverConfig's field nam
                           "--direction"),
     "updates_per_iteration": Key(1, INTEGER, "curvature updates per quasi-Newton iteration",
                                  "--k-updates"),
-    "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance"),
-    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap"),
+    "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
+                        "gradient norm, SVM relative duality gap"),
+    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap: logistic descent "
+                             "steps, SVM interior-point iterations"),
     "train_fraction": Key(0.8, NUMBER, "train split fraction", "--train-frac"),
 }
 TRAIN_KEYS = {
@@ -571,17 +572,13 @@ def _cmd_eval(args) -> int:
 
 def _tune_baseline(kind: str, train_std, eff):
     """Pick C by validation AUC on a 10% carve-out of the training split; the
-    earliest C wins a tie.  The SVM fits the whole grid in one call."""
+    earliest C wins a tie."""
     carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1)
     fit_part, val_part = split(train_std, carve)
-    grid = eff["c_grid"]
-    if kind == "svm":
-        models = fit_linear_svm_grid(fit_part, grid, **_fit_limits(eff))
-    else:
-        models = [_fit_baseline(kind, fit_part, c, eff) for c in grid]
     best_c, best_auc = None, -np.inf
     grid_fits = []
-    for c, model in zip(grid, models):
+    for c in eff["c_grid"]:
+        model = _fit_baseline(kind, fit_part, c, eff)
         auc = roc_auc(decision_scores(model, val_part.features), val_part.labels)
         grid_fits.append({"C": c, "val_auc": float(auc),
                           "iterations": model.train_meta["iterations"],

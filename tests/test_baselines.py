@@ -2,14 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.special import expit
 
+from aucmax import baselines
 from aucmax.baselines import (
-    SVM_CHECK_EVERY,
     LinearModel,
     decision_scores,
     fit_linear_svm,
-    fit_linear_svm_grid,
     fit_logistic,
     linear_rule,
     logistic_objective,
@@ -83,6 +83,10 @@ def test_fit_rejects_non_positive_iteration_cap(fit, max_iter):
 
 # --- linear SVM
 
+def synth_400():
+    return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
+
+
 def test_svm_separable_blobs():
     ds = blobs(seed=1)
     model = fit_linear_svm(ds, C=100.0)
@@ -102,29 +106,22 @@ def test_svm_matches_1d_grid_search():
     features = np.array([[-2.0], [-1.0], [1.0], [2.0], [-0.5], [0.5]])
     labels = np.array([-1, -1, 1, 1, -1, 1])
     ds = LabeledDataset(features, labels)
-    model = fit_linear_svm(ds, C=1.0, max_iter=20_000)
+    model = fit_linear_svm(ds, C=1.0, tol=1e-12)
     fitted = svm_objective(model.beta, features, labels, 1.0)
     grid = np.linspace(-5.0, 5.0, 20_001)
     best = min(svm_objective(np.array([0.0, b]), features, labels, 1.0) for b in grid)
-    assert fitted <= 1.01 * best
+    assert fitted <= best + 1e-9
 
 
-def test_svm_averaged_objective_non_increasing():
-    # non-separable imbalanced instance: checkpointed objective of the
-    # averaged iterate decreases monotonically
-    ds = generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
-    model = fit_linear_svm(ds, C=1.0, max_iter=4000, tol=0.0)
-    trace = model.train_meta["objective_trace"]
-    assert len(trace) >= 10
-    values = [obj for _, obj in trace]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-
-def reference_fit_linear_svm(train, C, tol, max_iter):
-    """The averaged subgradient loop written over the plain design: the
-    margins, a boolean copy of the violating rows, and ``svm_objective`` at
-    every checkpoint.  Returns ``(average, iterations, trace, quiet)``, where
-    ``quiet`` counts the iterations in which no row violated its margin."""
+def reference_fit_linear_svm(train, C, max_iter, tol=None):
+    """The averaged subgradient loop with Pegasos-like steps
+    ``1 / (R^2 + lam * t)``, written over the plain design: slow, but a plain
+    reference for the optimum.  Every ``REFERENCE_CHECK_EVERY`` iterations and
+    at the cap it records ``svm_objective`` of the averaged iterate and, given
+    a ``tol``, stops once that objective improves by at most
+    ``tol * max(1, |previous|)``.  Returns ``(average, iterations, trace,
+    quiet)``, where ``quiet`` counts the iterations in which no row violated
+    its margin."""
     xd = np.hstack([np.ones((train.n_samples, 1)), train.features])
     y = train.labels.astype(float)
     n = y.size
@@ -137,23 +134,47 @@ def reference_fit_linear_svm(train, C, tol, max_iter):
     iterations = max_iter
     quiet = 0
     for t in range(max_iter):
-        margins = y * (xd @ beta)
-        violating = margins < 1.0
+        violating = y * (xd @ beta) < 1.0
+        quiet += not violating.any()
         subgrad = lam * np.concatenate([[0.0], beta[1:]])
-        if violating.any():
-            subgrad = subgrad - (xd[violating].T @ y[violating]) / n
-        else:
-            quiet += 1
+        subgrad = subgrad - (xd[violating].T @ y[violating]) / n
         beta = beta - subgrad / (r2 + lam * t)
         average = average * (t / (t + 1.0)) + beta / (t + 1.0)
-        if (t + 1) % SVM_CHECK_EVERY == 0 or t + 1 == max_iter:
+        if (t + 1) % REFERENCE_CHECK_EVERY == 0 or t + 1 == max_iter:
             objective = svm_objective(average, train.features, train.labels, C)
             trace.append((t + 1, objective))
-            if np.isfinite(previous) and previous - objective <= tol * max(1.0, abs(previous)):
+            if (tol is not None and np.isfinite(previous)
+                    and previous - objective <= tol * max(1.0, abs(previous))):
                 iterations = t + 1
                 break
             previous = objective
     return average, iterations, trace, quiet
+
+
+REFERENCE_CHECK_EVERY = 50
+
+
+def assert_certified(model, ds, C, tol=1e-6):
+    """Converged, with a gap within ``tol`` of an objective that is the
+    model's own ``svm_objective``."""
+    meta = model.train_meta
+    assert meta["converged"] is True
+    assert meta["objective"] == pytest.approx(
+        svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+    assert meta["objective"] == meta["objective_trace"][-1][1]
+    assert [i for i, _ in meta["objective_trace"]] == list(range(1, meta["iterations"] + 1))
+    assert 0.0 <= meta["duality_gap"] <= tol * meta["objective"]
+
+
+@pytest.mark.parametrize("data", ["synth", "blobs"])
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+def test_svm_objective_at_most_the_subgradient_reference(data, C):
+    ds = synth_400() if data == "synth" else blobs(seed=1)
+    model = fit_linear_svm(ds, C=C)
+    assert_certified(model, ds, C)
+    assert model.train_meta["iterations"] <= 30
+    reference, _, _, _ = reference_fit_linear_svm(ds, C, max_iter=20_000)
+    assert model.train_meta["objective"] <= svm_objective(reference, ds.features, ds.labels, C)
 
 
 @pytest.mark.parametrize("data, C, max_iter, stop", [
@@ -165,113 +186,167 @@ def reference_fit_linear_svm(train, C, tol, max_iter):
     ("blobs", 100.0, 10_000, "tol"),        # separable: no row violates after a while
 ])
 def test_svm_matches_reference_loop(data, C, max_iter, stop):
-    ds = (generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7)) if data == "synth"
-          else blobs(seed=1))
+    # the subgradient loop, stopped by its own tolerance or by the cap, lands
+    # at or above the certified optimum, and near it once it stops by tolerance
+    ds = synth_400() if data == "synth" else blobs(seed=1)
     model = fit_linear_svm(ds, C=C, max_iter=max_iter)
-    beta, iterations, trace, quiet = reference_fit_linear_svm(ds, C, 1e-6, max_iter)
-    meta = model.train_meta
-    assert meta["iterations"] == iterations
+    assert_certified(model, ds, C)
+    beta, iterations, trace, quiet = reference_fit_linear_svm(ds, C, max_iter, tol=1e-6)
     assert (iterations < max_iter) == (stop == "tol")
-    assert meta["converged"] is (stop == "tol")
-    assert [i for i, _ in meta["objective_trace"]] == [i for i, _ in trace]
-    if max_iter % SVM_CHECK_EVERY:
-        assert trace[-1][0] == max_iter
-    assert np.abs(model.beta - beta).max() <= 1e-12
-    for (_, got), (_, want) in zip(meta["objective_trace"], trace):
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
-    assert meta["objective"] == meta["objective_trace"][-1][1]
+    assert trace[-1][0] == iterations
+    fitted, reference = model.train_meta["objective"], trace[-1][1]
+    assert reference == svm_objective(beta, ds.features, ds.labels, C)
+    slack = 1e-3 if stop == "tol" else 1e-2
+    assert 0.0 <= reference - fitted <= slack * max(1.0, fitted)
+    # separable blobs: the reference meets every margin at times, and the
+    # optimum violates none
+    margins = ds.labels * decision_scores(model, ds.features)
+    assert (quiet > 0) == (data == "blobs")
+    assert bool((margins >= 1.0 - 1e-6).all()) == (data == "blobs")
+
+
+@pytest.mark.parametrize("data, C", [
+    ("synth", 0.01), ("synth", 1.0), ("synth", 100.0), ("blobs", 1.0), ("blobs", 100.0),
+])
+def test_svm_gap_bounds_the_suboptimality(data, C):
+    ds = synth_400() if data == "synth" else blobs(seed=1)
+    meta = fit_linear_svm(ds, C=C).train_meta
+    tight = fit_linear_svm(ds, C=C, tol=1e-12).train_meta
+    assert meta["converged"] is True and meta["duality_gap"] >= 0.0
+    # the optimum lies in [tight objective - tight gap, tight objective]
+    assert meta["objective"] - tight["objective"] <= meta["duality_gap"]
+    assert tight["objective"] - tight["duality_gap"] <= meta["objective"]
+    assert tight["duality_gap"] <= 1e-9 * tight["objective"]
+
+
+@pytest.mark.parametrize("C", [1e-4, 1.0])
+def test_svm_certificate_is_a_lower_bound_at_any_dual_point(C):
+    # far from the optimum the dual iterate breaks 0 <= alpha <= 1/N and
+    # sum(alpha * y) = 0; the certificate must repair both before D bounds
+    ds = synth_400()
+    n = ds.n_samples
+    optimum = fit_linear_svm(ds, C=C, tol=1e-12).train_meta["objective"]
+    z = ds.labels[:, None] * np.hstack([np.ones((n, 1)), ds.features])
+    rng = np.random.default_rng(5)
+    dual_points = [np.full(n, 1.0 / n), np.full(n, 2.0 / n), rng.uniform(-1.0, 2.0, n) / n,
+                   np.where(ds.labels == 1, 1.0 / n, 0.0)]
+    for beta in (np.zeros(z.shape[1]), rng.standard_normal(z.shape[1])):
+        for alpha in dual_points:
+            primal, gap = baselines._svm_certificate(
+                np.ascontiguousarray(z.T), z @ beta, beta, alpha, 1.0 / (C * n), ds.labels == 1)
+            assert primal == pytest.approx(
+                svm_objective(beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+            assert primal - gap <= optimum * (1 + 1e-12)
+
+
+def set2_shaped(seed=0, n=60, d=80):
+    """Like an EEG Set2 table: n < d (so separable), one duplicated column,
+    and per-row max, min and range = max - min columns, standardized."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    high, low = x[:, :8].max(axis=1), x[:, :8].min(axis=1)
+    x = np.column_stack([x, x[:, 3], high, low, high - low])
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+    return LabeledDataset(x, labels)
+
+
+def test_svm_converges_on_a_set2_shaped_table_at_large_c():
+    ds = set2_shaped()
+    assert np.linalg.matrix_rank(ds.features) < ds.n_features
+    model = fit_linear_svm(ds, C=100.0)
+    assert_certified(model, ds, 100.0)
+    assert model.train_meta["iterations"] <= 30
+    assert np.array_equal(predict(model, ds.features), ds.labels)
+
+
+def assert_ends_unconverged(model, ds, C):
+    """Not converged, at a finite iterate whose objective, trace and gap are
+    its own."""
+    meta = model.train_meta
+    assert meta["converged"] is False
+    assert np.isfinite(model.beta).all() and np.isfinite(meta["duality_gap"])
     assert meta["objective"] == pytest.approx(
         svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
-    assert (quiet > 0) == (data == "blobs")
+    assert [i for i, _ in meta["objective_trace"]] == list(range(1, meta["iterations"] + 1))
+
+
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+def test_svm_zero_tolerance_ends_at_the_rounding_floor(C):
+    ds = synth_400()
+    model = fit_linear_svm(ds, C=C, tol=0.0)
+    meta = model.train_meta
+    if meta["duality_gap"] > 0.0:           # a gap of exactly 0 meets a zero tolerance
+        assert_ends_unconverged(model, ds, C)
+    assert meta["iterations"] <= 40
+    assert abs(meta["duality_gap"]) <= 1e-12 * meta["objective"]
+
+
+@pytest.mark.parametrize("C", [0.01, 100.0])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_svm_iteration_cap_returns_the_capped_iterate(C, cap):
+    ds = synth_400()
+    model = fit_linear_svm(ds, C=C, max_iter=cap)
+    assert_ends_unconverged(model, ds, C)
+    meta = model.train_meta
+    assert meta["iterations"] == cap
+    assert meta["duality_gap"] > 1e-6 * meta["objective"]
+    full = fit_linear_svm(ds, C=C).train_meta
+    assert full["objective_trace"][:cap] == meta["objective_trace"]
 
 
 def test_svm_converged_when_tolerance_stops_at_the_cap():
-    # the stop test, not the iteration count, decides convergence
-    ds = generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
-    stopped = fit_linear_svm(ds, C=1.0, max_iter=10_000).train_meta
+    # the gap test against the tolerance, not the iteration count, decides convergence
+    ds = synth_400()
+    stopped = fit_linear_svm(ds, C=1.0).train_meta
     assert stopped["converged"] is True and stopped["iterations"] < 10_000
     at_cap = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"]).train_meta
-    assert at_cap["converged"] is True and at_cap["iterations"] == stopped["iterations"]
-    before = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"] - SVM_CHECK_EVERY)
-    assert before.train_meta["converged"] is False
+    assert at_cap == stopped
+    before = fit_linear_svm(ds, C=1.0, max_iter=stopped["iterations"] - 1).train_meta
+    assert before["converged"] is False
+    assert before["objective_trace"] == stopped["objective_trace"][:-1]
 
 
-def synth_400():
-    return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
-
-
-def assert_matches_reference(model, ds, C, max_iter, tol=1e-6):
-    """``model`` stopped where the one-C reference loop stops, with the same
-    checkpoints and ``converged``, and lies within 1e-12 of its iterate."""
-    beta, iterations, trace, _ = reference_fit_linear_svm(ds, C, tol, max_iter)
-    values = [o for _, o in trace]
-    converged = len(values) > 1 and values[-2] - values[-1] <= tol * max(1.0, abs(values[-2]))
-    meta = model.train_meta
-    assert model.C == C
-    assert meta["iterations"] == iterations
-    assert meta["converged"] is converged
-    assert [i for i, _ in meta["objective_trace"]] == [i for i, _ in trace]
-    assert np.abs(model.beta - beta).max() <= 1e-12
-    for (_, got), (_, want) in zip(meta["objective_trace"], trace):
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
-    assert meta["objective"] == meta["objective_trace"][-1][1]
-
-
-@pytest.mark.parametrize("data, Cs, max_iter, stops", [
-    ("synth", [0.01, 1.0, 100.0], 10_000, 3),   # each column freezes at its own checkpoint
-    ("synth", [100.0, 0.01, 10.0, 0.1], 173, 1),  # all at the cap, not a multiple of 50
-    ("blobs", [1.0, 100.0], 10_000, 2),         # separable: no row violates after a while
-    ("synth", [1.0, 0.01, 1.0], 10_000, 2),     # a duplicated C
-])
-def test_svm_grid_matches_reference_loop(data, Cs, max_iter, stops):
-    ds = synth_400() if data == "synth" else blobs(seed=1)
-    models = fit_linear_svm_grid(ds, Cs, max_iter=max_iter)
-    assert len(models) == len(Cs)
-    for model, C in zip(models, Cs):
-        assert_matches_reference(model, ds, C, max_iter)
-    assert len({m.train_meta["iterations"] for m in models}) == stops
-    if max_iter % SVM_CHECK_EVERY:
-        assert all(m.train_meta["iterations"] == max_iter for m in models)
-
-
-def same_model(a, b):
-    return (a.C == b.C and np.array_equal(a.beta, b.beta) and a.train_meta == b.train_meta
-            and a.kind == b.kind and a.threshold == b.threshold)
-
-
-# Grids of nine and more columns: a blocked matrix product may round a column
-# differently by its position, which these identities must not see.
-WIDE_GRID = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
-
-
-def test_svm_grid_duplicated_c_gives_identical_columns():
-    models = fit_linear_svm_grid(synth_400(), [1.0, *WIDE_GRID, 1.0])
-    assert same_model(models[0], models[5]) and same_model(models[0], models[10])
-    assert models[0].beta is not models[10].beta
-    assert not np.array_equal(models[0].beta, models[1].beta)
-
-
-def test_svm_grid_permuted_grid_gives_permuted_models():
+def test_svm_failed_cholesky_returns_the_last_finite_iterate(monkeypatch):
     ds = synth_400()
-    grid = WIDE_GRID
-    order = [8, 3, 0, 6, 2, 7, 4, 1, 5]
-    models = fit_linear_svm_grid(ds, grid)
-    permuted = fit_linear_svm_grid(ds, [grid[i] for i in order])
-    assert all(same_model(p, models[i]) for p, i in zip(permuted, order))
+    real, calls = baselines.cho_factor, []
+
+    def fail_on_the_fourth(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise LinAlgError("not positive definite")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cho_factor", fail_on_the_fourth)
+    model = fit_linear_svm(ds, C=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert_ends_unconverged(model, ds, 1.0)
+    capped = fit_linear_svm(ds, C=1.0, max_iter=3)
+    assert np.array_equal(model.beta, capped.beta) and model.train_meta == capped.train_meta
 
 
-@pytest.mark.parametrize("data, C, max_iter", [
-    ("synth", 1.0, 10_000), ("synth", 0.01, 173), ("blobs", 100.0, 10_000),
-])
-def test_svm_grid_single_c_is_fit_linear_svm(data, C, max_iter):
-    ds = synth_400() if data == "synth" else blobs(seed=1)
-    (model,) = fit_linear_svm_grid(ds, [C], max_iter=max_iter)
-    assert same_model(model, fit_linear_svm(ds, C=C, max_iter=max_iter))
+def test_svm_rank_deficient_columns_fail_the_factorization(monkeypatch):
+    # x0 = +-1 with sum 0, duplicated, n = 64: at the start theta = 1/256 and
+    # every entry of the first system and of its Cholesky factor is exact, so
+    # the duplicate's pivot is exactly 0 once lam = 1/(C*N) rounds away
+    x0 = np.tile([1.0, -1.0], 32)
+    labels = np.where(np.arange(64) % 4 == 0, -x0, x0).astype(int)
+    ds = LabeledDataset(np.column_stack([x0, x0]), labels)
+    real, failures = baselines.cho_factor, []
 
+    def recording(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except LinAlgError:
+            failures.append(None)
+            raise
 
-def test_svm_grid_rejects_empty_grid():
-    with pytest.raises(ValueError, match="^Cs must name at least one C$"):
-        fit_linear_svm_grid(blobs(), [])
+    monkeypatch.setattr(baselines, "cho_factor", recording)
+    model = fit_linear_svm(ds, C=1e20)
+    assert failures == [None]
+    assert_ends_unconverged(model, ds, 1e20)
+    assert model.train_meta["iterations"] == 0 and not model.beta.any()
 
 
 @pytest.mark.parametrize("C, message", [
@@ -283,7 +358,7 @@ def test_svm_grid_rejects_empty_grid():
 @pytest.mark.parametrize("fit", [
     fit_logistic,
     fit_linear_svm,
-    lambda ds, C: fit_linear_svm_grid(ds, [1.0, C]),
+    lambda ds, C: [fit_linear_svm(ds, C=c) for c in (1.0, C)],   # compare's tuning: one fit per C
 ], ids=["logistic", "svm", "svm-grid"])
 def test_fits_refuse_unusable_c(fit, C, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
