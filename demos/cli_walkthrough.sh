@@ -68,6 +68,14 @@ assert 0.0 <= meta["duality_gap"] <= 1e-6 * meta["objective"], meta
 print(f"SVM refit: {meta['iterations']} interior-point iterations, "
       f"certified gap {meta['duality_gap']:.2e} on objective {meta['objective']:.6f}")
 PY
+python3 - "$WORK/cmp/model_logistic.json" <<'PY'
+import json, sys
+meta = json.load(open(sys.argv[1]))["train_meta"]
+assert meta["converged"] is True, meta["converged"]
+assert 0.0 <= meta["duality_gap"], meta
+print(f"logistic refit: {meta['iterations']} Newton iterations, "
+      f"certified gap {meta['duality_gap']:.2e} on objective {meta['objective']:.6f}")
+PY
 
 echo; echo "== determinism: rerun train with identical flags =="
 cp "$WORK/run/model.json" "$WORK/model_first.json"

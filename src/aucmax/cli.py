@@ -162,8 +162,8 @@ FIT_KEYS = {                    # the solver's keys are SolverConfig's field nam
                                  "--k-updates"),
     "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
                         "gradient norm, SVM relative duality gap"),
-    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap: logistic descent "
-                             "steps, SVM interior-point iterations"),
+    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap: logistic Newton "
+                             "iterations, SVM interior-point iterations"),
     "train_fraction": Key(0.8, NUMBER, "train split fraction", "--train-frac"),
 }
 TRAIN_KEYS = {

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
 from aucmax import baselines
 from aucmax.baselines import (
@@ -31,6 +31,22 @@ def blobs(seed=1, n=60, sep=3.0, scale=0.3):
     ])
     labels = np.concatenate([np.ones(half, dtype=int), -np.ones(half, dtype=int)])
     return LabeledDataset(features, labels)
+
+
+def synth_400():
+    return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
+
+
+def set2_shaped(seed=0, n=60, d=80):
+    """Like an EEG Set2 table: n < d (so separable), one duplicated column,
+    and per-row max, min and range = max - min columns, standardized."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    high, low = x[:, :8].max(axis=1), x[:, :8].min(axis=1)
+    x = np.column_stack([x, x[:, 3], high, low, high - low])
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+    return LabeledDataset(x, labels)
 
 
 # --- logistic regression
@@ -81,11 +97,173 @@ def test_fit_rejects_non_positive_iteration_cap(fit, max_iter):
         fit(blobs(), C=1.0, max_iter=max_iter)
 
 
+def reference_fit_logistic(train, C, tol=1e-6, max_iter=10_000):
+    """Full-batch gradient descent with Armijo backtracking (the step doubles
+    after each accepted step, up to 1e6): slow, but a plain reference for the
+    optimum.  Returns ``(beta, value, grad_norm, iterations)``."""
+    beta = np.zeros(train.n_features + 1)
+    value, grad = logistic_objective(beta, train.features, train.labels, C)
+    step = 1.0
+    iterations = 0
+    grad_norm = float(np.linalg.norm(grad))
+    for iterations in range(1, max_iter + 1):
+        if grad_norm <= tol:
+            iterations -= 1
+            break
+        accepted = False
+        for _ in range(60):
+            candidate = beta - step * grad
+            cand_value, cand_grad = logistic_objective(candidate, train.features, train.labels, C)
+            if cand_value <= value - 1e-4 * step * grad_norm**2:
+                beta, value, grad = candidate, cand_value, cand_grad
+                grad_norm = float(np.linalg.norm(grad))
+                step = min(step * 2.0, 1e6)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return beta, value, grad_norm, iterations
+
+
+# The fitted objective is rounded in its last bits; a certificate far below
+# that rounding cannot order two objectives that agree to it.
+ROUNDING = 4 * np.finfo(float).eps
+
+
+def assert_logistic_meta(model, ds, C):
+    """``objective`` and ``grad_norm`` are the model's own, and the gap is a
+    finite nonnegative number."""
+    meta = model.train_meta
+    value, grad = logistic_objective(model.beta, ds.features, ds.labels, C)
+    assert meta["objective"] == value
+    assert meta["grad_norm"] == float(np.linalg.norm(grad))
+    assert meta["converged"] is (meta["grad_norm"] <= 1e-6)
+    assert np.isfinite(meta["duality_gap"]) and meta["duality_gap"] >= 0.0
+
+
+@pytest.mark.parametrize("data", ["synth", "blobs"])
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+def test_logistic_objective_at_most_the_descent_reference(data, C):
+    ds = synth_400() if data == "synth" else blobs(seed=1)
+    model = fit_logistic(ds, C=C)
+    assert_logistic_meta(model, ds, C)
+    meta = model.train_meta
+    assert meta["converged"] is True and meta["iterations"] <= 15
+    _, value, grad_norm, iterations = reference_fit_logistic(ds, C)
+    assert grad_norm <= 1e-6 and iterations > meta["iterations"]
+    assert meta["objective"] <= value
+
+
+@pytest.mark.parametrize("data, C", [
+    ("synth", 0.01), ("synth", 1.0), ("synth", 100.0), ("blobs", 1.0), ("blobs", 100.0),
+    ("set2", 0.01), ("set2", 100.0),
+])
+def test_logistic_gap_bounds_the_suboptimality(data, C):
+    ds = {"synth": synth_400, "blobs": lambda: blobs(seed=1), "set2": set2_shaped}[data]()
+    meta = fit_logistic(ds, C=C).train_meta
+    tight = fit_logistic(ds, C=C, tol=1e-12).train_meta
+    assert meta["converged"] is True and meta["duality_gap"] >= 0.0
+    # the optimum lies in [tight objective - tight gap, tight objective]
+    slack = ROUNDING * meta["objective"]
+    assert meta["objective"] - tight["objective"] <= meta["duality_gap"] + slack
+    assert tight["objective"] - tight["duality_gap"] <= meta["objective"] + slack
+    # far below the rounding of P its sign is not resolved
+    assert abs(tight["duality_gap"]) <= 1e-12 * tight["objective"]
+
+
+def logistic_dual(a, ds, C):
+    """``D(a) = mean(H(a_i)) - ||(1/N) sum a_i y_i x_i||^2 / (2 lam)``, the
+    logistic fit's dual objective, written from its definition."""
+    n = ds.n_samples
+    entropy = -(xlogy(a, a) + xlogy(1.0 - a, 1.0 - a)).mean()
+    pull = (a * ds.labels) @ ds.features / n
+    return entropy - (pull @ pull) * C * n / 2.0
+
+
+@pytest.mark.parametrize("C", [1e-4, 1.0])
+def test_logistic_certificate_is_a_lower_bound_off_balance(C):
+    # away from the optimum s(-m) breaks sum(a * y) = 0; the certificate must
+    # balance it before D bounds the optimum, and its gap is then P - D(a)
+    ds = synth_400()
+    n, positive = ds.n_samples, ds.labels == 1
+    optimum = fit_logistic(ds, C=C, tol=1e-12).train_meta["objective"]
+    z = ds.labels[:, None] * np.hstack([np.ones((n, 1)), ds.features])
+    rng = np.random.default_rng(5)
+    saturated = np.zeros(z.shape[1])
+    saturated[0] = 800.0                # s(-m) is 0 on every positive row: a = 0 elsewhere
+    for beta in (np.zeros(z.shape[1]), rng.standard_normal(z.shape[1]),
+                 np.concatenate([[2.0], rng.standard_normal(z.shape[1] - 1)]), saturated):
+        margins = z @ beta
+        q = expit(-margins)
+        assert abs(q @ ds.labels) > 1.0                  # off balance
+        gap = baselines._logistic_gap(np.ascontiguousarray(z.T), margins, beta,
+                                      1.0 / (C * n), positive)
+        primal = logistic_objective(beta, ds.features, ds.labels, C)[0]
+        assert primal - gap <= optimum * (1 + 1e-12)
+        balanced = q.copy()
+        scaled = positive if q[positive].sum() > q[~positive].sum() else ~positive
+        balanced[scaled] *= balanced[~scaled].sum() / balanced[scaled].sum()
+        assert gap == pytest.approx(primal - logistic_dual(balanced, ds, C), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("C", [0.01, 100.0])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_logistic_iteration_cap_returns_the_capped_iterate(C, cap):
+    ds = blobs(seed=1)
+    model = fit_logistic(ds, C=C, max_iter=cap)
+    assert_logistic_meta(model, ds, C)
+    meta = model.train_meta
+    assert meta["iterations"] == cap and meta["converged"] is False
+    full = fit_logistic(ds, C=C).train_meta
+    assert full["iterations"] > cap
+    assert meta["objective"] - full["objective"] <= meta["duality_gap"]
+    if cap > 1:
+        assert meta["objective"] < fit_logistic(ds, C=C, max_iter=cap - 1).train_meta["objective"]
+
+
+def test_logistic_failed_cholesky_returns_the_last_iterate(monkeypatch):
+    ds = synth_400()
+    real, calls = baselines.cho_factor, []
+
+    def fail_on_the_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise LinAlgError("not positive definite")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cho_factor", fail_on_the_third)
+    model = fit_logistic(ds, C=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert_logistic_meta(model, ds, 1.0)
+    capped = fit_logistic(ds, C=1.0, max_iter=2)
+    assert np.array_equal(model.beta, capped.beta) and model.train_meta == capped.train_meta
+    assert model.train_meta["converged"] is False
+
+
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+def test_logistic_zero_tolerance_ends_at_the_rounding_floor(C):
+    # no gradient norm meets a zero tolerance: the line search ends the fit
+    # once a step no longer lowers the objective
+    ds = synth_400()
+    meta = fit_logistic(ds, C=C, tol=0.0).train_meta
+    assert meta["converged"] is False and meta["iterations"] <= 20
+    assert abs(meta["duality_gap"]) <= 1e-12 * meta["objective"]
+
+
+def test_logistic_converges_on_a_set2_shaped_table_at_large_c():
+    ds = set2_shaped()
+    assert np.linalg.matrix_rank(ds.features) < ds.n_features
+    model = fit_logistic(ds, C=100.0)
+    assert_logistic_meta(model, ds, 100.0)
+    meta = model.train_meta
+    assert meta["converged"] is True and meta["iterations"] <= 20
+    assert meta["duality_gap"] <= 1e-6 * meta["objective"]
+    assert np.array_equal(predict(model, ds.features), ds.labels)
+
+
 # --- linear SVM
-
-def synth_400():
-    return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
-
 
 def test_svm_separable_blobs():
     ds = blobs(seed=1)
@@ -237,18 +415,6 @@ def test_svm_certificate_is_a_lower_bound_at_any_dual_point(C):
             assert primal == pytest.approx(
                 svm_objective(beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
             assert primal - gap <= optimum * (1 + 1e-12)
-
-
-def set2_shaped(seed=0, n=60, d=80):
-    """Like an EEG Set2 table: n < d (so separable), one duplicated column,
-    and per-row max, min and range = max - min columns, standardized."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    high, low = x[:, :8].max(axis=1), x[:, :8].min(axis=1)
-    x = np.column_stack([x, x[:, 3], high, low, high - low])
-    x = (x - x.mean(axis=0)) / x.std(axis=0)
-    labels = np.where(np.arange(n) % 3 == 0, 1, -1)
-    return LabeledDataset(x, labels)
 
 
 def test_svm_converges_on_a_set2_shaped_table_at_large_c():
