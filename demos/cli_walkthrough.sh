@@ -50,6 +50,22 @@ python3 -m aucmax eval --features "$WORK/data/features.csv" \
     --model "$WORK/run/model.json" --out "$WORK/eval"
 python3 -m json.tool "$WORK/eval/report.json"
 
+echo; echo "== eval refuses a hand-edited model: a kept column index of -1 =="
+python3 - "$WORK/run/model.json" "$WORK/tampered.json" <<'PY'
+import json, sys
+model = json.load(open(sys.argv[1]))
+model["train_meta"]["standardizer"]["kept"][0] = -1
+json.dump(model, open(sys.argv[2], "w"))
+PY
+status=0
+python3 -m aucmax eval --features "$WORK/data/features.csv" \
+    --model "$WORK/tampered.json" --out "$WORK/eval_tampered" 2> "$WORK/tampered.err" || status=$?
+cat "$WORK/tampered.err"
+test "$status" -eq 1
+grep -q "^error: $WORK/tampered.json: " "$WORK/tampered.err"
+test ! -e "$WORK/eval_tampered/report.json"
+echo "refused with exit 1, naming the file, and no report written"
+
 echo; echo "== compare: tuned logistic vs tuned SVM vs the AUC maximizer =="
 python3 -m aucmax compare --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/cmp"

@@ -23,10 +23,6 @@ from .solvers import (
     broyden_update,
     greedy_direction,
     solve,
-    solve_extragradient,
-    solve_gda,
-    solve_newton,
-    solve_quasi_newton,
 )
 from .signals import (
     BandDef,

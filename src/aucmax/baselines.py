@@ -379,4 +379,6 @@ def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
         raise ValueError(f"unknown model kind {kind!r}")
     if w.ndim != 1 or not (np.isfinite(w).all() and np.isfinite(bias)):
         raise ValueError("model weights must be a vector of finite numbers")
+    if not np.isfinite(cut):
+        raise ValueError("model threshold must be a finite number")
     return w, bias, cut

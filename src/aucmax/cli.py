@@ -102,13 +102,16 @@ def choice(options: tuple) -> Kind:
 
 
 INTEGER = Kind(_is_int, "an integer", parse=int)
+POSITIVE_INTEGER = Kind(lambda v: _is_int(v) and v >= 1, "a positive integer", parse=int)
 NUMBER = Kind(_is_number, "a number", float, float)
 FINITE = Kind(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float, float)
 NONNEGATIVE = Kind(lambda v: _is_number(v) and 0 <= v < math.inf,
                    "a nonnegative finite number", float, float)
-NUMBERS = Kind(lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers",
-               lambda v: [float(c) for c in v],
-               lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
+POSITIVE = Kind(lambda v: _is_number(v) and 0 < v < math.inf,
+                "a positive finite number", float, float)
+POSITIVES = Kind(lambda v: isinstance(v, list) and len(v) > 0 and all(map(POSITIVE.test, v)),
+                 "a nonempty list of positive finite numbers", lambda v: [float(c) for c in v],
+                 lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
 INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers",
                 parse=lambda raw: [int(tok) for tok in raw.split(",") if tok != ""])
 CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers',
@@ -154,7 +157,7 @@ FIT_KEYS = {                    # the solver's keys are SolverConfig's field nam
     "step_size": Key(None, NUMBER, "first-order step size", "--eta"),
     "grad_tolerance": Key(1e-3, NUMBER, "gradient norm tolerance", "--tol"),
     "max_iterations": Key(50_000, INTEGER, "iteration cap", "--max-iter"),
-    "lambda": Key(1e-4, NUMBER, "L2 regularization weight"),
+    "lambda": Key(1e-4, NONNEGATIVE, "L2 regularization weight"),
     "broyden_tau": Key("sr1", TAU, "Broyden tau in [0,1] or sr1/dfp/bfgs", "--tau"),
     "direction_rule": Key("greedy-basis", choice(DIRECTION_RULES), "quasi-Newton direction rule",
                           "--direction"),
@@ -162,13 +165,13 @@ FIT_KEYS = {                    # the solver's keys are SolverConfig's field nam
                                  "--k-updates"),
     "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
                         "gradient norm, SVM relative duality gap"),
-    "baseline_max_iter": Key(10_000, INTEGER, "baseline iteration cap: logistic Newton "
+    "baseline_max_iter": Key(10_000, POSITIVE_INTEGER, "baseline iteration cap: logistic Newton "
                              "iterations, SVM interior-point iterations"),
     "train_fraction": Key(0.8, NUMBER, "train split fraction", "--train-frac"),
 }
 TRAIN_KEYS = {
     **FIT_KEYS,
-    "C": Key(1.0, NUMBER, "baseline trade-off parameter"),
+    "C": Key(1.0, POSITIVE, "baseline trade-off parameter"),
     "threshold": Key(None, FINITE, "classification threshold override"),
     "solver": Key("alt-gda", choice(SOLVER_CHOICES), "saddle solver or baseline"),
     "trace_auc": Key(True, SWITCH, "record train/test AUC on every trace row (default)"),
@@ -178,7 +181,7 @@ COMPARE_KEYS = {                # no C: compare tunes it over c_grid
     "threshold": Key(None, FINITE, "score threshold of the AUC model only; the tuned baselines "
                      "keep their 0.5 probability (logistic) and 0 margin (svm) cuts"),
     "solver": Key("alt-gda", choice(METHODS), "saddle solver for the AUC maximizer"),
-    "c_grid": Key(list(DEFAULT_C_GRID), NUMBERS, "comma-separated C grid for tuning"),
+    "c_grid": Key(list(DEFAULT_C_GRID), POSITIVES, "comma-separated C grid for tuning"),
 }
 EVAL_KEYS = OUT
 
@@ -398,34 +401,13 @@ def _cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval / compare helpers
 
-def _check_positive_finite(values, subject: str) -> None:
-    if not all(v > 0 for v in values):             # NaN is not positive
-        raise ValueError(f"{subject} must be positive")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{subject} must be finite")
-
-
 def _load_split(args, table: dict):
     """Resolve the config and the saddle solver's ``SolverConfig`` (None for a
     baseline), load the feature CSV, split it stratified and fit the
-    standardizer on the training part.  Before the table is read, refuses an
-    empty C grid, a C that is not positive and finite, a lambda that is not
-    nonnegative and finite, a baseline iteration cap below 1, and what
-    ``SplitSpec`` or ``SolverConfig`` refuse."""
+    standardizer on the training part.  Before the table is read, refuses
+    what ``_config``, ``SplitSpec`` or ``SolverConfig`` refuse."""
     eff = _config(args, table)
     eff.update(features=args.features, standardize=True)
-    if "c_grid" in eff:
-        if not eff["c_grid"]:
-            raise ValueError("c_grid must name at least one C")
-        _check_positive_finite(eff["c_grid"], "c_grid: every C")
-    if "C" in eff:
-        _check_positive_finite([eff["C"]], "C")
-    if eff["lambda"] < 0:
-        raise ValueError("lambda must be nonnegative")
-    if not math.isfinite(eff["lambda"]):
-        raise ValueError("lambda must be finite")
-    if eff["baseline_max_iter"] < 1:
-        raise ValueError("baseline_max_iter must be a positive integer")
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
     config = SolverConfig(
         method=eff["solver"], rng_seed=eff["seed"],

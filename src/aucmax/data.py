@@ -93,12 +93,27 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Standardizer":
-        return cls(
-            means=np.asarray(obj["means"], dtype=float),
-            stds=np.asarray(obj["stds"], dtype=float),
-            kept=np.asarray(obj["kept"], dtype=int),
-            dropped=np.asarray(obj["dropped"], dtype=int),
-        )
+        """The standardizer ``to_dict`` stored.  ValueError unless ``means``
+        and ``stds`` are finite vectors of one length, ``kept`` (not empty)
+        and ``dropped`` are integer lists that hold each column once between
+        them, and every kept column's std is at least ``ZERO_VARIANCE_STD``."""
+        means = np.asarray(obj["means"], dtype=float)
+        stds = np.asarray(obj["stds"], dtype=float)
+        if means.ndim != 1 or means.shape != stds.shape or not (
+                np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise ValueError("standardizer means and stds must be finite vectors of equal length")
+        kept, dropped = obj["kept"], obj["dropped"]
+        if not all(isinstance(part, list) and all(type(c) is int for c in part)
+                   for part in (kept, dropped)):
+            raise ValueError("standardizer kept and dropped must be lists of integers")
+        if sorted(kept + dropped) != list(range(means.size)):
+            raise ValueError(f"standardizer kept and dropped must hold each of the "
+                             f"{means.size} columns once")
+        if not kept:
+            raise ValueError("standardizer keeps no column")
+        if not (stds[kept] >= ZERO_VARIANCE_STD).all():
+            raise ValueError("standardizer keeps a zero-variance column")
+        return cls(means, stds, np.asarray(kept, dtype=int), np.asarray(dropped, dtype=int))
 
 
 def fit_apply_standardizer(

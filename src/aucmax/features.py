@@ -22,6 +22,8 @@ import numpy as np
 from .signals import (
     DEFAULT_BANDS,
     DEFAULT_FILTER_ORDER,
+    ChannelStats,
+    Stats,
     TrialSignal,
     WindowSpec,
     band_power_psd,
@@ -54,8 +56,8 @@ DEFAULT_CHANNELS_1BASED = (1, 2, 3, 4, 6, 11, 13, 17, 19, 20, 21, 25, 29, 31)
 
 SET_IDS = ("Set1", "Set2", "Set3", "Set4")
 
-STAT_FIELDS = ("min", "max", "range", "mean", "variance", "skewness", "kurtosis")
-CHANNEL_STAT_FIELDS = STAT_FIELDS + ("argmin", "argmax")
+STAT_FIELDS = Stats._fields
+CHANNEL_STAT_FIELDS = ChannelStats._fields
 DIFF_FIELDS = STAT_FIELDS + ("psd", "de")      # per-stream quantities differenced per window
 
 # Windows whose band-filtered features are evaluated together: a trial's

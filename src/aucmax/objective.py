@@ -250,8 +250,6 @@ class AucProblem:
     the cached ``H`` itself, marked read-only.
     """
 
-    constant_hessian = True
-
     def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
         self.dataset = dataset
         self.params = ObjectiveParams.from_dataset(dataset, lam=lam)

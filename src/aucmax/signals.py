@@ -273,16 +273,9 @@ class Stats(NamedTuple):
     kurtosis: float
 
 
-class ChannelStats(NamedTuple):
-    min: float
-    max: float
-    range: float
-    mean: float
-    variance: float
-    skewness: float
-    kurtosis: float
-    argmin: float
-    argmax: float
+# Stats' fields, then the extremes' positions as fractions of the channel
+ChannelStats = NamedTuple("ChannelStats",
+                          [(name, float) for name in Stats._fields + ("argmin", "argmax")])
 
 
 # One batched kernel per statistic; the scalar ops are wrappers over them.

@@ -1,15 +1,15 @@
 """First- and second-order solvers for strongly-convex-strongly-concave
 saddle problems, with per-iteration trace logging and a uniform
 termination contract (stacked gradient norm below tolerance, or an
-iteration cap).  Every solver supplies only its step; one loop
-(``_iterate``) enforces the contract and the trace-thinning policy.
+iteration cap).  ``solve``, the one entry point, builds the step of the
+method its config names; one loop (``_iterate``) enforces the contract and
+the trace-thinning policy.
 
 A problem object must provide ``dim_x``, ``dim_y`` and ``grad(x, y)``
 returning the two gradient blocks; second-order methods additionally
 require ``hessian(x, y)`` returning the full symmetric second-derivative
-matrix over the stacked variable ``[x; y]``.  Problems whose Hessian is
-constant may set ``constant_hessian = True`` to let solvers evaluate it
-once.
+matrix over the stacked variable ``[x; y]``.  The problem is taken to be
+quadratic: the Hessian is read once, at the start point.
 
 Every trace row also holds the objective (``value(x, y)`` at the row's
 iterate) and, when the caller passes ``auc_eval``, a train and a test AUC.
@@ -47,10 +47,6 @@ __all__ = [
     "SolveResult",
     "spectral_norm_estimate",
     "solve",
-    "solve_gda",
-    "solve_extragradient",
-    "solve_newton",
-    "solve_quasi_newton",
     "broyden_update",
     "greedy_direction",
     "trace_to_csv",
@@ -127,7 +123,6 @@ class SolveResult:
     iterations_used: int
     trace: list[TraceRow]
     notes: list[str] = field(default_factory=list)
-    q_history: list[np.ndarray] | None = None
 
 
 def _initial_point(problem, initial) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +142,7 @@ def _grads(problem, x, y):
     return gx, gy, float(np.sqrt(gx @ gx + gy @ gy))
 
 
-def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResult:
+def _iterate(problem, config, x, y, step, auc_eval, dense, notes) -> SolveResult:
     """The iteration loop shared by every solver.
 
     ``step(t, x, y, gx, gy)`` returns iterate ``t`` from iterate ``t - 1``
@@ -158,7 +153,7 @@ def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResu
     them every row when ``dense``, otherwise every row up to
     ``DENSE_TRACE_ROWS`` and every ``THIN_TRACE_EVERY``-th one after.  The
     recorded rows' AUCs come from ``auc_eval`` in blocks (see the module
-    docstring).  ``extra`` goes into the ``SolveResult`` unchanged.
+    docstring).  ``notes`` goes into the ``SolveResult`` unchanged.
     """
     tol, cap = config.grad_tolerance, config.max_iterations
     trace: list[TraceRow] = []
@@ -194,7 +189,7 @@ def _iterate(problem, config, x, y, step, auc_eval, dense, **extra) -> SolveResu
     if pending:
         score_pending()
     return SolveResult(final_x=x, final_y=y, converged=bool(converged), iterations_used=t,
-                       trace=trace, **extra)
+                       trace=trace, notes=notes)
 
 
 def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0, iterations: int = 300) -> float:
@@ -260,73 +255,61 @@ def _saddle_factor(h_hat: np.ndarray, nx: int):
 
 
 def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
-    """Dispatch to the solver selected by ``config.method``."""
-    if config.method in ("sim-gda", "alt-gda"):
-        return solve_gda(problem, config, initial, auc_eval)
-    if config.method == "extragradient":
-        return solve_extragradient(problem, config, initial, auc_eval)
-    if config.method == "newton":
-        return solve_newton(problem, config, initial, auc_eval)
-    return solve_quasi_newton(problem, config, initial, auc_eval)
-
-
-def solve_gda(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
-    """Simultaneous or alternating gradient descent ascent.
-
-    Both variants descend ``x`` along its gradient; the dual ascends using
-    the gradient at the old primal (simultaneous) or the fresh one
-    (alternating).
+    """Run ``config.method`` from ``initial`` (``(x0, y0)``; default the
+    origin).  The second-order methods read ``hessian`` once, at the start
+    point, and certify the saddle before the first step: a singular or
+    non-saddle Hessian raises RuntimeError even at a point already within
+    tolerance.  An unknown method raises ValueError.
     """
-    if config.method not in ("sim-gda", "alt-gda"):
-        raise ValueError("solve_gda handles methods 'sim-gda' and 'alt-gda'")
     x, y = _initial_point(problem, initial)
+    notes: list[str] = []
+    if config.method in FIRST_ORDER_METHODS:
+        step = _first_order_step(problem, config, x, y)
+    elif config.method == "newton":
+        step = _newton_step(problem, x, y)
+    elif config.method == "qn-broyden":
+        step = _quasi_newton_step(problem, config, x, y, notes)
+    else:
+        raise ValueError(f"unknown method {config.method!r}; expected one of {METHODS}")
+    return _iterate(problem, config, x, y, step, auc_eval,
+                    dense=config.method in SECOND_ORDER_METHODS, notes=notes)
+
+
+def _first_order_step(problem, config: SolverConfig, x, y):
+    """Gradient descent ascent or extragradient.
+
+    GDA descends ``x`` along its gradient; the dual ascends using the
+    gradient at the old primal (sim-gda) or the fresh one (alt-gda).
+    Extragradient takes a half step to a mid-point, then a full step using
+    the mid-point gradients.
+    """
     eta = _resolve_step(problem, config, x, y)
-    alternate = config.method == "alt-gda"
+    extragradient, alternate = config.method == "extragradient", config.method == "alt-gda"
 
     def step(t, x, y, gx, gy):
+        if extragradient:                       # full step with the mid-point gradients
+            gx, gy, _ = _grads(problem, x - eta * gx, y + eta * gy)
+            return x - eta * gx, y + eta * gy
         x_next = x - eta * gx
-        if alternate:
-            _, gy_new = problem.grad(x_next, y)
-            return x_next, y + eta * np.atleast_1d(np.asarray(gy_new, dtype=float))
+        if alternate:                           # the dual sees the fresh primal
+            gy = np.atleast_1d(np.asarray(problem.grad(x_next, y)[1], dtype=float))
         return x_next, y + eta * gy
 
-    return _iterate(problem, config, x, y, step, auc_eval, dense=False)
+    return step
 
 
-def solve_extragradient(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
-    """Two-step extragradient: a half step to a mid-point, then a full step
-    using the mid-point gradients."""
-    if config.method != "extragradient":
-        raise ValueError("solve_extragradient requires method 'extragradient'")
-    x, y = _initial_point(problem, initial)
-    eta = _resolve_step(problem, config, x, y)
-
-    def step(t, x, y, gx, gy):
-        gx_mid, gy_mid, _ = _grads(problem, x - eta * gx, y + eta * gy)
-        return x - eta * gx_mid, y + eta * gy_mid
-
-    return _iterate(problem, config, x, y, step, auc_eval, dense=False)
-
-
-def solve_newton(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
+def _newton_step(problem, x, y):
     """Full Newton step on the stacked system, solved with the certified
     Cholesky-Schur factors of the saddle Hessian (never an explicit
     inverse)."""
-    if config.method != "newton":
-        raise ValueError("solve_newton requires method 'newton'")
-    x, y = _initial_point(problem, initial)
-    constant = getattr(problem, "constant_hessian", False)
     nx = x.size
-    solve_saddle = None
+    solve_saddle = _saddle_factor(np.asarray(problem.hessian(x, y), dtype=float), nx)
 
     def step(t, x, y, gx, gy):
-        nonlocal solve_saddle
-        if solve_saddle is None or not constant:
-            solve_saddle = _saddle_factor(np.asarray(problem.hessian(x, y), dtype=float), nx)
         s = solve_saddle(np.concatenate([gx, gy]))
         return x - s[:nx], y - s[nx:]
 
-    return _iterate(problem, config, x, y, step, auc_eval, dense=True)
+    return step
 
 
 def _broyden_form(u: np.ndarray, qu: np.ndarray, hu: np.ndarray, tau: float | str):
@@ -385,7 +368,7 @@ def broyden_update(Q: np.ndarray, H: np.ndarray, u: np.ndarray, tau: float | str
     curvature-ratio value ``u@H@u / u@Q@u`` that reproduces the BFGS update.
     Requires ``Q`` symmetric positive definite with ``Q - H`` positive
     semidefinite for the guards to be meaningful.  This is the dense
-    reference; ``solve_quasi_newton`` applies the same form in factored form.
+    reference; ``qn-broyden`` applies the same form in factored form.
     """
     Q = np.asarray(Q, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -435,7 +418,7 @@ def greedy_direction(Q: np.ndarray, H: np.ndarray) -> int:
 class _Curvature:
     """The dominating approximation ``Q`` of ``H = H_hat @ H_hat``.
 
-    ``Q`` is kept dense (for ``Q u``, its diagonal and ``record_q``) and
+    ``Q`` is kept dense (for ``Q u`` and its diagonal) and
     changed in place by signed rank-1 pieces ``sigma a a.T``.  ``Q^{-1}`` is
     applied as the inverse of a base (the scalar ``c`` of ``Q = c I`` at the
     start, later a Cholesky factor of ``Q``) minus a Woodbury correction in
@@ -486,26 +469,20 @@ class _Curvature:
         scipy.linalg.blas.dger(sigma, a, a, a=self.q.T, overwrite_a=True)
 
 
-def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=None,
-                       record_q=False) -> SolveResult:
+def _quasi_newton_step(problem, config: SolverConfig, x, y, notes: list[str]):
     """Quasi-Newton iteration on the squared-Hessian reformulation.
 
     Maintains a positive definite ``Q`` dominating ``H = H_hat @ H_hat``,
     steps by ``-Q^{-1} H_hat g``, then refines ``Q`` with
     ``updates_per_iteration`` Broyden-family updates along greedily selected
-    basis vectors or seeded Gaussian directions.  ``H`` is never formed:
+    basis vectors or seeded Gaussian directions, appending a note to
+    ``notes`` for each skipped component.  ``H`` is never formed:
     ``H u = H_hat (H_hat u)``, ``diag(H)`` is the squared column norms of
     ``H_hat`` and ``lambda_max(H) = ||H_hat||_2^2``.  Each update costs
     O(d^2) (see ``_Curvature``); ``Q`` is refactored once per
     ``REBASE_RANK`` rank-1 pieces, never per iteration.
     """
-    if config.method != "qn-broyden":
-        raise ValueError("solve_quasi_newton requires method 'qn-broyden'")
-    x, y = _initial_point(problem, initial)
-    constant = getattr(problem, "constant_hessian", False)
     greedy = config.direction_rule == "greedy-basis"
-    notes: list[str] = []
-
     h_hat = np.asarray(problem.hessian(x, y), dtype=float)
     _saddle_factor(h_hat, x.size)               # certifies a unique saddle, or raises
     n, nx = h_hat.shape[0], x.size
@@ -513,19 +490,9 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
     curvature = _Curvature(n, 1.01 * lam_max)   # dominance Q >= H at initialization
     dh = np.einsum("ij,ij->j", h_hat, h_hat)    # diag(H)
     rng = np.random.default_rng(config.rng_seed)
-    q_history = [curvature.q.copy()] if record_q else None
 
     def step(t, x, y, gx, gy):
-        nonlocal h_hat, dh
         s = curvature.solve(h_hat @ np.concatenate([gx, gy]))
-        x = x - s[:nx]
-        y = y - s[nx:]
-
-        if not constant:
-            h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-            _saddle_factor(h_hat, nx)
-            dh = np.einsum("ij,ij->j", h_hat, h_hat)
-
         for _ in range(config.updates_per_iteration):
             if greedy:
                 i = _greedy_index(np.diagonal(curvature.q), dh)
@@ -543,12 +510,9 @@ def solve_quasi_newton(problem, config: SolverConfig, initial=None, auc_eval=Non
                 notes.append(
                     f"iteration {t}: {component} update skipped (degenerate curvature pair)"
                 )
-        if record_q:
-            q_history.append(curvature.q.copy())
-        return x, y
+        return x - s[:nx], y - s[nx:]
 
-    return _iterate(problem, config, x, y, step, auc_eval, dense=True,
-                    notes=notes, q_history=q_history)
+    return step
 
 
 def _fmt(value) -> str:

@@ -39,7 +39,7 @@ from aucmax.signals import (
     plv,
     power_spectrum,
 )
-from aucmax.solvers import SolverConfig, solve, solve_extragradient, solve_gda, solve_newton
+from aucmax.solvers import SolverConfig, solve
 
 
 def report(number, name, passed, detail, elapsed, budget):
@@ -113,7 +113,7 @@ def test_criterion_2_newton_quadratic_exactness():
         )
         problem = AucProblem(dataset, lam=1e-4)
         t0 = time.time()
-        result = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
+        result = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
         per_instance = time.time() - t0
         assert per_instance <= 1.0
         worst_iters = max(worst_iters, result.iterations_used)
@@ -170,12 +170,12 @@ def test_criterion_4_eg_vs_gda_bilinear_stability():
         def grad(self, x, y):
             return np.array([y[0]]), np.array([x[0]])
 
-    sim = solve_gda(
+    sim = solve(
         Bilinear(),
         SolverConfig(method="sim-gda", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
         initial=([1.0], [1.0]),
     )
-    eg = solve_extragradient(
+    eg = solve(
         Bilinear(),
         SolverConfig(method="extragradient", step_size=0.5, max_iterations=50,
                      grad_tolerance=1e-15),

@@ -486,6 +486,60 @@ def test_eval_rejects_malformed_model(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
+@pytest.fixture(scope="module")
+def newton_run(tmp_path_factory):
+    """A Newton model trained on the 400x8 synth table: the table's path and
+    the stored model's JSON object."""
+    tmp_path = tmp_path_factory.mktemp("newton")
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "newton", "--seed", 3, "--out", out) == 0
+    return path, json.loads((out / "model.json").read_text())
+
+
+def _standardizer(edit):
+    return lambda m: edit(m["train_meta"]["standardizer"])
+
+
+SPLIT_MESSAGE = "standardizer kept and dropped must hold each of the 8 columns once"
+VECTORS_MESSAGE = "standardizer means and stds must be finite vectors of equal length"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_standardizer(lambda st: st["kept"].__setitem__(0, -1)), SPLIT_MESSAGE),
+    (_standardizer(lambda st: st["kept"].__setitem__(0, 0.5)),
+     "standardizer kept and dropped must be lists of integers"),
+    (_standardizer(lambda st: st["kept"].__setitem__(0, True)),
+     "standardizer kept and dropped must be lists of integers"),
+    (_standardizer(lambda st: st.update(dropped=7)),
+     "standardizer kept and dropped must be lists of integers"),
+    (_standardizer(lambda st: st["kept"].__setitem__(-1, 8)), SPLIT_MESSAGE),
+    (_standardizer(lambda st: st["kept"].__setitem__(1, 0)), SPLIT_MESSAGE),
+    (_standardizer(lambda st: st.update(dropped=[3])), SPLIT_MESSAGE),
+    (_standardizer(lambda st: st.update(kept=[], dropped=list(range(8)))),
+     "standardizer keeps no column"),
+    (_standardizer(lambda st: st.update(stds=st["stds"][:-1])), VECTORS_MESSAGE),
+    (_standardizer(lambda st: st.update(means=st["means"] + [0.0])), VECTORS_MESSAGE),
+    (_standardizer(lambda st: st["means"].__setitem__(2, float("nan"))), VECTORS_MESSAGE),
+    (_standardizer(lambda st: st["stds"].__setitem__(2, float("inf"))), VECTORS_MESSAGE),
+    (_standardizer(lambda st: st["stds"].__setitem__(5, 0.0)),
+     "standardizer keeps a zero-variance column"),
+    (lambda m: m.update(threshold=float("nan")), "model threshold must be a finite number"),
+    (lambda m: m.update(threshold=-float("inf")), "model threshold must be a finite number"),
+], ids=["kept-negative", "kept-fraction", "kept-bool", "dropped-not-list", "kept-out-of-range",
+        "kept-repeated", "dropped-also-kept", "kept-empty", "short-stds", "long-means",
+        "nan-mean", "inf-std", "zero-std-kept", "nan-threshold", "inf-threshold"])
+def test_eval_refuses_a_tampered_model(tmp_path, capsys, newton_run, edit, message):
+    path, model = newton_run
+    model = json.loads(json.dumps(model))       # a copy the edit may change
+    edit(model)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "eval" / "report.json").exists()
+
 
 @pytest.mark.parametrize("solver, threshold", [("logistic", 0.3), ("svm", -0.2)])
 def test_baseline_threshold_is_stored_and_reproduced_by_eval(tmp_path, solver, threshold):
@@ -629,6 +683,9 @@ def test_non_positive_baseline_iteration_cap_rejected(tmp_path, capsys, monkeypa
     assert not (tmp_path / "x").exists()
 
 
+C_GRID_MESSAGE = "c_grid must be a nonempty list of positive finite numbers"
+
+
 @pytest.mark.parametrize("grid", [("--c-grid", ""), ("--c-grid", ","), "config"])
 def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
     path = synth_csv(tmp_path, n=100, dim=3)
@@ -639,11 +696,11 @@ def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
     out = tmp_path / "cmp"
     capsys.readouterr()
     assert run("compare", "--features", path, "--solver", "newton", *grid, "--out", out) == 1
-    assert capsys.readouterr().err == "error: c_grid must name at least one C\n"
+    assert capsys.readouterr().err == f"error: {C_GRID_MESSAGE}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid, message", [
+@pytest.mark.parametrize("grid, rule", [
     ({"c_grid": 5}, "c_grid must be a list of numbers"),
     ({"c_grid": [1.0, "10"]}, "c_grid must be a list of numbers"),
     ({"c_grid": [0.1, -1]}, "c_grid: every C must be positive"),
@@ -654,7 +711,7 @@ def test_compare_empty_c_grid_refused_before_output(tmp_path, capsys, grid):
     (("--c-grid", "1,inf"), "c_grid: every C must be finite"),
     ({"c_grid": [0.1, 1e400]}, "c_grid: every C must be finite"),
 ])
-def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, message):
+def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, rule):
     path = synth_csv(tmp_path, n=100, dim=3)
     if isinstance(grid, dict):
         config = tmp_path / "config.json"
@@ -663,15 +720,23 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, messag
     out = tmp_path / "cmp"
     capsys.readouterr()
     assert run("compare", "--features", path, "--solver", "newton", *grid, "--out", out) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {C_GRID_MESSAGE}\n"     # each rule is the kind's
     assert not out.exists()
 
 
 TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
+# A case is named by the rule it breaks; where that rule is part of its key's
+# kind, the refusal names the kind instead.
+KIND_REFUSALS = {
+    **dict.fromkeys(("C must be finite", "C must be positive", "C must be a number"),
+                    "C must be a positive finite number"),
+    **dict.fromkeys(("lambda must be finite", "lambda must be nonnegative",
+                     "lambda must be a number"), "lambda must be a nonnegative finite number"),
+}
 FRACTION_MESSAGE = "train_fraction must lie strictly between 0 and 1"
 
 
-@pytest.mark.parametrize("command, flags, message", [
+@pytest.mark.parametrize("command, flags, rule", [
     ("train", ("--solver", "svm", "--C", "inf"), "C must be finite"),
     ("train", ("--solver", "svm", "--C", "0"), "C must be positive"),
     ("train", ("--solver", "logistic", "--C", "nan"), "C must be positive"),
@@ -711,7 +776,7 @@ FRACTION_MESSAGE = "train_fraction must lie strictly between 0 and 1"
     ("compare", ("--tau", "2"), "broyden_tau must lie in [0, 1]"),
 ])
 def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, monkeypatch,
-                                                      command, flags, message):
+                                                      command, flags, rule):
     path = synth_csv(tmp_path, n=100, dim=3)
     work = []                                   # refused before the table is read or any fit runs
     for name in ("load_labeled_csv", "fit_logistic", "fit_linear_svm", "solve"):
@@ -727,7 +792,7 @@ def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, monkeyp
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(command, "--features", path, *flags, "--out", out) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {KIND_REFUSALS.get(rule, rule)}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
     assert work == []
@@ -960,7 +1025,7 @@ DIRECTIONS = "greedy-basis, random-gaussian"
     ("train", {"broyden_tau": "0.5"}, "broyden_tau must be a number or sr1/dfp/bfgs"),
     ("train", {"trace_auc": "no"}, "trace_auc must be true or false"),
     ("compare", {"direction_rule": [0, "1"]}, f"direction_rule must be one of {DIRECTIONS}"),
-    ("compare", {"baseline_max_iter": True}, "baseline_max_iter must be an integer"),
+    ("compare", {"baseline_max_iter": True}, "baseline_max_iter must be a positive integer"),
     ("eval", {"out": 1.7}, "out must be text"),
     ("train", ("--seed", -1), "seed must be nonnegative, got -1"),
     ("extract", {"seed": -2}, "seed must be nonnegative, got -2"),

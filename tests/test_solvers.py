@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import aucmax.solvers as solvers
 from aucmax.data import SplitSpec, SynthSpec, generate_synthetic, split
 from aucmax.metrics import roc_auc, roc_auc_columns
 from aucmax.objective import AucProblem, LabeledDataset
@@ -20,10 +21,6 @@ from aucmax.solvers import (
     broyden_update,
     greedy_direction,
     solve,
-    solve_extragradient,
-    solve_gda,
-    solve_newton,
-    solve_quasi_newton,
     spectral_norm_estimate,
     trace_to_csv,
 )
@@ -96,11 +93,18 @@ def test_config_validation():
         SolverConfig(method="newton", grad_tolerance=0.0)
 
 
+def test_unknown_method_on_a_mutated_config_raises():
+    cfg = SolverConfig(method="qn-broyden")
+    cfg.method = "sgd"                          # past SolverConfig's own check
+    with pytest.raises(ValueError, match="unknown method 'sgd'"):
+        solve(auc_problem(), cfg)
+
+
 # --- first-order on toys
 
 def test_alt_gda_scalar_toy():
     cfg = SolverConfig(method="alt-gda", step_size=0.5, max_iterations=100, grad_tolerance=1e-3)
-    res = solve_gda(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
+    res = solve(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
     assert res.converged and res.iterations_used <= 100
     assert abs(res.final_x[0]) < 1e-3 and abs(res.final_y[0]) < 1e-3
 
@@ -109,7 +113,7 @@ def test_alt_gda_scalar_toy():
 def test_immediate_return_when_converged(method):
     if method in SECOND_ORDER_METHODS:          # these need a Hessian: start at the AUC saddle
         problem = auc_problem()
-        saddle = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
+        saddle = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
         start = (saddle.final_x, saddle.final_y)
         cfg = SolverConfig(method=method, grad_tolerance=1e-3)
     else:
@@ -124,18 +128,18 @@ def test_immediate_return_when_converged(method):
 def test_sim_gda_divergence_error():
     cfg = SolverConfig(method="sim-gda", step_size=0.5, max_iterations=10_000, grad_tolerance=1e-12)
     with pytest.raises(RuntimeError, match="diverged"):
-        solve_gda(Bilinear(), cfg, initial=([1.0], [1.0]))
+        solve(Bilinear(), cfg, initial=([1.0], [1.0]))
 
 
 def test_bilinear_sim_grows_eg_contracts():
     # closed-form maps: sim multiplies the iterate norm by sqrt(1.25),
     # extragradient by sqrt(0.8125), every iteration
-    sim = solve_gda(
+    sim = solve(
         Bilinear(),
         SolverConfig(method="sim-gda", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
         initial=([1.0], [1.0]),
     )
-    eg = solve_extragradient(
+    eg = solve(
         Bilinear(),
         SolverConfig(method="extragradient", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
         initial=([1.0], [1.0]),
@@ -156,7 +160,7 @@ def test_alt_beats_sim_on_imbalanced_instance():
     eta = 0.3 / hessian_norm(problem)
     counts = {}
     for method in ("sim-gda", "alt-gda"):
-        res = solve_gda(problem, SolverConfig(method=method, step_size=eta, grad_tolerance=1e-3))
+        res = solve(problem, SolverConfig(method=method, step_size=eta, grad_tolerance=1e-3))
         assert res.converged
         counts[method] = res.iterations_used
     assert counts["alt-gda"] < counts["sim-gda"]
@@ -164,8 +168,8 @@ def test_alt_beats_sim_on_imbalanced_instance():
 
 def test_eg_agrees_with_alt_gda_on_auc():
     problem = auc_problem()
-    alt = solve_gda(problem, SolverConfig(method="alt-gda"))
-    eg = solve_extragradient(problem, SolverConfig(method="extragradient"))
+    alt = solve(problem, SolverConfig(method="alt-gda"))
+    eg = solve(problem, SolverConfig(method="extragradient"))
     assert alt.converged and eg.converged
     assert np.linalg.norm(stacked(alt) - stacked(eg)) <= 1e-2
 
@@ -173,13 +177,13 @@ def test_eg_agrees_with_alt_gda_on_auc():
 def test_default_step_requires_hessian():
     cfg = SolverConfig(method="sim-gda")
     with pytest.raises(ValueError, match="step_size"):
-        solve_gda(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
+        solve(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
 
 
 def test_trace_thinning_long_run():
     mu = 5e-4
     cfg = SolverConfig(method="sim-gda", step_size=1.0, max_iterations=30_000, grad_tolerance=1e-3)
-    res = solve_gda(SlowQuadratic(mu), cfg, initial=([1e3], [1e3]))
+    res = solve(SlowQuadratic(mu), cfg, initial=([1e3], [1e3]))
     assert res.converged
     iters = [row.iteration for row in res.trace]
     assert all(b > a for a, b in zip(iters, iters[1:]))           # strictly increasing
@@ -244,9 +248,9 @@ def test_update_rules_match_hand_iterations():
     for _ in range(3):                           # simultaneous: both from the old point
         gx, gy = problem.grad(hx, hy)
         hx, hy = hx - eta * gx, hy + eta * gy
-    res = solve_gda(problem, SolverConfig(method="sim-gda", step_size=eta,
-                                          max_iterations=3, grad_tolerance=1e-30),
-                    initial=(x0, y0))
+    res = solve(problem, SolverConfig(method="sim-gda", step_size=eta,
+                                      max_iterations=3, grad_tolerance=1e-30),
+                initial=(x0, y0))
     assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
 
     hx, hy = x0.copy(), y0.copy()
@@ -255,9 +259,9 @@ def test_update_rules_match_hand_iterations():
         x_next = hx - eta * gx
         _, gy_new = problem.grad(x_next, hy)
         hx, hy = x_next, hy + eta * gy_new
-    res = solve_gda(problem, SolverConfig(method="alt-gda", step_size=eta,
-                                          max_iterations=3, grad_tolerance=1e-30),
-                    initial=(x0, y0))
+    res = solve(problem, SolverConfig(method="alt-gda", step_size=eta,
+                                      max_iterations=3, grad_tolerance=1e-30),
+                initial=(x0, y0))
     assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
 
     hx, hy = x0.copy(), y0.copy()
@@ -266,9 +270,9 @@ def test_update_rules_match_hand_iterations():
         mx, my = hx - eta * gx, hy + eta * gy
         gx_mid, gy_mid = problem.grad(mx, my)
         hx, hy = hx - eta * gx_mid, hy + eta * gy_mid
-    res = solve_extragradient(problem, SolverConfig(method="extragradient", step_size=eta,
-                                                    max_iterations=3, grad_tolerance=1e-30),
-                              initial=(x0, y0))
+    res = solve(problem, SolverConfig(method="extragradient", step_size=eta,
+                                      max_iterations=3, grad_tolerance=1e-30),
+                initial=(x0, y0))
     assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
 
 
@@ -277,14 +281,14 @@ def test_update_rules_match_hand_iterations():
 def test_newton_two_iteration_exactness():
     for seed in range(5):
         problem = auc_problem(n=30 + seed, d=3 + seed, seed=seed)
-        res = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
+        res = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
         assert res.converged and res.iterations_used <= 2
 
 
 def test_newton_zero_iterations_at_saddle():
     problem = auc_problem()
-    first = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
-    again = solve_newton(
+    first = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
+    again = solve(
         problem,
         SolverConfig(method="newton", grad_tolerance=1e-3),
         initial=(first.final_x, first.final_y),
@@ -294,8 +298,8 @@ def test_newton_zero_iterations_at_saddle():
 
 def test_newton_monotone_contraction():
     problem = auc_problem(seed=8)
-    res = solve_newton(problem, SolverConfig(method="newton", grad_tolerance=1e-14,
-                                             max_iterations=3))
+    res = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-14,
+                                      max_iterations=3))
     g0 = res.trace[0].grad_norm
     g1 = res.trace[1].grad_norm
     assert g1 <= 1e-8 * g0
@@ -307,15 +311,25 @@ def test_newton_singular_hessian():
     ds = LabeledDataset(np.zeros((4, 2)), [1, 1, -1, -1])
     problem = AucProblem(ds, lam=0.0)
     with pytest.raises(RuntimeError, match="singular Hessian"):
-        solve_newton(problem, SolverConfig(method="newton"),
-                     initial=(np.array([1.0, 1.0, 1.0, -1.0]), np.array([0.5])))
+        solve(problem, SolverConfig(method="newton"),
+              initial=(np.array([1.0, 1.0, 1.0, -1.0]), np.array([0.5])))
+
+
+@pytest.mark.parametrize("method", SECOND_ORDER_METHODS)
+def test_second_order_refuses_a_singular_problem_at_its_saddle(method):
+    # the same singular problem from the zero start, where the gradient is
+    # already zero: the Hessian is certified before the convergence test
+    problem = AucProblem(LabeledDataset(np.zeros((4, 2)), [1, 1, -1, -1]), lam=0.0)
+    gx, gy = problem.grad(np.zeros(problem.dim_x), np.zeros(1))
+    assert not gx.any() and not gy.any()
+    with pytest.raises(RuntimeError, match="singular Hessian"):
+        solve(problem, SolverConfig(method=method))
 
 
 class IndefinitePrimal:
     """f(x, y) = (x1^2 - x2^2)/2 - y^2/2: nonsingular, but H_xx is indefinite."""
 
     dim_x, dim_y = 2, 1
-    constant_hessian = True
 
     def value(self, x, y):
         return float(0.5 * (x[0] ** 2 - x[1] ** 2 - y[0] ** 2))
@@ -417,10 +431,43 @@ def test_greedy_direction_cases():
 
 # --- quasi-newton solver
 
+def recorded_q(monkeypatch, problem, cfg):
+    """The run of ``cfg`` on ``problem`` and every ``Q`` it held: the initial
+    one, then the one after each iteration's updates.  A ``_Curvature``
+    subclass copies ``Q`` on every ``solve`` call but the one inside
+    ``add``, that is, as each step sees it; the last ``Q`` is read after the
+    run."""
+    made = []
+
+    class RecordingCurvature(solvers._Curvature):
+        def __init__(self, n, scale):
+            super().__init__(n, scale)
+            self.seen, self.adding = [], False
+            made.append(self)
+
+        def solve(self, v):
+            if not self.adding:
+                self.seen.append(self.q.copy())
+            return super().solve(v)
+
+        def add(self, sigma, a):
+            self.adding = True
+            try:
+                super().add(sigma, a)
+            finally:
+                self.adding = False
+
+    monkeypatch.setattr(solvers, "_Curvature", RecordingCurvature)
+    res = solve(problem, cfg)
+    (curvature,) = made
+    assert len(curvature.seen) == res.iterations_used
+    return res, curvature.seen + [curvature.q.copy()]
+
+
 def test_quasi_newton_agrees_with_newton():
     problem = auc_problem(n=30, d=4, seed=9)
-    newton = solve_newton(problem, SolverConfig(method="newton"))
-    qn = solve_quasi_newton(
+    newton = solve(problem, SolverConfig(method="newton"))
+    qn = solve(
         problem,
         SolverConfig(method="qn-broyden", broyden_tau="sr1",
                      direction_rule="greedy-basis", updates_per_iteration=3),
@@ -429,17 +476,16 @@ def test_quasi_newton_agrees_with_newton():
     assert np.linalg.norm(stacked(newton) - stacked(qn)) <= 1e-2
 
 
-def test_quasi_newton_dominance_along_run():
+def test_quasi_newton_dominance_along_run(monkeypatch):
     problem = auc_problem(n=40, d=6, seed=12)
-    res = solve_quasi_newton(
-        problem,
+    res, seen_q = recorded_q(
+        monkeypatch, problem,
         SolverConfig(method="qn-broyden", broyden_tau="sr1", updates_per_iteration=3),
-        record_q=True,
     )
     assert res.converged
     h_hat = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
     h_sq = h_hat @ h_hat
-    for q in res.q_history:
+    for q in seen_q:
         assert np.linalg.eigvalsh(q - h_sq).min() >= -1e-8
 
 
@@ -447,59 +493,13 @@ def test_quasi_newton_random_rule_deterministic():
     problem = auc_problem(n=30, d=4, seed=9)
     cfg = SolverConfig(method="qn-broyden", direction_rule="random-gaussian",
                        updates_per_iteration=1, rng_seed=5)
-    first = solve_quasi_newton(problem, cfg)
-    second = solve_quasi_newton(problem, cfg)
+    first = solve(problem, cfg)
+    second = solve(problem, cfg)
     assert first.iterations_used == second.iterations_used
     assert len(first.trace) == len(second.trace)
     for a, b in zip(first.trace, second.trace):
         assert a.grad_norm == b.grad_norm and a.objective == b.objective
     assert np.array_equal(first.final_x, second.final_x)
-
-
-@pytest.mark.parametrize("rule", DIRECTION_RULES)
-def test_quasi_newton_record_q_does_not_change_the_run(rule):
-    problem = auc_problem(n=60, d=8, seed=5)
-    cfg = SolverConfig(method="qn-broyden", broyden_tau="bfgs", direction_rule=rule,
-                       updates_per_iteration=2, rng_seed=3)
-    recorded = solve_quasi_newton(problem, cfg, record_q=True)
-    plain = solve_quasi_newton(problem, cfg)
-    assert plain.q_history is None
-    assert len(recorded.q_history) == recorded.iterations_used + 1
-    assert np.array_equal(recorded.final_x, plain.final_x)
-    assert np.array_equal(recorded.final_y, plain.final_y)
-    assert recorded.trace == plain.trace and recorded.notes == plain.notes
-
-
-class VaryingHessianView:
-    """An AUC problem that does not declare its Hessian constant."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.dim_x, self.dim_y = problem.dim_x, problem.dim_y
-        self.hessian_calls = 0
-
-    def value(self, x, y):
-        return self.problem.value(x, y)
-
-    def grad(self, x, y):
-        return self.problem.grad(x, y)
-
-    def hessian(self, x, y):
-        self.hessian_calls += 1
-        return self.problem.hessian(x, y)
-
-
-@pytest.mark.parametrize("rule", DIRECTION_RULES)
-def test_quasi_newton_non_constant_hessian_takes_the_same_path(rule):
-    problem = auc_problem(n=60, d=8, seed=6)
-    cfg = SolverConfig(method="qn-broyden", direction_rule=rule, updates_per_iteration=2,
-                       max_iterations=6, grad_tolerance=1e-12)
-    constant = solve_quasi_newton(problem, cfg)
-    view = VaryingHessianView(problem)
-    varying = solve_quasi_newton(view, cfg)
-    assert view.hessian_calls == varying.iterations_used + 1        # re-read every iteration
-    assert np.array_equal(constant.final_x, varying.final_x)
-    assert constant.trace == varying.trace and constant.notes == varying.notes
 
 
 DENSE_NOTE = "iteration {}: {} update skipped (degenerate curvature pair)"
@@ -523,7 +523,7 @@ def test_curvature_certificate_orders_bfgs_pieces():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("rule", DIRECTION_RULES)
 @pytest.mark.parametrize("tau", ["sr1", "dfp", "bfgs", 0.3])
-def test_factored_quasi_newton_tracks_dense_reference(tau, rule, k):
+def test_factored_quasi_newton_tracks_dense_reference(monkeypatch, tau, rule, k):
     # Replays the solver's run with the dense broyden_update and np.linalg.solve:
     # every recorded Q, every skip note and every trace row must agree, over at
     # least 60 updates, more than REBASE_RANK of them applied (so Q is refactored).
@@ -532,7 +532,7 @@ def test_factored_quasi_newton_tracks_dense_reference(tau, rule, k):
     cfg = SolverConfig(method="qn-broyden", broyden_tau=tau, direction_rule=rule,
                        updates_per_iteration=k, max_iterations=iterations,
                        grad_tolerance=1e-300, rng_seed=4)
-    res = solve_quasi_newton(problem, cfg, record_q=True)
+    res, seen_q = recorded_q(monkeypatch, problem, cfg)
     assert res.iterations_used == iterations
 
     x, y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
@@ -540,7 +540,7 @@ def test_factored_quasi_newton_tracks_dense_reference(tau, rule, k):
     h_sq = h_hat @ h_hat
     n = h_sq.shape[0]
     q = 1.01 * np.linalg.eigvalsh(h_sq).max() * np.eye(n)
-    assert np.abs(res.q_history[0] - q).max() <= 1e-12 * q[0, 0]
+    assert np.abs(seen_q[0] - q).max() <= 1e-12 * q[0, 0]
     rng = np.random.default_rng(cfg.rng_seed)
     g0 = res.trace[0].grad_norm
     notes, applied = [], 0
@@ -556,7 +556,7 @@ def test_factored_quasi_newton_tracks_dense_reference(tau, rule, k):
             q, skipped = broyden_update(q, h_sq, u, tau)
             notes += [DENSE_NOTE.format(t, component) for component in skipped]
             applied += not skipped
-        assert np.abs(res.q_history[t] - q).max() <= 1e-10 * np.abs(q).max(), t
+        assert np.abs(seen_q[t] - q).max() <= 1e-10 * np.abs(q).max(), t
         gx, gy = problem.grad(x, y)
         grad_norm = float(np.linalg.norm(np.concatenate([gx, gy])))
         assert abs(res.trace[t].grad_norm - grad_norm) <= 1e-8 * g0, t
