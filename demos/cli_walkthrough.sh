@@ -66,6 +66,16 @@ grep -q "^error: $WORK/tampered.json: " "$WORK/tampered.err"
 test ! -e "$WORK/eval_tampered/report.json"
 echo "refused with exit 1, naming the file, and no report written"
 
+echo; echo "== train refuses a value out of its key's range before reading the table =="
+status=0
+python3 -m aucmax train --features "$WORK/data/features.csv" --solver svm --max-iter 0 \
+    --out "$WORK/run_refused" 2> "$WORK/refused.err" || status=$?
+cat "$WORK/refused.err"
+test "$status" -eq 1
+grep -qx "error: max_iterations must be a positive integer" "$WORK/refused.err"
+test ! -e "$WORK/run_refused"
+echo "refused with exit 1, naming the key, and no output directory created"
+
 echo; echo "== compare: tuned logistic vs tuned SVM vs the AUC maximizer =="
 python3 -m aucmax compare --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/cmp"

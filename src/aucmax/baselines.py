@@ -13,6 +13,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit, xlog1py
 
 from .objective import LabeledDataset
+from .rules import FINITE, FRACTION, POSITIVE, POSITIVE_INTEGER, require
 
 __all__ = [
     "LinearModel",
@@ -54,17 +55,20 @@ def _design(features) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def _penalty(C, n: int) -> float:
-    """The L2 weight ``1/(C*N)`` that both fits put on the non-intercept
-    weights; refuses a ``C`` for which it is not a finite number."""
-    if not C > 0:
-        raise ValueError("C must be positive")
-    if not np.isfinite(C):
-        raise ValueError("C must be finite")
-    lam = 1.0 / (C * n)
+def _fit_inputs(train: LabeledDataset, C, max_iter):
+    """What both fits start from once their arguments pass: the rows
+    ``z_i = y_i [1, x_i]``, their transpose, the L2 weight ``lam = 1/(C*N)``
+    and the per-coefficient weights ``lam P`` (0 on the intercept).  Refuses a
+    ``C`` for which ``lam`` is not a finite number."""
+    require("C", C, POSITIVE)
+    lam = 1.0 / (C * train.n_samples)
     if not np.isfinite(lam):
-        raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {n}")
-    return lam
+        raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {train.n_samples}")
+    require("max_iter", max_iter, POSITIVE_INTEGER)
+    z = train.labels[:, None] * _design(train.features)
+    reg = np.full(z.shape[1], lam)
+    reg[0] = 0.0                                # the intercept is not regularized
+    return z, np.ascontiguousarray(z.T), lam, reg
 
 
 def logistic_objective(beta, features, labels, C: float):
@@ -108,13 +112,7 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     (``_logistic_gap``).
     """
     n = train.n_samples
-    lam = _penalty(C, n)
-    if max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
-    z = train.labels[:, None] * _design(train.features)
-    zt = np.ascontiguousarray(z.T)
-    reg = np.full(z.shape[1], lam)
-    reg[0] = 0.0                                # the intercept is not regularized
+    z, zt, lam, reg = _fit_inputs(train, C, max_iter)
     beta = np.zeros(z.shape[1])
     value, grad = logistic_objective(beta, train.features, train.labels, C)
     grad_norm = float(np.linalg.norm(grad))
@@ -228,13 +226,7 @@ def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     or a step is not finite.  It then returns the last finite iterate.
     """
     n = train.n_samples
-    lam = _penalty(C, n)
-    if max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
-    z = train.labels[:, None] * _design(train.features)
-    zt = np.ascontiguousarray(z.T)
-    reg = np.full(z.shape[1], lam)
-    reg[0] = 0.0                                # the intercept is not regularized
+    z, zt, lam, reg = _fit_inputs(train, C, max_iter)
     positive = train.labels == 1
     beta = np.zeros(z.shape[1])
     margins = np.zeros(n)                       # z @ beta
@@ -372,13 +364,11 @@ def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
             raise ValueError("beta must be [intercept, weights...]")
         w, bias, cut = beta[1:], float(beta[0]), float(obj["threshold"])
         if kind == "logistic":                  # probability threshold -> logit space
-            if not 0.0 < cut < 1.0:
-                raise ValueError("logistic threshold must lie in (0, 1)")
+            require("logistic threshold", cut, FRACTION)
             cut = float(np.log(cut / (1.0 - cut)))
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     if w.ndim != 1 or not (np.isfinite(w).all() and np.isfinite(bias)):
         raise ValueError("model weights must be a vector of finite numbers")
-    if not np.isfinite(cut):
-        raise ValueError("model threshold must be a finite number")
+    require("model threshold", cut, FINITE)
     return w, bias, cut

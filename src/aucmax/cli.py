@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -23,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rules
 from .baselines import (
     LinearModel,
     decision_scores,
@@ -62,7 +61,7 @@ from .metrics import (
 from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
 from .solvers import (
-    BROYDEN_MODES, DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
+    DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
 )
 
 ENV_SEED = "AUCMAX_SEED"
@@ -94,21 +93,25 @@ class Kind(NamedTuple):
     choices: tuple | None = None
 
 
+def _ranged(of_type: Callable[[object], bool], rule: rules.Rule, **how) -> Kind:
+    """The values of JSON type ``of_type`` that ``rule`` accepts, refused in its words."""
+    return Kind(lambda v: of_type(v) and rule.test(v), rule.what, **how)
+
+
 def choice(options: tuple) -> Kind:
     """The kind whose values are exactly ``options``, all of one type."""
     of_type = type(options[0])
-    return Kind(lambda v: type(v) is of_type and v in options,
-                "one of " + ", ".join(map(str, options)), parse=of_type, choices=options)
+    return _ranged(lambda v: type(v) is of_type, rules.choice(options), parse=of_type,
+                   choices=options)
 
 
 INTEGER = Kind(_is_int, "an integer", parse=int)
-POSITIVE_INTEGER = Kind(lambda v: _is_int(v) and v >= 1, "a positive integer", parse=int)
-NUMBER = Kind(_is_number, "a number", float, float)
-FINITE = Kind(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float, float)
-NONNEGATIVE = Kind(lambda v: _is_number(v) and 0 <= v < math.inf,
-                   "a nonnegative finite number", float, float)
-POSITIVE = Kind(lambda v: _is_number(v) and 0 < v < math.inf,
-                "a positive finite number", float, float)
+POSITIVE_INTEGER = _ranged(_is_int, rules.POSITIVE_INTEGER, parse=int)
+FILTER_ORDER = _ranged(_is_int, rules.FILTER_ORDER, parse=int)
+FINITE = _ranged(_is_number, rules.FINITE, convert=float, parse=float)
+NONNEGATIVE = _ranged(_is_number, rules.NONNEGATIVE, convert=float, parse=float)
+POSITIVE = _ranged(_is_number, rules.POSITIVE, convert=float, parse=float)
+FRACTION = _ranged(_is_number, rules.FRACTION, convert=float, parse=float)
 POSITIVES = Kind(lambda v: isinstance(v, list) and len(v) > 0 and all(map(POSITIVE.test, v)),
                  "a nonempty list of positive finite numbers", lambda v: [float(c) for c in v],
                  lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
@@ -117,9 +120,9 @@ INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list 
 CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers',
                 parse=lambda raw: raw if raw == "auto" else INTEGERS.parse(raw))
 TEXT = Kind(lambda v: isinstance(v, str), "text")
-TAU = Kind(lambda v: v in BROYDEN_MODES or _is_number(v), "a number or sr1/dfp/bfgs",
-           lambda v: v if isinstance(v, str) else float(v),
-           lambda raw: raw if raw in BROYDEN_MODES else float(raw))
+TAU = _ranged(lambda v: isinstance(v, str) or _is_number(v), rules.BROYDEN_TAU,
+              convert=lambda v: v if isinstance(v, str) else float(v),
+              parse=lambda raw: raw if raw in rules.BROYDEN_MODES else float(raw))
 SWITCH = Kind(lambda v: isinstance(v, bool), "true or false")   # a --key/--no-key flag pair
 
 
@@ -139,35 +142,35 @@ OUT = {"out": Key(".", TEXT, "output directory (created if missing)")}
 SYNTH_KEYS = {
     **OUT,
     "n": Key(1000, INTEGER, "number of samples"),
-    "dim": Key(10, INTEGER, "number of features"),
-    "pos_frac": Key(1.0 / 3.0, NUMBER, "positive-class fraction"),
-    "sep": Key(1.0, NUMBER, "class mean separation"),
+    "dim": Key(10, POSITIVE_INTEGER, "number of features"),
+    "pos_frac": Key(1.0 / 3.0, FRACTION, "positive-class fraction"),
+    "sep": Key(1.0, NONNEGATIVE, "class mean separation"),
 }
 EXTRACT_KEYS = {
     **OUT,
     "set": Key(1, choice((1, 2, 3, 4)), "cumulative feature set"),
-    "window": Key(2.0, NUMBER, "window length in seconds"),
-    "stride": Key(0.5, NUMBER, "stride in seconds"),
-    "order": Key(4, INTEGER, "Butterworth filter order"),
+    "window": Key(2.0, POSITIVE, "window length in seconds"),
+    "stride": Key(0.5, POSITIVE, "stride in seconds"),
+    "order": Key(4, FILTER_ORDER, "Butterworth filter order"),
     "channels": Key("auto", CHANNELS, "'auto' or comma-separated 0-based channel rows"),
     "corr_lags": Key(None, INTEGERS, "comma-separated sample lags"),
 }
 FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
     **OUT,
-    "step_size": Key(None, NUMBER, "first-order step size", "--eta"),
-    "grad_tolerance": Key(1e-3, NUMBER, "gradient norm tolerance", "--tol"),
-    "max_iterations": Key(50_000, INTEGER, "iteration cap", "--max-iter"),
+    "step_size": Key(None, POSITIVE, "first-order step size", "--eta"),
+    "grad_tolerance": Key(1e-3, POSITIVE, "gradient norm tolerance", "--tol"),
+    "max_iterations": Key(50_000, POSITIVE_INTEGER, "iteration cap", "--max-iter"),
     "lambda": Key(1e-4, NONNEGATIVE, "L2 regularization weight"),
     "broyden_tau": Key("sr1", TAU, "Broyden tau in [0,1] or sr1/dfp/bfgs", "--tau"),
     "direction_rule": Key("greedy-basis", choice(DIRECTION_RULES), "quasi-Newton direction rule",
                           "--direction"),
-    "updates_per_iteration": Key(1, INTEGER, "curvature updates per quasi-Newton iteration",
-                                 "--k-updates"),
+    "updates_per_iteration": Key(1, POSITIVE_INTEGER,
+                                 "curvature updates per quasi-Newton iteration", "--k-updates"),
     "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
                         "gradient norm, SVM relative duality gap"),
     "baseline_max_iter": Key(10_000, POSITIVE_INTEGER, "baseline iteration cap: logistic Newton "
                              "iterations, SVM interior-point iterations"),
-    "train_fraction": Key(0.8, NUMBER, "train split fraction", "--train-frac"),
+    "train_fraction": Key(0.8, FRACTION, "train split fraction", "--train-frac"),
 }
 TRAIN_KEYS = {
     **FIT_KEYS,
@@ -404,8 +407,8 @@ def _cmd_extract(args) -> int:
 def _load_split(args, table: dict):
     """Resolve the config and the saddle solver's ``SolverConfig`` (None for a
     baseline), load the feature CSV, split it stratified and fit the
-    standardizer on the training part.  Before the table is read, refuses
-    what ``_config``, ``SplitSpec`` or ``SolverConfig`` refuse."""
+    standardizer on the training part.  ``_config`` refuses every value out
+    of its key's range before the table is read."""
     eff = _config(args, table)
     eff.update(features=args.features, standardize=True)
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])

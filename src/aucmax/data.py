@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .objective import LabeledDataset
+from .rules import FRACTION, NONNEGATIVE, POSITIVE_INTEGER, require
 
 __all__ = [
     "SplitSpec",
@@ -38,8 +39,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        require("train_fraction", self.train_fraction, FRACTION)
 
 
 def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
@@ -144,16 +144,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 4:
-            raise ValueError("need at least four samples")
-        if self.n_features < 1:
-            raise ValueError("need at least one feature")
-        if not 0.0 < self.positive_fraction < 1.0:
-            raise ValueError("positive_fraction must lie strictly between 0 and 1")
-        if self.class_separation < 0.0:
-            raise ValueError("class_separation must be nonnegative")
-        n_pos = int(round(self.positive_fraction * self.n_samples))
-        if n_pos < 2 or self.n_samples - n_pos < 2:
+        require("n_features", self.n_features, POSITIVE_INTEGER)
+        require("positive_fraction", self.positive_fraction, FRACTION)
+        require("class_separation", self.class_separation, NONNEGATIVE)
+        if min(self.n_positive, self.n_samples - self.n_positive) < 2:
             raise ValueError("each class needs at least two samples")
 
     @property

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import FRACTION, NONNEGATIVE, require
+
 __all__ = [
     "DEFAULT_LAMBDA",
     "LabeledDataset",
@@ -124,12 +126,8 @@ class ObjectiveParams:
     lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
-        if not np.isfinite(self.lam):                # NaN is not negative
-            raise ValueError("lambda must be finite")
+        require("p", self.p, FRACTION)
+        require("lambda", self.lam, NONNEGATIVE)
 
     @classmethod
     def from_dataset(cls, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA) -> "ObjectiveParams":

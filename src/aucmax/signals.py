@@ -23,6 +23,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
+from .rules import FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, POSITIVE, POSITIVE_INTEGER, require
+
 __all__ = [
     "DEFAULT_BANDS",
     "DEFAULT_FILTER_ORDER",
@@ -54,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_FILTER_ORDER = 4
-MAX_FILTER_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,8 @@ class TrialSignal:
             raise ValueError("samples must be a channels x time 2-D array")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples contain NaN or Inf")
-        if not 0 < self.sampling_rate < math.inf:
-            raise ValueError("sampling_rate must be a positive finite number")
-        if not 0 <= self.pretrial_seconds < math.inf:
-            raise ValueError("pretrial_seconds must be a nonnegative finite number")
+        require("sampling_rate", self.sampling_rate, POSITIVE)
+        require("pretrial_seconds", self.pretrial_seconds, NONNEGATIVE)
         if self.samples.shape[1] <= self.pretrial_seconds * self.sampling_rate:
             raise ValueError("signal is not longer than its pre-trial stretch")
 
@@ -120,8 +119,8 @@ class WindowSpec:
     stride_seconds: float = 0.5
 
     def __post_init__(self):
-        if not self.window_seconds > 0 or not self.stride_seconds > 0:
-            raise ValueError("window and stride must be positive")
+        require("window", self.window_seconds, POSITIVE)
+        require("stride", self.stride_seconds, POSITIVE)
 
     def window_samples(self, sampling_rate: float) -> int:
         return _whole_samples(self.window_seconds, sampling_rate, "window")
@@ -203,25 +202,16 @@ def band_power_psd(segment, sampling_rate: float, bands=DEFAULT_BANDS) -> np.nda
     return np.stack(out, axis=-1)
 
 
-def _check_order(order):
-    if int(order) != order or order < 1:
-        raise ValueError("filter order must be a positive integer")
-    if order > MAX_FILTER_ORDER:
-        raise ValueError(
-            f"filter order {order} rejected (> {MAX_FILTER_ORDER}: (f/fc)^(2n) overflows)"
-        )
-
-
 def butterworth_gain_squared(freq, cutoff: float, order: int):
     """Low-pass prototype |H|^2 = 1 / (1 + (f/fc)^(2n)); 1/2 at the cutoff."""
-    _check_order(order)
+    require("order", order, FILTER_ORDER)
     f = np.asarray(freq, dtype=float)
     return 1.0 / (1.0 + (f / cutoff) ** (2 * order))
 
 
 def butterworth_highpass_gain_squared(freq, cutoff: float, order: int):
     """High-pass prototype |H|^2 = 1 / (1 + (fc/f)^(2n)); zero at DC."""
-    _check_order(order)
+    require("order", order, FILTER_ORDER)
     f = np.atleast_1d(np.asarray(freq, dtype=float))
     out = np.zeros_like(f)
     nonzero = f > 0
@@ -237,7 +227,7 @@ def butterworth_bandpass(channel, sampling_rate: float, band: BandDef,
     ``band.high_hz`` and the high-pass magnitude at ``band.low_hz``, then
     the transform is inverted; no phase is introduced.
     """
-    _check_order(order)
+    require("order", order, FILTER_ORDER)
     x = np.asarray(channel, dtype=float)
     t = x.shape[-1]
     if t < 2:
@@ -471,8 +461,8 @@ def read_signal_csv(path) -> TrialSignal:
     fs = _header_field(fields, 0, "fs", path, offsets[0])
     pretrial = _header_field(fields, 1, "pretrial", path, offsets[1] if len(offsets) > 1 else len(fields[0]))
     channels = _header_field(fields, 2, "channels", path, offsets[2] if len(offsets) > 2 else len(lines[0]))
-    if channels != int(channels) or channels < 1:
-        raise ValueError(f"{path}: corrupt signal header at byte {offsets[2]}: channel count must be a positive integer")
+    if not POSITIVE_INTEGER.test(channels):
+        raise ValueError(f"{path}: corrupt signal header at byte {offsets[2]}: channel count must be {POSITIVE_INTEGER.what}")
     channels = int(channels)
     rows = []
     for i, line in enumerate(lines[1:], start=2):

@@ -38,6 +38,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from .rules import BROYDEN_TAU, POSITIVE, POSITIVE_INTEGER, choice, require
+
 __all__ = [
     "FIRST_ORDER_METHODS",
     "SECOND_ORDER_METHODS",
@@ -56,8 +58,8 @@ __all__ = [
 FIRST_ORDER_METHODS = ("sim-gda", "alt-gda", "extragradient")
 SECOND_ORDER_METHODS = ("newton", "qn-broyden")
 METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
+METHOD = choice(METHODS)
 
-BROYDEN_MODES = ("sr1", "dfp", "bfgs")
 DIRECTION_RULES = ("greedy-basis", "random-gaussian")
 
 DIVERGENCE_LIMIT = 1e12       # gradient norm beyond which a run is declared divergent
@@ -85,23 +87,14 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.grad_tolerance > 0:
-            raise ValueError("grad_tolerance must be positive")
-        if isinstance(self.broyden_tau, str):
-            if self.broyden_tau not in BROYDEN_MODES:
-                raise ValueError(f"broyden_tau must be in [0, 1] or one of {BROYDEN_MODES}")
-        elif not 0.0 <= float(self.broyden_tau) <= 1.0:
-            raise ValueError("broyden_tau must lie in [0, 1]")
-        if self.direction_rule not in DIRECTION_RULES:
-            raise ValueError(f"direction_rule must be one of {DIRECTION_RULES}")
-        if self.updates_per_iteration < 1:
-            raise ValueError("updates_per_iteration must be at least 1")
+        require("method", self.method, METHOD)
+        if self.step_size is not None:
+            require("step_size", self.step_size, POSITIVE)
+        require("max_iterations", self.max_iterations, POSITIVE_INTEGER)
+        require("grad_tolerance", self.grad_tolerance, POSITIVE)
+        require("broyden_tau", self.broyden_tau, BROYDEN_TAU)
+        require("direction_rule", self.direction_rule, choice(DIRECTION_RULES))
+        require("updates_per_iteration", self.updates_per_iteration, POSITIVE_INTEGER)
 
 
 @dataclass
@@ -261,16 +254,15 @@ def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveRe
     non-saddle Hessian raises RuntimeError even at a point already within
     tolerance.  An unknown method raises ValueError.
     """
+    require("method", config.method, METHOD)    # the config may have changed since its check
     x, y = _initial_point(problem, initial)
     notes: list[str] = []
     if config.method in FIRST_ORDER_METHODS:
         step = _first_order_step(problem, config, x, y)
     elif config.method == "newton":
         step = _newton_step(problem, x, y)
-    elif config.method == "qn-broyden":
-        step = _quasi_newton_step(problem, config, x, y, notes)
     else:
-        raise ValueError(f"unknown method {config.method!r}; expected one of {METHODS}")
+        step = _quasi_newton_step(problem, config, x, y, notes)
     return _iterate(problem, config, x, y, step, auc_eval,
                     dense=config.method in SECOND_ORDER_METHODS, notes=notes)
 
@@ -324,25 +316,19 @@ def _broyden_form(u: np.ndarray, qu: np.ndarray, hu: np.ndarray, tau: float | st
     u_norm2 = float(u @ u)
     if u_norm2 == 0.0:
         raise ValueError("update direction u must be nonzero")
+    require("tau", tau, BROYDEN_TAU)
     uhu = float(u @ hu)
     uqu = float(u @ qu)
     form = np.zeros((2, 2))
 
-    if isinstance(tau, str):
-        if tau == "sr1":
-            tau_val = 0.0
-        elif tau == "dfp":
-            tau_val = 1.0
-        elif tau == "bfgs":
-            if uhu <= 0.0 or uqu <= 0.0:
-                return form, ("bfgs",)
-            tau_val = uhu / uqu
-        else:
-            raise ValueError(f"unknown broyden tau mode {tau!r}")
-    else:
+    if not isinstance(tau, str):
         tau_val = float(tau)
-        if not 0.0 <= tau_val <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
+    elif tau == "bfgs":
+        if uhu <= 0.0 or uqu <= 0.0:
+            return form, ("bfgs",)
+        tau_val = uhu / uqu
+    else:
+        tau_val = 0.0 if tau == "sr1" else 1.0      # dfp
 
     skipped = []
     if tau_val < 1.0:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from aucmax.data import (
     table_path, write_feature_csv,
 )
 from aucmax.metrics import classification_report, report_to_dict, roc_auc
-from aucmax.objective import AucProblem
-from aucmax.signals import TrialSignal, write_signal_binary, write_signal_csv
+from aucmax.objective import AucProblem, LabeledDataset, ObjectiveParams
+from aucmax.signals import TrialSignal, WindowSpec, write_signal_binary, write_signal_csv
 from aucmax.solvers import SolverConfig, solve
 
 
@@ -571,7 +572,7 @@ def test_logistic_threshold_outside_unit_interval_rejected(tmp_path, capsys, thr
     capsys.readouterr()
     assert run("train", "--features", path, "--solver", "logistic", "--seed", 3,
                "--threshold", threshold, "--out", tmp_path / "run") == 1
-    assert capsys.readouterr().err == "error: logistic threshold must lie in (0, 1)\n"
+    assert capsys.readouterr().err == "error: logistic threshold must be strictly between 0 and 1\n"
     assert not (tmp_path / "run" / "model.json").exists()
 
 
@@ -724,16 +725,31 @@ def test_compare_bad_c_grid_refused_before_output(tmp_path, capsys, grid, rule):
     assert not out.exists()
 
 
-TOL_MESSAGE = "baseline_tol must be a nonnegative finite number"
-# A case is named by the rule it breaks; where that rule is part of its key's
-# kind, the refusal names the kind instead.
-KIND_REFUSALS = {
-    **dict.fromkeys(("C must be finite", "C must be positive", "C must be a number"),
-                    "C must be a positive finite number"),
-    **dict.fromkeys(("lambda must be finite", "lambda must be nonnegative",
-                     "lambda must be a number"), "lambda must be a nonnegative finite number"),
+# The one refusal of each ranged key, whatever rule its value breaks: the
+# same words from ``_config`` and from the library guard of the field it names.
+MESSAGES = {
+    "C": "C must be a positive finite number",
+    "lambda": "lambda must be a nonnegative finite number",
+    "threshold": "threshold must be a finite number",
+    "baseline_tol": "baseline_tol must be a nonnegative finite number",
+    "baseline_max_iter": "baseline_max_iter must be a positive integer",
+    "train_fraction": "train_fraction must be strictly between 0 and 1",
+    "step_size": "step_size must be a positive finite number",
+    "grad_tolerance": "grad_tolerance must be a positive finite number",
+    "max_iterations": "max_iterations must be a positive integer",
+    "updates_per_iteration": "updates_per_iteration must be a positive integer",
+    "broyden_tau": "broyden_tau must be sr1/dfp/bfgs or a number in [0, 1]",
+    "direction_rule": "direction_rule must be one of greedy-basis, random-gaussian",
+    "window": "window must be a positive finite number",
+    "stride": "stride must be a positive finite number",
+    "order": "order must be an integer from 1 to 20",
+    "pos_frac": "pos_frac must be strictly between 0 and 1",
+    "sep": "sep must be a nonnegative finite number",
+    "dim": "dim must be a positive integer",
 }
-FRACTION_MESSAGE = "train_fraction must lie strictly between 0 and 1"
+# A case below is named by the rule its value breaks; it is refused in its key's one message.
+TOL_RULE = MESSAGES["baseline_tol"]
+FRACTION_RULE = "train_fraction must lie strictly between 0 and 1"
 
 
 @pytest.mark.parametrize("command, flags, rule", [
@@ -753,24 +769,24 @@ FRACTION_MESSAGE = "train_fraction must lie strictly between 0 and 1"
     ("train", ("--solver", "newton", "--lambda=-1"), "lambda must be nonnegative"),
     ("compare", ("--lambda", "nan", "--c-grid", "1"), "lambda must be finite"),
     ("compare", {"lambda": float("inf"), "c_grid": [1]}, "lambda must be finite"),
-    ("train", ("--solver", "svm", "--baseline-tol", "nan"), TOL_MESSAGE),
-    ("train", ("--solver", "svm", "--baseline-tol", "inf"), TOL_MESSAGE),
-    ("train", ("--solver", "logistic", "--baseline-tol=-1"), TOL_MESSAGE),
-    ("train", {"baseline_tol": float("nan")}, TOL_MESSAGE),
-    ("train", {"baseline_tol": "1e-6"}, TOL_MESSAGE),
-    ("compare", ("--baseline-tol", "nan"), TOL_MESSAGE),
-    ("compare", ("--baseline-tol=-inf",), TOL_MESSAGE),
-    ("compare", {"baseline_tol": True}, TOL_MESSAGE),
-    ("compare", {"baseline_tol": -1e-6}, TOL_MESSAGE),
+    ("train", ("--solver", "svm", "--baseline-tol", "nan"), TOL_RULE),
+    ("train", ("--solver", "svm", "--baseline-tol", "inf"), TOL_RULE),
+    ("train", ("--solver", "logistic", "--baseline-tol=-1"), TOL_RULE),
+    ("train", {"baseline_tol": float("nan")}, TOL_RULE),
+    ("train", {"baseline_tol": "1e-6"}, TOL_RULE),
+    ("compare", ("--baseline-tol", "nan"), TOL_RULE),
+    ("compare", ("--baseline-tol=-inf",), TOL_RULE),
+    ("compare", {"baseline_tol": True}, TOL_RULE),
+    ("compare", {"baseline_tol": -1e-6}, TOL_RULE),
     ("train", ("--solver", "svm", "--lambda", "nan"), "lambda must be finite"),
     ("train", ("--solver", "logistic", "--lambda", "inf"), "lambda must be finite"),
     ("train", ("--solver", "logistic", "--lambda=-1e-3"), "lambda must be nonnegative"),
     ("compare", ("--lambda=-inf",), "lambda must be nonnegative"),
     ("train", {"lambda": "1e-4"}, "lambda must be a number"),
     ("compare", {"lambda": None}, "lambda must be a number"),
-    ("train", ("--solver", "newton", "--train-frac", "1.5"), FRACTION_MESSAGE),
-    ("train", {"solver": "logistic", "train_fraction": 1.0}, FRACTION_MESSAGE),
-    ("compare", ("--train-frac", "0"), FRACTION_MESSAGE),
+    ("train", ("--solver", "newton", "--train-frac", "1.5"), FRACTION_RULE),
+    ("train", {"solver": "logistic", "train_fraction": 1.0}, FRACTION_RULE),
+    ("compare", ("--train-frac", "0"), FRACTION_RULE),
     ("train", ("--solver", "qn-broyden", "--k-updates", "0"),
      "updates_per_iteration must be at least 1"),
     ("compare", ("--tau", "2"), "broyden_tau must lie in [0, 1]"),
@@ -792,10 +808,57 @@ def test_unusable_c_or_threshold_refused_before_output(tmp_path, capsys, monkeyp
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(command, "--features", path, *flags, "--out", out) == 1
-    assert capsys.readouterr().err == f"error: {KIND_REFUSALS.get(rule, rule)}\n"
+    assert capsys.readouterr().err == f"error: {MESSAGES[rule.split()[0]]}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
     assert work == []
+
+
+BAD_VALUES = {
+    "step_size": [0.0, -1.0, float("inf"), float("nan")],
+    "grad_tolerance": [0.0, -5.0, float("inf"), float("nan")],
+    "max_iterations": [0, -3],
+    "updates_per_iteration": [0, -1],
+    "broyden_tau": [-0.1, 2.0, float("nan"), "bfg"],
+    "direction_rule": ["coordinate"],
+    "train_fraction": [0.0, 1.0, 1.5, float("nan")],
+    "C": [0.0, -1.0, float("inf"), float("nan")],
+    "lambda": [-1e-3, float("inf"), float("nan")],
+    "window": [0.0, float("inf"), float("nan")],
+    "stride": [-0.5, float("inf"), float("nan")],
+}
+
+
+@pytest.mark.parametrize("key, guard", [
+    *[(f.name, "SolverConfig") for f in fields(SolverConfig) if f.name in cli.FIT_KEYS],
+    ("train_fraction", "SplitSpec"), ("C", "fit_logistic"), ("C", "fit_linear_svm"),
+    ("lambda", "ObjectiveParams"), ("window", "WindowSpec"), ("stride", "WindowSpec"),
+])
+def test_library_guard_refuses_in_the_words_of_config(tmp_path, capsys, key, guard):
+    """A key that names a library field is refused by ``_config`` and by the
+    library's own guard of that field in the same words."""
+    data = LabeledDataset(np.arange(8.0).reshape(4, 2), np.array([1, -1, 1, -1]))
+    construct = {
+        "SolverConfig": lambda v: SolverConfig(method="newton", **{key: v}),
+        "SplitSpec": lambda v: SplitSpec(train_fraction=v),
+        "fit_logistic": lambda v: fit_logistic(data, C=v),
+        "fit_linear_svm": lambda v: fit_linear_svm(data, C=v),
+        "ObjectiveParams": lambda v: ObjectiveParams(p=0.5, lam=v),
+        "WindowSpec": lambda v: WindowSpec(**{f"{key}_seconds": v}),
+    }[guard]
+    inputs = (("--signals", tmp_path, "--labels", tmp_path / "labels.csv")
+              if guard == "WindowSpec" else ("--features", tmp_path / "f.csv"))
+    config = tmp_path / "config.json"
+    for value in BAD_VALUES[key]:
+        config.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert run("extract" if guard == "WindowSpec" else "train", *inputs,
+                   "--config", config, "--out", tmp_path / "out") == 1
+        with pytest.raises(ValueError) as refusal:
+            construct(value)
+        assert capsys.readouterr().err == f"error: {refusal.value}\n", value
+        assert str(refusal.value) == MESSAGES[key]
+        assert not (tmp_path / "out").exists()
 
 
 def test_null_baseline_tol_keeps_the_default(tmp_path):
@@ -895,7 +958,6 @@ def test_compare_reports_consistent_with_stored_models(tmp_path):
     assert run("compare", "--features", path, "--solver", "newton", "--seed", seed,
                "--out", out) == 0
     features, labels, _ = read_feature_csv(path)
-    from aucmax.objective import LabeledDataset
     train, test = split(LabeledDataset(features, labels), SplitSpec(train_fraction=0.8, seed=seed))
     train_std, test_std, _ = fit_apply_standardizer(train, test)
     model = json.loads((out / "model_auc.json").read_text())
@@ -1009,7 +1071,8 @@ TRAIN_SOLVERS = f"{COMPARE_SOLVERS}, logistic, svm"
 DIRECTIONS = "greedy-basis, random-gaussian"
 
 
-@pytest.mark.parametrize("command, source, message", [
+# A case is named by the rule its value breaks; a ranged key's refusal is its one message.
+@pytest.mark.parametrize("command, source, rule", [
     ("synth", {"n": 1.7}, "n must be an integer"),
     ("synth", {"n": None}, "n must be an integer"),
     ("synth", {"pos_frac": "0.5"}, "pos_frac must be a number"),
@@ -1036,10 +1099,25 @@ DIRECTIONS = "greedy-basis, random-gaussian"
     ("extract", {"set": 7}, "set must be one of 1, 2, 3, 4"),
     ("extract", {"set": True}, "set must be one of 1, 2, 3, 4"),
     ("extract", ("--window=-1",), "window and stride must be positive"),
-    ("extract", {"stride": 0}, "window and stride must be positive"),
+    ("extract", {"stride": 0}, "stride must be positive"),
+    ("train", ("--solver", "svm", "--max-iter", "0"), MESSAGES["max_iterations"]),
+    ("train", ("--solver", "logistic", "--eta=-1"), MESSAGES["step_size"]),
+    ("train", ("--solver", "logistic", "--tol=-5"), MESSAGES["grad_tolerance"]),
+    ("train", ("--solver", "logistic", "--k-updates", "0"), MESSAGES["updates_per_iteration"]),
+    ("train", ("--solver", "logistic", "--tau", "9"), MESSAGES["broyden_tau"]),
+    ("train", ("--solver", "newton", "--tol", "inf"), MESSAGES["grad_tolerance"]),
+    ("train", ("--solver", "alt-gda", "--eta", "inf"), MESSAGES["step_size"]),
+    ("compare", ("--solver", "qn-broyden", "--tau", "nan"), MESSAGES["broyden_tau"]),
+    ("extract", ("--window", "inf"), MESSAGES["window"]),
+    ("extract", ("--stride", "nan"), MESSAGES["stride"]),
+    ("extract", ("--order", "0"), MESSAGES["order"]),
+    ("extract", ("--order", "100"), MESSAGES["order"]),
+    ("synth", ("--sep", "inf"), MESSAGES["sep"]),
+    ("synth", ("--sep", "nan"), MESSAGES["sep"]),
+    ("synth", ("--dim", "0"), MESSAGES["dim"]),
 ])
 def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
-                                                      command, source, message):
+                                                      command, source, rule):
     work = []                                   # no input is read and nothing runs
     for name in ("generate_synthetic", "read_trial_labels", "read_signal_csv",
                  "read_signal_binary", "load_labeled_csv", "solve", "fit_logistic",
@@ -1061,7 +1139,7 @@ def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeyp
         out_flag = () if "out" in source else out_flag
         source = ("--config", config)
     assert run(command, *inputs, *source, *out_flag) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {MESSAGES.get(rule.split()[0], rule)}\n"
     assert not out.exists()
     assert work == []
 
@@ -1095,7 +1173,7 @@ def test_compare_takes_no_c_flag(tmp_path, capsys):
     (("--trace-auc", "--no-trace-auc"),
      "argument --no-trace-auc: not allowed with argument --trace-auc"),
     (("--channels", "0,x"), "argument --channels: '0,x' is not \"auto\" or a list of integers"),
-    (("--tau", "bfg"), "argument --tau: 'bfg' is not a number or sr1/dfp/bfgs"),
+    (("--tau", "bfg"), "argument --tau: 'bfg' is not sr1/dfp/bfgs or a number in [0, 1]"),
     (("--direction", "foo"), "argument --direction: invalid choice: 'foo'"),
 ])
 def test_flag_text_not_of_its_kind_is_a_usage_error(tmp_path, capsys, flags, message):

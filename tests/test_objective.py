@@ -94,7 +94,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ObjectiveParams(p=0.5, lam=-1.0)
     for lam in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^lambda must be finite$"):
+        with pytest.raises(ValueError, match="^lambda must be a nonnegative finite number$"):
             ObjectiveParams(p=0.5, lam=lam)
 
 

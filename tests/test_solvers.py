@@ -81,7 +81,7 @@ def hessian_norm(problem):
 # --- config validation
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="^method must be one of sim-gda, alt-gda, "):
         SolverConfig(method="sgd")
     with pytest.raises(ValueError, match="step_size"):
         SolverConfig(method="sim-gda", step_size=0.0)
@@ -96,7 +96,7 @@ def test_config_validation():
 def test_unknown_method_on_a_mutated_config_raises():
     cfg = SolverConfig(method="qn-broyden")
     cfg.method = "sgd"                          # past SolverConfig's own check
-    with pytest.raises(ValueError, match="unknown method 'sgd'"):
+    with pytest.raises(ValueError, match="^method must be one of "):
         solve(auc_problem(), cfg)
 
 
