@@ -13,6 +13,7 @@ import numpy as np
 
 from aucmax import (
     AucProblem,
+    PrimalDualState,
     SolverConfig,
     SplitSpec,
     SynthSpec,
@@ -59,7 +60,7 @@ svm = tune(fit_linear_svm, "linear SVM")
 
 problem = AucProblem(train_std, lam=1e-4)
 result = solve(problem, SolverConfig(method="alt-gda"))
-state = problem.unpack(result.final_x, result.final_y)
+state = PrimalDualState.from_packed(result.final_z)
 threshold = (state.u + state.v) / 2.0
 print(f"AUC maximizer (alt-gda): converged={result.converged} in "
       f"{result.iterations_used} iterations; threshold (u+v)/2 = {threshold:.4f}")

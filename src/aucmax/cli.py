@@ -58,7 +58,7 @@ from .metrics import (
     roc_auc,
     roc_auc_columns,
 )
-from .objective import AucProblem
+from .objective import AucProblem, PrimalDualState
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
 from .solvers import (
     DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
@@ -117,6 +117,8 @@ POSITIVES = Kind(lambda v: isinstance(v, list) and len(v) > 0 and all(map(POSITI
                  lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
 INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers",
                 parse=lambda raw: [int(tok) for tok in raw.split(",") if tok != ""])
+LAGS = Kind(lambda v: INTEGERS.test(v) and all(map(rules.NONNEGATIVE_INTEGER.test, v)),
+            "a list of nonnegative integers", parse=INTEGERS.parse)
 CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers',
                 parse=lambda raw: raw if raw == "auto" else INTEGERS.parse(raw))
 TEXT = Kind(lambda v: isinstance(v, str), "text")
@@ -153,7 +155,7 @@ EXTRACT_KEYS = {
     "stride": Key(0.5, POSITIVE, "stride in seconds"),
     "order": Key(4, FILTER_ORDER, "Butterworth filter order"),
     "channels": Key("auto", CHANNELS, "'auto' or comma-separated 0-based channel rows"),
-    "corr_lags": Key(None, INTEGERS, "comma-separated sample lags"),
+    "corr_lags": Key(None, LAGS, "comma-separated sample lags"),
 }
 FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
     **OUT,
@@ -453,7 +455,7 @@ def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict,
                 roc_auc_columns(test_std.features @ weights, test_std.labels),
             )
     result = solve(problem, config, auc_eval=auc_eval)
-    state = problem.unpack(result.final_x, result.final_y)
+    state = PrimalDualState.from_packed(result.final_z)
     threshold = eff["threshold"] if eff["threshold"] is not None else (state.u + state.v) / 2.0
     model_dict = {
         "kind": "auc-linear",

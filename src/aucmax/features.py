@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .rules import NONNEGATIVE_INTEGER, require
 from .signals import (
     DEFAULT_BANDS,
     DEFAULT_FILTER_ORDER,
@@ -197,6 +198,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
             raise ValueError(f"channel index {c} out of range for {trial.n_channels}-channel trial")
     if corr_lags is None:
         corr_lags = default_corr_lags(fs)
+    for tau in corr_lags:
+        require("correlation lag", tau, NONNEGATIVE_INTEGER)
     corr_lags = [int(t) for t in corr_lags]
 
     sub = TrialSignal(trial.samples[channels], fs, trial.pretrial_seconds)

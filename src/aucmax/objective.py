@@ -103,15 +103,12 @@ class PrimalDualState:
         return cls(w=np.zeros(n_features))
 
     @classmethod
-    def from_packed(cls, x: np.ndarray, y: float) -> "PrimalDualState":
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size < 3:
-            raise ValueError("packed primal vector must be [w; u; v] with d >= 1")
-        return cls(w=x[:-2].copy(), u=float(x[-2]), v=float(x[-1]), y=float(y))
-
-    def pack_x(self) -> np.ndarray:
-        """Primal vector [w; u; v] of length d + 2."""
-        return np.concatenate([self.w, [self.u, self.v]])
+    def from_packed(cls, z: np.ndarray) -> "PrimalDualState":
+        """The inverse of ``pack``: the state of a stacked ``[w; u; v; y]``."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 1 or z.size < 4:
+            raise ValueError("packed vector must be [w; u; v; y] with d >= 1")
+        return cls(w=z[:-3].copy(), u=float(z[-3]), v=float(z[-2]), y=float(z[-1]))
 
     def pack(self) -> np.ndarray:
         """Stacked vector [w; u; v; y] of length d + 3."""
@@ -235,17 +232,18 @@ def _fill_border(full: np.ndarray, sum_pos: np.ndarray, sum_neg: np.ndarray,
 class AucProblem:
     """Adapter exposing the objective to the saddle solvers.
 
-    ``x`` is the packed primal vector [w; u; v] and ``y`` a length-1 array.
+    An iterate is the stacked ``z = [w; u; v; y]`` (``dim_x = d + 2``,
+    ``dim_y = 1``); ``PrimalDualState.from_packed(z)`` gives its state.
     The constructor builds the quadratic form ``(H, b)`` once: ``H_ww`` from
     one row-weighted Gram product (a BLAS ``syrk``), the other rows from the
     two class sums, and ``b`` read off the ``w``-``y`` block, so that ``b`` is
     bit-equal to the reference ``gradient`` at zero.  Then ``grad = H z + b``
-    and ``value = z@(H z + 2b) / 2`` on the stacked ``z = [x; y]`` cost
-    O(d^2) per call, independent of the number of samples.  ``grad`` keeps
-    its ``z`` and ``H z``; ``value`` reuses that product when its own ``z`` is
-    bit-equal to the kept one, which is the case when a solver records the
-    objective at the point whose gradient it just took.  ``hessian`` returns
-    the cached ``H`` itself, marked read-only.
+    and ``value = z@(H z + 2b) / 2`` cost O(d^2) per call, independent of the
+    number of samples.  ``grad`` keeps a copy of its ``z`` and ``H z``;
+    ``value`` reuses that product when its own ``z`` is bit-equal to the kept
+    one, which is the case when a solver records the objective at the point
+    whose gradient it just took.  ``hessian()`` returns the cached ``H``
+    itself, marked read-only.
     """
 
     def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
@@ -268,8 +266,8 @@ class AucProblem:
         self.dim_x = d + 2
         self.dim_y = 1
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        z = np.concatenate([x, np.atleast_1d(y)])
+    def value(self, z: np.ndarray) -> float:
+        z = np.asarray(z, dtype=float)
         reuse = self._z is not None and z.tobytes() == self._z.tobytes()
         hz = self._hz if reuse else self._h @ z
         value = 0.5 * float(z @ (hz + 2.0 * self._b))
@@ -277,15 +275,11 @@ class AucProblem:
             raise FloatingPointError("non-finite objective value (overflow)")
         return value
 
-    def grad(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = np.concatenate([x, np.atleast_1d(y)])     # a copy: the caller may reuse x
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        z = np.array(z, dtype=float)            # a copy: the caller may write into its z
         hz = self._h @ z
         self._z, self._hz = z, hz
-        g = hz + self._b
-        return g[:-1], g[-1:]
+        return hz + self._b
 
-    def hessian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def hessian(self) -> np.ndarray:
         return self._h
-
-    def unpack(self, x: np.ndarray, y: np.ndarray) -> PrimalDualState:
-        return PrimalDualState.from_packed(x, float(np.atleast_1d(y)[0]))

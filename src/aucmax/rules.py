@@ -32,6 +32,7 @@ POSITIVE = Rule(lambda v: 0 < v < math.inf, "a positive finite number")
 NONNEGATIVE = Rule(lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 FINITE = Rule(lambda v: -math.inf < v < math.inf, "a finite number")
 POSITIVE_INTEGER = Rule(lambda v: 1 <= v < math.inf and v % 1 == 0, "a positive integer")
+NONNEGATIVE_INTEGER = Rule(lambda v: 0 <= v < math.inf and v % 1 == 0, "a nonnegative integer")
 FRACTION = Rule(lambda v: 0 < v < 1, "strictly between 0 and 1")
 BROYDEN_TAU = Rule(lambda v: v in BROYDEN_MODES if isinstance(v, str) else 0 <= v <= 1,
                    "sr1/dfp/bfgs or a number in [0, 1]")

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .rules import FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, POSITIVE, POSITIVE_INTEGER, require
+from .rules import (FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, NONNEGATIVE_INTEGER, POSITIVE,
+                    POSITIVE_INTEGER, require)
 
 __all__ = [
     "DEFAULT_BANDS",
@@ -396,9 +397,8 @@ def lagged_correlation(x, y, tau: int) -> float:
     b = np.asarray(y, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise ValueError("x and y must be equal-length vectors")
+    require("lag", tau, NONNEGATIVE_INTEGER)
     tau = int(tau)
-    if tau < 0:
-        raise ValueError("lag must be nonnegative")
     if tau >= a.size:
         raise ValueError("lag must be smaller than the series length")
     overlap = a.size - tau

@@ -5,18 +5,19 @@ iteration cap).  ``solve``, the one entry point, builds the step of the
 method its config names; one loop (``_iterate``) enforces the contract and
 the trace-thinning policy.
 
-A problem object must provide ``dim_x``, ``dim_y`` and ``grad(x, y)``
-returning the two gradient blocks; second-order methods additionally
-require ``hessian(x, y)`` returning the full symmetric second-derivative
-matrix over the stacked variable ``[x; y]``.  The problem is taken to be
-quadratic: the Hessian is read once, at the start point.
+An iterate is one stacked vector ``z``: the primal block (minimized) is its
+first ``dim_x`` entries, the dual block (maximized) its last ``dim_y``.  A
+problem provides ``dim_x``, ``dim_y``, ``grad(z)`` (one vector, laid out as
+``z``) and ``value(z)``; second-order methods and the default step size also
+need ``hessian()``, the symmetric second-derivative matrix over ``z``, read
+once, before the first step (the problem is taken to be quadratic).
 
-Every trace row also holds the objective (``value(x, y)`` at the row's
+Every trace row also holds the objective (``value(z)`` at the row's
 iterate) and, when the caller passes ``auc_eval``, a train and a test AUC.
-The AUCs are scored in blocks: the loop keeps the primal iterate ``x`` of
-each recorded row and calls ``auc_eval(xs)`` with the k x ``dim_x`` matrix
-``xs`` of those iterates, ``TRACE_AUC_BLOCK`` rows at a time and the rows
-left over when the run ends.  The callback returns two length-k columns,
+The AUCs are scored in blocks: the loop keeps the primal block of each
+recorded row's iterate and calls ``auc_eval(xs)`` with the k x ``dim_x``
+matrix ``xs`` of those blocks, ``TRACE_AUC_BLOCK`` rows at a time and the
+rows left over when the run ends.  The callback returns two length-k columns,
 the train and the test AUC of each row in order; an entry may be None for a
 cell to leave empty.
 
@@ -110,47 +111,35 @@ class TraceRow:
 class SolveResult:
     """Terminal iterate plus the per-iteration trace of one solver run."""
 
-    final_x: np.ndarray
-    final_y: np.ndarray
+    final_z: np.ndarray
     converged: bool
     iterations_used: int
     trace: list[TraceRow]
     notes: list[str] = field(default_factory=list)
 
 
-def _initial_point(problem, initial) -> tuple[np.ndarray, np.ndarray]:
-    if initial is None:
-        return np.zeros(problem.dim_x), np.zeros(problem.dim_y)
-    x0, y0 = initial
-    return (
-        np.atleast_1d(np.asarray(x0, dtype=float)).copy(),
-        np.atleast_1d(np.asarray(y0, dtype=float)).copy(),
-    )
-
-
-def _grads(problem, x, y):
-    gx, gy = problem.grad(x, y)
-    gx = np.atleast_1d(np.asarray(gx, dtype=float))
-    gy = np.atleast_1d(np.asarray(gy, dtype=float))
-    return gx, gy, float(np.sqrt(gx @ gx + gy @ gy))
-
-
-def _iterate(problem, config, x, y, step, auc_eval, dense, notes) -> SolveResult:
+def _iterate(problem, config, z, step, auc_eval, dense, notes) -> SolveResult:
     """The iteration loop shared by every solver.
 
-    ``step(t, x, y, gx, gy)`` returns iterate ``t`` from iterate ``t - 1``
-    and its gradient blocks.  The loop stops once the stacked gradient norm
-    is within ``grad_tolerance`` (converged) or after ``max_iterations``
-    steps, and raises RuntimeError when the norm is non-finite or exceeds
+    ``step(t, z, g)`` returns iterate ``t`` from iterate ``t - 1`` and its
+    gradient.  The loop stops once the gradient norm is within
+    ``grad_tolerance`` (converged) or after ``max_iterations`` steps, and
+    raises RuntimeError when the norm is non-finite or exceeds
     ``DIVERGENCE_LIMIT``.  The trace holds row 0 and the last row; between
     them every row when ``dense``, otherwise every row up to
     ``DENSE_TRACE_ROWS`` and every ``THIN_TRACE_EVERY``-th one after.  The
     recorded rows' AUCs come from ``auc_eval`` in blocks (see the module
     docstring).  ``notes`` goes into the ``SolveResult`` unchanged.
     """
-    tol, cap = config.grad_tolerance, config.max_iterations
+    tol, cap, nx = config.grad_tolerance, config.max_iterations, problem.dim_x
     trace: list[TraceRow] = []
-    pending: list[np.ndarray] = []              # primal iterates of the rows awaiting AUCs
+    pending: list[np.ndarray] = []              # primal blocks of the rows awaiting AUCs
+
+    def gradient(z):
+        g = problem.grad(z)
+        # summed block by block: one dot over all of g can round the last digit
+        # differently, and trace.csv's grad_norm column would change its bits
+        return g, float(np.sqrt(g[:nx] @ g[:nx] + g[nx:] @ g[nx:]))
 
     def score_pending():
         train, test = auc_eval(np.stack(pending))
@@ -159,29 +148,29 @@ def _iterate(problem, config, x, y, step, auc_eval, dense, notes) -> SolveResult
             row.test_auc = None if test_auc is None else float(test_auc)
         pending.clear()
 
-    def record(t, gn, x, y):
-        trace.append(TraceRow(t, float(gn), float(problem.value(x, y))))
+    def record(t, gn, z):
+        trace.append(TraceRow(t, float(gn), float(problem.value(z))))
         if auc_eval is not None:
-            pending.append(np.array(x, dtype=float))
+            pending.append(z[:nx].copy())
             if len(pending) == TRACE_AUC_BLOCK:
                 score_pending()
 
-    gx, gy, gn = _grads(problem, x, y)
-    record(0, gn, x, y)
+    g, gn = gradient(z)
+    record(0, gn, z)
     t = 0
     converged = gn <= tol
     while not converged and t < cap:
         t += 1
-        x, y = step(t, x, y, gx, gy)
-        gx, gy, gn = _grads(problem, x, y)
+        z = step(t, z, g)
+        g, gn = gradient(z)
         if not np.isfinite(gn) or gn > DIVERGENCE_LIMIT:
             raise RuntimeError("diverged (step size too large)")
         converged = gn <= tol
         if dense or converged or t == cap or t <= DENSE_TRACE_ROWS or t % THIN_TRACE_EVERY == 0:
-            record(t, gn, x, y)
+            record(t, gn, z)
     if pending:
         score_pending()
-    return SolveResult(final_x=x, final_y=y, converged=bool(converged), iterations_used=t,
+    return SolveResult(final_z=z, converged=bool(converged), iterations_used=t,
                        trace=trace, notes=notes)
 
 
@@ -201,12 +190,12 @@ def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0, iterations: int = 
     return float(abs(eigenvalue[0]))
 
 
-def _resolve_step(problem, config, x, y) -> float:
+def _resolve_step(problem, config) -> float:
     if config.step_size is not None:
         return float(config.step_size)
     if not hasattr(problem, "hessian"):
         raise ValueError("step_size is required for problems without a hessian()")
-    h_hat = np.asarray(problem.hessian(x, y), dtype=float)
+    h_hat = np.asarray(problem.hessian(), dtype=float)
     lipschitz = spectral_norm_estimate(h_hat, seed=config.rng_seed)
     if lipschitz <= 0:
         raise ValueError("could not estimate a step size (zero Hessian)")
@@ -248,58 +237,66 @@ def _saddle_factor(h_hat: np.ndarray, nx: int):
 
 
 def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
-    """Run ``config.method`` from ``initial`` (``(x0, y0)``; default the
-    origin).  The second-order methods read ``hessian`` once, at the start
-    point, and certify the saddle before the first step: a singular or
-    non-saddle Hessian raises RuntimeError even at a point already within
-    tolerance.  An unknown method raises ValueError.
+    """Run ``config.method`` from ``initial``, a vector of ``dim_x + dim_y``
+    numbers (default the origin); any other ``initial`` raises ValueError
+    before the problem is queried.  The second-order methods read
+    ``hessian()`` once and certify the saddle before the first step: a
+    singular or non-saddle Hessian raises RuntimeError even at a point
+    already within tolerance.  An unknown method raises ValueError.
     """
     require("method", config.method, METHOD)    # the config may have changed since its check
-    x, y = _initial_point(problem, initial)
+    n = problem.dim_x + problem.dim_y
+    try:
+        z = np.zeros(n) if initial is None else np.array(initial, dtype=float)
+    except (TypeError, ValueError):             # ragged or not numbers
+        z = None
+    if z is None or z.shape != (n,):
+        raise ValueError(f"initial must be a vector of dim_x + dim_y = {n} numbers")
     notes: list[str] = []
     if config.method in FIRST_ORDER_METHODS:
-        step = _first_order_step(problem, config, x, y)
+        step = _first_order_step(problem, config)
     elif config.method == "newton":
-        step = _newton_step(problem, x, y)
+        step = _newton_step(problem)
     else:
-        step = _quasi_newton_step(problem, config, x, y, notes)
-    return _iterate(problem, config, x, y, step, auc_eval,
+        step = _quasi_newton_step(problem, config, notes)
+    return _iterate(problem, config, z, step, auc_eval,
                     dense=config.method in SECOND_ORDER_METHODS, notes=notes)
 
 
-def _first_order_step(problem, config: SolverConfig, x, y):
-    """Gradient descent ascent or extragradient.
+def _first_order_step(problem, config: SolverConfig):
+    """Gradient descent ascent or extragradient: ``z - move * g``, where
+    ``move`` is ``eta`` on the primal block (descent) and ``-eta`` on the
+    dual (ascent).
 
-    GDA descends ``x`` along its gradient; the dual ascends using the
-    gradient at the old primal (sim-gda) or the fresh one (alt-gda).
-    Extragradient takes a half step to a mid-point, then a full step using
-    the mid-point gradients.
+    Simultaneous GDA steps with the gradient at the old iterate; alt-gda
+    steps the dual with the gradient at the fresh primal and the old dual.
+    Extragradient takes the step to a mid-point, then the full step from
+    the old iterate with the mid-point gradient.
     """
-    eta = _resolve_step(problem, config, x, y)
+    eta = _resolve_step(problem, config)
+    nx = problem.dim_x
+    move = np.repeat([eta, -eta], [nx, problem.dim_y])
     extragradient, alternate = config.method == "extragradient", config.method == "alt-gda"
 
-    def step(t, x, y, gx, gy):
-        if extragradient:                       # full step with the mid-point gradients
-            gx, gy, _ = _grads(problem, x - eta * gx, y + eta * gy)
-            return x - eta * gx, y + eta * gy
-        x_next = x - eta * gx
-        if alternate:                           # the dual sees the fresh primal
-            gy = np.atleast_1d(np.asarray(problem.grad(x_next, y)[1], dtype=float))
-        return x_next, y + eta * gy
+    def step(t, z, g):
+        if extragradient:                       # full step with the mid-point gradient
+            g = problem.grad(z - move * g)
+        elif alternate:                         # the dual sees the fresh primal
+            fresh = np.concatenate([z[:nx] - eta * g[:nx], z[nx:]])
+            g = np.concatenate([g[:nx], problem.grad(fresh)[nx:]])
+        return z - move * g
 
     return step
 
 
-def _newton_step(problem, x, y):
-    """Full Newton step on the stacked system, solved with the certified
+def _newton_step(problem):
+    """Full Newton step ``z - H^{-1} g``, solved with the certified
     Cholesky-Schur factors of the saddle Hessian (never an explicit
     inverse)."""
-    nx = x.size
-    solve_saddle = _saddle_factor(np.asarray(problem.hessian(x, y), dtype=float), nx)
+    solve_saddle = _saddle_factor(np.asarray(problem.hessian(), dtype=float), problem.dim_x)
 
-    def step(t, x, y, gx, gy):
-        s = solve_saddle(np.concatenate([gx, gy]))
-        return x - s[:nx], y - s[nx:]
+    def step(t, z, g):
+        return z - solve_saddle(g)
 
     return step
 
@@ -455,7 +452,7 @@ class _Curvature:
         scipy.linalg.blas.dger(sigma, a, a, a=self.q.T, overwrite_a=True)
 
 
-def _quasi_newton_step(problem, config: SolverConfig, x, y, notes: list[str]):
+def _quasi_newton_step(problem, config: SolverConfig, notes: list[str]):
     """Quasi-Newton iteration on the squared-Hessian reformulation.
 
     Maintains a positive definite ``Q`` dominating ``H = H_hat @ H_hat``,
@@ -469,16 +466,16 @@ def _quasi_newton_step(problem, config: SolverConfig, x, y, notes: list[str]):
     ``REBASE_RANK`` rank-1 pieces, never per iteration.
     """
     greedy = config.direction_rule == "greedy-basis"
-    h_hat = np.asarray(problem.hessian(x, y), dtype=float)
-    _saddle_factor(h_hat, x.size)               # certifies a unique saddle, or raises
-    n, nx = h_hat.shape[0], x.size
+    h_hat = np.asarray(problem.hessian(), dtype=float)
+    _saddle_factor(h_hat, problem.dim_x)        # certifies a unique saddle, or raises
+    n = h_hat.shape[0]
     lam_max = spectral_norm_estimate(h_hat, seed=config.rng_seed) ** 2
     curvature = _Curvature(n, 1.01 * lam_max)   # dominance Q >= H at initialization
     dh = np.einsum("ij,ij->j", h_hat, h_hat)    # diag(H)
     rng = np.random.default_rng(config.rng_seed)
 
-    def step(t, x, y, gx, gy):
-        s = curvature.solve(h_hat @ np.concatenate([gx, gy]))
+    def step(t, z, g):
+        s = curvature.solve(h_hat @ g)
         for _ in range(config.updates_per_iteration):
             if greedy:
                 i = _greedy_index(np.diagonal(curvature.q), dh)
@@ -496,7 +493,7 @@ def _quasi_newton_step(problem, config: SolverConfig, x, y, notes: list[str]):
                 notes.append(
                     f"iteration {t}: {component} update skipped (degenerate curvature pair)"
                 )
-        return x - s[:nx], y - s[nx:]
+        return z - s
 
     return step
 

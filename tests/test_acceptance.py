@@ -68,15 +68,14 @@ def test_criterion_1_gradient_hessian_finite_differences():
     worst_grad = worst_hess = 0.0
     for seed in range(100):
         dataset, params, state = random_pair(seed)
-        d = dataset.n_features
-        z0 = np.concatenate([state.w, [state.u, state.v, state.y]])
+        z0 = state.pack()
 
         def value_at(z):
-            return objective_value(PrimalDualState(z[:d], z[d], z[d + 1], z[d + 2]), dataset, params)
+            return objective_value(PrimalDualState.from_packed(z), dataset, params)
 
         def grad_at(z):
-            gx, gy = gradient(PrimalDualState(z[:d], z[d], z[d + 1], z[d + 2]), dataset, params)
-            return np.concatenate([gx, [gy]])
+            gx, gy = gradient(PrimalDualState.from_packed(z), dataset, params)
+            return np.append(gx, gy)
 
         analytic = grad_at(z0)
         numeric = np.zeros_like(z0)
@@ -149,7 +148,7 @@ def test_criterion_3_cross_solver_agreement():
         if not result.converged:
             report(3, "cross-solver saddle agreement", False, f"{name} did not converge",
                    time.time() - start, 60.0)
-        finals[name] = np.concatenate([result.final_x, result.final_y])
+        finals[name] = result.final_z
     max_dist = max(
         np.linalg.norm(finals[a] - finals[b]) for a, b in itertools.combinations(finals, 2)
     )
@@ -164,22 +163,22 @@ def test_criterion_4_eg_vs_gda_bilinear_stability():
     class Bilinear:
         dim_x = dim_y = 1
 
-        def value(self, x, y):
-            return float(x[0] * y[0])
+        def value(self, z):
+            return float(z[0] * z[1])
 
-        def grad(self, x, y):
-            return np.array([y[0]]), np.array([x[0]])
+        def grad(self, z):
+            return np.array([z[1], z[0]])
 
     sim = solve(
         Bilinear(),
         SolverConfig(method="sim-gda", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
-        initial=([1.0], [1.0]),
+        initial=[1.0, 1.0],
     )
     eg = solve(
         Bilinear(),
         SolverConfig(method="extragradient", step_size=0.5, max_iterations=50,
                      grad_tolerance=1e-15),
-        initial=([1.0], [1.0]),
+        initial=[1.0, 1.0],
     )
     sim_norms = [row.grad_norm for row in sim.trace]    # iterate norm == grad norm for f=xy
     eg_norms = [row.grad_norm for row in eg.trace]
@@ -311,7 +310,7 @@ def test_criterion_8_directional_benchmark():
         svm = tune_and_fit(fit_linear_svm, train_std, seed)
         problem = AucProblem(train_std, lam=1e-4)
         result = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-3))
-        state = problem.unpack(result.final_x, result.final_y)
+        state = PrimalDualState.from_packed(result.final_z)
         threshold = (state.u + state.v) / 2.0
         auc_scores = test_std.features @ state.w
 

@@ -204,9 +204,9 @@ def test_trace_aucs_equal_roc_auc_of_each_rows_iterate(tmp_path, monkeypatch, ca
     points = []
 
     class RecordingAucProblem(AucProblem):      # value() runs once per row, at its iterate
-        def value(self, x, y):
-            points.append(np.array(x))
-            return super().value(x, y)
+        def value(self, z):
+            points.append(np.array(z))
+            return super().value(z)
 
     monkeypatch.setattr(cli, "AucProblem", RecordingAucProblem)
     path = synth_csv(tmp_path, n=200, dim=5, sep=1.0)
@@ -218,8 +218,8 @@ def test_trace_aucs_equal_roc_auc_of_each_rows_iterate(tmp_path, monkeypatch, ca
     with open(out / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(points) == cap + 1
-    for row, x in zip(rows, points):
-        w = x[:train.n_features]
+    for row, z in zip(rows, points):
+        w = z[:train.n_features]
         assert float(row["train_auc"]) == roc_auc(train.features @ w, train.labels)
         assert float(row["test_auc"]) == roc_auc(test.features @ w, test.labels)
 
@@ -746,6 +746,7 @@ MESSAGES = {
     "pos_frac": "pos_frac must be strictly between 0 and 1",
     "sep": "sep must be a nonnegative finite number",
     "dim": "dim must be a positive integer",
+    "corr_lags": "corr_lags must be a list of nonnegative integers",
 }
 # A case below is named by the rule its value breaks; it is refused in its key's one message.
 TOL_RULE = MESSAGES["baseline_tol"]
@@ -1115,6 +1116,9 @@ DIRECTIONS = "greedy-basis, random-gaussian"
     ("synth", ("--sep", "inf"), MESSAGES["sep"]),
     ("synth", ("--sep", "nan"), MESSAGES["sep"]),
     ("synth", ("--dim", "0"), MESSAGES["dim"]),
+    ("extract", ("--corr-lags=-1", "--set", "4"), MESSAGES["corr_lags"]),
+    ("extract", ("--corr-lags=-1", "--set", "1"), MESSAGES["corr_lags"]),
+    ("extract", {"corr_lags": [0, -4], "set": 4}, MESSAGES["corr_lags"]),
 ])
 def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                       command, source, rule):

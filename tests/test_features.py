@@ -115,6 +115,16 @@ def test_empty_channel_list_refused():
             build_feature_sets(trial, channels=[], set_id=level)
 
 
+@pytest.mark.parametrize("lags", [[1.7], [0, -1], [np.float64(0.5)]])
+def test_correlation_lag_not_a_nonnegative_integer_refused(lags):
+    # at every level: a Set1 table has no correlation columns, but a refused
+    # lag is never built into one under a truncated name such as lag1
+    trial = make_trial(n_channels=3, seconds=10.0, pretrial=0.0)
+    for level in (1, 4):
+        with pytest.raises(ValueError, match="^correlation lag must be a nonnegative integer$"):
+            build_feature_sets(trial, channels=[0, 1, 2], set_id=level, corr_lags=lags)
+
+
 def test_trial_too_short_for_one_window():
     trial = TrialSignal(np.random.default_rng(0).standard_normal((2, 200)), FS)
     with pytest.raises(ValueError, match="exceeds"):

@@ -28,19 +28,13 @@ def random_instance(seed, max_n=50, max_d=10, lam=None):
     return dataset, params, state
 
 
-def pack(state):
-    return np.concatenate([state.w, [state.u, state.v, state.y]])
-
-
 def value_at(z, dataset, params):
-    d = dataset.n_features
-    return objective_value(PrimalDualState(z[:d], z[d], z[d + 1], z[d + 2]), dataset, params)
+    return objective_value(PrimalDualState.from_packed(z), dataset, params)
 
 
 def grad_at(z, dataset, params):
-    d = dataset.n_features
-    gx, gy = gradient(PrimalDualState(z[:d], z[d], z[d + 1], z[d + 2]), dataset, params)
-    return np.concatenate([gx, [gy]])
+    gx, gy = gradient(PrimalDualState.from_packed(z), dataset, params)
+    return np.append(gx, gy)
 
 
 def fd_gradient(z, dataset, params, h=1e-5):
@@ -147,8 +141,8 @@ def test_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(40):
         ds, params, state = random_instance(seed)
-        analytic = grad_at(pack(state), ds, params)
-        numeric = fd_gradient(pack(state), ds, params)
+        analytic = grad_at(state.pack(), ds, params)
+        numeric = fd_gradient(state.pack(), ds, params)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
         worst = max(worst, rel)
     assert worst <= 1e-6
@@ -192,7 +186,7 @@ def test_hessian_matches_finite_differences():
     for seed in (0, 5, 9):
         ds, params, state = random_instance(seed)
         analytic = hessian(state, ds, params)
-        numeric = fd_hessian(pack(state), ds, params)
+        numeric = fd_hessian(state.pack(), ds, params)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() <= 1e-6
 
@@ -213,20 +207,23 @@ def test_problem_adapter_round_trip():
     for seed in range(21, 26):
         ds, params, state = random_instance(seed)
         problem = AucProblem(ds, lam=params.lam)
-        x = state.pack_x()
-        y = np.array([state.y])
-        gx, gy = problem.grad(x, y)
-        gx2, gy2 = gradient(state, ds, params)
-        np.testing.assert_allclose(gx, gx2, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gy, [gy2], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(problem.value(x, y), objective_value(state, ds, params),
+        z = state.pack()
+        gx, gy = gradient(state, ds, params)
+        np.testing.assert_allclose(problem.grad(z), np.append(gx, gy), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(problem.value(z), objective_value(state, ds, params),
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(problem.hessian(x, y), hessian(state, ds, params),
+        np.testing.assert_allclose(problem.hessian(), hessian(state, ds, params),
                                    rtol=1e-12, atol=1e-12)
-        assert not problem.hessian(x, y).flags.writeable     # the cached H, shared
-        unpacked = problem.unpack(x, y)
+        assert not problem.hessian().flags.writeable         # the cached H, shared
+        unpacked = PrimalDualState.from_packed(z)
         assert np.array_equal(unpacked.w, state.w)
         assert (unpacked.u, unpacked.v, unpacked.y) == (state.u, state.v, state.y)
+
+
+@pytest.mark.parametrize("z", [np.zeros(3), np.zeros((2, 2)), np.zeros(())])
+def test_from_packed_refuses_what_pack_cannot_give(z):
+    with pytest.raises(ValueError, match=r"^packed vector must be \[w; u; v; y\] with d >= 1$"):
+        PrimalDualState.from_packed(z)
 
 
 def test_problem_gradient_at_zero_is_the_reference_gradient():
@@ -234,33 +231,32 @@ def test_problem_gradient_at_zero_is_the_reference_gradient():
     for seed in range(21, 26):
         ds, params, _ = random_instance(seed)
         d = ds.n_features
-        gx, gy = AucProblem(ds, lam=params.lam).grad(np.zeros(d + 2), np.zeros(1))
+        g = AucProblem(ds, lam=params.lam).grad(np.zeros(d + 3))
         gx_ref, gy_ref = gradient(PrimalDualState.zeros(d), ds, params)
-        assert np.array_equal(gx, gx_ref)
-        assert np.array_equal(gy, [gy_ref])
+        assert np.array_equal(g, np.append(gx_ref, gy_ref))
 
 
-def uncached_value(problem, b, x, y):
+def uncached_value(problem, b, z):
     """``value``'s formula with a fresh ``H @ z``; ``b`` is the gradient at zero."""
-    z = np.concatenate([x, y])
-    return 0.5 * float(z @ (problem.hessian(x, y) @ z + 2.0 * b))
+    return 0.5 * float(z @ (problem.hessian() @ z + 2.0 * b))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_value_reuses_the_gradient_product_only_at_the_same_point(seed):
     ds, params, state = random_instance(seed)
     problem = AucProblem(ds, lam=params.lam)
-    b = np.concatenate(problem.grad(np.zeros(problem.dim_x), np.zeros(1)))
+    n = problem.dim_x + problem.dim_y
+    b = problem.grad(np.zeros(n))
     rng = np.random.default_rng(seed)
-    x, y = state.pack_x(), np.array([state.y])
+    z = state.pack()
     # value after grad at another point: a fresh product
-    problem.grad(rng.standard_normal(problem.dim_x), rng.standard_normal(1))
-    assert problem.value(x, y) == uncached_value(problem, b, x, y)
+    problem.grad(rng.standard_normal(n))
+    assert problem.value(z) == uncached_value(problem, b, z)
     # value after grad at the same point: the kept product, same bits
-    problem.grad(x, y)
-    assert problem.value(x, y) == uncached_value(problem, b, x, y)
-    # the caller changed x and y in place after grad: not the stale product
-    problem.grad(x, y)
-    x[0] += 1.0
-    y[0] -= 0.5
-    assert problem.value(x, y) == uncached_value(problem, b, x, y)
+    problem.grad(z)
+    assert problem.value(z) == uncached_value(problem, b, z)
+    # the caller changed z in place after grad: not the stale product
+    problem.grad(z)
+    z[0] += 1.0
+    z[-1] -= 0.5
+    assert problem.value(z) == uncached_value(problem, b, z)

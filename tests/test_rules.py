@@ -15,13 +15,15 @@ INF, NAN = math.inf, math.nan
     (rules.FINITE, [0, -1e300, np.float64(7)], [INF, -INF, NAN, np.float64(NAN)]),
     (rules.POSITIVE_INTEGER, [1, 2.0, np.int64(50_000), np.uint8(1), 10**400],
      [0, -3, 1.5, INF, NAN, np.float64(0.5), np.int64(0)]),
+    (rules.NONNEGATIVE_INTEGER, [0, 1, 2.0, np.int64(0), np.uint8(7), 10**400],
+     [-1, 1.7, 0.5, -0.5, INF, NAN, np.float64(1.7), np.int64(-1)]),
     (rules.FRACTION, [0.5, 1e-300, np.float64(0.8)], [0, 1, 1.5, -0.1, NAN, np.float64(1.0)]),
     (rules.BROYDEN_TAU, ["sr1", "dfp", "bfgs", 0, 1, np.float64(0.25)],
      ["bfg", "", -0.1, 1.01, NAN, np.float64(2.0)]),
     (rules.FILTER_ORDER, [1, 4, 20, np.int64(20)], [0, 21, 100, 4.5, INF, NAN]),
     (rules.choice(("a", "b")), ["a", np.str_("b")], ["c", 1, None]),
-], ids=["positive", "nonnegative", "finite", "positive-integer", "fraction", "broyden-tau",
-        "filter-order", "choice"])
+], ids=["positive", "nonnegative", "finite", "positive-integer", "nonnegative-integer",
+        "fraction", "broyden-tau", "filter-order", "choice"])
 def test_rule_tests_the_range_only(rule, accepted, refused):
     """Python and numpy scalars alike: each rule accepts its range and nothing else."""
     assert [v for v in accepted if not rule.test(v)] == []

@@ -340,6 +340,9 @@ def test_lagged_correlation_matches_pearson_at_zero():
 
 def test_lagged_correlation_errors():
     x = np.arange(8, dtype=float)
+    for tau in (1.7, -1, np.float64(0.5)):       # refused, not truncated to an integer
+        with pytest.raises(ValueError, match="^lag must be a nonnegative integer$"):
+            lagged_correlation(x, x, tau)
     with pytest.raises(ValueError, match="smaller"):
         lagged_correlation(x, x, 8)
     with pytest.raises(ValueError, match="overlap"):

@@ -5,7 +5,7 @@ import scipy.linalg
 import aucmax.solvers as solvers
 from aucmax.data import SplitSpec, SynthSpec, generate_synthetic, split
 from aucmax.metrics import roc_auc, roc_auc_columns
-from aucmax.objective import AucProblem, LabeledDataset
+from aucmax.objective import AucProblem, LabeledDataset, PrimalDualState
 from aucmax.solvers import (
     CONDITION_LIMIT,
     DENSE_TRACE_ROWS,
@@ -31,11 +31,11 @@ class ScalarSaddle:
 
     dim_x = dim_y = 1
 
-    def value(self, x, y):
-        return float(0.5 * x[0] ** 2 - 0.5 * y[0] ** 2)
+    def value(self, z):
+        return float(0.5 * z[0] ** 2 - 0.5 * z[1] ** 2)
 
-    def grad(self, x, y):
-        return np.array([x[0]]), np.array([-y[0]])
+    def grad(self, z):
+        return np.array([z[0], -z[1]])
 
 
 class Bilinear:
@@ -43,11 +43,11 @@ class Bilinear:
 
     dim_x = dim_y = 1
 
-    def value(self, x, y):
-        return float(x[0] * y[0])
+    def value(self, z):
+        return float(z[0] * z[1])
 
-    def grad(self, x, y):
-        return np.array([y[0]]), np.array([x[0]])
+    def grad(self, z):
+        return np.array([z[1], z[0]])
 
 
 class SlowQuadratic:
@@ -58,24 +58,19 @@ class SlowQuadratic:
     def __init__(self, mu=1.0):
         self.mu = mu
 
-    def value(self, x, y):
-        return float(0.5 * self.mu * (x[0] ** 2 - y[0] ** 2))
+    def value(self, z):
+        return float(0.5 * self.mu * (z[0] ** 2 - z[1] ** 2))
 
-    def grad(self, x, y):
-        return np.array([self.mu * x[0]]), np.array([-self.mu * y[0]])
+    def grad(self, z):
+        return np.array([self.mu * z[0], -self.mu * z[1]])
 
 
 def auc_problem(n=50, d=5, sep=2.0, seed=3, lam=1e-4, pos=1 / 3):
     return AucProblem(generate_synthetic(SynthSpec(n, d, pos, sep, seed=seed)), lam=lam)
 
 
-def stacked(result):
-    return np.concatenate([result.final_x, result.final_y])
-
-
 def hessian_norm(problem):
-    h = problem.hessian(np.zeros(problem.dim_x), np.zeros(problem.dim_y))
-    return np.abs(np.linalg.eigvalsh(h)).max()
+    return np.abs(np.linalg.eigvalsh(problem.hessian())).max()
 
 
 # --- config validation
@@ -100,13 +95,37 @@ def test_unknown_method_on_a_mutated_config_raises():
         solve(auc_problem(), cfg)
 
 
+def untouchable(problem):
+    """``problem``, with each ``grad``, ``value`` and ``hessian`` call failing the test."""
+    for name in ("grad", "value", "hessian"):
+        if hasattr(problem, name):
+            setattr(problem, name, lambda *args, _name=name: pytest.fail(f"{_name}() called"))
+    return problem
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("make, initial", [
+    # d = 4 (dim_x = 6), started from a 3-entry primal block: Newton cut H at 3
+    (lambda: auc_problem(d=4), (np.zeros(3), [0.0])),
+    (lambda: auc_problem(d=4), np.zeros(4)),
+    # dim_x = 1, started from a 2-entry primal block: ran, the extra entry untouched
+    (ScalarSaddle, ([1.0, 4.0], [1.0])),
+    (ScalarSaddle, [1.0, 4.0, 1.0]),
+    # dim_x + dim_y numbers, but not a vector
+    (ScalarSaddle, np.zeros((2, 1))),
+], ids=["auc-pair", "auc-stacked", "toy-pair", "toy-stacked", "2-d"])
+def test_start_of_the_wrong_shape_refused_before_any_call(method, make, initial):
+    with pytest.raises(ValueError, match="^initial must be a vector of dim_x \\+ dim_y = "):
+        solve(untouchable(make()), SolverConfig(method=method, step_size=0.5), initial=initial)
+
+
 # --- first-order on toys
 
 def test_alt_gda_scalar_toy():
     cfg = SolverConfig(method="alt-gda", step_size=0.5, max_iterations=100, grad_tolerance=1e-3)
-    res = solve(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
+    res = solve(ScalarSaddle(), cfg, initial=[1.0, 1.0])
     assert res.converged and res.iterations_used <= 100
-    assert abs(res.final_x[0]) < 1e-3 and abs(res.final_y[0]) < 1e-3
+    assert np.abs(res.final_z).max() < 1e-3
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -114,21 +133,21 @@ def test_immediate_return_when_converged(method):
     if method in SECOND_ORDER_METHODS:          # these need a Hessian: start at the AUC saddle
         problem = auc_problem()
         saddle = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-10))
-        start = (saddle.final_x, saddle.final_y)
+        start = saddle.final_z
         cfg = SolverConfig(method=method, grad_tolerance=1e-3)
     else:
-        problem, start = ScalarSaddle(), ([0.0], [0.0])
+        problem, start = ScalarSaddle(), np.zeros(2)
         cfg = SolverConfig(method=method, step_size=0.5, grad_tolerance=1e-3)
     res = solve(problem, cfg, initial=start)
     assert res.converged and res.iterations_used == 0
     assert len(res.trace) == 1 and res.trace[0].iteration == 0
-    assert np.array_equal(res.final_x, start[0]) and np.array_equal(res.final_y, start[1])
+    assert np.array_equal(res.final_z, start)
 
 
 def test_sim_gda_divergence_error():
     cfg = SolverConfig(method="sim-gda", step_size=0.5, max_iterations=10_000, grad_tolerance=1e-12)
     with pytest.raises(RuntimeError, match="diverged"):
-        solve(Bilinear(), cfg, initial=([1.0], [1.0]))
+        solve(Bilinear(), cfg, initial=[1.0, 1.0])
 
 
 def test_bilinear_sim_grows_eg_contracts():
@@ -137,12 +156,12 @@ def test_bilinear_sim_grows_eg_contracts():
     sim = solve(
         Bilinear(),
         SolverConfig(method="sim-gda", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
-        initial=([1.0], [1.0]),
+        initial=[1.0, 1.0],
     )
     eg = solve(
         Bilinear(),
         SolverConfig(method="extragradient", step_size=0.5, max_iterations=50, grad_tolerance=1e-15),
-        initial=([1.0], [1.0]),
+        initial=[1.0, 1.0],
     )
     sim_norms = [row.grad_norm for row in sim.trace]   # grad norm == iterate norm for f = xy
     eg_norms = [row.grad_norm for row in eg.trace]
@@ -171,19 +190,19 @@ def test_eg_agrees_with_alt_gda_on_auc():
     alt = solve(problem, SolverConfig(method="alt-gda"))
     eg = solve(problem, SolverConfig(method="extragradient"))
     assert alt.converged and eg.converged
-    assert np.linalg.norm(stacked(alt) - stacked(eg)) <= 1e-2
+    assert np.linalg.norm(alt.final_z - eg.final_z) <= 1e-2
 
 
 def test_default_step_requires_hessian():
     cfg = SolverConfig(method="sim-gda")
     with pytest.raises(ValueError, match="step_size"):
-        solve(ScalarSaddle(), cfg, initial=([1.0], [1.0]))
+        solve(ScalarSaddle(), cfg, initial=[1.0, 1.0])
 
 
 def test_trace_thinning_long_run():
     mu = 5e-4
     cfg = SolverConfig(method="sim-gda", step_size=1.0, max_iterations=30_000, grad_tolerance=1e-3)
-    res = solve(SlowQuadratic(mu), cfg, initial=([1e3], [1e3]))
+    res = solve(SlowQuadratic(mu), cfg, initial=[1e3, 1e3])
     assert res.converged
     iters = [row.iteration for row in res.trace]
     assert all(b > a for a, b in zip(iters, iters[1:]))           # strictly increasing
@@ -206,7 +225,7 @@ def test_trace_integrity_at_cap(method, cap):
     if method in SECOND_ORDER_METHODS:          # round-off keeps the gradient above 1e-30
         problem, start, step, tol = auc_problem(), None, None, 1e-30
     else:
-        problem, start, step, tol = ScalarSaddle(), ([1.0], [1.0]), 0.1, 1e-9
+        problem, start, step, tol = ScalarSaddle(), [1.0, 1.0], 0.1, 1e-9
         if cap == THINNED_CAP:                  # contracts slowly enough to stay above tol
             problem, step = SlowQuadratic(1e-4), 1.0
     cfg = SolverConfig(method=method, step_size=step, max_iterations=cap, grad_tolerance=tol)
@@ -221,59 +240,53 @@ def test_trace_integrity_at_cap(method, cap):
 
 
 class AffineSaddle:
-    """Generic coupled quadratic; pins the exact update-rule semantics."""
+    """Generic coupled quadratic ``z@H@z/2 + q@z`` over ``z = [x1, x2, y]``;
+    pins the exact update-rule semantics."""
 
     dim_x = 2
     dim_y = 1
-    A = np.array([[2.0, 0.3], [0.3, 1.0]])
-    B = np.array([[0.5], [-0.2]])
-    C = np.array([[0.8]])
-    c = np.array([0.1, -0.3])
-    d = np.array([0.2])
+    H = np.array([[2.0, 0.3, 0.5], [0.3, 1.0, -0.2], [0.5, -0.2, -0.8]])
+    q = np.array([0.1, -0.3, 0.2])
 
-    def value(self, x, y):
-        return float(0.5 * x @ self.A @ x + x @ self.B @ y - 0.5 * y @ self.C @ y
-                     + self.c @ x + self.d @ y)
+    def value(self, z):
+        return float(0.5 * z @ self.H @ z + self.q @ z)
 
-    def grad(self, x, y):
-        return self.A @ x + self.B @ y + self.c, self.B.T @ x - self.C @ y + self.d
+    def grad(self, z):
+        return self.H @ z + self.q
 
 
 def test_update_rules_match_hand_iterations():
     problem = AffineSaddle()
-    eta = 0.1
-    x0, y0 = np.array([1.0, -1.0]), np.array([0.5])
+    eta, nx = 0.1, problem.dim_x
+    z0 = np.array([1.0, -1.0, 0.5])
 
-    hx, hy = x0.copy(), y0.copy()
+    def gda(z, gx, gy):                         # descend in x, ascend in y
+        return np.concatenate([z[:nx] - eta * gx, z[nx:] + eta * gy])
+
+    def run(method):
+        return solve(problem, SolverConfig(method=method, step_size=eta,
+                                           max_iterations=3, grad_tolerance=1e-30),
+                     initial=z0).final_z
+
+    hand = z0.copy()
     for _ in range(3):                           # simultaneous: both from the old point
-        gx, gy = problem.grad(hx, hy)
-        hx, hy = hx - eta * gx, hy + eta * gy
-    res = solve(problem, SolverConfig(method="sim-gda", step_size=eta,
-                                      max_iterations=3, grad_tolerance=1e-30),
-                initial=(x0, y0))
-    assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
+        g = problem.grad(hand)
+        hand = gda(hand, g[:nx], g[nx:])
+    assert np.array_equal(run("sim-gda"), hand)
 
-    hx, hy = x0.copy(), y0.copy()
+    hand = z0.copy()
     for _ in range(3):                           # alternating: dual sees the fresh primal
-        gx, _ = problem.grad(hx, hy)
-        x_next = hx - eta * gx
-        _, gy_new = problem.grad(x_next, hy)
-        hx, hy = x_next, hy + eta * gy_new
-    res = solve(problem, SolverConfig(method="alt-gda", step_size=eta,
-                                      max_iterations=3, grad_tolerance=1e-30),
-                initial=(x0, y0))
-    assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
+        gx = problem.grad(hand)[:nx]
+        fresh = np.concatenate([hand[:nx] - eta * gx, hand[nx:]])
+        hand = gda(hand, gx, problem.grad(fresh)[nx:])
+    assert np.array_equal(run("alt-gda"), hand)
 
-    hx, hy = x0.copy(), y0.copy()
+    hand = z0.copy()
     for _ in range(3):                           # extragradient: full step from mid-point
-        gx, gy = problem.grad(hx, hy)
-        mx, my = hx - eta * gx, hy + eta * gy
-        gx_mid, gy_mid = problem.grad(mx, my)
-        hx, hy = hx - eta * gx_mid, hy + eta * gy_mid
-    res = solve(problem, SolverConfig(method="extragradient", step_size=eta,
-                                      max_iterations=3, grad_tolerance=1e-30),
-                initial=(x0, y0))
-    assert np.array_equal(res.final_x, hx) and np.array_equal(res.final_y, hy)
+        g = problem.grad(hand)
+        g_mid = problem.grad(gda(hand, g[:nx], g[nx:]))
+        hand = gda(hand, g_mid[:nx], g_mid[nx:])
+    assert np.array_equal(run("extragradient"), hand)
 
 
 # --- newton
@@ -291,7 +304,7 @@ def test_newton_zero_iterations_at_saddle():
     again = solve(
         problem,
         SolverConfig(method="newton", grad_tolerance=1e-3),
-        initial=(first.final_x, first.final_y),
+        initial=first.final_z,
     )
     assert again.converged and again.iterations_used == 0
 
@@ -312,7 +325,7 @@ def test_newton_singular_hessian():
     problem = AucProblem(ds, lam=0.0)
     with pytest.raises(RuntimeError, match="singular Hessian"):
         solve(problem, SolverConfig(method="newton"),
-              initial=(np.array([1.0, 1.0, 1.0, -1.0]), np.array([0.5])))
+              initial=[1.0, 1.0, 1.0, -1.0, 0.5])
 
 
 @pytest.mark.parametrize("method", SECOND_ORDER_METHODS)
@@ -320,8 +333,7 @@ def test_second_order_refuses_a_singular_problem_at_its_saddle(method):
     # the same singular problem from the zero start, where the gradient is
     # already zero: the Hessian is certified before the convergence test
     problem = AucProblem(LabeledDataset(np.zeros((4, 2)), [1, 1, -1, -1]), lam=0.0)
-    gx, gy = problem.grad(np.zeros(problem.dim_x), np.zeros(1))
-    assert not gx.any() and not gy.any()
+    assert not problem.grad(np.zeros(problem.dim_x + problem.dim_y)).any()
     with pytest.raises(RuntimeError, match="singular Hessian"):
         solve(problem, SolverConfig(method=method))
 
@@ -331,13 +343,13 @@ class IndefinitePrimal:
 
     dim_x, dim_y = 2, 1
 
-    def value(self, x, y):
-        return float(0.5 * (x[0] ** 2 - x[1] ** 2 - y[0] ** 2))
+    def value(self, z):
+        return float(0.5 * (z[0] ** 2 - z[1] ** 2 - z[2] ** 2))
 
-    def grad(self, x, y):
-        return np.array([x[0], -x[1]]), np.array([-y[0]])
+    def grad(self, z):
+        return np.array([z[0], -z[1], -z[2]])
 
-    def hessian(self, x, y):
+    def hessian(self):
         return np.diag([1.0, -1.0, -1.0])
 
 
@@ -351,8 +363,7 @@ def test_singular_hessian_without_exact_zero_pivot(method):
     collinear = LabeledDataset(np.column_stack([ds.features, ds.features[:, 1] + nudge]),
                                ds.labels)
     problem = AucProblem(collinear, lam=0.0)
-    h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
-    h_xx = h[:-1, :-1]
+    h_xx = problem.hessian()[:-1, :-1]
     factor = scipy.linalg.cholesky(h_xx)
     assert np.diag(factor).min() ** 2 > 4 * np.finfo(float).eps * h_xx.diagonal().max()
     rcond, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(h_xx, 1))
@@ -362,7 +373,7 @@ def test_singular_hessian_without_exact_zero_pivot(method):
     # A saddle that is nonsingular but not convex in x is not certified.
     with pytest.raises(RuntimeError, match="singular Hessian"):
         solve(IndefinitePrimal(), SolverConfig(method=method),
-              initial=(np.array([1.0, 1.0]), np.array([1.0])))
+              initial=[1.0, 1.0, 1.0])
 
 
 # --- broyden family
@@ -473,7 +484,7 @@ def test_quasi_newton_agrees_with_newton():
                      direction_rule="greedy-basis", updates_per_iteration=3),
     )
     assert newton.converged and qn.converged
-    assert np.linalg.norm(stacked(newton) - stacked(qn)) <= 1e-2
+    assert np.linalg.norm(newton.final_z - qn.final_z) <= 1e-2
 
 
 def test_quasi_newton_dominance_along_run(monkeypatch):
@@ -483,7 +494,7 @@ def test_quasi_newton_dominance_along_run(monkeypatch):
         SolverConfig(method="qn-broyden", broyden_tau="sr1", updates_per_iteration=3),
     )
     assert res.converged
-    h_hat = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
+    h_hat = problem.hessian()
     h_sq = h_hat @ h_hat
     for q in seen_q:
         assert np.linalg.eigvalsh(q - h_sq).min() >= -1e-8
@@ -499,7 +510,7 @@ def test_quasi_newton_random_rule_deterministic():
     assert len(first.trace) == len(second.trace)
     for a, b in zip(first.trace, second.trace):
         assert a.grad_norm == b.grad_norm and a.objective == b.objective
-    assert np.array_equal(first.final_x, second.final_x)
+    assert np.array_equal(first.final_z, second.final_z)
 
 
 DENSE_NOTE = "iteration {}: {} update skipped (degenerate curvature pair)"
@@ -535,8 +546,8 @@ def test_factored_quasi_newton_tracks_dense_reference(monkeypatch, tau, rule, k)
     res, seen_q = recorded_q(monkeypatch, problem, cfg)
     assert res.iterations_used == iterations
 
-    x, y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
-    h_hat = problem.hessian(x, y)
+    z = np.zeros(problem.dim_x + problem.dim_y)
+    h_hat = problem.hessian()
     h_sq = h_hat @ h_hat
     n = h_sq.shape[0]
     q = 1.01 * np.linalg.eigvalsh(h_sq).max() * np.eye(n)
@@ -545,9 +556,7 @@ def test_factored_quasi_newton_tracks_dense_reference(monkeypatch, tau, rule, k)
     g0 = res.trace[0].grad_norm
     notes, applied = [], 0
     for t in range(1, iterations + 1):
-        gx, gy = problem.grad(x, y)
-        step = np.linalg.solve(q, h_hat @ np.concatenate([gx, gy]))
-        x, y = x - step[:problem.dim_x], y - step[problem.dim_x:]
+        z = z - np.linalg.solve(q, h_hat @ problem.grad(z))
         for _ in range(k):
             if rule == "greedy-basis":
                 u = np.eye(n)[greedy_direction(q, h_sq)]
@@ -557,8 +566,7 @@ def test_factored_quasi_newton_tracks_dense_reference(monkeypatch, tau, rule, k)
             notes += [DENSE_NOTE.format(t, component) for component in skipped]
             applied += not skipped
         assert np.abs(seen_q[t] - q).max() <= 1e-10 * np.abs(q).max(), t
-        gx, gy = problem.grad(x, y)
-        grad_norm = float(np.linalg.norm(np.concatenate([gx, gy])))
+        grad_norm = float(np.linalg.norm(problem.grad(z)))
         assert abs(res.trace[t].grad_norm - grad_norm) <= 1e-8 * g0, t
     assert res.notes == notes
     assert applied > REBASE_RANK
@@ -574,7 +582,7 @@ def test_cross_solver_agreement_small():
         solve(problem, SolverConfig(method="qn-broyden", updates_per_iteration=3)),
     ]
     assert all(r.converged for r in results)
-    points = [stacked(r) for r in results]
+    points = [r.final_z for r in results]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             assert np.linalg.norm(points[i] - points[j]) <= 1e-2
@@ -583,10 +591,9 @@ def test_cross_solver_agreement_small():
 def test_final_state_unpacked_for_auc():
     problem = auc_problem()
     res = solve(problem, SolverConfig(method="newton"))
-    state = problem.unpack(res.final_x, res.final_y)
-    assert state is not None
+    state = PrimalDualState.from_packed(res.final_z)
     assert state.w.shape == (5,)
-    assert np.array_equal(state.pack_x(), res.final_x)
+    assert np.array_equal(state.pack(), res.final_z)
 
 
 # --- utilities
@@ -620,7 +627,7 @@ def test_spectral_norm_estimate_small_and_degenerate(matrix, expected):
 
 def test_spectral_norm_estimate_same_seed_same_bits():
     problem = auc_problem(n=80, d=30, seed=4)
-    h = problem.hessian(np.zeros(problem.dim_x), np.zeros(1))
+    h = problem.hessian()
     first = spectral_norm_estimate(h, seed=11)
     assert spectral_norm_estimate(h, seed=11) == first
     assert first == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)
@@ -647,9 +654,9 @@ class RecordingAucProblem(AucProblem):
         super().__init__(*args, **kwargs)
         self.points = []
 
-    def value(self, x, y):
-        self.points.append(np.array(x))
-        return super().value(x, y)
+    def value(self, z):
+        self.points.append(np.array(z))
+        return super().value(z)
 
 
 @pytest.mark.parametrize("method, cap, rows", [
@@ -675,7 +682,7 @@ def test_trace_aucs_scored_in_blocks_match_each_rows_iterate(method, cap, rows):
     assert len(res.trace) == len(problem.points) == rows
     assert blocks == [TRACE_AUC_BLOCK] * (rows // TRACE_AUC_BLOCK) + (
         [rows % TRACE_AUC_BLOCK] if rows % TRACE_AUC_BLOCK else [])
-    for row, x in zip(res.trace, problem.points):
-        assert row.train_auc == roc_auc(train.features @ x[:d], train.labels)
-        assert row.test_auc == roc_auc(test.features @ x[:d], test.labels)
+    for row, z in zip(res.trace, problem.points):
+        assert row.train_auc == roc_auc(train.features @ z[:d], train.labels)
+        assert row.test_auc == roc_auc(test.features @ z[:d], test.labels)
         assert type(row.train_auc) is float and type(row.test_auc) is float
