@@ -44,10 +44,12 @@ from .signals import (
 from .features import FeatureMatrix, build_feature_sets, feature_layout
 from .baselines import (
     LinearModel,
+    auc_model,
     decision_scores,
     fit_linear_svm,
     fit_logistic,
     predict,
+    score,
 )
 from .metrics import (
     ConfusionCounts,

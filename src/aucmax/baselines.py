@@ -2,7 +2,13 @@
 L2-regularized logistic regression (a damped Newton method that records a
 certified duality gap) and a soft-margin linear SVM in its hinge-loss form
 (a primal-dual interior-point method that stops on a certified duality
-gap)."""
+gap).
+
+This module also owns the stored (JSON) form of every model kind: the
+baselines' ``logistic`` and ``svm`` (``model_to_dict``) and the AUC
+maximizer's ``auc-linear`` (``auc_model``).  ``linear_rule`` is the one
+reader of that form and ``score`` the one way from a stored model to its
+scores and predictions."""
 
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit, xlog1py
 
-from .objective import LabeledDataset
+from .objective import LabeledDataset, PrimalDualState
 from .rules import FINITE, FRACTION, POSITIVE, POSITIVE_INTEGER, require
 
 __all__ = [
@@ -24,7 +30,9 @@ __all__ = [
     "decision_scores",
     "predict",
     "model_to_dict",
+    "auc_model",
     "linear_rule",
+    "score",
 ]
 
 
@@ -321,20 +329,12 @@ def _balance(a, positive) -> np.ndarray:
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:
     """Linear scores ``x @ beta[1:] + beta[0]`` (logit for logistic, margin for svm)."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D array")
-    if x.shape[1] != model.beta.size - 1:
-        raise ValueError(
-            f"dimension mismatch: model expects {model.beta.size - 1} features, got {x.shape[1]}"
-        )
-    return x @ model.beta[1:] + model.beta[0]
+    return score(model_to_dict(model), features)[0]
 
 
 def predict(model: LinearModel, features) -> np.ndarray:
     """+1 where the decision score exceeds the cut of ``linear_rule``, else -1."""
-    _, _, cut = linear_rule(model_to_dict(model))
-    return np.where(decision_scores(model, features) > cut, 1, -1)
+    return score(model_to_dict(model), features)[1]
 
 
 def model_to_dict(model: LinearModel) -> dict:
@@ -345,6 +345,23 @@ def model_to_dict(model: LinearModel) -> dict:
         "threshold": model.threshold,
         "C": model.C,
         "train_meta": model.train_meta,
+    }
+
+
+def auc_model(z, lam: float, threshold: float | None = None) -> dict:
+    """The stored ``auc-linear`` form of the stacked saddle point
+    ``z = [w; u; v; y]`` trained at ``lam``.  ``threshold`` is a score-space
+    cut; by default ``(u + v) / 2``, midway between the score centres of the
+    two classes.  Refuses what ``PrimalDualState.from_packed`` refuses."""
+    state = PrimalDualState.from_packed(z)
+    return {
+        "kind": "auc-linear",
+        "w": state.w.tolist(),
+        "u": state.u,
+        "v": state.v,
+        "y": state.y,
+        "threshold": (state.u + state.v) / 2.0 if threshold is None else threshold,
+        "lambda": lam,
     }
 
 
@@ -372,3 +389,18 @@ def linear_rule(obj: dict) -> tuple[np.ndarray, float, float]:
         raise ValueError("model weights must be a vector of finite numbers")
     require("model threshold", cut, FINITE)
     return w, bias, cut
+
+
+def score(model: dict, features) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, predictions)`` of a stored model dict on ``features``: the
+    scores ``features @ w + bias`` of its ``linear_rule``, and +1 where a
+    score exceeds the rule's cut, else -1.  Refuses a ``features`` that is not
+    2-D or not as wide as ``w``."""
+    w, bias, cut = linear_rule(model)
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D array")
+    if x.shape[1] != w.size:
+        raise ValueError(f"dimension mismatch: model expects {w.size} features, got {x.shape[1]}")
+    scores = x @ w + bias
+    return scores, np.where(scores > cut, 1, -1)

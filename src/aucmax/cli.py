@@ -25,11 +25,12 @@ import numpy as np
 from . import __version__, rules
 from .baselines import (
     LinearModel,
+    auc_model,
     decision_scores,
     fit_linear_svm,
     fit_logistic,
-    linear_rule,
     model_to_dict,
+    score,
 )
 from .data import (
     SplitSpec,
@@ -58,7 +59,7 @@ from .metrics import (
     roc_auc,
     roc_auc_columns,
 )
-from .objective import AucProblem, PrimalDualState
+from .objective import AucProblem
 from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
 from .solvers import (
     DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
@@ -119,7 +120,8 @@ INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list 
                 parse=lambda raw: [int(tok) for tok in raw.split(",") if tok != ""])
 LAGS = Kind(lambda v: INTEGERS.test(v) and all(map(rules.NONNEGATIVE_INTEGER.test, v)),
             "a list of nonnegative integers", parse=INTEGERS.parse)
-CHANNELS = Kind(lambda v: v == "auto" or INTEGERS.test(v), '"auto" or a list of integers',
+CHANNELS = Kind(lambda v: v == "auto" or (LAGS.test(v) and 0 < len(v) == len(set(v))),
+                '"auto" or a nonempty list of distinct nonnegative integers',
                 parse=lambda raw: raw if raw == "auto" else INTEGERS.parse(raw))
 TEXT = Kind(lambda v: isinstance(v, str), "text")
 TAU = _ranged(lambda v: isinstance(v, str) or _is_number(v), rules.BROYDEN_TAU,
@@ -425,14 +427,9 @@ def _load_split(args, table: dict):
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
-    """Score ``features`` with the model's ``linear_rule`` and report against ``labels``."""
-    w, bias, cut = linear_rule(model_dict)
-    if w.size != features.shape[1]:
-        raise ValueError(
-            f"model expects {w.size} features, table has {features.shape[1]} after standardization"
-        )
-    scores = features @ w + bias
-    return classification_report(labels, np.where(scores > cut, 1, -1), scores)
+    """Score ``features`` with the stored model and report against ``labels``."""
+    scores, predictions = score(model_dict, features)
+    return classification_report(labels, predictions, scores)
 
 
 def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict, trace_auc: bool):
@@ -455,16 +452,8 @@ def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict,
                 roc_auc_columns(test_std.features @ weights, test_std.labels),
             )
     result = solve(problem, config, auc_eval=auc_eval)
-    state = PrimalDualState.from_packed(result.final_z)
-    threshold = eff["threshold"] if eff["threshold"] is not None else (state.u + state.v) / 2.0
     model_dict = {
-        "kind": "auc-linear",
-        "w": state.w.tolist(),
-        "u": state.u,
-        "v": state.v,
-        "y": state.y,
-        "threshold": threshold,
-        "lambda": eff["lambda"],
+        **auc_model(result.final_z, eff["lambda"], eff["threshold"]),
         "train_meta": {
             "standardizer": standardizer.to_dict(), **meta, "solver": eff["solver"],
             "converged": result.converged, "iterations": result.iterations_used,

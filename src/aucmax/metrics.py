@@ -5,7 +5,7 @@ is its one-column call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,8 +20,6 @@ __all__ = [
     "report_csv_row",
     "report_to_dict",
 ]
-
-REPORT_CSV_HEADER = "accuracy,precision,recall,f1,auc,tp,fp,tn,fn"
 
 
 @dataclass(frozen=True)
@@ -44,6 +42,11 @@ class MetricsReport:
     f1: float
     auc: float
     counts: ConfusionCounts
+
+
+# A report's fields, in the order of its records: the rates, then the counts.
+REPORT_CSV_HEADER = ",".join([f.name for f in fields(MetricsReport) if f.name != "counts"]
+                             + [f.name for f in fields(ConfusionCounts)])
 
 
 def _check_labels(values, name):
@@ -138,22 +141,12 @@ def classification_report(true_labels, predicted_labels, scores) -> MetricsRepor
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "auc": report.auc,
-        "tp": report.counts.tp,
-        "fp": report.counts.fp,
-        "tn": report.counts.tn,
-        "fn": report.counts.fn,
-    }
+    """The report as one flat record, keyed as ``REPORT_CSV_HEADER``."""
+    record = asdict(report)
+    counts = record.pop("counts")
+    return {**record, **counts}
 
 
 def report_csv_row(report: MetricsReport) -> str:
-    c = report.counts
-    metrics = ",".join(
-        f"{v:.17g}" for v in (report.accuracy, report.precision, report.recall, report.f1, report.auc)
-    )
-    return f"{metrics},{c.tp},{c.fp},{c.tn},{c.fn}"
+    """The record's values under ``REPORT_CSV_HEADER``; ``.17g`` prints a count as that integer."""
+    return ",".join(f"{value:.17g}" for value in report_to_dict(report).values())

@@ -238,8 +238,8 @@ def _saddle_factor(h_hat: np.ndarray, nx: int):
 
 def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveResult:
     """Run ``config.method`` from ``initial``, a vector of ``dim_x + dim_y``
-    numbers (default the origin); any other ``initial`` raises ValueError
-    before the problem is queried.  The second-order methods read
+    finite numbers (default the origin); any other ``initial`` raises
+    ValueError before the problem is queried.  The second-order methods read
     ``hessian()`` once and certify the saddle before the first step: a
     singular or non-saddle Hessian raises RuntimeError even at a point
     already within tolerance.  An unknown method raises ValueError.
@@ -250,8 +250,8 @@ def solve(problem, config: SolverConfig, initial=None, auc_eval=None) -> SolveRe
         z = np.zeros(n) if initial is None else np.array(initial, dtype=float)
     except (TypeError, ValueError):             # ragged or not numbers
         z = None
-    if z is None or z.shape != (n,):
-        raise ValueError(f"initial must be a vector of dim_x + dim_y = {n} numbers")
+    if z is None or z.shape != (n,) or not np.isfinite(z).all():
+        raise ValueError(f"initial must be a vector of dim_x + dim_y = {n} finite numbers")
     notes: list[str] = []
     if config.method in FIRST_ORDER_METHODS:
         step = _first_order_step(problem, config)

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from aucmax.baselines import decision_scores, fit_linear_svm, fit_logistic, predict
+from aucmax.baselines import (
+    auc_model,
+    decision_scores,
+    fit_linear_svm,
+    fit_logistic,
+    model_to_dict,
+    score,
+)
 from aucmax.cli import main
 from aucmax.data import (
     SplitSpec,
@@ -310,16 +317,10 @@ def test_criterion_8_directional_benchmark():
         svm = tune_and_fit(fit_linear_svm, train_std, seed)
         problem = AucProblem(train_std, lam=1e-4)
         result = solve(problem, SolverConfig(method="newton", grad_tolerance=1e-3))
-        state = PrimalDualState.from_packed(result.final_z)
-        threshold = (state.u + state.v) / 2.0
-        auc_scores = test_std.features @ state.w
 
-        for name, scores, preds in (
-            ("logistic", decision_scores(logistic, test_std.features),
-             predict(logistic, test_std.features)),
-            ("svm", decision_scores(svm, test_std.features), predict(svm, test_std.features)),
-            ("auc-max", auc_scores, np.where(auc_scores > threshold, 1, -1)),
-        ):
+        for name, model in (("logistic", model_to_dict(logistic)), ("svm", model_to_dict(svm)),
+                            ("auc-max", auc_model(result.final_z, 1e-4))):
+            scores, preds = score(model, test_std.features)   # as compare scores its models
             rep = classification_report(test_std.labels, preds, scores)
             recalls[name].append(rep.recall)
             aucs[name].append(rep.auc)

@@ -8,6 +8,7 @@ from scipy.special import expit, xlogy
 from aucmax import baselines
 from aucmax.baselines import (
     LinearModel,
+    auc_model,
     decision_scores,
     fit_linear_svm,
     fit_logistic,
@@ -15,6 +16,7 @@ from aucmax.baselines import (
     logistic_objective,
     model_to_dict,
     predict,
+    score,
     svm_objective,
 )
 from aucmax.data import SynthSpec, generate_synthetic
@@ -570,6 +572,8 @@ def test_linear_rule_matches_decision_scores_and_predict():
                                        rtol=0, atol=1e-12)
             preds = np.where(scores > cut, 1, -1)
             assert np.array_equal(preds, predict(model, ds.features))
+            stored_scores, stored_preds = score(model_to_dict(model), ds.features)
+            assert np.array_equal(stored_scores, scores) and np.array_equal(stored_preds, preds)
             assert 0 < np.count_nonzero(preds == 1) < ds.n_samples   # the cut splits the data
             if kind == "logistic":
                 assert cut == pytest.approx(np.log(threshold / (1.0 - threshold)))
@@ -580,7 +584,34 @@ def test_linear_rule_auc_model_has_no_bias():
     assert np.array_equal(w, [1.0, -2.0]) and bias == 0.0 and cut == 0.25
 
 
+@pytest.mark.parametrize("threshold", [None, 0.3], ids=["midpoint", "override"])
+def test_auc_model_scores_with_w_at_its_cut(threshold):
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(6)                  # d = 3: [w; u; v; y]
+    x = rng.standard_normal((40, 3))
+    w, u, v, y = z[:3], z[3], z[4], z[5]
+    model = auc_model(z, 1e-2, threshold)
+    cut = (u + v) / 2.0 if threshold is None else threshold
+    assert model == {"kind": "auc-linear", "w": w.tolist(), "u": u, "v": v, "y": y,
+                     "threshold": cut, "lambda": 1e-2}
+    scores, preds = score(model, x)
+    assert np.array_equal(scores, x @ w)
+    assert np.array_equal(preds, np.where(x @ w > cut, 1, -1))
+    assert 0 < np.count_nonzero(preds == 1) < x.shape[0]    # the cut splits the rows
+
+
+@pytest.mark.parametrize("z", [np.zeros(3), np.zeros((2, 4))], ids=["short", "2-d"])
+def test_auc_model_refuses_a_vector_that_is_not_a_state(z):
+    with pytest.raises(ValueError, match=re.escape("packed vector must be [w; u; v; y] with d >= 1")):
+        auc_model(z, 1e-4)
+
+
 def test_dimension_mismatch():
-    model = LinearModel(np.array([0.0, 1.0]), "svm", threshold=0.0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        decision_scores(model, np.ones((2, 3)))
+    beta = np.array([0.0, 1.0])
+    for model in (model_to_dict(LinearModel(beta, "svm", threshold=0.0)),
+                  model_to_dict(LinearModel(beta, "logistic", threshold=0.5)),
+                  auc_model(np.zeros(4), 1e-4)):
+        with pytest.raises(ValueError, match="^dimension mismatch: model expects 1 features, got 3$"):
+            score(model, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^features must be a 2-D array$"):
+            score(model, np.ones(3))

@@ -469,8 +469,8 @@ def test_eval_on_test_rows_reproduces_train_report(tmp_path, solver):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: m.update(w=m["w"][:-1]), "model expects 7 features, table has 8 after standardization"),
-    (lambda m: m.update(w=m["w"] + [0.5]), "model expects 9 features, table has 8 after standardization"),
+    (lambda m: m.update(w=m["w"][:-1]), "dimension mismatch: model expects 7 features, got 8"),
+    (lambda m: m.update(w=m["w"] + [0.5]), "dimension mismatch: model expects 9 features, got 8"),
     (lambda m: m.update(w=[float("nan")] + m["w"][1:]), "model weights must be a vector of finite numbers"),
     (lambda m: m.update(kind="foo"), "unknown model kind 'foo'"),
 ], ids=["short-w", "long-w", "nan-w", "unknown-kind"])
@@ -747,6 +747,7 @@ MESSAGES = {
     "sep": "sep must be a nonnegative finite number",
     "dim": "dim must be a positive integer",
     "corr_lags": "corr_lags must be a list of nonnegative integers",
+    "channels": 'channels must be "auto" or a nonempty list of distinct nonnegative integers',
 }
 # A case below is named by the rule its value breaks; it is refused in its key's one message.
 TOL_RULE = MESSAGES["baseline_tol"]
@@ -1119,6 +1120,12 @@ DIRECTIONS = "greedy-basis, random-gaussian"
     ("extract", ("--corr-lags=-1", "--set", "4"), MESSAGES["corr_lags"]),
     ("extract", ("--corr-lags=-1", "--set", "1"), MESSAGES["corr_lags"]),
     ("extract", {"corr_lags": [0, -4], "set": 4}, MESSAGES["corr_lags"]),
+    ("extract", ("--channels=-1,0", "--set", "1"), "channels must be nonnegative"),
+    ("extract", {"channels": [0, -2]}, "channels must be nonnegative"),
+    ("extract", ("--channels", "1,0,1"), "channels must be distinct"),
+    ("extract", {"channels": [2, 2]}, "channels must be distinct"),
+    ("extract", ("--channels=",), "channels must be nonempty"),
+    ("extract", {"channels": []}, "channels must be nonempty"),
 ])
 def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                       command, source, rule):
@@ -1176,7 +1183,8 @@ def test_compare_takes_no_c_flag(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--trace-auc", "--no-trace-auc"),
      "argument --no-trace-auc: not allowed with argument --trace-auc"),
-    (("--channels", "0,x"), "argument --channels: '0,x' is not \"auto\" or a list of integers"),
+    (("--channels", "0,x"), "argument --channels: '0,x' is not \"auto\" or a nonempty list of "
+                            "distinct nonnegative integers"),
     (("--tau", "bfg"), "argument --tau: 'bfg' is not sr1/dfp/bfgs or a number in [0, 1]"),
     (("--direction", "foo"), "argument --direction: invalid choice: 'foo'"),
 ])
@@ -1220,7 +1228,7 @@ def test_extract_empty_channel_list_refused(tmp_path, capsys, source):
         source = ("--config", config)
     out = tmp_path / "ext"
     assert run("extract", "--signals", sig_dir, "--labels", labels, *source, "--out", out) == 1
-    assert capsys.readouterr().err == "error: channels must name at least one channel\n"
+    assert capsys.readouterr().err == f"error: {MESSAGES['channels']}\n"
     assert not out.exists()
 
 

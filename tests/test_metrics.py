@@ -190,6 +190,7 @@ def test_report_serialization():
     assert list(obj) == ["accuracy", "precision", "recall", "f1", "auc", "tp", "fp", "tn", "fn"]
     row = report_csv_row(report)
     assert REPORT_CSV_HEADER == "accuracy,precision,recall,f1,auc,tp,fp,tn,fn"
+    assert REPORT_CSV_HEADER.split(",") == list(obj)
     fields = row.split(",")
     assert len(fields) == 9
     assert float(fields[0]) == report.accuracy

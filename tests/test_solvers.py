@@ -113,10 +113,16 @@ def untouchable(problem):
     (ScalarSaddle, [1.0, 4.0, 1.0]),
     # dim_x + dim_y numbers, but not a vector
     (ScalarSaddle, np.zeros((2, 1))),
-], ids=["auc-pair", "auc-stacked", "toy-pair", "toy-stacked", "2-d"])
+    # a vector of the right size with a non-finite entry: ran into an overflow in value()
+    (lambda: auc_problem(d=3), [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    (lambda: auc_problem(d=3), [0.0, 0.0, 0.0, 0.0, 0.0, -np.inf]),
+], ids=["auc-pair", "auc-stacked", "toy-pair", "toy-stacked", "2-d", "nan", "inf"])
 def test_start_of_the_wrong_shape_refused_before_any_call(method, make, initial):
-    with pytest.raises(ValueError, match="^initial must be a vector of dim_x \\+ dim_y = "):
-        solve(untouchable(make()), SolverConfig(method=method, step_size=0.5), initial=initial)
+    problem = untouchable(make())
+    n = problem.dim_x + problem.dim_y
+    with pytest.raises(ValueError, match=f"^initial must be a vector of dim_x \\+ dim_y = {n} "
+                                         "finite numbers$"):
+        solve(problem, SolverConfig(method=method, step_size=0.5), initial=initial)
 
 
 # --- first-order on toys
