@@ -109,6 +109,15 @@ python3 -m aucmax train --features "$WORK/data/features.csv" --solver alt-gda \
     --seed 3 --out "$WORK/run"
 cmp "$WORK/model_first.json" "$WORK/run/model.json" && echo "byte-identical model"
 
+echo; echo "== determinism on a wide table: fewer training rows than columns =="
+python3 -m aucmax synth --n 200 --dim 300 --seed 7 --out "$WORK/wide"
+for run in first second; do
+    python3 -m aucmax train --features "$WORK/wide/features.csv" --solver alt-gda \
+        --seed 3 --out "$WORK/wide_run"
+    mv "$WORK/wide_run" "$WORK/wide_$run"
+done
+diff -r "$WORK/wide_first" "$WORK/wide_second" && echo "byte-identical outputs, manifest included"
+
 echo; echo "== config file: the same train with its keys in --config =="
 cat > "$WORK/train.json" <<JSON
 {"solver": "alt-gda", "seed": 3, "out": "$WORK/run_config"}

@@ -412,8 +412,11 @@ def _load_split(args, table: dict):
     """Resolve the config and the saddle solver's ``SolverConfig`` (None for a
     baseline), load the feature CSV, split it stratified and fit the
     standardizer on the training part.  ``_config`` refuses every value out
-    of its key's range before the table is read."""
+    of its key's range, and a logistic threshold (a probability) outside
+    (0, 1), before the table is read."""
     eff = _config(args, table)
+    if eff["solver"] == "logistic" and eff["threshold"] is not None:
+        rules.require("logistic threshold", eff["threshold"], rules.FRACTION)
     eff.update(features=args.features, standardize=True)
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
     config = SolverConfig(
@@ -432,6 +435,24 @@ def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
     return classification_report(labels, predictions, scores)
 
 
+def _trace_auc_eval(train_std, test_std):
+    """The solver's ``auc_eval``: the train and test AUC columns of a block
+    ``xs`` of recorded primal iterates.  Each table is multiplied from its
+    memory order's side (``Standardizer.transform`` leaves them
+    Fortran-ordered): ``(xs[:, :d] @ X.T).T`` reads ``X.T`` as a C-ordered
+    matrix, with no copy.  The AUCs do not depend on the order."""
+    d = train_std.n_features
+
+    def auc_eval(xs):
+        weights = xs[:, :d]
+        return (
+            roc_auc_columns((weights @ train_std.features.T).T, train_std.labels),
+            roc_auc_columns((weights @ test_std.features.T).T, test_std.labels),
+        )
+
+    return auc_eval
+
+
 def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict, trace_auc: bool):
     """Solve the AUC saddle problem; returns the solver result and the model dict."""
     problem = AucProblem(train_std, lam=eff["lambda"])
@@ -442,15 +463,7 @@ def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict,
             "curvature matrix of that size and updates it on every iteration",
             file=sys.stderr,
         )
-    d = train_std.n_features
-    auc_eval = None
-    if trace_auc:
-        def auc_eval(xs):                       # a block of recorded primal iterates
-            weights = xs[:, :d].T
-            return (
-                roc_auc_columns(train_std.features @ weights, train_std.labels),
-                roc_auc_columns(test_std.features @ weights, test_std.labels),
-            )
+    auc_eval = _trace_auc_eval(train_std, test_std) if trace_auc else None
     result = solve(problem, config, auc_eval=auc_eval)
     model_dict = {
         **auc_model(result.final_z, eff["lambda"], eff["threshold"]),

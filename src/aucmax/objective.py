@@ -242,8 +242,15 @@ class AucProblem:
     number of samples.  ``grad`` keeps a copy of its ``z`` and ``H z``;
     ``value`` reuses that product when its own ``z`` is bit-equal to the kept
     one, which is the case when a solver records the objective at the point
-    whose gradient it just took.  ``hessian()`` returns the cached ``H``
-    itself, marked read-only.
+    whose gradient it just took.  A ``grad`` whose primal block
+    ``z[:dim_x]`` is bit-equal to that of the last full product updates it
+    through the dual columns instead,
+    ``H z = H z_0 + H[:, dim_x:] @ (z[dim_x:] - z_0[dim_x:])``, at O(d) cost:
+    alt-gda's second gradient of each step moves only the dual, so each of
+    its steps costs one full product.  The update agrees with a fresh product
+    to rounding (not bit for bit), and is always taken from a full product,
+    so its error does not accumulate.  ``hessian()`` returns the cached
+    ``H`` itself, marked read-only.
     """
 
     def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
@@ -263,6 +270,7 @@ class AucProblem:
         self._b = np.zeros(d + 3)
         self._b[:d] = h[:d, d + 2]
         self._z = self._hz = None               # the last grad's point and H @ z
+        self._full = None                       # the last full product's (z, H @ z)
         self.dim_x = d + 2
         self.dim_y = 1
 
@@ -277,7 +285,12 @@ class AucProblem:
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         z = np.array(z, dtype=float)            # a copy: the caller may write into its z
-        hz = self._h @ z
+        nx, full = self.dim_x, self._full
+        if full is not None and z[:nx].tobytes() == full[0][:nx].tobytes():
+            hz = full[1] + self._h[:, nx:] @ (z[nx:] - full[0][nx:])
+        else:
+            hz = self._h @ z
+            self._full = z, hz
         self._z, self._hz = z, hz
         return hz + self._b
 

@@ -482,10 +482,11 @@ def _quasi_newton_step(problem, config: SolverConfig, notes: list[str]):
                 u = np.zeros(n)
                 u[i] = 1.0
                 hu = h_hat @ h_hat[:, i]
+                qu = curvature.q[:, i].copy()   # Q e_i; a copy, as adding a piece changes Q
             else:
                 u = rng.standard_normal(n)
                 hu = h_hat @ (h_hat @ u)
-            qu = curvature.q @ u
+                qu = curvature.q @ u
             form, skipped = _broyden_form(u, qu, hu, config.broyden_tau)
             for sigma, a in _rank_one_pieces(form, qu, hu):
                 curvature.add(sigma, a)

@@ -576,6 +576,21 @@ def test_logistic_threshold_outside_unit_interval_rejected(tmp_path, capsys, thr
     assert not (tmp_path / "run" / "model.json").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_logistic_threshold_refused_before_the_table_is_read(tmp_path, capsys, source):
+    # the features path does not exist: the threshold's refusal must come first
+    flags = ("--threshold", 1.5)
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": 1.5}))
+        flags = ("--config", config)
+    out = tmp_path / "run"
+    assert run("train", "--features", tmp_path / "missing.csv", "--solver", "logistic",
+               *flags, "--out", out) == 1
+    assert capsys.readouterr().err == "error: logistic threshold must be strictly between 0 and 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver, edit, message", [
     ("svm", lambda m: m.pop("beta"), "missing field 'beta'"),
     ("newton", lambda m: m.pop("train_meta"), "missing field 'train_meta'"),

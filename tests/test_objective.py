@@ -11,6 +11,7 @@ from aucmax.objective import (
     objective_value,
     positive_fraction,
 )
+from aucmax.solvers import SolverConfig, solve
 
 
 def random_instance(seed, max_n=50, max_d=10, lam=None):
@@ -260,3 +261,47 @@ def test_value_reuses_the_gradient_product_only_at_the_same_point(seed):
     z[0] += 1.0
     z[-1] -= 0.5
     assert problem.value(z) == uncached_value(problem, b, z)
+
+
+class CountingHessian(np.ndarray):
+    """A view of ``H`` that counts the full (d+3) x (d+3) products taken with it."""
+
+    full_products = 0
+
+    def __matmul__(self, other):
+        if self.shape[0] == self.shape[1]:
+            CountingHessian.full_products += 1
+        return np.asarray(self) @ other
+
+
+def test_alt_gda_takes_one_full_hessian_product_per_iteration(monkeypatch):
+    ds, params, _ = random_instance(41, max_n=60, max_d=12)
+    problem = AucProblem(ds, lam=params.lam)
+    monkeypatch.setattr(problem, "_h", problem.hessian().view(CountingHessian))
+    monkeypatch.setattr(CountingHessian, "full_products", 0)
+    result = solve(problem, SolverConfig(method="alt-gda", step_size=0.05, max_iterations=40,
+                                         grad_tolerance=1e-30))
+    assert result.iterations_used == 40
+    assert CountingHessian.full_products == result.iterations_used + 1     # row 0's, then one a step
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44])
+def test_grad_updates_a_dual_only_move_through_the_dual_columns(seed):
+    ds, params, state = random_instance(seed)
+    problem = AucProblem(ds, lam=params.lam)
+    n, nx = problem.dim_x + problem.dim_y, problem.dim_x
+    h, b = problem.hessian(), problem.grad(np.zeros(n))
+    rng = np.random.default_rng(seed)
+    z = state.pack()
+    problem.grad(z)
+    # a changed primal block: a full product, bit for bit
+    moved = z.copy()
+    moved[0] += 0.25
+    assert np.array_equal(problem.grad(moved), h @ moved + b)
+    # a dual-only move: the kept product plus the dual columns, to rounding
+    for _ in range(5):                          # each from the last full product: no drift
+        dual = moved.copy()
+        dual[nx:] += rng.standard_normal(n - nx)
+        fresh = h @ dual + b
+        g = problem.grad(dual)
+        assert np.linalg.norm(g - fresh) <= 1e-14 * np.linalg.norm(fresh)

@@ -7,17 +7,35 @@ exactly the difference of two others (as each ``range = max - min`` column
 of the EEG feature sets is) and small ``lam``; the reference is a dense
 ``np.linalg.solve``.  First-order solvers need O(kappa) iterations, so they
 run only on draws with kappa(H) <= 1e3.
+
+Wide draws (fewer rows than columns, with an exact difference column) also
+check alt-gda, whose dual gradient ``AucProblem`` updates through the dual
+columns of ``H``, against a loop that takes two full products per step.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aucmax.cli import _trace_auc_eval
 from aucmax.objective import AucProblem, LabeledDataset
-from aucmax.solvers import FIRST_ORDER_METHODS, SECOND_ORDER_METHODS, SolverConfig, _saddle_factor, solve
+from aucmax.solvers import (FIRST_ORDER_METHODS, SECOND_ORDER_METHODS, SolverConfig,
+                            _saddle_factor, solve)
 
 FIRST_ORDER_KAPPA = 1e3
 SLACK = 1e-6            # relative floating-point slack on the saddle-distance bound
+
+
+def labeled(rng, n, d, p, collinear, difference):
+    features = rng.standard_normal((n, d))
+    if collinear and d >= 2:
+        features[:, -1] = features[:, 0] + 1e-6 * rng.standard_normal(n)
+    if difference and d >= 4:
+        features[:, -2] = features[:, 0] - features[:, 1]
+    n_pos = min(max(round(p * n), 1), n - 1)
+    labels = -np.ones(n, dtype=int)
+    labels[rng.permutation(n)[:n_pos]] = 1
+    return LabeledDataset(features, labels)
 
 
 @st.composite
@@ -29,15 +47,20 @@ def auc_problems(draw):
     collinear = draw(st.booleans())
     difference = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    features = rng.standard_normal((n, d))
-    if collinear and d >= 2:
-        features[:, -1] = features[:, 0] + 1e-6 * rng.standard_normal(n)
-    if difference and d >= 4:
-        features[:, -2] = features[:, 0] - features[:, 1]
-    n_pos = min(max(round(p * n), 1), n - 1)
-    labels = -np.ones(n, dtype=int)
-    labels[rng.permutation(n)[:n_pos]] = 1
-    return AucProblem(LabeledDataset(features, labels), lam=lam)
+    return AucProblem(labeled(rng, n, d, p, collinear, difference), lam=lam)
+
+
+@st.composite
+def wide_splits(draw):
+    """A train and a test table with fewer rows than columns, one column the
+    exact difference of two others (as ``range = max - min``), and lambda."""
+    d = draw(st.integers(6, 40))
+    n = draw(st.integers(4, d - 1))
+    p = draw(st.floats(0.1, 0.9))
+    lam = 10.0 ** draw(st.floats(-2.0, 0.0))
+    collinear = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (labeled(rng, n, d, p, collinear, True), labeled(rng, n, d, p, collinear, True), lam)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -63,3 +86,60 @@ def test_every_solver_lands_on_the_unique_saddle(problem):
         distance = float(np.linalg.norm(result.final_z - z_star))
         bound = g_norm / sigma_min * (1.0 + SLACK) + SLACK * float(np.linalg.norm(z_star))
         assert distance <= bound, (method, distance, bound)
+
+
+def two_product_alt_gda(problem, config, auc_eval):
+    """alt-gda as ``solve`` runs it, each gradient a full ``H @ z + b``; the
+    final iterate, the stop and the AUCs of every iterate (all are recorded)."""
+    h = problem.hessian()
+    nx, n = problem.dim_x, problem.dim_x + problem.dim_y
+    b = problem.grad(np.zeros(n))
+    eta = config.step_size
+
+    def gradient(z):
+        g = h @ z + b
+        return g, float(np.sqrt(g[:nx] @ g[:nx] + g[nx:] @ g[nx:]))
+
+    z = np.zeros(n)
+    g, gn = gradient(z)
+    primal, t = [z[:nx].copy()], 0
+    while gn > config.grad_tolerance and t < config.max_iterations:
+        t += 1
+        fresh = np.concatenate([z[:nx] - eta * g[:nx], z[nx:]])
+        gy = (h @ fresh + b)[nx:]
+        z = np.concatenate([fresh[:nx], z[nx:] + eta * gy])
+        g, gn = gradient(z)
+        primal.append(z[:nx].copy())
+    train, test = auc_eval(np.stack(primal))
+    return z, t, gn <= config.grad_tolerance, list(train), list(test)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(wide_splits())
+def test_alt_gda_dual_column_update_matches_two_full_products(split):
+    train, test, lam = split
+    problem = AucProblem(train, lam=lam)
+    config = SolverConfig(method="alt-gda", step_size=0.5 / np.linalg.norm(problem.hessian(), 2),
+                          grad_tolerance=1e-6, max_iterations=2000)
+    auc_eval = _trace_auc_eval(train, test)
+    result = solve(problem, config, auc_eval=auc_eval)
+    z, iterations, converged, train_auc, test_auc = two_product_alt_gda(problem, config, auc_eval)
+    assert (result.iterations_used, result.converged) == (iterations, converged)
+    assert np.linalg.norm(result.final_z - z) <= 1e-12 * np.linalg.norm(z)
+    assert [row.train_auc for row in result.trace] == train_auc
+    assert [row.test_auc for row in result.trace] == test_auc
+
+
+def test_trace_aucs_do_not_depend_on_the_tables_memory_order():
+    rng = np.random.default_rng(5)
+    train, test = labeled(rng, 30, 40, 0.4, False, True), labeled(rng, 20, 40, 0.4, False, True)
+    xs = rng.standard_normal((16, 42))          # a block of primal iterates [w; u; v]
+
+    def copies(order):
+        return [LabeledDataset(np.array(t.features, order=order), t.labels) for t in (train, test)]
+
+    c_tables, f_tables = copies("C"), copies("F")
+    assert c_tables[0].features.flags.c_contiguous and f_tables[0].features.flags.f_contiguous
+    c_aucs, f_aucs = _trace_auc_eval(*c_tables)(xs), _trace_auc_eval(*f_tables)(xs)
+    for c_column, f_column in zip(c_aucs, f_aucs, strict=True):
+        assert np.array_equal(c_column, f_column)
