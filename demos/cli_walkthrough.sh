@@ -76,6 +76,31 @@ grep -qx "error: max_iterations must be a positive integer" "$WORK/refused.err"
 test ! -e "$WORK/run_refused"
 echo "refused with exit 1, naming the key, and no output directory created"
 
+echo; echo "== compare refuses a config key it does not have: C is tuned over c_grid =="
+echo '{"C": 1}' > "$WORK/compare_c.json"
+status=0
+python3 -m aucmax compare --features "$WORK/data/features.csv" --config "$WORK/compare_c.json" \
+    --out "$WORK/cmp_refused" 2> "$WORK/compare_c.err" || status=$?
+cat "$WORK/compare_c.err"
+test "$status" -eq 1
+grep -qx "error: $WORK/compare_c.json: compare has no key 'C'" "$WORK/compare_c.err"
+test ! -e "$WORK/cmp_refused"
+echo "refused with exit 1, naming the file and the key, and no output directory created"
+
+echo; echo "== extract refuses one trial given as both .csv and .bin =="
+mkdir "$WORK/twice"
+cp "$WORK/trials/trial1.bin" "$WORK/twice/trial1.bin"
+cp "$WORK/trials/trial0.csv" "$WORK/twice/trial1.csv"
+status=0
+python3 -m aucmax extract --signals "$WORK/twice" --labels "$WORK/labels.csv" \
+    --out "$WORK/ext_twice" 2> "$WORK/twice.err" || status=$?
+cat "$WORK/twice.err"
+test "$status" -eq 1
+grep -qx "error: trial 'trial1' is given twice: $WORK/twice/trial1.bin and $WORK/twice/trial1.csv" \
+    "$WORK/twice.err"
+test ! -e "$WORK/ext_twice"
+echo "refused with exit 1, naming both files"
+
 echo; echo "== compare: tuned logistic vs tuned SVM vs the AUC maximizer =="
 python3 -m aucmax compare --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/cmp"

@@ -8,92 +8,70 @@ sit at majority-friendly thresholds (high accuracy/precision, poor
 recall), while the AUC-trained classifier thresholds at the midpoint of
 its learned score centers and recovers most of the minority class.
 
-Every model is scored from its stored form by ``aucmax.score``, as the
-command line scores it.  Exits 1 unless the AUC maximizer's recall beats the
-best baseline's by at least 10 percentage points at an AUC no more than 0.01
-below the best baseline's (the bounds of acceptance criterion 8).
+The demo runs the command line: ``aucmax synth`` writes the table and
+``aucmax compare``, at its defaults (alt-gda at lambda 1e-4, each baseline's
+C tuned on a carve-out of the training split), fits and scores the three
+models.  Everything printed is read from their output files.  Exits 1 unless
+the AUC maximizer's recall beats the best baseline's by at least 10
+percentage points at an AUC no more than 0.01 below the best baseline's (the
+bounds of acceptance criterion 8).
 """
 
+import json
 import sys
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from aucmax import (
-    AucProblem,
-    SolverConfig,
-    SplitSpec,
-    SynthSpec,
-    auc_model,
-    classification_report,
-    decision_scores,
-    fit_apply_standardizer,
-    fit_linear_svm,
-    fit_logistic,
-    generate_synthetic,
-    roc_auc,
-    score,
-    solve,
-    split,
-)
-from aucmax.baselines import linear_rule, model_to_dict
+from aucmax.cli import main
 
 MIN_RECALL_GAIN = 0.10
 MIN_AUC_SLACK = -0.01
-
-C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
-LAMBDA = 1e-4
 SEED = 0
 
-dataset = generate_synthetic(
-    SynthSpec(n_samples=3000, n_features=20, positive_fraction=1 / 3,
-              class_separation=1.0, seed=SEED)
-)
-train, test = split(dataset, SplitSpec(train_fraction=0.8, seed=SEED))
-train_std, test_std, _ = fit_apply_standardizer(train, test)
-print(f"train {train_std.n_samples} / test {test_std.n_samples}, "
-      f"{train_std.n_features} features, positive fraction "
-      f"{np.mean(train_std.labels == 1):.3f}")
+with tempfile.TemporaryDirectory() as work:
+    table, out = Path(work) / "synth", Path(work) / "compare"
+    for argv in (["synth", "--n", "3000", "--dim", "20", "--pos-frac", str(1 / 3),
+                  "--sep", "1.0", "--seed", str(SEED), "--out", str(table)],
+                 ["compare", "--features", str(table / "features.csv"), "--seed", str(SEED),
+                  "--out", str(out)]):
+        if main(argv) != 0:
+            sys.exit(f"FAIL: aucmax {argv[0]} failed")
+    n_features = json.loads((table / "manifest.json").read_text())["dataset"]["n_features"]
+    comparison = json.loads((out / "comparison.json").read_text())
+    results = json.loads((out / "manifest.json").read_text())["results"]
 
 
-def tune(fit_fn, name):
-    carve_train, carve_val = split(train_std, SplitSpec(train_fraction=0.9, seed=SEED + 1))
-    best_c, best_auc = None, -np.inf
-    for c in C_GRID:
-        model = fit_fn(carve_train, C=c)
-        auc = roc_auc(decision_scores(model, carve_val.features), carve_val.labels)
-        if auc > best_auc:
-            best_c, best_auc = c, auc
-    print(f"{name}: tuned C = {best_c} (validation AUC {best_auc:.3f})")
-    return fit_fn(train_std, C=best_c)
+def size(row):
+    """The number of samples a report row counts."""
+    return row["tp"] + row["fp"] + row["tn"] + row["fn"]
 
 
-logistic = tune(fit_logistic, "logistic regression")
-svm = tune(fit_linear_svm, "linear SVM")
+rows = {(row["model"], row["split"]): row for row in comparison["rows"]}
+train, test = rows["logistic", "train"], rows["logistic", "test"]
+print(f"train {size(train)} / test {size(test)}, {n_features} features, "
+      f"positive fraction {(train['tp'] + train['fn']) / size(train):.3f}")
 
-problem = AucProblem(train_std, lam=LAMBDA)
-result = solve(problem, SolverConfig(method="alt-gda"))
-auc_maximizer = auc_model(result.final_z, LAMBDA)
-_, _, threshold = linear_rule(auc_maximizer)
-print(f"AUC maximizer (alt-gda): converged={result.converged} in "
-      f"{result.iterations_used} iterations; threshold (u+v)/2 = {threshold:.4f}")
+for label, name in (("logistic", "logistic regression"), ("linear-svm", "linear SVM")):
+    tuned = comparison["tuning"][label]
+    val_auc = next(fit["val_auc"] for fit in tuned["grid"] if fit["C"] == tuned["C"])
+    print(f"{name}: tuned C = {tuned['C']} (validation AUC {val_auc:.3f})")
 
-rows = []
-for name, model in (("logistic", model_to_dict(logistic)), ("linear-svm", model_to_dict(svm)),
-                    ("auc-max", auc_maximizer)):
-    scores, preds = score(model, test_std.features)
-    rows.append((name, classification_report(test_std.labels, preds, scores)))
+print(f"AUC maximizer ({comparison['config']['solver']}): converged={results['converged']} in "
+      f"{results['iterations_used']} iterations; threshold (u+v)/2 = {results['threshold']:.4f}")
 
 print(f"\n{'model':12s} {'accuracy':>9s} {'precision':>10s} {'recall':>8s} {'f1':>7s} {'auc':>7s}")
-for name, rep in rows:
-    print(f"{name:12s} {rep.accuracy:9.3f} {rep.precision:10.3f} "
-          f"{rep.recall:8.3f} {rep.f1:7.3f} {rep.auc:7.3f}")
+for name in ("logistic", "linear-svm", "auc-max"):
+    rep = rows[name, "test"]
+    print(f"{name:12s} {rep['accuracy']:9.3f} {rep['precision']:10.3f} "
+          f"{rep['recall']:8.3f} {rep['f1']:7.3f} {rep['auc']:7.3f}")
 
-auc_max = rows[2][1]
-recall_gain = auc_max.recall - max(rows[0][1].recall, rows[1][1].recall)
-best_baseline_auc = max(rows[0][1].auc, rows[1][1].auc)
+auc_max = rows["auc-max", "test"]
+baselines = (rows["logistic", "test"], rows["linear-svm", "test"])
+recall_gain = auc_max["recall"] - max(rep["recall"] for rep in baselines)
+best_baseline_auc = max(rep["auc"] for rep in baselines)
 print(f"\nminority-class recall gain over the best baseline: "
       f"{100 * recall_gain:+.1f} percentage points "
-      f"at matched AUC ({auc_max.auc:.3f} vs {best_baseline_auc:.3f})")
-if recall_gain < MIN_RECALL_GAIN or auc_max.auc - best_baseline_auc < MIN_AUC_SLACK:
+      f"at matched AUC ({auc_max['auc']:.3f} vs {best_baseline_auc:.3f})")
+if recall_gain < MIN_RECALL_GAIN or auc_max["auc"] - best_baseline_auc < MIN_AUC_SLACK:
     sys.exit(f"FAIL: need a recall gain of at least {100 * MIN_RECALL_GAIN:.0f} percentage "
              f"points and an AUC slack of at least {MIN_AUC_SLACK}")

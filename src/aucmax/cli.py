@@ -3,11 +3,12 @@ extraction, training (saddle solvers or baselines), evaluation of stored
 models, and a three-way model comparison.
 
 Every command accepts ``--config <json>``; explicit flags override config
-file entries, which override built-in defaults.  Each value, from any of the
-three, must be of its key's kind (the ``*_KEYS`` tables).  The resolved
-configuration is echoed into each output manifest, and identical flags plus
-seeds always reproduce byte-identical outputs.  Exit codes: 0 success, 1
-runtime or data error, 2 usage error.
+file entries, which override built-in defaults.  A config file holds only the
+command's keys (the ``*_KEYS`` tables) and ``seed``, and each value, from any
+of the three, must be of its key's kind.  The resolved configuration is
+echoed into each output manifest, and identical flags plus seeds always
+reproduce byte-identical outputs.  Exit codes: 0 success, 1 runtime or data
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -274,9 +275,13 @@ def _config(args, table: dict) -> dict:
     """Each key of ``table`` (``key: Key``) from its flag, else the
     ``--config`` file, else the default, converted by its kind; then ``seed``
     from ``--seed``, else the file (a JSON integer), else ``$AUCMAX_SEED``,
-    else 0.  Refuses a bad file, a value not of its key's kind and a negative
-    seed by name, before any input is read or output written."""
+    else 0.  Refuses a bad file, a file key the command does not have, a value
+    not of its key's kind and a negative seed by name, before any input is
+    read or output written."""
     file_cfg = _read_json_object(args.config, "config file") if args.config else {}
+    for key in file_cfg:
+        if key not in table and key != "seed":
+            raise ValueError(f"{args.config}: {args.command} has no key {key!r}")
     eff = {}
     for key, (default, kind, *_) in table.items():
         flag = getattr(args, key)
@@ -350,15 +355,27 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _signal_files(raw_paths) -> list[Path]:
-    files: list[Path] = []
+def _signal_files(raw_paths, table: Path) -> list[Path]:
+    """Each named file, and each ``.csv``/``.bin`` file of a named directory
+    in name order, leaving out ``table`` (the resolved feature CSV about to be
+    written).  Refuses a named file of another suffix, and a trial id (the
+    file stem) that two paths give, naming the paths, before any is read."""
+    files: dict[str, Path] = {}                 # trial id -> its file
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(p for p in path.iterdir() if p.suffix in (".csv", ".bin")))
+            listed = sorted(p for p in path.iterdir() if p.suffix in (".csv", ".bin"))
+        elif path.suffix in (".csv", ".bin"):
+            listed = [path]
         else:
-            files.append(path)
-    return files
+            raise ValueError(f"{path}: a signal file must end in .csv or .bin")
+        for p in listed:
+            if p.resolve() == table:
+                continue
+            if p.stem in files:
+                raise ValueError(f"trial {p.stem!r} is given twice: {files[p.stem]} and {p}")
+            files[p.stem] = p
+    return list(files.values())
 
 
 def _cmd_extract(args) -> int:
@@ -368,7 +385,7 @@ def _cmd_extract(args) -> int:
 
     labels = read_trial_labels(args.labels)
     table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
-    files = [p for p in _signal_files(args.signals) if p.resolve() != table]
+    files = _signal_files(args.signals, table)
     if not files:
         raise ValueError("no signal files found")
 
@@ -475,15 +492,11 @@ def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict,
     return result, model_dict
 
 
-def _fit_limits(eff) -> dict:
-    """The baselines' ``tol`` and ``max_iter`` keyword arguments."""
-    tol = eff["baseline_tol"]
-    return {"tol": tol if tol is not None else 1e-6, "max_iter": eff["baseline_max_iter"]}
-
-
 def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
     fit = fit_logistic if kind == "logistic" else fit_linear_svm
-    return fit(train_std, C=C, **_fit_limits(eff))
+    tol = eff["baseline_tol"]
+    return fit(train_std, C=C, tol=tol if tol is not None else 1e-6,
+               max_iter=eff["baseline_max_iter"])
 
 
 def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dict,

@@ -180,6 +180,35 @@ def test_extract_rerun_into_its_signal_directory(tmp_path):
     assert len(json.loads((sig_dir / "manifest.json").read_text())["trials"]) == 1
 
 
+def test_extract_refuses_a_signal_file_of_another_suffix(tmp_path, capsys, work):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=2, seconds=8.0)
+    text = sig_dir / "trial01.txt"
+    shutil.copyfile(sig_dir / "trial00.csv", text)
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", sig_dir / "trial00.csv", text, "--labels", labels,
+               "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {text}: a signal file must end in .csv or .bin\n"
+    assert not out.exists()
+    assert work == ["read_trial_labels"]         # no trial is read
+
+
+@pytest.mark.parametrize("given", ["directory", "path-twice"])
+def test_extract_refuses_a_trial_given_twice(tmp_path, capsys, work, given):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=2, n_channels=2, seconds=8.0)
+    if given == "directory":                    # trial00 as .csv and as .bin
+        write_signal_binary(TrialSignal(np.ones((2, 1024)), 128.0), sig_dir / "trial00.bin")
+        signals, first, second = (sig_dir,), sig_dir / "trial00.bin", sig_dir / "trial00.csv"
+    else:
+        first = second = sig_dir / "trial00.csv"
+        signals = (first, sig_dir / "trial01.bin", second)
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", *signals, "--labels", labels, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: trial 'trial00' is given twice: {first} and {second}\n")
+    assert not out.exists()
+    assert work == ["read_trial_labels"]         # no trial is read
+
+
 # --- train
 
 def test_train_alt_gda_converges_and_reports(tmp_path):
@@ -1088,6 +1117,27 @@ TRAIN_SOLVERS = f"{COMPARE_SOLVERS}, logistic, svm"
 DIRECTIONS = "greedy-basis, random-gaussian"
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """The names of the input readers, solvers and fits a command called, in
+    order; each is stubbed out."""
+    called = []
+    for name in ("generate_synthetic", "read_trial_labels", "read_signal_csv",
+                 "read_signal_binary", "load_labeled_csv", "solve", "fit_logistic",
+                 "fit_linear_svm"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
+    return called
+
+
+def input_flags(command, tmp_path):
+    """The input-path flags ``command`` requires, naming files under ``tmp_path``."""
+    return {
+        "synth": (), "extract": ("--signals", tmp_path, "--labels", tmp_path / "labels.csv"),
+        "train": ("--features", tmp_path / "f.csv"), "compare": ("--features", tmp_path / "f.csv"),
+        "eval": ("--features", tmp_path / "f.csv", "--model", tmp_path / "model.json"),
+    }[command]
+
+
 # A case is named by the rule its value breaks; a ranged key's refusal is its one message.
 @pytest.mark.parametrize("command, source, rule", [
     ("synth", {"n": 1.7}, "n must be an integer"),
@@ -1142,18 +1192,9 @@ DIRECTIONS = "greedy-basis, random-gaussian"
     ("extract", ("--channels=",), "channels must be nonempty"),
     ("extract", {"channels": []}, "channels must be nonempty"),
 ])
-def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch,
+def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch, work,
                                                       command, source, rule):
-    work = []                                   # no input is read and nothing runs
-    for name in ("generate_synthetic", "read_trial_labels", "read_signal_csv",
-                 "read_signal_binary", "load_labeled_csv", "solve", "fit_logistic",
-                 "fit_linear_svm"):
-        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: work.append(_name))
-    inputs = {
-        "synth": (), "extract": ("--signals", tmp_path, "--labels", tmp_path / "labels.csv"),
-        "train": ("--features", tmp_path / "f.csv"), "compare": ("--features", tmp_path / "f.csv"),
-        "eval": ("--features", tmp_path / "f.csv", "--model", tmp_path / "model.json"),
-    }[command]
+    inputs = input_flags(command, tmp_path)
     out = tmp_path / "out"
     out_flag = ("--out", out)
     if source == "env":
@@ -1166,6 +1207,23 @@ def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeyp
         source = ("--config", config)
     assert run(command, *inputs, *source, *out_flag) == 1
     assert capsys.readouterr().err == f"error: {MESSAGES.get(rule.split()[0], rule)}\n"
+    assert not out.exists()
+    assert work == []
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth", "dimension"),         # the key is dim
+    ("extract", "signals"),         # an input path is a flag, not a key
+    ("train", "max_iter"),          # the key is max_iterations; --max-iter is its flag
+    ("eval", "features"),
+    ("compare", "C"),               # compare tunes C over c_grid
+])
+def test_unknown_config_key_refused_before_any_work(tmp_path, capsys, work, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, key: 3}))
+    out = tmp_path / "out"
+    assert run(command, *input_flags(command, tmp_path), "--config", config, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {config}: {command} has no key {key!r}\n"
     assert not out.exists()
     assert work == []
 
