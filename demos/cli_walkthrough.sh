@@ -101,6 +101,13 @@ grep -qx "error: trial 'trial1' is given twice: $WORK/twice/trial1.bin and $WORK
 test ! -e "$WORK/ext_twice"
 echo "refused with exit 1, naming both files"
 
+echo; echo "== extract skips the labels file when it sits among the signal files =="
+mkdir "$WORK/among"
+cp "$WORK/trials/"* "$WORK/labels.csv" "$WORK/among/"
+python3 -m aucmax extract --signals "$WORK/among" --labels "$WORK/among/labels.csv" --set 2 \
+    --out "$WORK/ext_among"
+cmp "$WORK/ext/features.csv" "$WORK/ext_among/features.csv" && echo "byte-identical table"
+
 echo; echo "== compare: tuned logistic vs tuned SVM vs the AUC maximizer =="
 python3 -m aucmax compare --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/cmp"
@@ -127,6 +134,11 @@ assert 0.0 <= meta["duality_gap"], meta
 print(f"logistic refit: {meta['iterations']} Newton iterations, "
       f"certified gap {meta['duality_gap']:.2e} on objective {meta['objective']:.6f}")
 PY
+
+echo; echo "== compare's AUC model is the one train writes for the same solver and seed =="
+python3 -m aucmax train --features "$WORK/data/features.csv" --solver newton \
+    --seed 3 --out "$WORK/run_newton"
+cmp "$WORK/cmp/model_auc.json" "$WORK/run_newton/model.json" && echo "byte-identical model"
 
 echo; echo "== determinism: rerun train with identical flags =="
 cp "$WORK/run/model.json" "$WORK/model_first.json"

@@ -355,11 +355,12 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _signal_files(raw_paths, table: Path) -> list[Path]:
+def _signal_files(raw_paths, skip: set[Path]) -> list[Path]:
     """Each named file, and each ``.csv``/``.bin`` file of a named directory
-    in name order, leaving out ``table`` (the resolved feature CSV about to be
-    written).  Refuses a named file of another suffix, and a trial id (the
-    file stem) that two paths give, naming the paths, before any is read."""
+    in name order, leaving out the resolved paths ``skip`` (the labels file
+    and the feature CSV about to be written).  Refuses a named file of
+    another suffix, and a trial id (the file stem) that two paths give,
+    naming the paths, before any is read."""
     files: dict[str, Path] = {}                 # trial id -> its file
     for raw in raw_paths:
         path = Path(raw)
@@ -370,7 +371,7 @@ def _signal_files(raw_paths, table: Path) -> list[Path]:
         else:
             raise ValueError(f"{path}: a signal file must end in .csv or .bin")
         for p in listed:
-            if p.resolve() == table:
+            if p.resolve() in skip:
                 continue
             if p.stem in files:
                 raise ValueError(f"trial {p.stem!r} is given twice: {files[p.stem]} and {p}")
@@ -385,7 +386,7 @@ def _cmd_extract(args) -> int:
 
     labels = read_trial_labels(args.labels)
     table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
-    files = _signal_files(args.signals, table)
+    files = _signal_files(args.signals, {table, Path(args.labels).resolve()})
     if not files:
         raise ValueError("no signal files found")
 
@@ -426,24 +427,19 @@ def _cmd_extract(args) -> int:
 # train / eval / compare helpers
 
 def _load_split(args, table: dict):
-    """Resolve the config and the saddle solver's ``SolverConfig`` (None for a
-    baseline), load the feature CSV, split it stratified and fit the
-    standardizer on the training part.  ``_config`` refuses every value out
-    of its key's range, and a logistic threshold (a probability) outside
+    """Resolve the config, load the feature CSV, split it stratified and fit
+    the standardizer on the training part.  ``_config`` refuses every value
+    out of its key's range, and a logistic threshold (a probability) outside
     (0, 1), before the table is read."""
     eff = _config(args, table)
     if eff["solver"] == "logistic" and eff["threshold"] is not None:
         rules.require("logistic threshold", eff["threshold"], rules.FRACTION)
     eff.update(features=args.features, standardize=True)
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
-    config = SolverConfig(
-        method=eff["solver"], rng_seed=eff["seed"],
-        **{f.name: eff[f.name] for f in fields(SolverConfig) if f.name in eff},
-    ) if eff["solver"] in METHODS else None
 
     dataset, _ = load_labeled_csv(args.features)
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
-    return eff, config, dataset, train_std, test_std, standardizer
+    return eff, dataset, train_std, test_std, standardizer
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
@@ -470,28 +466,6 @@ def _trace_auc_eval(train_std, test_std):
     return auc_eval
 
 
-def _train_auc_model(train_std, test_std, eff, config, standardizer, meta: dict, trace_auc: bool):
-    """Solve the AUC saddle problem; returns the solver result and the model dict."""
-    problem = AucProblem(train_std, lam=eff["lambda"])
-    if eff["solver"] == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
-        print(
-            f"warning: qn-broyden on dimension {problem.dim_x + 1} "
-            f"(> {QUASI_NEWTON_DIM_WARNING}) is likely impractical: it keeps a dense "
-            "curvature matrix of that size and updates it on every iteration",
-            file=sys.stderr,
-        )
-    auc_eval = _trace_auc_eval(train_std, test_std) if trace_auc else None
-    result = solve(problem, config, auc_eval=auc_eval)
-    model_dict = {
-        **auc_model(result.final_z, eff["lambda"], eff["threshold"]),
-        "train_meta": {
-            "standardizer": standardizer.to_dict(), **meta, "solver": eff["solver"],
-            "converged": result.converged, "iterations": result.iterations_used,
-        },
-    }
-    return result, model_dict
-
-
 def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
     fit = fit_logistic if kind == "logistic" else fit_linear_svm
     tol = eff["baseline_tol"]
@@ -499,53 +473,67 @@ def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
                max_iter=eff["baseline_max_iter"])
 
 
-def _baseline_model(kind: str, train_std, C: float, eff, standardizer, meta: dict,
-                    threshold=None) -> dict:
-    """Fit ``kind`` on the full training split, apply the threshold override,
-    stamp ``meta`` and the standardizer into ``train_meta``; the stored dict."""
-    model = _fit_baseline(kind, train_std, C, eff)
-    if threshold is not None:
-        model.threshold = threshold
-    model.train_meta.update(meta, standardizer=standardizer.to_dict())
-    return model_to_dict(model)
+def _fit_model(kind: str, train_std, test_std, eff, standardizer, C=None, threshold=None,
+               auc_eval=None):
+    """Fit ``kind`` on the training split: the baseline ``logistic``/``svm``
+    at ``C``, or the saddle method ``kind`` (tracing ``auc_eval``, if given).
+    ``threshold`` overrides the model's own cut.  Returns the stored dict, the
+    manifest's ``results`` and the solver's trace (None for a baseline).
+    Every kind's ``train_meta`` holds the standardizer, the split's seed,
+    fraction and sizes, then the fit's own fields, whichever command fits it,
+    so ``compare``'s model files are the ones ``train`` writes."""
+    meta = {"standardizer": standardizer.to_dict(), "seed": eff["seed"],
+            "train_fraction": eff["train_fraction"], "n_train": train_std.n_samples,
+            "n_test": test_std.n_samples}
+    if kind not in METHODS:
+        model = _fit_baseline(kind, train_std, C, eff)
+        if threshold is not None:
+            model.threshold = threshold
+        model.train_meta.update(meta)
+        results = {"converged": model.train_meta["converged"],
+                   "iterations_used": model.train_meta["iterations"]}
+        return model_to_dict(model), results, None
+
+    problem = AucProblem(train_std, lam=eff["lambda"])
+    if kind == "qn-broyden" and problem.dim_x + 1 > QUASI_NEWTON_DIM_WARNING:
+        print(
+            f"warning: qn-broyden on dimension {problem.dim_x + 1} "
+            f"(> {QUASI_NEWTON_DIM_WARNING}) is likely impractical: it keeps a dense "
+            "curvature matrix of that size and updates it on every iteration",
+            file=sys.stderr,
+        )
+    config = SolverConfig(
+        method=kind, rng_seed=eff["seed"],
+        **{f.name: eff[f.name] for f in fields(SolverConfig) if f.name in eff},
+    )
+    result = solve(problem, config, auc_eval=auc_eval)
+    model_dict = {
+        **auc_model(result.final_z, eff["lambda"], threshold),
+        "train_meta": {**meta, "solver": kind, "converged": result.converged,
+                       "iterations": result.iterations_used},
+    }
+    results = {"converged": result.converged, "iterations_used": result.iterations_used,
+               "skipped_updates": len(result.notes), "threshold": model_dict["threshold"]}
+    return model_dict, results, result.trace
 
 
 def _cmd_train(args) -> int:
-    eff, config, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
-    outputs = {"model": "model.json", "report": "report.json"}
-    common_meta = {
-        "seed": eff["seed"],
-        "train_fraction": eff["train_fraction"],
-        "n_train": train_std.n_samples,
-        "n_test": test_std.n_samples,
-    }
-
-    if config is None:
-        model_dict = _baseline_model(eff["solver"], train_std, eff["C"], eff,
-                                     standardizer, common_meta, eff["threshold"])
-        fit_meta = model_dict["train_meta"]
-        results_meta = {"converged": fit_meta["converged"],
-                        "iterations_used": fit_meta["iterations"]}
-    else:
-        result, model_dict = _train_auc_model(
-            train_std, test_std, eff, config, standardizer, common_meta, eff["trace_auc"]
-        )
-        outputs["trace"] = "trace.csv"
-        results_meta = {"converged": result.converged,
-                        "iterations_used": result.iterations_used,
-                        "skipped_updates": len(result.notes),
-                        "threshold": model_dict["threshold"]}
-
+    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
+    auc_eval = _trace_auc_eval(train_std, test_std) if eff["trace_auc"] else None
+    model_dict, results, trace = _fit_model(eff["solver"], train_std, test_std, eff,
+                                            standardizer, eff["C"], eff["threshold"], auc_eval)
     report = {
         part: report_to_dict(_report(model_dict, data.features, data.labels))
         for part, data in (("train", train_std), ("test", test_std))
     }
     out = _out_dir(eff)
-    if "trace" in outputs:
-        write_trace_csv(result.trace, out / "trace.csv")
+    outputs = {"model": "model.json", "report": "report.json"}
+    if trace is not None:
+        outputs["trace"] = "trace.csv"
+        write_trace_csv(trace, out / "trace.csv")
     _write_json(out / "model.json", model_dict)
     _write_json(out / "report.json", report)
-    return _finish(out, "train", eff, outputs, results=results_meta, dataset={
+    return _finish(out, "train", eff, outputs, results=results, dataset={
         "n_samples": dataset.n_samples,
         "n_features": dataset.n_features,
         "positive_fraction": float(np.count_nonzero(dataset.labels == 1) / dataset.n_samples),
@@ -572,11 +560,9 @@ def _cmd_eval(args) -> int:
                    dataset={"n_samples": dataset.n_samples, "n_features": dataset.n_features})
 
 
-def _tune_baseline(kind: str, train_std, eff):
-    """Pick C by validation AUC on a 10% carve-out of the training split; the
-    earliest C wins a tie."""
-    carve = SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1)
-    fit_part, val_part = split(train_std, carve)
+def _tune_baseline(kind: str, fit_part, val_part, eff):
+    """Pick C by validation AUC: fit ``kind`` on ``fit_part`` at each C of the
+    grid and score ``val_part``; the earliest C wins a tie."""
     best_c, best_auc = None, -np.inf
     grid_fits = []
     for c in eff["c_grid"]:
@@ -591,19 +577,22 @@ def _tune_baseline(kind: str, train_std, eff):
 
 
 def _cmd_compare(args) -> int:
-    eff, config, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
+    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
+    try:
+        fit_part, val_part = split(train_std, SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1))
+    except ValueError as exc:
+        raise ValueError(f"C tuning's 10% validation carve-out: {exc}") from None
 
     tuning = {}
     models = {}                                 # label -> (file name, model dict)
     for kind, label in (("logistic", "logistic"), ("svm", "linear-svm")):
-        best_c, grid_fits = _tune_baseline(kind, train_std, eff)
+        best_c, grid_fits = _tune_baseline(kind, fit_part, val_part, eff)
         tuning[label] = {"C": best_c, "grid": grid_fits}
         models[label] = (f"model_{kind}.json",
-                         _baseline_model(kind, train_std, best_c, eff, standardizer, {}))
-    result, auc_model = _train_auc_model(
-        train_std, test_std, eff, config, standardizer, {"seed": eff["seed"]}, trace_auc=False
-    )
-    models["auc-max"] = ("model_auc.json", auc_model)
+                         _fit_model(kind, train_std, test_std, eff, standardizer, best_c)[0])
+    auc_dict, results, _ = _fit_model(eff["solver"], train_std, test_std, eff, standardizer,
+                                      threshold=eff["threshold"])
+    models["auc-max"] = ("model_auc.json", auc_dict)
 
     out = _out_dir(eff)
     csv_lines = ["model,split," + REPORT_CSV_HEADER]
@@ -619,11 +608,9 @@ def _cmd_compare(args) -> int:
                 {"rows": json_rows, "tuning": tuning, "config": eff})
     outputs = {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",
                "models": {label: filename for label, (filename, _) in models.items()}}
+    del results["skipped_updates"]              # compare's manifest leaves it out
     return _finish(out, "compare", eff, outputs, results={
-        "converged": result.converged,
-        "iterations_used": result.iterations_used,
-        "threshold": auc_model["threshold"],
-        "tuned_C": {label: tuning[label]["C"] for label in tuning},
+        **results, "tuned_C": {label: tuning[label]["C"] for label in tuning},
     })
 
 if __name__ == "__main__":

@@ -192,6 +192,19 @@ def test_extract_refuses_a_signal_file_of_another_suffix(tmp_path, capsys, work)
     assert work == ["read_trial_labels"]         # no trial is read
 
 
+def test_extract_skips_the_labels_file_among_the_signals(tmp_path):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=4, n_channels=2, seconds=8.0)
+    args = ("extract", "--signals", sig_dir, "--set", 1)
+    assert run(*args, "--labels", labels, "--out", tmp_path / "apart") == 0
+    inside = sig_dir / "labels.csv"
+    shutil.copyfile(labels, inside)
+    assert run(*args, "--labels", inside, "--out", tmp_path / "among") == 0
+    trials = json.loads((tmp_path / "among" / "manifest.json").read_text())["trials"]
+    assert [t["trial"] for t in trials] == ["trial00", "trial01", "trial02", "trial03"]
+    for name in ("features.csv", "features.csv.table"):
+        assert (tmp_path / "among" / name).read_bytes() == (tmp_path / "apart" / name).read_bytes()
+
+
 @pytest.mark.parametrize("given", ["directory", "path-twice"])
 def test_extract_refuses_a_trial_given_twice(tmp_path, capsys, work, given):
     sig_dir, labels = make_trial_files(tmp_path, n_trials=2, n_channels=2, seconds=8.0)
@@ -707,6 +720,38 @@ def test_compare_threshold_applies_to_auc_model_only(tmp_path, capsys):
     assert thresholds == {"auc": 0.3, "logistic": 0.5, "svm": 0.0}
     assert run("compare", "--help") == 0
     assert "AUC model only" in " ".join(capsys.readouterr().out.split())
+
+
+def test_compare_model_files_are_the_ones_train_writes(tmp_path):
+    path = synth_csv(tmp_path, n=300, dim=4, sep=1.0, name="same")
+    flags = ("--features", path, "--seed", 3)
+    assert run("compare", *flags, "--solver", "newton", "--threshold", 0.05,
+               "--out", tmp_path / "cmp") == 0
+    tuned = json.loads((tmp_path / "cmp" / "manifest.json").read_text())["results"]["tuned_C"]
+    runs = {"auc": ("--solver", "newton", "--threshold", 0.05),
+            "logistic": ("--solver", "logistic", "--C", repr(tuned["logistic"])),
+            "svm": ("--solver", "svm", "--C", repr(tuned["linear-svm"]))}
+    for kind, train_flags in runs.items():
+        out = tmp_path / f"train_{kind}"
+        assert run("train", *flags, *train_flags, "--out", out) == 0
+        stored = (tmp_path / "cmp" / f"model_{kind}.json").read_bytes()
+        assert stored == (out / "model.json").read_bytes(), kind
+        meta = json.loads(stored)["train_meta"]
+        assert (meta["seed"], meta["train_fraction"], meta["n_train"] + meta["n_test"]) == (
+            3, 0.8, 300)
+
+
+def test_compare_carve_out_failure_is_named_before_output(tmp_path, capsys, monkeypatch):
+    path = synth_csv(tmp_path, n=9, dim=2)
+    assert run("train", "--features", path, "--solver", "newton", "--out", tmp_path / "tr") == 0
+    for name in ("solve", "fit_logistic", "fit_linear_svm"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert run("compare", "--features", path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: C tuning's 10% validation carve-out: too few samples per class to stratify\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cap", [
