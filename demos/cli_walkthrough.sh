@@ -76,6 +76,26 @@ grep -qx "error: max_iterations must be a positive integer" "$WORK/refused.err"
 test ! -e "$WORK/run_refused"
 echo "refused with exit 1, naming the key, and no output directory created"
 
+echo; echo "== the seed is a key like any other: a negative one is refused before any work =="
+status=0
+python3 -m aucmax synth --n 100 --seed -1 --out "$WORK/synth_refused" \
+    2> "$WORK/seed.err" || status=$?
+cat "$WORK/seed.err"
+test "$status" -eq 1
+grep -qx "error: seed must be a nonnegative integer" "$WORK/seed.err"
+test ! -e "$WORK/synth_refused"
+echo "refused with exit 1, naming the key, and no output directory created"
+
+echo; echo "== extract refuses a repeated correlation lag before reading any trial =="
+status=0
+python3 -m aucmax extract --signals "$WORK/trials" --labels "$WORK/labels.csv" --set 4 \
+    --corr-lags 0,0 --out "$WORK/ext_lags" 2> "$WORK/lags.err" || status=$?
+cat "$WORK/lags.err"
+test "$status" -eq 1
+grep -qx "error: corr_lags must be a list of distinct nonnegative integers" "$WORK/lags.err"
+test ! -e "$WORK/ext_lags"
+echo "refused with exit 1, naming the key, and no output directory created"
+
 echo; echo "== compare refuses a config key it does not have: C is tuned over c_grid =="
 echo '{"C": 1}' > "$WORK/compare_c.json"
 status=0

@@ -4,18 +4,18 @@ models, and a three-way model comparison.
 
 Every command accepts ``--config <json>``; explicit flags override config
 file entries, which override built-in defaults.  A config file holds only the
-command's keys (the ``*_KEYS`` tables) and ``seed``, and each value, from any
-of the three, must be of its key's kind.  The resolved configuration is
-echoed into each output manifest, and identical flags plus seeds always
-reproduce byte-identical outputs.  Exit codes: 0 success, 1 runtime or data
-error, 2 usage error.
+command's keys (the ``*_KEYS`` tables; every command has ``out`` and ``seed``,
+default 0), and each value, from any of the three, must be of its key's kind.
+``main`` resolves the configuration once, before any input is read; the keys
+and the input paths are echoed into each output manifest, and identical flags
+plus seeds always reproduce byte-identical outputs.  Exit codes: 0 success,
+1 runtime or data error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -60,13 +60,12 @@ from .metrics import (
     roc_auc,
     roc_auc_columns,
 )
-from .objective import AucProblem
-from .signals import DEFAULT_BANDS, read_signal_binary, read_signal_csv
+from .objective import DEFAULT_LAMBDA, AucProblem
+from .signals import DEFAULT_BANDS, DEFAULT_FILTER_ORDER, read_signal_binary, read_signal_csv
 from .solvers import (
     DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
 )
 
-ENV_SEED = "AUCMAX_SEED"
 EXIT_OK, EXIT_ERROR, EXIT_USAGE = 0, 1, 2
 
 SOLVER_CHOICES = METHODS + ("logistic", "svm")
@@ -109,6 +108,7 @@ def choice(options: tuple) -> Kind:
 
 INTEGER = Kind(_is_int, "an integer", parse=int)
 POSITIVE_INTEGER = _ranged(_is_int, rules.POSITIVE_INTEGER, parse=int)
+NONNEGATIVE_INTEGER = _ranged(_is_int, rules.NONNEGATIVE_INTEGER, parse=int)
 FILTER_ORDER = _ranged(_is_int, rules.FILTER_ORDER, parse=int)
 FINITE = _ranged(_is_number, rules.FINITE, convert=float, parse=float)
 NONNEGATIVE = _ranged(_is_number, rules.NONNEGATIVE, convert=float, parse=float)
@@ -119,9 +119,10 @@ POSITIVES = Kind(lambda v: isinstance(v, list) and len(v) > 0 and all(map(POSITI
                  lambda raw: [float(tok) for tok in raw.split(",") if tok != ""])
 INTEGERS = Kind(lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers",
                 parse=lambda raw: [int(tok) for tok in raw.split(",") if tok != ""])
-LAGS = Kind(lambda v: INTEGERS.test(v) and all(map(rules.NONNEGATIVE_INTEGER.test, v)),
-            "a list of nonnegative integers", parse=INTEGERS.parse)
-CHANNELS = Kind(lambda v: v == "auto" or (LAGS.test(v) and 0 < len(v) == len(set(v))),
+LAGS = Kind(lambda v: INTEGERS.test(v) and all(map(NONNEGATIVE_INTEGER.test, v))
+            and len(v) == len(set(v)), "a list of distinct nonnegative integers",
+            parse=INTEGERS.parse)
+CHANNELS = Kind(lambda v: v == "auto" or (LAGS.test(v) and len(v) > 0),
                 '"auto" or a nonempty list of distinct nonnegative integers',
                 parse=lambda raw: raw if raw == "auto" else INTEGERS.parse(raw))
 TEXT = Kind(lambda v: isinstance(v, str), "text")
@@ -142,40 +143,48 @@ class Key(NamedTuple):
     flag: str | None = None
 
 
-# Each command's config keys, and so its flags.
-OUT = {"out": Key(".", TEXT, "output directory (created if missing)")}
+# Each command's config keys, and so its flags.  A default the library also
+# has is taken from the library's name for it.
+OUT = {                         # every command's keys
+    "out": Key(".", TEXT, "output directory (created if missing)"),
+    "seed": Key(0, NONNEGATIVE_INTEGER, "RNG seed"),
+}
 SYNTH_KEYS = {
     **OUT,
     "n": Key(1000, INTEGER, "number of samples"),
     "dim": Key(10, POSITIVE_INTEGER, "number of features"),
-    "pos_frac": Key(1.0 / 3.0, FRACTION, "positive-class fraction"),
-    "sep": Key(1.0, NONNEGATIVE, "class mean separation"),
+    "pos_frac": Key(SynthSpec.positive_fraction, FRACTION, "positive-class fraction"),
+    "sep": Key(SynthSpec.class_separation, NONNEGATIVE, "class mean separation"),
 }
 EXTRACT_KEYS = {
     **OUT,
     "set": Key(1, choice((1, 2, 3, 4)), "cumulative feature set"),
-    "window": Key(2.0, POSITIVE, "window length in seconds"),
-    "stride": Key(0.5, POSITIVE, "stride in seconds"),
-    "order": Key(4, FILTER_ORDER, "Butterworth filter order"),
+    "window": Key(WindowSpec.window_seconds, POSITIVE, "window length in seconds"),
+    "stride": Key(WindowSpec.stride_seconds, POSITIVE, "stride in seconds"),
+    "order": Key(DEFAULT_FILTER_ORDER, FILTER_ORDER, "Butterworth filter order"),
     "channels": Key("auto", CHANNELS, "'auto' or comma-separated 0-based channel rows"),
     "corr_lags": Key(None, LAGS, "comma-separated sample lags"),
 }
 FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
     **OUT,
-    "step_size": Key(None, POSITIVE, "first-order step size", "--eta"),
-    "grad_tolerance": Key(1e-3, POSITIVE, "gradient norm tolerance", "--tol"),
-    "max_iterations": Key(50_000, POSITIVE_INTEGER, "iteration cap", "--max-iter"),
-    "lambda": Key(1e-4, NONNEGATIVE, "L2 regularization weight"),
-    "broyden_tau": Key("sr1", TAU, "Broyden tau in [0,1] or sr1/dfp/bfgs", "--tau"),
-    "direction_rule": Key("greedy-basis", choice(DIRECTION_RULES), "quasi-Newton direction rule",
-                          "--direction"),
-    "updates_per_iteration": Key(1, POSITIVE_INTEGER,
+    "step_size": Key(SolverConfig.step_size, POSITIVE, "first-order step size", "--eta"),
+    "grad_tolerance": Key(SolverConfig.grad_tolerance, POSITIVE, "gradient norm tolerance",
+                          "--tol"),
+    "max_iterations": Key(SolverConfig.max_iterations, POSITIVE_INTEGER, "iteration cap",
+                          "--max-iter"),
+    "lambda": Key(DEFAULT_LAMBDA, NONNEGATIVE, "L2 regularization weight"),
+    "broyden_tau": Key(SolverConfig.broyden_tau, TAU, "Broyden tau in [0,1] or sr1/dfp/bfgs",
+                       "--tau"),
+    "direction_rule": Key(SolverConfig.direction_rule, choice(DIRECTION_RULES),
+                          "quasi-Newton direction rule", "--direction"),
+    "updates_per_iteration": Key(SolverConfig.updates_per_iteration, POSITIVE_INTEGER,
                                  "curvature updates per quasi-Newton iteration", "--k-updates"),
     "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
                         "gradient norm, SVM relative duality gap"),
     "baseline_max_iter": Key(10_000, POSITIVE_INTEGER, "baseline iteration cap: logistic Newton "
                              "iterations, SVM interior-point iterations"),
-    "train_fraction": Key(0.8, FRACTION, "train split fraction", "--train-frac"),
+    "train_fraction": Key(SplitSpec.train_fraction, FRACTION, "train split fraction",
+                          "--train-frac"),
 }
 TRAIN_KEYS = {
     **FIT_KEYS,
@@ -201,7 +210,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:       # argparse already printed usage (code 2) or help (0)
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return args.handler(_config(args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -229,12 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command_help, handler, table, inputs in commands:
         p = sub.add_parser(name, help=command_help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${ENV_SEED}, then 0)")
         for flag, options in inputs.items():
             p.add_argument(flag, required=True, **options)
         for key, entry in table.items():
             _add_flag(p, key, entry)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, table=table, inputs=[flag[2:] for flag in inputs])
     return parser
 
 
@@ -271,19 +279,18 @@ def _read_json_object(path, what: str) -> dict:
     return obj
 
 
-def _config(args, table: dict) -> dict:
-    """Each key of ``table`` (``key: Key``) from its flag, else the
-    ``--config`` file, else the default, converted by its kind; then ``seed``
-    from ``--seed``, else the file (a JSON integer), else ``$AUCMAX_SEED``,
-    else 0.  Refuses a bad file, a file key the command does not have, a value
-    not of its key's kind and a negative seed by name, before any input is
-    read or output written."""
+def _config(args) -> dict:
+    """The command's configuration: each key of its table (``key: Key``) from
+    its flag, else the ``--config`` file, else the default, converted by its
+    kind; then each input path as given.  Refuses a bad file, a file key the
+    command does not have and a value not of its key's kind by name, before
+    any input is read or output written."""
     file_cfg = _read_json_object(args.config, "config file") if args.config else {}
     for key in file_cfg:
-        if key not in table and key != "seed":
+        if key not in args.table:
             raise ValueError(f"{args.config}: {args.command} has no key {key!r}")
     eff = {}
-    for key, (default, kind, *_) in table.items():
+    for key, (default, kind, *_) in args.table.items():
         flag = getattr(args, key)
         value = flag if flag is not None else file_cfg.get(key, default)
         if value is None and default is None:
@@ -292,21 +299,7 @@ def _config(args, table: dict) -> dict:
             eff[key] = kind.convert(value)
         else:
             raise ValueError(f"{key} must be {kind.what}")
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in file_cfg:
-        seed = file_cfg["seed"]
-        if not _is_int(seed):
-            raise ValueError(f"{args.config}: seed must be an integer, got {json.dumps(seed)}")
-    else:
-        env = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    eff["seed"] = seed
+    eff.update({name: getattr(args, name) for name in args.inputs})
     return eff
 
 
@@ -337,8 +330,7 @@ def _write_table(out: Path, values, labels, names) -> dict:
 # ---------------------------------------------------------------------------
 # synth
 
-def _cmd_synth(args) -> int:
-    eff = _config(args, SYNTH_KEYS)
+def _cmd_synth(eff) -> int:
     spec = SynthSpec(n_samples=eff["n"], n_features=eff["dim"], positive_fraction=eff["pos_frac"],
                      class_separation=eff["sep"], seed=eff["seed"])
     dataset = generate_synthetic(spec)
@@ -357,15 +349,17 @@ def _cmd_synth(args) -> int:
 
 def _signal_files(raw_paths, skip: set[Path]) -> list[Path]:
     """Each named file, and each ``.csv``/``.bin`` file of a named directory
-    in name order, leaving out the resolved paths ``skip`` (the labels file
-    and the feature CSV about to be written).  Refuses a named file of
-    another suffix, and a trial id (the file stem) that two paths give,
-    naming the paths, before any is read."""
+    in name order (a subdirectory is not a trial, whatever its name),
+    leaving out the resolved paths ``skip`` (the labels file and the feature
+    CSV about to be written).  Refuses a named file of another suffix, and a
+    trial id (the file stem) that two paths give, naming the paths, before
+    any is read."""
     files: dict[str, Path] = {}                 # trial id -> its file
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            listed = sorted(p for p in path.iterdir() if p.suffix in (".csv", ".bin"))
+            listed = sorted(p for p in path.iterdir()
+                            if p.suffix in (".csv", ".bin") and p.is_file())
         elif path.suffix in (".csv", ".bin"):
             listed = [path]
         else:
@@ -379,14 +373,12 @@ def _signal_files(raw_paths, skip: set[Path]) -> list[Path]:
     return list(files.values())
 
 
-def _cmd_extract(args) -> int:
-    eff = _config(args, EXTRACT_KEYS)
-    eff.update(signals=list(args.signals), labels=args.labels)
+def _cmd_extract(eff) -> int:
     spec = WindowSpec(eff["window"], eff["stride"])
 
-    labels = read_trial_labels(args.labels)
+    labels = read_trial_labels(eff["labels"])
     table = (Path(eff["out"]) / "features.csv").resolve()     # ours, if --out is a signal dir
-    files = _signal_files(args.signals, {table, Path(args.labels).resolve()})
+    files = _signal_files(eff["signals"], {table, Path(eff["labels"]).resolve()})
     if not files:
         raise ValueError("no signal files found")
 
@@ -397,7 +389,7 @@ def _cmd_extract(args) -> int:
         trial = read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
         trial_id = path.stem
         if trial_id not in labels:
-            raise ValueError(f"missing label for trial {trial_id!r} in {args.labels}")
+            raise ValueError(f"missing label for trial {trial_id!r} in {eff['labels']}")
         channels, corr_lags = eff["channels"], eff["corr_lags"]
         if channels == "auto":                  # the standard montage needs >= 32 channels
             n = trial.n_channels
@@ -426,20 +418,18 @@ def _cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval / compare helpers
 
-def _load_split(args, table: dict):
-    """Resolve the config, load the feature CSV, split it stratified and fit
-    the standardizer on the training part.  ``_config`` refuses every value
-    out of its key's range, and a logistic threshold (a probability) outside
-    (0, 1), before the table is read."""
-    eff = _config(args, table)
+def _load_split(eff):
+    """Load the feature CSV, split it stratified and fit the standardizer on
+    the training part.  A logistic threshold (a probability) outside (0, 1) is
+    refused before the table is read."""
     if eff["solver"] == "logistic" and eff["threshold"] is not None:
         rules.require("logistic threshold", eff["threshold"], rules.FRACTION)
-    eff.update(features=args.features, standardize=True)
+    eff["standardize"] = True
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
 
-    dataset, _ = load_labeled_csv(args.features)
+    dataset, _ = load_labeled_csv(eff["features"])
     train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
-    return eff, dataset, train_std, test_std, standardizer
+    return dataset, train_std, test_std, standardizer
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
@@ -517,8 +507,8 @@ def _fit_model(kind: str, train_std, test_std, eff, standardizer, C=None, thresh
     return model_dict, results, result.trace
 
 
-def _cmd_train(args) -> int:
-    eff, dataset, train_std, test_std, standardizer = _load_split(args, TRAIN_KEYS)
+def _cmd_train(eff) -> int:
+    dataset, train_std, test_std, standardizer = _load_split(eff)
     auc_eval = _trace_auc_eval(train_std, test_std) if eff["trace_auc"] else None
     model_dict, results, trace = _fit_model(eff["solver"], train_std, test_std, eff,
                                             standardizer, eff["C"], eff["threshold"], auc_eval)
@@ -540,19 +530,16 @@ def _cmd_train(args) -> int:
     })
 
 
-def _cmd_eval(args) -> int:
-    eff = _config(args, EVAL_KEYS)
-    eff.update(features=args.features, model=args.model)
-
-    dataset, _ = load_labeled_csv(args.features)
-    model_obj = _read_json_object(args.model, "model file")
+def _cmd_eval(eff) -> int:
+    dataset, _ = load_labeled_csv(eff["features"])
+    model_obj = _read_json_object(eff["model"], "model file")
     try:
         standardizer = Standardizer.from_dict(model_obj["train_meta"]["standardizer"])
         report = _report(model_obj, standardizer.transform(dataset.features), dataset.labels)
     except KeyError as exc:
-        raise ValueError(f"{args.model}: missing field {exc}") from None
+        raise ValueError(f"{eff['model']}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:     # TypeError: a field of the wrong JSON type
-        raise ValueError(f"{args.model}: {exc}") from None
+        raise ValueError(f"{eff['model']}: {exc}") from None
 
     out = _out_dir(eff)
     _write_json(out / "report.json", report_to_dict(report))
@@ -576,8 +563,8 @@ def _tune_baseline(kind: str, fit_part, val_part, eff):
     return best_c, grid_fits
 
 
-def _cmd_compare(args) -> int:
-    eff, _, train_std, test_std, standardizer = _load_split(args, COMPARE_KEYS)
+def _cmd_compare(eff) -> int:
+    _, train_std, test_std, standardizer = _load_split(eff)
     try:
         fit_part, val_part = split(train_std, SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1))
     except ValueError as exc:

@@ -201,6 +201,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     for tau in corr_lags:
         require("correlation lag", tau, NONNEGATIVE_INTEGER)
     corr_lags = [int(t) for t in corr_lags]
+    if len(set(corr_lags)) != len(corr_lags):
+        raise ValueError("duplicate correlation lags")
 
     sub = TrialSignal(trial.samples[channels], fs, trial.pretrial_seconds)
     windows, _ = segment(sub, spec)             # (m, c, w)

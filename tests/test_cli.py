@@ -198,6 +198,8 @@ def test_extract_skips_the_labels_file_among_the_signals(tmp_path):
     assert run(*args, "--labels", labels, "--out", tmp_path / "apart") == 0
     inside = sig_dir / "labels.csv"
     shutil.copyfile(labels, inside)
+    (sig_dir / "x.csv").mkdir()                 # a subdirectory is no trial, whatever its name
+    (sig_dir / "trial04.bin").mkdir()
     assert run(*args, "--labels", inside, "--out", tmp_path / "among") == 0
     trials = json.loads((tmp_path / "among" / "manifest.json").read_text())["trials"]
     assert [t["trial"] for t in trials] == ["trial00", "trial01", "trial02", "trial03"]
@@ -375,35 +377,16 @@ def test_config_file_precedence(tmp_path):
     assert eff["max_iterations"] == 50_000       # default
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
+def test_seed_is_not_read_from_the_environment(tmp_path, monkeypatch):
     path = synth_csv(tmp_path, n=200, dim=4)
-    out_env = tmp_path / "env"
-    out_flag = tmp_path / "flag"
+    args = ("train", "--features", path, "--solver", "newton", "--out", tmp_path / "run")
     monkeypatch.setenv("AUCMAX_SEED", "13")
-    assert run("train", "--features", path, "--solver", "newton", "--out", out_env) == 0
+    assert run(*args) == 0
+    with_env = snapshot(tmp_path / "run")
     monkeypatch.delenv("AUCMAX_SEED")
-    assert run("train", "--features", path, "--solver", "newton", "--seed", 13,
-               "--out", out_flag) == 0
-    assert (out_env / "model.json").read_bytes() == (out_flag / "model.json").read_bytes()
-
-
-def test_env_seed_not_an_integer_is_named(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AUCMAX_SEED", "abc")
-    assert run("synth", "--n", 50, "--out", tmp_path / "s") == 1
-    assert capsys.readouterr().err == "error: AUCMAX_SEED must be an integer, got 'abc'\n"
-    assert not (tmp_path / "s").exists()
-
-
-@pytest.mark.parametrize("text, shown", [
-    ('"abc"', '"abc"'), ("1.7", "1.7"), ("true", "true"), ('"5"', '"5"'),
-], ids=["string", "float", "bool", "numeric-string"])
-def test_config_seed_not_a_json_integer_is_named(tmp_path, capsys, text, shown):
-    config = tmp_path / "config.json"
-    config.write_text('{"seed": %s}' % text)
-    assert run("synth", "--n", 50, "--config", config, "--out", tmp_path / "s") == 1
-    assert capsys.readouterr().err == f"error: {config}: seed must be an integer, got {shown}\n"
-    assert not (tmp_path / "s").exists()
-    assert run("synth", "--n", 50, "--config", config, "--seed", 4, "--out", tmp_path / "s") == 0
+    assert run(*args) == 0
+    assert snapshot(tmp_path / "run") == with_env           # the default seed, 0
+    assert json.loads(with_env["manifest.json"])["config"]["seed"] == 0
 
 
 def test_manifest_sections_per_command(tmp_path):
@@ -428,6 +411,11 @@ def test_manifest_sections_per_command(tmp_path):
             assert run(*argv, "--seed", 2, "--out", out) == 0, out
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command, out
+        given = {flag[2:]: [str(path)] if flag == "--signals" else str(path)     # nargs="+"
+                 for flag, path in zip(argv[1::2], argv[2::2]) if flag[2:] in _INPUTS[command]}
+        config = manifest["config"]
+        echoed = set(config) - set(getattr(cli, f"{command.upper()}_KEYS")) - {"standardize"}
+        assert {key: config[key] for key in echoed} == given, out
         assert set(manifest) == {"command", "config", "outputs"} | sections, out
         assert set(manifest["outputs"]) == outputs, out
         files = [f for f in manifest["outputs"].values() if isinstance(f, str)]
@@ -835,7 +823,8 @@ MESSAGES = {
     "pos_frac": "pos_frac must be strictly between 0 and 1",
     "sep": "sep must be a nonnegative finite number",
     "dim": "dim must be a positive integer",
-    "corr_lags": "corr_lags must be a list of nonnegative integers",
+    "corr_lags": "corr_lags must be a list of distinct nonnegative integers",
+    "seed": "seed must be a nonnegative integer",
     "channels": 'channels must be "auto" or a nonempty list of distinct nonnegative integers',
 }
 # A case below is named by the rule its value breaks; it is refused in its key's one message.
@@ -1147,7 +1136,7 @@ def test_every_key_by_flag_or_by_config_writes_the_same_bytes(tmp_path):
     config = tmp_path / "config.json"
     for command, (table_name, cases) in _KEY_CASES.items():
         keys = getattr(cli, table_name)
-        assert {case[0] for case in cases} | {"out"} == set(keys) | {"seed"}, command
+        assert {case[0] for case in cases} | {"out"} == set(keys), command
         for key, shared, flags, entries in cases:
             out = tmp_path / "runs" / command / key
             assert run(command, *inputs[command], *shared, *flags, "--out", out) == 0, (command, key)
@@ -1204,7 +1193,7 @@ def input_flags(command, tmp_path):
     ("eval", {"out": 1.7}, "out must be text"),
     ("train", ("--seed", -1), "seed must be nonnegative, got -1"),
     ("extract", {"seed": -2}, "seed must be nonnegative, got -2"),
-    ("synth", "env", "seed must be nonnegative, got -3"),
+    ("eval", ("--seed", -3), "seed must be nonnegative, got -3"),
     ("compare", {"solver": "logistic"}, f"solver must be one of {COMPARE_SOLVERS}"),
     ("train", {"solver": "svm", "direction_rule": "foo"},
      f"direction_rule must be one of {DIRECTIONS}"),
@@ -1236,16 +1225,21 @@ def input_flags(command, tmp_path):
     ("extract", {"channels": [2, 2]}, "channels must be distinct"),
     ("extract", ("--channels=",), "channels must be nonempty"),
     ("extract", {"channels": []}, "channels must be nonempty"),
+    ("synth", {"seed": "abc"}, "seed must be an integer"),
+    ("synth", {"seed": 1.7}, "seed must be an integer"),
+    ("synth", {"seed": True}, "seed must be an integer"),
+    ("synth", {"seed": "5"}, "seed must be an integer"),
+    ("compare", {"seed": -1}, "seed must be nonnegative"),
+    ("extract", ("--corr-lags", "0,0", "--set", "4"), "corr_lags must be distinct"),
+    ("extract", ("--corr-lags", "8,0,8", "--set", "1"), "corr_lags must be distinct"),
+    ("extract", {"corr_lags": [4, 4], "set": 2}, "corr_lags must be distinct"),
 ])
-def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, monkeypatch, work,
+def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, work,
                                                       command, source, rule):
     inputs = input_flags(command, tmp_path)
     out = tmp_path / "out"
     out_flag = ("--out", out)
-    if source == "env":
-        monkeypatch.setenv("AUCMAX_SEED", "-3")
-        source = ()
-    elif isinstance(source, dict):
+    if isinstance(source, dict):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(source))
         out_flag = () if "out" in source else out_flag
@@ -1281,12 +1275,12 @@ _INPUTS = {"synth": set(), "extract": {"signals", "labels"}, "train": {"features
                                             ("train", "TRAIN_KEYS"), ("eval", "EVAL_KEYS"),
                                             ("compare", "COMPARE_KEYS")])
 def test_each_command_flag_is_a_key_of_its_table(command, table):
-    """Besides --config, --seed and the input paths, a command has exactly
-    one flag (or --key/--no-key pair) per key of its table."""
+    """Besides --config and the input paths, a command has exactly one flag
+    (or --key/--no-key pair) per key of its table, --seed included."""
     commands = next(action for action in cli._build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     dests = {action.dest for action in commands.choices[command]._actions} - {"help"}
-    assert dests == set(getattr(cli, table)) | {"config", "seed"} | _INPUTS[command]
+    assert dests == set(getattr(cli, table)) | {"config"} | _INPUTS[command]
 
 
 def test_compare_takes_no_c_flag(tmp_path, capsys):
@@ -1305,6 +1299,9 @@ def test_compare_takes_no_c_flag(tmp_path, capsys):
                             "distinct nonnegative integers"),
     (("--tau", "bfg"), "argument --tau: 'bfg' is not sr1/dfp/bfgs or a number in [0, 1]"),
     (("--direction", "foo"), "argument --direction: invalid choice: 'foo'"),
+    (("--seed", "x"), "argument --seed: 'x' is not a nonnegative integer"),
+    (("--seed", "1.5"), "argument --seed: '1.5' is not a nonnegative integer"),
+    (("--seed", "true"), "argument --seed: 'true' is not a nonnegative integer"),
 ])
 def test_flag_text_not_of_its_kind_is_a_usage_error(tmp_path, capsys, flags, message):
     command = "extract" if flags[0] == "--channels" else "train"

@@ -125,6 +125,16 @@ def test_correlation_lag_not_a_nonnegative_integer_refused(lags):
             build_feature_sets(trial, channels=[0, 1, 2], set_id=level, corr_lags=lags)
 
 
+def test_repeated_correlation_lag_refused():
+    # at every level, as a repeated channel is: Set4 would build two columns
+    # under one name, and Set1-3 would echo a lag list Set4 cannot use
+    trial = make_trial(n_channels=3, seconds=10.0, pretrial=0.0)
+    for level in (1, 2, 3, 4):
+        for lags in ([0, 0], [4, 0, 4.0]):
+            with pytest.raises(ValueError, match="^duplicate correlation lags$"):
+                build_feature_sets(trial, channels=[0, 1, 2], set_id=level, corr_lags=lags)
+
+
 def test_trial_too_short_for_one_window():
     trial = TrialSignal(np.random.default_rng(0).standard_normal((2, 200)), FS)
     with pytest.raises(ValueError, match="exceeds"):
