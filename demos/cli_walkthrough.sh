@@ -96,6 +96,34 @@ grep -qx "error: corr_lags must be a list of distinct nonnegative integers" "$WO
 test ! -e "$WORK/ext_lags"
 echo "refused with exit 1, naming the key, and no output directory created"
 
+echo; echo "== extract draws no random numbers, so it has no seed: --seed is a usage error =="
+status=0
+python3 -m aucmax extract --signals "$WORK/trials" --labels "$WORK/labels.csv" --seed 1 \
+    --out "$WORK/ext_seed" 2> "$WORK/ext_seed.err" || status=$?
+tail -n 1 "$WORK/ext_seed.err"
+test "$status" -eq 2
+test ! -e "$WORK/ext_seed"
+echo "refused with exit 2, and no output directory created"
+
+echo; echo "== extract's default channels on a trial of fewer than 32: every channel =="
+python3 - "$WORK/four" <<'PY'
+import sys
+from pathlib import Path
+import numpy as np
+from aucmax.signals import TrialSignal, write_signal_csv
+out = Path(sys.argv[1])
+out.mkdir()
+data = np.random.default_rng(1).standard_normal((4, 8 * 128))
+write_signal_csv(TrialSignal(data, 128.0, pretrial_seconds=3.0), out / "trial0.csv")
+PY
+python3 -m aucmax extract --signals "$WORK/four" --labels "$WORK/labels.csv" --out "$WORK/ext_four"
+python3 - "$WORK/ext_four/manifest.json" <<'PY'
+import json, sys
+channels = json.load(open(sys.argv[1]))["layout"]["channels"]
+assert channels == [0, 1, 2, 3], channels
+print(f"layout channels {channels}")
+PY
+
 echo; echo "== compare refuses a config key it does not have: C is tuned over c_grid =="
 echo '{"C": 1}' > "$WORK/compare_c.json"
 status=0

@@ -4,12 +4,16 @@ models, and a three-way model comparison.
 
 Every command accepts ``--config <json>``; explicit flags override config
 file entries, which override built-in defaults.  A config file holds only the
-command's keys (the ``*_KEYS`` tables; every command has ``out`` and ``seed``,
-default 0), and each value, from any of the three, must be of its key's kind.
-``main`` resolves the configuration once, before any input is read; the keys
-and the input paths are echoed into each output manifest, and identical flags
-plus seeds always reproduce byte-identical outputs.  Exit codes: 0 success,
-1 runtime or data error, 2 usage error.
+command's keys (the ``*_KEYS`` tables; every command has ``out``, and
+``synth``, ``train`` and ``compare`` have ``seed``, default 0), and each
+value, from any of the three, must be of its key's kind.  ``main`` resolves
+the configuration once, before any input is read; the keys and the input
+paths are echoed into each output manifest, and identical flags plus seeds
+always reproduce byte-identical outputs.  ``extract`` leaves each trial's
+channels (``"auto"``: the standard montage on a trial of 32 or more
+channels, else every channel), lags and layout to
+``features.build_feature_sets``.  Exit codes: 0 success, 1 runtime or data
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,14 +48,7 @@ from .data import (
     table_path,
     write_feature_csv,
 )
-from .features import (
-    WindowSpec,
-    build_feature_sets,
-    default_channel_indices,
-    default_corr_lags,
-    layout_manifest,
-    read_trial_labels,
-)
+from .features import WindowSpec, build_feature_sets, read_trial_labels
 from .metrics import (
     REPORT_CSV_HEADER,
     classification_report,
@@ -60,8 +57,8 @@ from .metrics import (
     roc_auc,
     roc_auc_columns,
 )
-from .objective import DEFAULT_LAMBDA, AucProblem
-from .signals import DEFAULT_BANDS, DEFAULT_FILTER_ORDER, read_signal_binary, read_signal_csv
+from .objective import DEFAULT_LAMBDA, AucProblem, positive_fraction
+from .signals import DEFAULT_FILTER_ORDER, read_signal_binary, read_signal_csv
 from .solvers import (
     DIRECTION_RULES, METHODS, SolverConfig, solve, write_trace_csv,
 )
@@ -145,12 +142,11 @@ class Key(NamedTuple):
 
 # Each command's config keys, and so its flags.  A default the library also
 # has is taken from the library's name for it.
-OUT = {                         # every command's keys
-    "out": Key(".", TEXT, "output directory (created if missing)"),
-    "seed": Key(0, NONNEGATIVE_INTEGER, "RNG seed"),
-}
+OUT = {"out": Key(".", TEXT, "output directory (created if missing)")}     # every command's
+SEED = {"seed": Key(0, NONNEGATIVE_INTEGER, "RNG seed")}   # the commands that draw from an RNG
 SYNTH_KEYS = {
     **OUT,
+    **SEED,
     "n": Key(1000, INTEGER, "number of samples"),
     "dim": Key(10, POSITIVE_INTEGER, "number of features"),
     "pos_frac": Key(SynthSpec.positive_fraction, FRACTION, "positive-class fraction"),
@@ -162,11 +158,13 @@ EXTRACT_KEYS = {
     "window": Key(WindowSpec.window_seconds, POSITIVE, "window length in seconds"),
     "stride": Key(WindowSpec.stride_seconds, POSITIVE, "stride in seconds"),
     "order": Key(DEFAULT_FILTER_ORDER, FILTER_ORDER, "Butterworth filter order"),
-    "channels": Key("auto", CHANNELS, "'auto' or comma-separated 0-based channel rows"),
+    "channels": Key("auto", CHANNELS, "'auto' (the standard montage on >= 32 channels, else "
+                    "all) or comma-separated 0-based channel rows"),
     "corr_lags": Key(None, LAGS, "comma-separated sample lags"),
 }
 FIT_KEYS = {                    # the solver's keys are SolverConfig's field names
     **OUT,
+    **SEED,
     "step_size": Key(SolverConfig.step_size, POSITIVE, "first-order step size", "--eta"),
     "grad_tolerance": Key(SolverConfig.grad_tolerance, POSITIVE, "gradient norm tolerance",
                           "--tol"),
@@ -382,37 +380,26 @@ def _cmd_extract(eff) -> int:
     if not files:
         raise ValueError("no signal files found")
 
-    all_rows, all_labels, layout = [], [], None
-    names = None
-    trials_meta = []
+    channels = None if eff["channels"] == "auto" else eff["channels"]
+    first, all_rows, all_labels, trials_meta = None, [], [], []
     for path in files:
         trial = read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
         trial_id = path.stem
         if trial_id not in labels:
             raise ValueError(f"missing label for trial {trial_id!r} in {eff['labels']}")
-        channels, corr_lags = eff["channels"], eff["corr_lags"]
-        if channels == "auto":                  # the standard montage needs >= 32 channels
-            n = trial.n_channels
-            channels = default_channel_indices() if n >= 32 else list(range(n))
-        if corr_lags is None:
-            corr_lags = default_corr_lags(trial.sampling_rate)
-        fm = build_feature_sets(
-            trial, channels=channels, spec=spec, set_id=eff["set"],
-            bands=DEFAULT_BANDS, filter_order=eff["order"], corr_lags=corr_lags,
-        )
-        if names is None:
-            names = fm.feature_names
-            layout = layout_manifest(channels, spec, DEFAULT_BANDS, eff["set"], corr_lags,
-                                     filter_order=eff["order"])
-        elif fm.feature_names != names:
+        fm = build_feature_sets(trial, channels=channels, spec=spec, set_id=eff["set"],
+                                filter_order=eff["order"], corr_lags=eff["corr_lags"])
+        if first is None:
+            first = fm
+        elif fm.layout != first.layout:        # the layout fixes the column names
             raise ValueError(f"{path}: trial produced an inconsistent feature layout")
         all_rows.append(fm.values)
         all_labels.extend([labels[trial_id]] * fm.n_rows)
         trials_meta.append({"trial": trial_id, "rows": fm.n_rows, "label": labels[trial_id]})
 
     out = _out_dir(eff)
-    outputs = _write_table(out, np.vstack(all_rows), np.asarray(all_labels), names)
-    return _finish(out, "extract", eff, outputs, layout=layout, trials=trials_meta)
+    outputs = _write_table(out, np.vstack(all_rows), np.asarray(all_labels), first.feature_names)
+    return _finish(out, "extract", eff, outputs, layout=first.layout, trials=trials_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +513,7 @@ def _cmd_train(eff) -> int:
     return _finish(out, "train", eff, outputs, results=results, dataset={
         "n_samples": dataset.n_samples,
         "n_features": dataset.n_features,
-        "positive_fraction": float(np.count_nonzero(dataset.labels == 1) / dataset.n_samples),
+        "positive_fraction": positive_fraction(dataset),
     })
 
 

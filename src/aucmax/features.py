@@ -8,8 +8,9 @@ lagged correlations.  Each level extends the previous one's columns, so
 the sets are strictly nested.
 
 On the standard 14-channel montage with four bands the realized widths
-are 112 / 1008 / 1134 / 1680 columns; the manifest helper records the
-per-block counts so downstream consumers never have to re-derive them.
+are 112 / 1008 / 1134 / 1680 columns.  ``build_feature_sets`` resolves a
+trial's defaults (channels: the standard montage on 32 or more, else all;
+lags: 0 and fs/4) and records the ``layout_manifest`` it used on the matrix.
 """
 
 from __future__ import annotations
@@ -86,11 +87,13 @@ def set_level(set_id) -> int:
 
 @dataclass
 class FeatureMatrix:
-    """Rows = windows, columns = named features of one cumulative set."""
+    """Rows = windows, columns = named features of one cumulative set;
+    ``layout`` is the ``layout_manifest`` of the channels and lags used."""
 
     values: np.ndarray
     feature_names: list[str]
     set_id: str
+    layout: dict
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -148,6 +151,10 @@ def layout_manifest(channel_ids, spec: WindowSpec, bands, set_id, corr_lags,
                     filter_order=DEFAULT_FILTER_ORDER) -> dict:
     """Layout constants plus realized per-block column counts."""
     blocks = feature_layout(channel_ids, bands, set_id, corr_lags)
+    return _manifest(blocks, channel_ids, spec, bands, set_id, corr_lags, filter_order)
+
+
+def _manifest(blocks, channel_ids, spec, bands, set_id, corr_lags, filter_order) -> dict:
     return {
         "set_id": SET_IDS[set_level(set_id) - 1],
         "channels": [int(c) for c in channel_ids],
@@ -175,8 +182,9 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     """Extract one cumulative feature set, one row per sliding window.
 
     Windowed features vary per row; whole-channel statistics repeat across
-    all rows of the trial.  ``channels`` indexes rows of ``trial.samples``
-    and defaults to the standard montage (which needs >= 32 channels).
+    all rows of the trial.  ``channels`` indexes rows of ``trial.samples``;
+    None is the standard montage on a trial of 32 or more channels, else all
+    of them, and ``corr_lags`` None is 0 and fs/4; ``layout`` records both.
     Band-domain features are computed on the zero-phase band-filtered
     channels; PSD is taken from the raw window's spectrum.  The diff block
     holds per-stream changes versus the previous window (zeros on the
@@ -187,7 +195,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     fs = trial.sampling_rate
     spec = spec if spec is not None else WindowSpec()
     if channels is None:
-        channels = default_channel_indices()
+        n = trial.n_channels
+        channels = default_channel_indices() if n >= 32 else range(n)
     channels = [int(c) for c in channels]
     if not channels:
         raise ValueError("channels must name at least one channel")
@@ -258,9 +267,10 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
             raise ValueError("zero variance segment in correlation block")
         columns.append(corr.reshape(m, -1))
 
-    layout = feature_layout(channels, bands, level, corr_lags)
-    names = [name for cols in layout.values() for name in cols]
-    return FeatureMatrix(np.hstack(columns), names, SET_IDS[level - 1])
+    blocks = feature_layout(channels, bands, level, corr_lags)
+    names = [name for cols in blocks.values() for name in cols]
+    layout = _manifest(blocks, channels, spec, bands, level, corr_lags, filter_order)
+    return FeatureMatrix(np.hstack(columns), names, SET_IDS[level - 1], layout)
 
 
 def read_trial_labels(path) -> dict[str, int]:

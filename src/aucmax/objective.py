@@ -239,18 +239,15 @@ class AucProblem:
     two class sums, and ``b`` read off the ``w``-``y`` block, so that ``b`` is
     bit-equal to the reference ``gradient`` at zero.  Then ``grad = H z + b``
     and ``value = z@(H z + 2b) / 2`` cost O(d^2) per call, independent of the
-    number of samples.  ``grad`` keeps a copy of its ``z`` and ``H z``;
-    ``value`` reuses that product when its own ``z`` is bit-equal to the kept
-    one, which is the case when a solver records the objective at the point
-    whose gradient it just took.  A ``grad`` whose primal block
-    ``z[:dim_x]`` is bit-equal to that of the last full product updates it
-    through the dual columns instead,
-    ``H z = H z_0 + H[:, dim_x:] @ (z[dim_x:] - z_0[dim_x:])``, at O(d) cost:
-    alt-gda's second gradient of each step moves only the dual, so each of
-    its steps costs one full product.  The update agrees with a fresh product
-    to rounding (not bit for bit), and is always taken from a full product,
-    so its error does not accumulate.  ``hessian()`` returns the cached
-    ``H`` itself, marked read-only.
+    number of samples.  Both take ``H z`` from the last full product, kept
+    with its ``z``, when the primal block ``z[:dim_x]`` is bit-equal to the
+    kept one: ``H z = H z_0 + H[:, dim_x:] @ (z[dim_x:] - z_0[dim_x:])``, at
+    O(d) cost; at any other ``z`` they take a fresh full product and keep
+    it.  alt-gda's second gradient of each step moves only the dual, so each
+    of its steps costs one full product.  The update agrees with a fresh
+    product to rounding (not bit for bit), and is always taken from a full
+    product, so its error does not accumulate.  ``hessian()`` returns the
+    cached ``H`` itself, marked read-only.
     """
 
     def __init__(self, dataset: LabeledDataset, lam: float = DEFAULT_LAMBDA):
@@ -269,30 +266,29 @@ class AucProblem:
         self._h = h
         self._b = np.zeros(d + 3)
         self._b[:d] = h[:d, d + 2]
-        self._z = self._hz = None               # the last grad's point and H @ z
         self._full = None                       # the last full product's (z, H @ z)
         self.dim_x = d + 2
         self.dim_y = 1
 
+    def _product(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """``(z, H z)``: through the dual columns from the last full product
+        when the primal blocks are bit-equal, else a full product, kept."""
+        z = np.array(z, dtype=float)            # a copy: the caller may write into its z
+        nx, full = self.dim_x, self._full
+        if full is not None and z[:nx].tobytes() == full[0][:nx].tobytes():
+            return z, full[1] + self._h[:, nx:] @ (z[nx:] - full[0][nx:])
+        self._full = z, self._h @ z
+        return self._full
+
     def value(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        reuse = self._z is not None and z.tobytes() == self._z.tobytes()
-        hz = self._hz if reuse else self._h @ z
+        z, hz = self._product(z)
         value = 0.5 * float(z @ (hz + 2.0 * self._b))
         if not np.isfinite(value):
             raise FloatingPointError("non-finite objective value (overflow)")
         return value
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        z = np.array(z, dtype=float)            # a copy: the caller may write into its z
-        nx, full = self.dim_x, self._full
-        if full is not None and z[:nx].tobytes() == full[0][:nx].tobytes():
-            hz = full[1] + self._h[:, nx:] @ (z[nx:] - full[0][nx:])
-        else:
-            hz = self._h @ z
-            self._full = z, hz
-        self._z, self._hz = z, hz
-        return hz + self._b
+        return self._product(z)[1] + self._b
 
     def hessian(self) -> np.ndarray:
         return self._h

@@ -70,24 +70,30 @@ def test_criterion_1_gradient_hessian_finite_differences():
             gx, gy = gradient(PrimalDualState.from_packed(z), dataset, params)
             return np.append(gx, gy)
 
-        analytic = grad_at(z0)
-        numeric = np.zeros_like(z0)
-        for i in range(z0.size):
-            zp, zm = z0.copy(), z0.copy()
-            zp[i] += h
-            zm[i] -= h
-            numeric[i] = (value_at(zp) - value_at(zm)) / (2 * h)
-        worst_grad = max(worst_grad, np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8))
+        problem = AucProblem(dataset, params.lam)
+        oracles = (     # value, gradient and Hessian: the per-sample reference, then AucProblem
+            (value_at, grad_at, hessian(state, dataset, params)),
+            (problem.value, problem.grad, problem.hessian()),
+        )
+        for value_of, grad_of, analytic_hess in oracles:
+            analytic = grad_of(z0)
+            numeric = np.zeros_like(z0)
+            for i in range(z0.size):
+                zp, zm = z0.copy(), z0.copy()
+                zp[i] += h
+                zm[i] -= h
+                numeric[i] = (value_of(zp) - value_of(zm)) / (2 * h)
+            worst_grad = max(worst_grad,
+                             np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8))
 
-        analytic_hess = hessian(state, dataset, params)
-        numeric_hess = np.zeros_like(analytic_hess)
-        for i in range(z0.size):
-            zp, zm = z0.copy(), z0.copy()
-            zp[i] += h
-            zm[i] -= h
-            numeric_hess[:, i] = (grad_at(zp) - grad_at(zm)) / (2 * h)
-        rel = np.abs(analytic_hess - numeric_hess) / np.maximum(1.0, np.abs(numeric_hess))
-        worst_hess = max(worst_hess, float(rel.max()))
+            numeric_hess = np.zeros_like(analytic_hess)
+            for i in range(z0.size):
+                zp, zm = z0.copy(), z0.copy()
+                zp[i] += h
+                zm[i] -= h
+                numeric_hess[:, i] = (grad_of(zp) - grad_of(zm)) / (2 * h)
+            rel = np.abs(analytic_hess - numeric_hess) / np.maximum(1.0, np.abs(numeric_hess))
+            worst_hess = max(worst_hess, float(rel.max()))
 
     elapsed = time.time() - start
     passed = worst_grad <= 1e-6 and worst_hess <= 1e-6

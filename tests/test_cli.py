@@ -22,9 +22,12 @@ from aucmax.data import (
     Standardizer, load_labeled_csv, read_feature_csv, split, SplitSpec, fit_apply_standardizer,
     table_path, write_feature_csv,
 )
+from aucmax.features import build_feature_sets
 from aucmax.metrics import classification_report, report_to_dict, roc_auc
 from aucmax.objective import AucProblem, LabeledDataset, ObjectiveParams
-from aucmax.signals import TrialSignal, WindowSpec, write_signal_binary, write_signal_csv
+from aucmax.signals import (
+    TrialSignal, WindowSpec, read_signal_csv, write_signal_binary, write_signal_csv,
+)
 from aucmax.solvers import SolverConfig, solve
 
 
@@ -143,6 +146,24 @@ def test_extract_sets_nested_and_mixed_formats(tmp_path):
     _, _, names4 = read_feature_csv(out4 / "features.csv")
     assert names4[: len(names3)] == names3
     assert len(names4) > len(names3)
+
+
+def test_extract_manifest_layout_is_the_first_trials(tmp_path, capsys):
+    """The manifest's layout is the one build_feature_sets reports for the
+    first trial, defaults resolved there; a trial of another layout is refused."""
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=2, n_channels=4, seconds=8.0)
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", sig_dir, "--labels", labels, "--set", 4, "--out", out) == 0
+    first = build_feature_sets(read_signal_csv(sig_dir / "trial00.csv"), set_id=4)
+    layout = json.loads((out / "manifest.json").read_text())["layout"]
+    assert layout == first.layout
+    assert (layout["channels"], layout["corr_lags"]) == ([0, 1, 2, 3], [0, 32])
+    trial = TrialSignal(np.random.default_rng(3).standard_normal((3, 8 * 128)), 128.0, 3.0)
+    write_signal_binary(trial, sig_dir / "trial01.bin")           # 3 channels: all of them
+    assert run("extract", "--signals", sig_dir, "--labels", labels, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == (
+        f"error: {sig_dir / 'trial01.bin'}: trial produced an inconsistent feature layout\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_extract_missing_label(tmp_path, capsys):
@@ -408,7 +429,8 @@ def test_manifest_sections_per_command(tmp_path):
     ]
     for out, argv, command, sections, outputs in cases:
         if argv:
-            assert run(*argv, "--seed", 2, "--out", out) == 0, out
+            seed = ("--seed", 2) if "seed" in getattr(cli, f"{command.upper()}_KEYS") else ()
+            assert run(*argv, *seed, "--out", out) == 0, out
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command, out
         given = {flag[2:]: [str(path)] if flag == "--signals" else str(path)     # nargs="+"
@@ -1098,7 +1120,6 @@ _KEY_CASES = {      # command -> its cli table and cases covering every key; eac
         ("order", (), ("--order", 3), {"order": 3}),
         ("channels", (), ("--channels", "0,2"), {"channels": [0, 2]}),
         ("corr_lags", ("--set", 4), ("--corr-lags", "0,4"), {"corr_lags": [0, 4]}),
-        ("seed", (), ("--seed", 5), {"seed": 5}),
     ]),
     "train": ("TRAIN_KEYS", _FIT_CASES + [
         ("solver", (), ("--solver", "newton"), {"solver": "newton"}),
@@ -1117,7 +1138,7 @@ _KEY_CASES = {      # command -> its cli table and cases covering every key; eac
         ("c_grid", (*_NEWTON, "--baseline-max-iter", 50), ("--c-grid", "1,10"),
          {"c_grid": [1, 10]}),
     ]),
-    "eval": ("EVAL_KEYS", [("seed", (), ("--seed", 5), {"seed": 5})]),
+    "eval": ("EVAL_KEYS", [("out", (), (), {})]),          # out is eval's one key
 }
 
 
@@ -1192,8 +1213,8 @@ def input_flags(command, tmp_path):
     ("compare", {"baseline_max_iter": True}, "baseline_max_iter must be a positive integer"),
     ("eval", {"out": 1.7}, "out must be text"),
     ("train", ("--seed", -1), "seed must be nonnegative, got -1"),
-    ("extract", {"seed": -2}, "seed must be nonnegative, got -2"),
-    ("eval", ("--seed", -3), "seed must be nonnegative, got -3"),
+    ("synth", {"seed": -2}, "seed must be nonnegative, got -2"),
+    ("compare", ("--seed", -3), "seed must be nonnegative, got -3"),
     ("compare", {"solver": "logistic"}, f"solver must be one of {COMPARE_SOLVERS}"),
     ("train", {"solver": "svm", "direction_rule": "foo"},
      f"direction_rule must be one of {DIRECTIONS}"),
@@ -1256,11 +1277,13 @@ def test_value_not_of_its_kind_refused_before_any_work(tmp_path, capsys, work,
     ("train", "max_iter"),          # the key is max_iterations; --max-iter is its flag
     ("eval", "features"),
     ("compare", "C"),               # compare tunes C over c_grid
+    ("extract", "seed"),            # extract and eval draw no random numbers
+    ("eval", "seed"),
 ])
 def test_unknown_config_key_refused_before_any_work(tmp_path, capsys, work, command, key):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 1, key: 3}))
     out = tmp_path / "out"
+    config.write_text(json.dumps({"out": str(out), key: 1}))
     assert run(command, *input_flags(command, tmp_path), "--config", config, "--out", out) == 1
     assert capsys.readouterr().err == f"error: {config}: {command} has no key {key!r}\n"
     assert not out.exists()
@@ -1276,11 +1299,21 @@ _INPUTS = {"synth": set(), "extract": {"signals", "labels"}, "train": {"features
                                             ("compare", "COMPARE_KEYS")])
 def test_each_command_flag_is_a_key_of_its_table(command, table):
     """Besides --config and the input paths, a command has exactly one flag
-    (or --key/--no-key pair) per key of its table, --seed included."""
+    (or --key/--no-key pair) per key of its table, --seed included where
+    the table has seed."""
     commands = next(action for action in cli._build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     dests = {action.dest for action in commands.choices[command]._actions} - {"help"}
     assert dests == set(getattr(cli, table)) | {"config"} | _INPUTS[command]
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_seed_is_a_usage_error_where_nothing_draws_from_it(tmp_path, capsys, work, command):
+    out = tmp_path / "out"
+    assert run(command, *input_flags(command, tmp_path), "--seed", 1, "--out", out) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert work == []
 
 
 def test_compare_takes_no_c_flag(tmp_path, capsys):

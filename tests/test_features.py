@@ -104,8 +104,27 @@ def test_channel_index_out_of_range():
     trial = make_trial(n_channels=4, seconds=10.0, pretrial=0.0)
     with pytest.raises(ValueError, match="out of range"):
         build_feature_sets(trial, channels=[0, 7], set_id="Set1")
-    with pytest.raises(ValueError, match="out of range"):
-        build_feature_sets(trial, set_id="Set1")     # default montage needs 32 channels
+
+
+def test_default_channels_are_the_montage_from_32_channels_else_all():
+    few = make_trial(n_channels=4, seconds=10.0, pretrial=0.0)
+    default = build_feature_sets(few, set_id="Set4")
+    given = build_feature_sets(few, channels=range(4), set_id="Set4")
+    assert default.values.tobytes() == given.values.tobytes()
+    assert default.feature_names == given.feature_names
+    assert default.layout == given.layout
+    assert default.layout["channels"] == [0, 1, 2, 3]
+    montage = build_feature_sets(make_trial(n_channels=32, seconds=4.0, pretrial=0.0))
+    assert montage.layout["channels"] == default_channel_indices()
+
+
+def test_layout_is_the_manifest_of_the_resolved_channels_and_lags():
+    trial = make_trial(n_channels=3, seconds=10.0, pretrial=0.0)
+    spec = WindowSpec(1.0, 0.25)
+    fm = build_feature_sets(trial, spec=spec, set_id=4, filter_order=3)
+    assert fm.layout == layout_manifest([0, 1, 2], spec, DEFAULT_BANDS, "Set4", [0, 32],
+                                        filter_order=3)
+    assert fm.layout["n_features"] == fm.n_features
 
 
 def test_empty_channel_list_refused():
@@ -208,10 +227,11 @@ def test_channel_block_repeats_per_row():
 
 
 def test_feature_matrix_validation():
+    layout = layout_manifest([0], WindowSpec(), DEFAULT_BANDS, "Set1", [0])
     with pytest.raises(ValueError, match="unique"):
-        FeatureMatrix(np.zeros((2, 2)), ["a", "a"], "Set1")
+        FeatureMatrix(np.zeros((2, 2)), ["a", "a"], "Set1", layout)
     with pytest.raises(ValueError, match="NaN"):
-        FeatureMatrix(np.array([[np.nan]]), ["a"], "Set1")
+        FeatureMatrix(np.array([[np.nan]]), ["a"], "Set1", layout)
 
 
 def test_read_trial_labels(tmp_path):

@@ -243,14 +243,14 @@ def uncached_value(problem, b, z):
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
-def test_value_reuses_the_gradient_product_only_at_the_same_point(seed):
+def test_value_takes_a_fresh_product_unless_the_primal_block_is_the_kept_one(seed):
     ds, params, state = random_instance(seed)
     problem = AucProblem(ds, lam=params.lam)
     n = problem.dim_x + problem.dim_y
     b = problem.grad(np.zeros(n))
     rng = np.random.default_rng(seed)
     z = state.pack()
-    # value after grad at another point: a fresh product
+    # value after grad at another primal block: a fresh product
     problem.grad(rng.standard_normal(n))
     assert problem.value(z) == uncached_value(problem, b, z)
     # value after grad at the same point: the kept product, same bits
@@ -298,10 +298,13 @@ def test_grad_updates_a_dual_only_move_through_the_dual_columns(seed):
     moved = z.copy()
     moved[0] += 0.25
     assert np.array_equal(problem.grad(moved), h @ moved + b)
-    # a dual-only move: the kept product plus the dual columns, to rounding
+    # a dual-only move: the kept product plus the dual columns, to rounding,
+    # for value as for grad
     for _ in range(5):                          # each from the last full product: no drift
         dual = moved.copy()
         dual[nx:] += rng.standard_normal(n - nx)
         fresh = h @ dual + b
+        scale = np.linalg.norm(dual) * np.linalg.norm(fresh + b)   # value: dual @ (fresh + b) / 2
+        assert abs(problem.value(dual) - uncached_value(problem, b, dual)) <= 1e-14 * scale
         g = problem.grad(dual)
         assert np.linalg.norm(g - fresh) <= 1e-14 * np.linalg.norm(fresh)
