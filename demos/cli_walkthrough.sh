@@ -124,6 +124,36 @@ assert channels == [0, 1, 2, 3], channels
 print(f"layout channels {channels}")
 PY
 
+echo; echo "== extract of trials at 128 and 256 Hz: only Set4's lags (0 and fs/4) differ =="
+python3 - "$WORK/rates" <<'PY'
+import sys
+from pathlib import Path
+import numpy as np
+from aucmax.signals import TrialSignal, write_signal_binary, write_signal_csv
+out = Path(sys.argv[1])
+out.mkdir()
+rng = np.random.default_rng(2)
+write_signal_csv(TrialSignal(rng.standard_normal((4, 8 * 128)), 128.0, 3.0), out / "trial0.csv")
+write_signal_binary(TrialSignal(rng.standard_normal((4, 8 * 256)), 256.0, 3.0), out / "trial1.bin")
+PY
+python3 -m aucmax extract --signals "$WORK/rates" --labels "$WORK/labels.csv" --set 1 \
+    --out "$WORK/ext_rates"
+python3 - "$WORK/ext_rates/manifest.json" <<'PY'
+import json, sys
+lags = json.load(open(sys.argv[1]))["layout"]["corr_lags"]
+assert lags == [], lags
+print(f"Set1 layout corr_lags {lags}")
+PY
+status=0
+python3 -m aucmax extract --signals "$WORK/rates" --labels "$WORK/labels.csv" --set 4 \
+    --out "$WORK/ext_rates4" 2> "$WORK/rates.err" || status=$?
+cat "$WORK/rates.err"
+test "$status" -eq 1
+grep -qx "error: $WORK/rates/trial1.bin: trial produced an inconsistent feature layout" \
+    "$WORK/rates.err"
+test ! -e "$WORK/ext_rates4"
+echo "Set4 refused with exit 1, naming the second trial, and no output directory created"
+
 echo; echo "== compare refuses a config key it does not have: C is tuned over c_grid =="
 echo '{"C": 1}' > "$WORK/compare_c.json"
 status=0

@@ -21,7 +21,6 @@ from aucmax import (
     plv,
     segment,
 )
-from aucmax.features import layout_manifest
 
 fs = 128.0
 rng = np.random.default_rng(3)
@@ -73,6 +72,5 @@ print(f"corr(ch0, ch2, lag 0)  [misaligned]: {lagged_correlation(raw[0], raw[2],
 print("\ncumulative feature sets (rows x columns):")
 for level in (1, 2, 3, 4):
     fm = build_feature_sets(trial, channels=range(14), spec=spec, set_id=level)
-    manifest = layout_manifest(list(range(14)), spec, DEFAULT_BANDS, level, (0, 32))
-    blocks = ", ".join(f"{k}={v}" for k, v in manifest["block_columns"].items())
+    blocks = ", ".join(f"{k}={v}" for k, v in fm.layout["block_columns"].items())
     print(f"  Set{level}: {fm.n_rows} x {fm.n_features:4d}  ({blocks})")

@@ -582,7 +582,6 @@ def _cmd_compare(eff) -> int:
                 {"rows": json_rows, "tuning": tuning, "config": eff})
     outputs = {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",
                "models": {label: filename for label, (filename, _) in models.items()}}
-    del results["skipped_updates"]              # compare's manifest leaves it out
     return _finish(out, "compare", eff, outputs, results={
         **results, "tuned_C": {label: tuning[label]["C"] for label in tuning},
     })

@@ -10,7 +10,8 @@ the sets are strictly nested.
 On the standard 14-channel montage with four bands the realized widths
 are 112 / 1008 / 1134 / 1680 columns.  ``build_feature_sets`` resolves a
 trial's defaults (channels: the standard montage on 32 or more, else all;
-lags: 0 and fs/4) and records the ``layout_manifest`` it used on the matrix.
+Set4's lags: 0 and fs/4) and records the ``layout_manifest`` it used on the
+matrix; only Set4 builds correlation columns, so only its layout records lags.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "DIFF_FIELDS",
     "FeatureMatrix",
     "default_channel_indices",
-    "default_corr_lags",
     "set_level",
     "feature_layout",
     "layout_manifest",
@@ -70,11 +70,6 @@ WINDOW_BLOCK = 16
 def default_channel_indices() -> list[int]:
     """0-based rows of the standard montage (requires >= 32 channels)."""
     return [c - 1 for c in DEFAULT_CHANNELS_1BASED]
-
-
-def default_corr_lags(sampling_rate: float) -> list[int]:
-    """Set4's correlation lags when none are given: 0 and a quarter second."""
-    return [0, int(round(sampling_rate / 4.0))]
 
 
 def set_level(set_id) -> int:
@@ -149,7 +144,8 @@ def feature_layout(channel_ids, bands, set_id, corr_lags) -> dict[str, list[str]
 
 def layout_manifest(channel_ids, spec: WindowSpec, bands, set_id, corr_lags,
                     filter_order=DEFAULT_FILTER_ORDER) -> dict:
-    """Layout constants plus realized per-block column counts."""
+    """Layout constants plus realized per-block column counts; ``corr_lags``
+    is recorded from Set4 up and ``[]`` below, where no column uses it."""
     blocks = feature_layout(channel_ids, bands, set_id, corr_lags)
     return _manifest(blocks, channel_ids, spec, bands, set_id, corr_lags, filter_order)
 
@@ -164,15 +160,10 @@ def _manifest(blocks, channel_ids, spec, bands, set_id, corr_lags, filter_order)
             {"name": b.name, "low_hz": b.low_hz, "high_hz": b.high_hz} for b in bands
         ],
         "filter_order": filter_order,
-        "corr_lags": [int(t) for t in corr_lags],
+        "corr_lags": [int(t) for t in corr_lags] if "corr" in blocks else [],
         "block_columns": {name: len(cols) for name, cols in blocks.items()},
         "n_features": sum(len(cols) for cols in blocks.values()),
     }
-
-
-def _window_blocks(m: int):
-    """Consecutive slices of at most ``WINDOW_BLOCK`` windows covering ``m``."""
-    return (slice(lo, min(lo + WINDOW_BLOCK, m)) for lo in range(0, m, WINDOW_BLOCK))
 
 
 def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | None = None,
@@ -184,12 +175,14 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     Windowed features vary per row; whole-channel statistics repeat across
     all rows of the trial.  ``channels`` indexes rows of ``trial.samples``;
     None is the standard montage on a trial of 32 or more channels, else all
-    of them, and ``corr_lags`` None is 0 and fs/4; ``layout`` records both.
+    of them, and ``corr_lags`` None is 0 and fs/4 at Set4; ``layout`` records
+    both, the lags from Set4 up (given lags are checked at every level).
     Band-domain features are computed on the zero-phase band-filtered
     channels; PSD is taken from the raw window's spectrum.  The diff block
     holds per-stream changes versus the previous window (zeros on the
     first window).  Band-window features are evaluated ``WINDOW_BLOCK``
-    windows at a time, bit-equal to evaluating every window at once.
+    windows at a time, with the correlations of the same windows, bit-equal
+    to evaluating every window at once.
     """
     level = set_level(set_id)
     fs = trial.sampling_rate
@@ -205,8 +198,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     for c in channels:
         if not 0 <= c < trial.n_channels:
             raise ValueError(f"channel index {c} out of range for {trial.n_channels}-channel trial")
-    if corr_lags is None:
-        corr_lags = default_corr_lags(fs)
+    if corr_lags is None:                       # Set4's default: 0 and a quarter second
+        corr_lags = [0, round(fs / 4.0)] if level >= 4 else []
     for tau in corr_lags:
         require("correlation lag", tau, NONNEGATIVE_INTEGER)
     corr_lags = [int(t) for t in corr_lags]
@@ -230,7 +223,9 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         stats = np.empty(psd.shape + (len(STAT_FIELDS),))
     if level >= 4:
         plv = np.empty((m, c * (c - 1) // 2, len(bands)))
-    for block in _window_blocks(m):
+        corr = np.empty((m, c * (c - 1) // 2, len(corr_lags)))
+    for lo in range(0, m, WINDOW_BLOCK):
+        block = slice(lo, lo + WINDOW_BLOCK)
         window_idx = starts[block, None] + np.arange(w)
         # Kept in the (c, nbands, k, w) memory order of the fancy index: the
         # reductions below then sum in the same order at every block size.
@@ -245,6 +240,7 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         de[block] = 0.5 * np.log(2.0 * np.pi * np.e * band_var)
         if level >= 4:
             plv[block] = pairwise_plv(band_windows)
+            corr[block] = pairwise_lagged_correlation(windows[block], corr_lags)
 
     columns = [psd.reshape(m, -1), de.reshape(m, -1)]
 
@@ -260,9 +256,6 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
 
     if level >= 4:
         columns.append(plv.reshape(m, -1))
-        corr = np.empty((m, plv.shape[1], len(corr_lags)))
-        for block in _window_blocks(m):
-            corr[block] = pairwise_lagged_correlation(windows[block], corr_lags)
         if np.isnan(corr).any():
             raise ValueError("zero variance segment in correlation block")
         columns.append(corr.reshape(m, -1))

@@ -166,6 +166,28 @@ def test_extract_manifest_layout_is_the_first_trials(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_extract_accepts_two_sampling_rates_below_set4(tmp_path, capsys):
+    """The fs/4 default lag belongs to Set4's correlation columns alone, so
+    trials at 128 and 256 Hz share a Set1-3 layout but not a Set4 one."""
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=4, seconds=8.0)
+    data = np.random.default_rng(5).standard_normal((4, 16 * 256))
+    write_signal_binary(TrialSignal(data, 256.0, 3.0), sig_dir / "trial01.bin")
+    labels.write_text("trial,label\ntrial00,+1\ntrial01,-1\n")
+    flags = ("--signals", sig_dir, "--labels", labels)
+    for level in (1, 2):
+        out = tmp_path / f"e{level}"
+        assert run("extract", *flags, "--set", level, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["layout"]["corr_lags"] == []
+    capsys.readouterr()
+    assert run("extract", *flags, "--set", 4, "--out", tmp_path / "e4") == 1
+    assert capsys.readouterr().err == (
+        f"error: {sig_dir / 'trial01.bin'}: trial produced an inconsistent feature layout\n")
+    assert not (tmp_path / "e4").exists()
+    out = tmp_path / "e4_lags"
+    assert run("extract", *flags, "--set", 4, "--corr-lags", "0,32", "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["layout"]["corr_lags"] == [0, 32]
+
+
 def test_extract_missing_label(tmp_path, capsys):
     sig_dir, labels = make_trial_files(tmp_path, n_trials=2)
     labels.write_text("trial,label\ntrial00,+1\n")
@@ -349,6 +371,17 @@ def test_train_reports_skipped_quasi_newton_updates(tmp_path):
     assert len(direct.notes) > 0
     assert results["skipped_updates"] == len(direct.notes)
     assert results["iterations_used"] == direct.iterations_used
+
+
+def test_compare_reports_the_skipped_updates_train_reports(tmp_path):
+    path = synth_csv(tmp_path)
+    flags = ("--features", path, "--solver", "qn-broyden", "--seed", 3)
+    results = {}
+    for command in ("train", "compare"):
+        assert run(command, *flags, "--out", tmp_path / command) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        results[command] = manifest["results"]["skipped_updates"]
+    assert results["compare"] == results["train"] > 0
 
 
 def test_dimension_warning_only_for_quasi_newton(tmp_path, capsys, monkeypatch):

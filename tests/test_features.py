@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,29 @@ def test_layout_is_the_manifest_of_the_resolved_channels_and_lags():
     assert fm.layout == layout_manifest([0, 1, 2], spec, DEFAULT_BANDS, "Set4", [0, 32],
                                         filter_order=3)
     assert fm.layout["n_features"] == fm.n_features
+
+
+def test_layout_records_correlation_lags_only_from_set4():
+    # only Set4 builds correlation columns, so only its layout names lags;
+    # below it neither the fs/4 default nor given lags reach the layout
+    trial = make_trial(n_channels=3, seconds=10.0, pretrial=0.0)
+    spec = WindowSpec()
+    for level in (1, 2, 3, 4):
+        for lags, set4_lags in ((None, [0, 32]), ([0, 4], [0, 4])):
+            fm = build_feature_sets(trial, spec=spec, set_id=level, corr_lags=lags)
+            assert fm.layout["corr_lags"] == (set4_lags if level == 4 else [])
+            assert fm.layout == layout_manifest([0, 1, 2], spec, DEFAULT_BANDS, level, set4_lags)
+
+
+@pytest.mark.parametrize("level", [1, 4])
+@pytest.mark.parametrize("lags", [[0, 32.0], [np.int64(0), np.int64(32)]])
+def test_integral_correlation_lags_of_any_type_build_the_int_lag_set(level, lags):
+    trial = make_trial(n_channels=3, seconds=10.0, pretrial=0.0)
+    want = build_feature_sets(trial, set_id=level, corr_lags=[0, 32])
+    got = build_feature_sets(trial, set_id=level, corr_lags=lags)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.feature_names == want.feature_names
+    assert json.dumps(got.layout) == json.dumps(want.layout)
 
 
 def test_empty_channel_list_refused():
