@@ -186,6 +186,32 @@ python3 -m aucmax extract --signals "$WORK/among" --labels "$WORK/among/labels.c
     --out "$WORK/ext_among"
 cmp "$WORK/ext/features.csv" "$WORK/ext_among/features.csv" && echo "byte-identical table"
 
+echo; echo "== extract gives the same bytes on one CPU as on every CPU =="
+# A 32-channel 63 s trial: reading it and writing its Set4 table both cross the
+# size above which the rows are split among processes, one per CPU.
+python3 - "$WORK/long" <<'PY'
+import sys
+from pathlib import Path
+import numpy as np
+from aucmax.signals import TrialSignal, write_signal_csv
+out = Path(sys.argv[1])
+out.mkdir()
+data = np.random.default_rng(3).standard_normal((32, 63 * 128))
+write_signal_csv(TrialSignal(data, 128.0, pretrial_seconds=3.0), out / "trial0.csv")
+PY
+if command -v taskset > /dev/null; then
+    first_cpu=$(python3 -c "import os; print(min(os.sched_getaffinity(0)))")
+    taskset -c "$first_cpu" python3 -m aucmax extract --signals "$WORK/long" \
+        --labels "$WORK/labels.csv" --set 4 --out "$WORK/ext_one_cpu"
+    python3 -m aucmax extract --signals "$WORK/long" --labels "$WORK/labels.csv" --set 4 \
+        --out "$WORK/ext_all_cpus"
+    cmp "$WORK/ext_one_cpu/features.csv" "$WORK/ext_all_cpus/features.csv"
+    cmp "$WORK/ext_one_cpu/features.csv.table" "$WORK/ext_all_cpus/features.csv.table"
+    echo "byte-identical table and sidecar on CPU $first_cpu alone and on all $(nproc)"
+else
+    echo "taskset not found: one-CPU check skipped"
+fi
+
 echo; echo "== compare: tuned logistic vs tuned SVM vs the AUC maximizer =="
 python3 -m aucmax compare --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/cmp"

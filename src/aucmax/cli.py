@@ -387,8 +387,11 @@ def _cmd_extract(eff) -> int:
         trial_id = path.stem
         if trial_id not in labels:
             raise ValueError(f"missing label for trial {trial_id!r} in {eff['labels']}")
-        fm = build_feature_sets(trial, channels=channels, spec=spec, set_id=eff["set"],
-                                filter_order=eff["order"], corr_lags=eff["corr_lags"])
+        try:
+            fm = build_feature_sets(trial, channels=channels, spec=spec, set_id=eff["set"],
+                                    filter_order=eff["order"], corr_lags=eff["corr_lags"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if first is None:
             first = fm
         elif fm.layout != first.layout:        # the layout fixes the column names

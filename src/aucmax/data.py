@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rowblocks import write_rows
 from .objective import LabeledDataset
 from .rules import FRACTION, NONNEGATIVE, POSITIVE_INTEGER, require
 
@@ -183,6 +184,8 @@ def write_feature_csv(path, features, labels, feature_names):
     """Label-first CSV: header ``label,<names...>``, labels as +1/-1, values
     at 17 significant digits (enough to read every float64 back exactly).
 
+    The rows are formatted on every CPU this process may use, streamed
+    (see :mod:`aucmax._rowblocks`); the bytes do not depend on how many.
     Then writes the sidecar :func:`table_path`: the SHA-256 of the CSV's
     bytes, followed by two ``np.save`` streams, the labels (int) and the
     values (float64), exactly as :func:`read_feature_csv` returns them.
@@ -205,18 +208,15 @@ def write_feature_csv(path, features, labels, feature_names):
     encoding = locale.getpreferredencoding(False)          # the encoding of Path.write_text
     row_format = ",".join(["%.17g"] * len(names))
 
-    def lines():
-        yield "label," + ",".join(names)
-        for label, row in zip(y, x):
+    def encode(start, stop):
+        for label, row in zip(y[start:stop], x[start:stop]):
             # one row at a time: a whole-matrix tolist() holds every value as a Python float
-            yield ("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist())
+            line = ("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist())
+            yield (line + "\n").encode(encoding)
 
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for line in lines():                    # streamed: the whole text is never held
-            chunk = (line + "\n").encode(encoding)
-            digest.update(chunk)
-            fh.write(chunk)
+    write_rows(path, ("label," + ",".join(names) + "\n").encode(encoding), y.size, x.size,
+               encode, digest)
     if np.isnan(x).any():                       # the text keeps no NaN sign or payload
         x = np.where(np.isnan(x), np.nan, x)
     with open(table_path(path), "wb") as fh:

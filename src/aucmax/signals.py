@@ -14,6 +14,7 @@ row-major f64 samples.
 
 from __future__ import annotations
 
+import locale
 import math
 import struct
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
+from ._rowblocks import row_chunks, write_rows
 from .rules import (FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, NONNEGATIVE_INTEGER, POSITIVE,
                     POSITIVE_INTEGER, require)
 
@@ -417,13 +419,26 @@ _BIN_HEADER = struct.Struct("<IIdd")
 
 
 def write_signal_csv(trial: TrialSignal, path):
-    lines = [
-        f"fs={trial.sampling_rate:.17g},pretrial={trial.pretrial_seconds:.17g},"
-        f"channels={trial.n_channels}"
-    ]
-    for row in trial.samples:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The signal CSV of ``trial``: its header line, then one row of samples
+    per channel at 17 significant digits, formatted on every CPU this
+    process may use (see :mod:`aucmax._rowblocks`)."""
+    encoding = locale.getpreferredencoding(False)          # the encoding of Path.write_text
+    head = (f"fs={trial.sampling_rate:.17g},pretrial={trial.pretrial_seconds:.17g},"
+            f"channels={trial.n_channels}\n")
+    row_format = ",".join(["%.17g"] * trial.n_samples)
+
+    def encode(start, stop):
+        for row in trial.samples[start:stop]:
+            yield (row_format % tuple(row.tolist()) + "\n").encode(encoding)
+
+    write_rows(path, head.encode(encoding), trial.n_channels, trial.samples.size, encode)
+
+
+def _floats(text: str) -> np.ndarray:
+    """The comma-separated numbers of one line, by numpy's text reader: the
+    feature CSV's rule, which refuses ``1_0`` and non-ASCII digits where
+    ``float()`` takes them.  ValueError on any other text."""
+    return np.loadtxt([text], delimiter=",", comments=None, dtype=float, ndmin=1)
 
 
 def _header_field(fields, index, key, path, offset):
@@ -433,7 +448,7 @@ def _header_field(fields, index, key, path, offset):
         )
     text = fields[index][len(key) + 1:]
     try:
-        value = float(text)
+        value = float(_floats(text)[0]) if text else math.nan
     except ValueError:
         value = math.nan                        # refused below with nan and inf
     if not math.isfinite(value):
@@ -450,6 +465,10 @@ def _trial(path, samples: np.ndarray, fs: float, pretrial: float) -> TrialSignal
 
 
 def read_signal_csv(path) -> TrialSignal:
+    """The trial of a signal CSV.  Samples and header values are numbers by
+    :func:`_floats`; blank lines are skipped.  The rows are parsed on every
+    CPU this process may use (see :mod:`aucmax._rowblocks`), and the first
+    non-numeric line is refused before a row count or row lengths are."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
@@ -464,14 +483,19 @@ def read_signal_csv(path) -> TrialSignal:
     if not POSITIVE_INTEGER.test(channels):
         raise ValueError(f"{path}: corrupt signal header at byte {offsets[2]}: channel count must be {POSITIVE_INTEGER.what}")
     channels = int(channels)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            rows.append(np.array(line.split(","), dtype=float))
-        except ValueError:
-            raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample") from None
+    data = [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
+
+    def parse(start, stop):
+        for i, line in data[start:stop]:
+            try:
+                row = _floats(line)
+            except ValueError:
+                raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample") from None
+            yield row.tobytes()
+
+    n_values = sum(line.count(",") + 1 for _, line in data)
+    with row_chunks(len(data), n_values, parse) as chunks:
+        rows = [np.frombuffer(chunk) for chunk in chunks]
     if len(rows) != channels:
         raise ValueError(
             f"{path}: malformed signal file: header declares {channels} channels, found {len(rows)} rows"

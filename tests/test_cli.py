@@ -1400,6 +1400,28 @@ def test_extract_refusal_names_the_trial_file(tmp_path, capsys, name, write, mes
     assert not (tmp_path / "x").exists()
 
 
+def test_extract_feature_refusal_names_the_trial_file(tmp_path, capsys):
+    # three binary trials; the second has a flat channel, so its band-filtered
+    # windows have zero variance
+    sig_dir = tmp_path / "signals"
+    sig_dir.mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        data = rng.standard_normal((4, 8 * 128))
+        if i == 1:
+            data[2] = 0.0
+        write_signal_binary(TrialSignal(data, 128.0, pretrial_seconds=3.0),
+                            sig_dir / f"trial{i}.bin")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("trial,label\ntrial0,+1\ntrial1,-1\ntrial2,+1\n")
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", sig_dir, "--labels", labels, "--set", 2,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: {sig_dir / 'trial1.bin'}: degenerate segment "
+                                       "(zero variance) in a band-filtered window\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", [("--channels=",), {"channels": []}], ids=["flag", "config"])
 def test_extract_empty_channel_list_refused(tmp_path, capsys, source):
     sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=4, seconds=8.0)

@@ -570,6 +570,36 @@ def test_signal_csv_malformed_rows_named(tmp_path, body, message):
     assert str(excinfo.value) == message.format(path=path)
 
 
+@pytest.mark.parametrize("header, body, message", [
+    ("fs=128,pretrial=0,channels=2", "1.0,2.0\n3.0,1_0\n",
+     "malformed signal file at line 3: non-numeric sample"),
+    ("fs=128,pretrial=0,channels=2", "1.0,\u0662.0\n3.0,4.0\n",
+     "malformed signal file at line 2: non-numeric sample"),
+    ("fs=1_28,pretrial=0,channels=2", "1.0,2.0\n3.0,4.0\n",
+     "corrupt signal header at byte 0: bad fs value '1_28'"),
+    ("fs=128,pretrial=0,channels=\uff12", "1.0,2.0\n3.0,4.0\n",
+     "corrupt signal header at byte 18: bad channels value '\uff12'"),
+    ("fs=128,pretrial=,channels=2", "1.0,2.0\n3.0,4.0\n",
+     "corrupt signal header at byte 7: bad pretrial value ''"),
+], ids=["underscore-sample", "arabic-digit-sample", "underscore-fs", "fullwidth-channels",
+        "empty-pretrial"])
+def test_signal_csv_numbers_follow_the_feature_csv_rule(tmp_path, header, body, message):
+    # float() takes '1_0' and non-ASCII digits; numpy's text reader, as for feature CSVs, does not
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_csv(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_signal_csv_numbers_keep_spaces_signs_and_exponents(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("fs= 2 ,pretrial=+0.5e0,channels=1\n -1.5 ,+2,3e-1,-0\n")
+    trial = read_signal_csv(path)
+    assert (trial.sampling_rate, trial.pretrial_seconds) == (2.0, 0.5)
+    assert trial.samples.tolist() == [[-1.5, 2.0, 0.3, -0.0]]
+
+
 def test_signal_binary_truncated(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x01\x00")
