@@ -2,7 +2,7 @@
 # Full command-line tour: synthesize data, extract features from trial
 # signals, train, evaluate, compare.
 # Every command is deterministic: identical flags and seeds reproduce
-# byte-identical outputs.
+# byte-identical outputs at a fixed BLAS thread count.
 set -euo pipefail
 
 WORK=$(mktemp -d)
@@ -187,8 +187,9 @@ python3 -m aucmax extract --signals "$WORK/among" --labels "$WORK/among/labels.c
 cmp "$WORK/ext/features.csv" "$WORK/ext_among/features.csv" && echo "byte-identical table"
 
 echo; echo "== extract gives the same bytes on one CPU as on every CPU =="
-# A 32-channel 63 s trial: reading it and writing its Set4 table both cross the
-# size above which the rows are split among processes, one per CPU.
+# A 32-channel 63 s trial: reading it, building its Set4 windows and writing its
+# table each cross the size above which the work is split among processes, one
+# per CPU.
 python3 - "$WORK/long" <<'PY'
 import sys
 from pathlib import Path
@@ -208,6 +209,25 @@ if command -v taskset > /dev/null; then
     cmp "$WORK/ext_one_cpu/features.csv" "$WORK/ext_all_cpus/features.csv"
     cmp "$WORK/ext_one_cpu/features.csv.table" "$WORK/ext_all_cpus/features.csv.table"
     echo "byte-identical table and sidecar on CPU $first_cpu alone and on all $(nproc)"
+else
+    echo "taskset not found: one-CPU check skipped"
+fi
+
+echo; echo "== train gives the same bytes on one CPU as on every CPU at one BLAS thread =="
+# OpenBLAS sizes its thread pool from the CPU mask, and a threaded product may sum in
+# another order, so a model fitted on a wide table can differ in its last bits from
+# one mask to another.  At one BLAS thread the mask does not matter.
+if command -v taskset > /dev/null; then
+    python3 -m aucmax synth --n 200 --dim 300 --seed 7 --out "$WORK/masks"
+    first_cpu=$(python3 -c "import os; print(min(os.sched_getaffinity(0)))")
+    OPENBLAS_NUM_THREADS=1 taskset -c "$first_cpu" python3 -m aucmax train \
+        --features "$WORK/masks/features.csv" --solver newton --seed 3 --out "$WORK/newton_one_cpu"
+    OPENBLAS_NUM_THREADS=1 python3 -m aucmax train --features "$WORK/masks/features.csv" \
+        --solver newton --seed 3 --out "$WORK/newton_all_cpus"
+    for name in model.json report.json trace.csv; do
+        cmp "$WORK/newton_one_cpu/$name" "$WORK/newton_all_cpus/$name"
+    done
+    echo "byte-identical model, report and trace on CPU $first_cpu alone and on all $(nproc)"
 else
     echo "taskset not found: one-CPU check skipped"
 fi

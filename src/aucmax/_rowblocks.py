@@ -1,9 +1,12 @@
-"""Row blocks of a text table, formatted or parsed on every CPU.
+"""Row blocks of a table, worked on every CPU.
 
-The CSV writers format, and the signal CSV reader parses, one row at a time;
-on a large table that loop is the cost, and it has no faster single-core
-form.  :func:`row_chunks` splits the rows into contiguous blocks and hands
-them out round-robin.  The calling process works its own blocks in place,
+The CSV writers format, and the signal CSV reader parses, one row of text at
+a time; ``build_feature_sets`` evaluates a trial's band-filtered windows a
+few at a time.  On a large table or a wide feature set that loop is the
+cost, and it has no faster single-core form.  A row is a line of text or a
+trial's window, and a chunk is bytes: text, or the raw values of windows.
+:func:`row_chunks` splits the rows into contiguous blocks and hands them
+out round-robin.  The calling process works its own blocks in place,
 streaming.  Each other process is a child made with ``os.fork()``: it works
 one block at a time into memory, then sends it down a pipe as length-framed
 chunks.  The caller sees every chunk in row order, so the output never
@@ -28,7 +31,8 @@ __all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "process_count", "row_chunks"
 # A fork and its reaping cost about 4 ms at 150 MB RSS; below this many values
 # a block is done sooner in place.
 MIN_BLOCK_VALUES = 50_000
-# About 8 MB of text at 17 significant digits: the most one process holds.
+# About 8 MB of text at 17 significant digits, or 2.8 MB of raw float64
+# values: the most one process holds.
 MAX_BLOCK_VALUES = 350_000
 
 _FRAME = struct.Struct("<cQ")                   # kind, payload length
@@ -67,7 +71,9 @@ class _Child:
         try:
             with warnings.catch_warnings():
                 # Python 3.12 warns on forking with threads alive (e.g. BLAS workers).
-                # The child only formats or parses its rows, then leaves by os._exit.
+                # The child only works its rows, then leaves by os._exit.  OpenBLAS
+                # shuts its pool down across a fork (pthread_atfork), so the one BLAS
+                # product a child may run, a window block's phase-locking Gram, is safe.
                 warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
                 self.pid = os.fork()
         except OSError:

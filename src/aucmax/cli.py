@@ -410,16 +410,22 @@ def _cmd_extract(eff) -> int:
 
 def _load_split(eff):
     """Load the feature CSV, split it stratified and fit the standardizer on
-    the training part.  A logistic threshold (a probability) outside (0, 1) is
-    refused before the table is read."""
+    the training part.  Returns the standardized halves, the standardizer and
+    the manifest's ``dataset`` counts; the raw table is freed once split.  A
+    logistic threshold (a probability) outside (0, 1) is refused before the
+    table is read."""
     if eff["solver"] == "logistic" and eff["threshold"] is not None:
         rules.require("logistic threshold", eff["threshold"], rules.FRACTION)
     eff["standardize"] = True
     spec = SplitSpec(train_fraction=eff["train_fraction"], seed=eff["seed"])
 
     dataset, _ = load_labeled_csv(eff["features"])
-    train_std, test_std, standardizer = fit_apply_standardizer(*split(dataset, spec))
-    return dataset, train_std, test_std, standardizer
+    counts = {"n_samples": dataset.n_samples, "n_features": dataset.n_features,
+              "positive_fraction": positive_fraction(dataset)}
+    halves = split(dataset, spec)
+    del dataset                                 # the halves are copies: free the table now
+    train_std, test_std, standardizer = fit_apply_standardizer(*halves)
+    return train_std, test_std, standardizer, counts
 
 
 def _report(model_dict: dict, features: np.ndarray, labels: np.ndarray):
@@ -498,7 +504,7 @@ def _fit_model(kind: str, train_std, test_std, eff, standardizer, C=None, thresh
 
 
 def _cmd_train(eff) -> int:
-    dataset, train_std, test_std, standardizer = _load_split(eff)
+    train_std, test_std, standardizer, counts = _load_split(eff)
     auc_eval = _trace_auc_eval(train_std, test_std) if eff["trace_auc"] else None
     model_dict, results, trace = _fit_model(eff["solver"], train_std, test_std, eff,
                                             standardizer, eff["C"], eff["threshold"], auc_eval)
@@ -513,11 +519,7 @@ def _cmd_train(eff) -> int:
         write_trace_csv(trace, out / "trace.csv")
     _write_json(out / "model.json", model_dict)
     _write_json(out / "report.json", report)
-    return _finish(out, "train", eff, outputs, results=results, dataset={
-        "n_samples": dataset.n_samples,
-        "n_features": dataset.n_features,
-        "positive_fraction": positive_fraction(dataset),
-    })
+    return _finish(out, "train", eff, outputs, results=results, dataset=counts)
 
 
 def _cmd_eval(eff) -> int:
@@ -554,7 +556,7 @@ def _tune_baseline(kind: str, fit_part, val_part, eff):
 
 
 def _cmd_compare(eff) -> int:
-    _, train_std, test_std, standardizer = _load_split(eff)
+    train_std, test_std, standardizer, _ = _load_split(eff)
     try:
         fit_part, val_part = split(train_std, SplitSpec(train_fraction=0.9, seed=eff["seed"] + 1))
     except ValueError as exc:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -331,6 +332,29 @@ def test_train_manifest_protocol_defaults(tmp_path):
     assert config["max_iterations"] == 50_000
     assert config["train_fraction"] == 0.8
     assert config["standardize"] is True
+
+
+def test_load_split_frees_the_raw_table(tmp_path, monkeypatch):
+    path = synth_csv(tmp_path, n=200, dim=4)
+    raw = []
+
+    def load(table):
+        dataset, names = load_labeled_csv(table)
+        raw.append((weakref.ref(dataset), weakref.ref(dataset.features)))
+        return dataset, names
+
+    monkeypatch.setattr(cli, "load_labeled_csv", load)
+    eff = {"features": str(path), "solver": "newton", "threshold": None,
+           "train_fraction": 0.8, "seed": 1}
+    train_std, test_std, _, counts = cli._load_split(eff)
+    assert [ref() for ref in raw[0]] == [None, None]
+    labels = load_labeled_csv(path)[0].labels
+    assert counts == {"n_samples": 200, "n_features": 4,
+                      "positive_fraction": np.count_nonzero(labels == 1) / 200}
+    assert train_std.n_samples + test_std.n_samples == 200
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "newton", "--seed", 1, "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["dataset"] == counts
 
 
 def test_train_baseline_solver(tmp_path):

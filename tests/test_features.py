@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import COUNTS, assert_no_child_left
 
+from aucmax import features
+from aucmax.cli import main
 from aucmax.features import (
     DEFAULT_CHANNELS_1BASED,
     WINDOW_BLOCK,
@@ -28,6 +31,7 @@ from aucmax.signals import (
     pairwise_plv,
     plv,
     segment,
+    write_signal_binary,
 )
 
 FS = 128.0
@@ -380,3 +384,102 @@ def test_set4_trial_memory_bounded_by_the_window_block():
         tracemalloc.stop()
     assert fm.values.shape == (117, 1680)
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# --- windows on every CPU: forked window blocks bit-equal to one process
+
+
+@pytest.mark.parametrize("count, window, stride", [(117, 2.0, 0.5), (477, 0.5, 0.125)])
+def test_forked_windows_bit_equal_to_whole_trial(force, count, window, stride):
+    # 30,000 values a block: at Set4, several blocks per process, each of more
+    # than WINDOW_BLOCK windows; at Set1, one block per process
+    spec = WindowSpec(window, stride)
+    trial = trial_with_windows(count, spec, seed=count)
+    channels, lags = list(range(14)), (0, int(0.25 * spec.window_samples(FS)))
+    want = reference_set4_values(trial, channels, spec, lags)
+    for processes in COUNTS:
+        force(processes, 30_000)
+        for level in (1, 2, 3, 4):
+            got = build_feature_sets(trial, channels=channels, spec=spec, set_id=level,
+                                     corr_lags=lags).values
+            assert np.array_equal(got, want[:, : got.shape[1]]), (processes, level)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", (1, 2))
+@pytest.mark.parametrize("n_channels, lags", [(1, (0, 64)), (14, ())])
+def test_forked_windows_with_zero_width_pair_blocks(force, processes, n_channels, lags):
+    # one channel has no pairs, no lags no correlations: plv or corr rows are
+    # zero-width, and the window count of each block still comes through
+    force(processes, 30_000)
+    spec = WindowSpec()
+    trial = trial_with_windows(117, spec, seed=5, n_channels=n_channels)
+    channels = list(range(n_channels))
+    fm = build_feature_sets(trial, channels=channels, spec=spec, set_id="Set4", corr_lags=lags)
+    assert np.array_equal(fm.values, reference_set4_values(trial, channels, spec, lags))
+    assert_no_child_left()
+
+
+def forty_window_trial(seed):
+    """Three channels, exactly 40 default windows, no pre-trial part."""
+    return trial_with_windows(40, WindowSpec(), seed=seed, n_channels=3, pretrial=0.0)
+
+
+@pytest.fixture
+def flat_last_band_window(monkeypatch):
+    """Band filtering that leaves channel 0 flat over the last of 40 default
+    windows: a window of the last block, which a child works from two
+    processes up."""
+    real = features.butterworth_bandpass
+    spec = WindowSpec()
+    start = 39 * spec.stride_samples(FS)
+
+    def bandpass(data, fs, band, order):
+        out = real(data, fs, band, order)
+        out[0, start: start + spec.window_samples(FS)] = 1.0
+        return out
+
+    monkeypatch.setattr(features, "butterworth_bandpass", bandpass)
+
+
+@pytest.mark.parametrize("processes", COUNTS)
+def test_flat_band_window_in_a_child_block_refused(force, flat_last_band_window, processes):
+    force(processes)
+    trial = forty_window_trial(seed=11)
+    message = "^degenerate segment \\(zero variance\\) in a band-filtered window$"
+    for level in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match=message):
+            build_feature_sets(trial, set_id=level)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", COUNTS)
+def test_silent_raw_window_in_a_child_block_refused(force, processes):
+    force(processes)
+    spec = WindowSpec()
+    trial = forty_window_trial(seed=12)
+    start = 38 * spec.stride_samples(FS)
+    samples = trial.samples.copy()
+    samples[1, start: start + spec.window_samples(FS)] = 0.0
+    silent = TrialSignal(samples, FS)
+    assert build_feature_sets(silent, set_id="Set3").n_rows == 40
+    with pytest.raises(ValueError, match="^zero variance segment in correlation block$"):
+        build_feature_sets(silent, set_id="Set4")
+    assert_no_child_left()
+
+
+def test_extract_names_the_trial_of_a_child_block_refusal(tmp_path, capsys, force,
+                                                          flat_last_band_window):
+    force(2)
+    sig_dir = tmp_path / "signals"
+    sig_dir.mkdir()
+    write_signal_binary(forty_window_trial(seed=13), sig_dir / "trial0.bin")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("trial,label\ntrial0,+1\n")
+    out = tmp_path / "ext"
+    assert main(["extract", "--signals", str(sig_dir), "--labels", str(labels), "--set", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {sig_dir / 'trial0.bin'}: degenerate segment "
+                                       "(zero variance) in a band-filtered window\n")
+    assert not out.exists()
+    assert_no_child_left()

@@ -7,27 +7,11 @@ import os
 
 import numpy as np
 import pytest
+from conftest import COUNTS, assert_no_child_left
 
 from aucmax import _rowblocks
 from aucmax.data import read_feature_csv, table_path, write_feature_csv
 from aucmax.signals import TrialSignal, read_signal_csv, write_signal_csv
-
-COUNTS = (1, 2, 3)
-
-
-@pytest.fixture
-def force(monkeypatch):
-    """force(processes, max_block_values=None): the process count every table gets."""
-    def set_count(processes, max_block_values=None):
-        monkeypatch.setattr(_rowblocks, "process_count", lambda n_values: processes)
-        if max_block_values is not None:
-            monkeypatch.setattr(_rowblocks, "MAX_BLOCK_VALUES", max_block_values)
-    return set_count
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def extreme_table(n_rows):
