@@ -264,6 +264,19 @@ python3 -m aucmax train --features "$WORK/data/features.csv" --solver newton \
     --seed 3 --out "$WORK/run_newton"
 cmp "$WORK/cmp/model_auc.json" "$WORK/run_newton/model.json" && echo "byte-identical model"
 
+echo; echo "== scoring the trace does not touch the fit: train with and without --no-trace-auc =="
+for solver in "alt-gda --max-iter 300" "qn-broyden --max-iter 8"; do
+    name=${solver%% *}
+    python3 -m aucmax train --features "$WORK/data/features.csv" --solver $solver \
+        --seed 3 --out "$WORK/scored_$name"
+    python3 -m aucmax train --features "$WORK/data/features.csv" --solver $solver \
+        --seed 3 --no-trace-auc --out "$WORK/unscored_$name"
+    for file in model.json report.json; do
+        cmp "$WORK/scored_$name/$file" "$WORK/unscored_$name/$file"
+    done
+    echo "$name: byte-identical model and report"
+done
+
 echo; echo "== determinism: rerun train with identical flags =="
 cp "$WORK/run/model.json" "$WORK/model_first.json"
 python3 -m aucmax train --features "$WORK/data/features.csv" --solver alt-gda \

@@ -245,18 +245,38 @@ def _load_npy(fh, dtype) -> np.ndarray:
     return np.lib.format.read_array(fh, allow_pickle=False)
 
 
-def _read_table(path, raw: bytes):
+HASH_PIECE = 1 << 20             # bytes per read while hashing the CSV against its sidecar
+
+
+def _hash_csv(path) -> tuple[bytes, bytes]:
+    """The SHA-256 of the file ``path`` and its first line with the line break
+    (the whole file if it has none), read in pieces of ``HASH_PIECE`` bytes."""
+    digest = hashlib.sha256()
+    head = bytearray()
+    piece = bytearray(HASH_PIECE)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(piece):
+            digest.update(memoryview(piece)[:size])
+            if not head.endswith(b"\n"):
+                end = piece.find(b"\n", 0, size)
+                head += memoryview(piece)[:size if end < 0 else end + 1]
+    return digest.digest(), bytes(head)
+
+
+def _read_table(path):
     """``(features, labels, names)`` from the sidecar of ``path`` if it is bound
-    to the CSV bytes ``raw`` and its arrays fit the CSV header; otherwise (no
-    sidecar, another digest, truncated, garbage) ``None``."""
+    to the CSV's bytes and its arrays fit the CSV header; otherwise (no
+    sidecar, another digest, truncated, garbage) ``None``.  The CSV is hashed
+    only when the sidecar opens."""
     try:
         with open(table_path(path), "rb") as fh:
-            if fh.read(32) != hashlib.sha256(raw).digest():
+            digest, head = _hash_csv(path)
+            if fh.read(32) != digest or not head.endswith(b"\n"):
                 return None
             labels = _load_npy(fh, int)
             features = _load_npy(fh, float)
         # bound to these bytes, so the CSV is the writer's: its first line is the header
-        header = raw[:raw.index(b"\n")].decode(locale.getpreferredencoding(False)).split(",")
+        header = head[:-1].decode(locale.getpreferredencoding(False)).split(",")
     except (OSError, ValueError):
         return None
     if labels.ndim != 1 or features.shape != (labels.size, len(header) - 1):
@@ -305,12 +325,14 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     in place of parsing the text only when the SHA-256 it starts with is that
     of the CSV's bytes and its arrays have the header's width and one label
     per row; otherwise the text is parsed, silently. Readers never write a
-    sidecar.
+    sidecar. The digest is taken over the file in pieces, so a table read
+    from its sidecar never holds the CSV text; the text is read whole only
+    to be parsed.
     """
-    raw = Path(path).read_bytes()
-    table = _read_table(path, raw)
+    table = _read_table(path)
     if table is not None:
         return table
+    raw = Path(path).read_bytes()               # no sidecar is bound to these bytes
     lines = raw.decode(locale.getpreferredencoding(False)).splitlines()   # as Path.read_text
     if not lines:
         raise ValueError(f"{path}: empty feature file")

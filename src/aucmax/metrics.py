@@ -1,7 +1,8 @@
 """Imbalance-aware evaluation: confusion counts, threshold metrics, and
 rank-statistic ROC-AUC with half credit for tied scores.  One in-package
-average-rank kernel scores a matrix of score columns in one sort; ``roc_auc``
-is its one-column call."""
+rank-sum kernel scores a matrix of score columns at the cost of one column
+sort, resolving tied scores to mean ranks only in the columns that hold
+them; ``roc_auc`` is its one-column call."""
 
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def _check_labels(values, name):
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty vector")
-    if not np.isin(arr, (-1, 1)).all():
+    if not ((arr == 1) | (arr == -1)).all():
         raise ValueError(f"{name} must contain only +1 and -1")
     return arr.astype(int)
 
@@ -84,30 +85,46 @@ def roc_auc(scores, labels) -> float:
     return float(roc_auc_columns(s[:, None], l)[0])
 
 
+def _mean_rank_sums(ranked: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Per column of the sorted scores ``ranked``, the sum of the mean ranks
+    of the rows where ``positive`` (in the same sorted order) holds: a tie
+    group occupying sorted positions ``start .. end - 1`` gets rank
+    ``(start + end + 1) / 2``."""
+    n = ranked.shape[0]
+    new_value = np.ones(ranked.shape, dtype=bool)     # a tie group starts here
+    np.not_equal(ranked[1:], ranked[:-1], out=new_value[1:])
+    position = np.arange(n)[:, None]
+    start = np.maximum.accumulate(np.where(new_value, position, 0), axis=0)
+    last = np.ones(ranked.shape, dtype=bool)          # a tie group ends here
+    last[:-1] = new_value[1:]
+    end = np.minimum.accumulate(np.where(last, position + 1, n)[::-1], axis=0)[::-1]
+    return ((start + end + 1) / 2.0 * positive).sum(axis=0)
+
+
 def _positive_rank_sums(s: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """Per column of ``s``, the sum of the average ranks (1-based, ties
     sharing the mean of their ranks) of the rows where ``positive`` holds.
 
-    One column sort for all columns: a tie group occupying sorted positions
-    ``start .. end - 1`` gets rank ``(start + end + 1) / 2``."""
-    n = s.shape[0]
+    One column sort for all columns.  Every column's sum is first taken over
+    positional ranks ``1 .. n``, one product with the sorted labels; only
+    the columns whose sorted values hold an adjacent equal pair are summed
+    again over mean ranks.  Every rank is a multiple of 1/2 and every sum is
+    far below 2**53, so each sum is exact in any order."""
     order = np.argsort(s, axis=0)
     ranked = np.take_along_axis(s, order, axis=0)
-    new_value = np.ones(s.shape, dtype=bool)          # a tie group starts here
-    np.not_equal(ranked[1:], ranked[:-1], out=new_value[1:])
-    position = np.arange(n)[:, None]
-    start = np.maximum.accumulate(np.where(new_value, position, 0), axis=0)
-    last = np.ones(s.shape, dtype=bool)               # a tie group ends here
-    last[:-1] = new_value[1:]
-    end = np.minimum.accumulate(np.where(last, position + 1, n)[::-1], axis=0)[::-1]
-    return ((start + end + 1) / 2.0 * positive[order]).sum(axis=0)
+    in_order = positive[order]
+    sums = np.arange(1.0, s.shape[0] + 1) @ in_order
+    tied = np.flatnonzero((ranked[1:] == ranked[:-1]).any(axis=0))
+    if tied.size:
+        sums[tied] = _mean_rank_sums(ranked[:, tied], in_order[:, tied])
+    return sums
 
 
 def roc_auc_columns(scores, labels) -> np.ndarray:
     """``roc_auc`` of each column of the N x k matrix ``scores``, from one
-    average-rank pass over all columns; each entry is bit-equal to
-    ``roc_auc`` of its column, because average ranks are multiples of 1/2
-    far below 2**53 and every rank sum is exact."""
+    sort of all columns (mean ranks only where a column holds a tie); each
+    entry is bit-equal to ``roc_auc`` of its column, because average ranks
+    are multiples of 1/2 far below 2**53 and every rank sum is exact."""
     s = np.asarray(scores, dtype=float)
     l = _check_labels(labels, "labels")
     if s.ndim != 2 or s.shape[0] != l.size:

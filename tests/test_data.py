@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shutil
 import tempfile
@@ -430,6 +431,28 @@ def test_feature_table_not_used_after_the_csv_changed(tmp_path):
     other, want = written_table(tmp_path, seed=2, n=9, name="other.csv")
     shutil.copyfile(other, path)
     assert_tables_equal(read_by_text(path), want)
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_feature_table_hashes_the_csv_in_pieces(tmp_path, monkeypatch, piece):
+    path, want = written_table(tmp_path)        # its header spans several pieces
+
+    def whole_read(self):
+        raise AssertionError(f"read whole: {self}")
+
+    monkeypatch.setattr(data, "HASH_PIECE", piece)
+    monkeypatch.setattr(Path, "read_bytes", whole_read)
+    assert_tables_equal(read_by_table(path), want)
+
+
+def test_feature_table_not_used_for_a_csv_without_a_line_break(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"label,a")
+    with open(table_path(path), "wb") as fh:    # bound to the bytes, arrays of the right shape
+        fh.write(hashlib.sha256(b"label,a").digest())
+        np.save(fh, np.empty(0, dtype=int), allow_pickle=False)
+        np.save(fh, np.empty((0, 1)), allow_pickle=False)
+    assert_tables_equal(read_by_text(path), (np.empty((0, 1)), np.empty(0, dtype=int), ["a"]))
 
 
 @pytest.mark.parametrize("damage", [

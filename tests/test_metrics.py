@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from aucmax.metrics import (
     REPORT_CSV_HEADER,
     ConfusionCounts,
+    _check_labels,
+    _positive_rank_sums,
     classification_report,
     confusion_counts,
     report_csv_row,
@@ -123,6 +127,91 @@ def test_auc_columns_bit_equal_to_rankdata_reference():
             assert np.array_equal(aucs, rankdata_auc_columns(block, labels))
             for j in range(block.shape[1]):
                 assert aucs[j] == roc_auc(block[:, j], labels)
+
+
+TIE_KINDS = ("untied", "tied-first", "tied-last", "tied-positives", "tied-negatives",
+             "tied-throughout")
+
+
+@st.composite
+def tied_blocks(draw):
+    """Labels with both classes and a score block whose columns are each
+    untied, or tied only at the lowest or highest sorted positions, only among
+    positives, only among negatives, or throughout."""
+    n = draw(st.integers(2, 40))
+    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    labels[:2] = draw(st.permutations([1, -1]))           # both classes
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(TIE_KINDS), min_size=1, max_size=8)):
+        column = np.array(draw(st.permutations(range(n))), dtype=float)
+        column *= draw(st.sampled_from([1.0, -0.5, 1e-300, 3e300 / n]))
+        if kind in ("tied-first", "tied-last"):
+            size = draw(st.integers(2, n))
+            ascending = np.argsort(column)
+            rows = ascending[:size] if kind == "tied-first" else ascending[-size:]
+            column[rows] = column[rows[0]]
+        elif kind in ("tied-positives", "tied-negatives"):
+            rows = np.flatnonzero(labels == (1 if kind == "tied-positives" else -1))
+            if rows.size >= 2:
+                tied = draw(st.lists(st.sampled_from(rows.tolist()), min_size=2, unique=True))
+                column[tied] = column[tied[0]]
+        elif kind == "tied-throughout":
+            column[:] = draw(st.sampled_from([0.0, -0.0, 2.5]))
+        columns.append(column)
+    return np.column_stack(columns), labels
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tied_blocks())
+def test_auc_columns_equal_brute_force_on_mixed_tie_patterns(block):
+    scores, labels = block
+    aucs = roc_auc_columns(scores, labels)
+    for j in range(scores.shape[1]):
+        assert aucs[j] == brute_force_auc(scores[:, j], labels)
+
+
+@pytest.mark.parametrize("column, labels, auc", [
+    ([0.0, 1.0], [-1, 1], 1.0),
+    ([1.0, 0.0], [-1, 1], 0.0),
+    ([3.0, 3.0], [-1, 1], 0.5),
+    ([-0.0, 0.0], [1, -1], 0.5),                           # equal scores: one tie group
+], ids=["ordered", "reversed", "tied", "signed-zeros"])
+def test_auc_columns_two_rows(column, labels, auc):
+    block = np.column_stack([column, np.arange(2.0), np.zeros(2)])
+    aucs = roc_auc_columns(block, labels)
+    assert aucs[0] == auc == brute_force_auc(column, labels)
+    assert aucs[1] == brute_force_auc(np.arange(2.0), labels) and aucs[2] == 0.5
+
+
+def test_one_row_rank_sums_and_refusal():
+    assert np.array_equal(_positive_rank_sums(np.array([[4.0, -1.0, 0.0]]), np.array([True])),
+                          [1.0, 1.0, 1.0])
+    assert np.array_equal(_positive_rank_sums(np.array([[4.0, -1.0]]), np.array([False])),
+                          [0.0, 0.0])
+    with pytest.raises(ValueError, match="single-class"):
+        roc_auc_columns(np.zeros((1, 3)), [1])
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([True, False]),
+    np.array(["1", "-1"]),
+    np.array([1, None], dtype=object),
+    np.array(["+1", -1], dtype=object),
+    [1.0, np.nan],
+    [1, 0],
+    [1, 2],
+    [1.0, -1.0, 0.5],
+], ids=["bool", "string", "object-none", "object-string", "nan", "zero", "two", "fraction"])
+def test_check_labels_refuses_anything_but_plus_minus_one(labels):
+    with pytest.raises(ValueError, match="^labels must contain only \\+1 and -1$"):
+        _check_labels(labels, "labels")
+
+
+@pytest.mark.parametrize("labels", [[1.0, -1.0], [1, -1], np.array([1, -1], dtype=np.int8)],
+                         ids=["float", "int", "int8"])
+def test_check_labels_accepts_plus_minus_one(labels):
+    checked = _check_labels(labels, "labels")
+    assert checked.dtype == int and checked.tolist() == [1, -1]
 
 
 def test_auc_columns_errors():
