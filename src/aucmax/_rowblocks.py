@@ -12,11 +12,19 @@ one block at a time into memory, then sends it down a pipe as length-framed
 chunks.  The caller sees every chunk in row order, so the output never
 depends on the number of processes.  Plain pipes keep the parent's heap
 flat: a child's chunks are copied out one at a time, never pickled.
+
+It also holds, once, the text rules that every CSV format shares: the
+number rule :func:`text_floats` (written by :func:`write_rows` at 17
+significant digits), the label tags ``LABEL_TAGS`` that :func:`label_of`
+reads, and the encoding :func:`text_encoding`.  Each format's header, field
+counts and messages stay in :mod:`aucmax.data`, :mod:`aucmax.signals` or
+:mod:`aucmax.features`.
 """
 
 from __future__ import annotations
 
 import itertools
+import locale
 import math
 import os
 import signal
@@ -26,7 +34,10 @@ import traceback
 import warnings
 from contextlib import contextmanager
 
-__all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "process_count", "row_chunks", "write_rows"]
+import numpy as np
+
+__all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "process_count",
+           "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
 
 # A fork and its reaping cost about 4 ms at 150 MB RSS; below this many values
 # a block is done sooner in place.
@@ -34,6 +45,9 @@ MIN_BLOCK_VALUES = 50_000
 # About 8 MB of text at 17 significant digits, or 2.8 MB of raw float64
 # values: the most one process holds.
 MAX_BLOCK_VALUES = 350_000
+
+LABEL_TAGS = ("+1", "-1", "1")  # written for +1 and -1; readers also take 1 for +1
+LABEL_RULE = "+1 or -1"         # how a refusal names the labels
 
 _FRAME = struct.Struct("<cQ")                   # kind, payload length
 _CHUNK, _ERROR, _END = b"c", b"e", b"."
@@ -183,11 +197,42 @@ def row_chunks(n_rows: int, n_values: int, work):
                 child.wait()
 
 
-def write_rows(path, head: bytes, n_rows: int, n_values: int, encode, digest=None) -> None:
-    """Write ``head``, then the chunks of :func:`row_chunks` over ``encode``,
-    to ``path``, feeding every byte to ``digest`` too when one is given."""
-    with row_chunks(n_rows, n_values, encode) as chunks, open(path, "wb") as fh:
-        for chunk in itertools.chain([head], chunks):
+def write_rows(path, head: str, values: np.ndarray, labels=None, digest=None) -> None:
+    """Write the line ``head`` to ``path``, then each row of ``values`` at 17
+    significant digits, after its label tag when ``labels`` are given, through
+    :func:`row_chunks`; every byte also goes to ``digest`` when one is given."""
+    encoding = text_encoding()
+    row_format = ",".join(["%.17g"] * values.shape[1])
+
+    def encode(start, stop):
+        for k in range(start, stop):
+            # one row at a time: a whole-matrix tolist() holds every value as a Python float
+            line = row_format % tuple(values[k].tolist())
+            if labels is not None:
+                line = (LABEL_TAGS[0] if labels[k] == 1 else LABEL_TAGS[1]) + "," + line
+            yield (line + "\n").encode(encoding)
+
+    with row_chunks(values.shape[0], values.size, encode) as chunks, open(path, "wb") as fh:
+        for chunk in itertools.chain([(head + "\n").encode(encoding)], chunks):
             if digest is not None:
                 digest.update(chunk)
             fh.write(chunk)
+
+
+def text_floats(lines, usecols=None) -> np.ndarray:
+    """The comma-separated numbers of ``lines``, one row per line, by numpy's text reader:
+    ValueError on an empty field, ``1_0``, non-ASCII digits or a ``#`` (no comments).
+    Fields past the last of ``usecols`` are ignored; blank lines are skipped."""
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, usecols=usecols)
+
+
+def label_of(tag: str) -> int:
+    """The label of a tag of ``LABEL_TAGS``; ValueError naming any other tag."""
+    if tag not in LABEL_TAGS:
+        raise ValueError(f"label must be {LABEL_RULE}, found {tag!r}")
+    return -1 if tag == LABEL_TAGS[1] else 1
+
+
+def text_encoding() -> str:
+    """The encoding of every CSV file read or written: that of ``Path.read_text``."""
+    return locale.getpreferredencoding(False)

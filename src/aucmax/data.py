@@ -1,11 +1,14 @@
 """Dataset splitting, train-fitted standardization, synthetic imbalanced
 Gaussian data, and the shared label-first feature CSV format with its binary
-table sidecar."""
+table sidecar.
+
+The feature CSV's header, field count, order of checks and messages are
+this module's; its number rule, label tags and encoding, shared with the
+other CSV formats, are :mod:`aucmax._rowblocks`'s."""
 
 from __future__ import annotations
 
 import hashlib
-import locale
 import math
 import os
 import warnings
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import write_rows
+from ._rowblocks import LABEL_RULE, label_of, text_encoding, text_floats, write_rows
 from .objective import LabeledDataset
 from .rules import FRACTION, NONNEGATIVE, POSITIVE_INTEGER, require
 
@@ -204,19 +207,9 @@ def write_feature_csv(path, features, labels, feature_names):
         if "," in name or "".join(name.splitlines()) != name:
             raise ValueError(f"feature name {name!r} contains a comma or line break")
     if not np.isin(y, (1, -1)).all():
-        raise ValueError("labels must be +1 or -1")
-    encoding = locale.getpreferredencoding(False)          # the encoding of Path.write_text
-    row_format = ",".join(["%.17g"] * len(names))
-
-    def encode(start, stop):
-        for label, row in zip(y[start:stop], x[start:stop]):
-            # one row at a time: a whole-matrix tolist() holds every value as a Python float
-            line = ("+1," if label == 1 else "-1,") + row_format % tuple(row.tolist())
-            yield (line + "\n").encode(encoding)
-
+        raise ValueError(f"labels must be {LABEL_RULE}")
     digest = hashlib.sha256()
-    write_rows(path, ("label," + ",".join(names) + "\n").encode(encoding), y.size, x.size,
-               encode, digest)
+    write_rows(path, "label," + ",".join(names), x, y, digest)
     if np.isnan(x).any():                       # the text keeps no NaN sign or payload
         x = np.where(np.isnan(x), np.nan, x)
     with open(table_path(path), "wb") as fh:
@@ -276,7 +269,7 @@ def _read_table(path):
             labels = _load_npy(fh, int)
             features = _load_npy(fh, float)
         # bound to these bytes, so the CSV is the writer's: its first line is the header
-        header = head[:-1].decode(locale.getpreferredencoding(False)).split(",")
+        header = head[:-1].decode(text_encoding()).split(",")
     except (OSError, ValueError):
         return None
     if labels.ndim != 1 or features.shape != (labels.size, len(header) - 1):
@@ -284,31 +277,18 @@ def _read_table(path):
     return features, labels, header[1:]
 
 
-def _loadtxt(lines, n_fields: int) -> np.ndarray:
-    """numpy's C parser over the value columns of label-first data lines.
-    ``comments=None``: a ``#`` is part of a value, not a comment."""
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float,
-                      usecols=range(1, n_fields))
-
-
-def _parse_values(path, data, numbers, n_fields: int) -> np.ndarray:
-    """Parse the data lines (file line ``numbers``) in one numpy call; on
-    failure raise naming the first line and value the parser rejects."""
+def _refused_field(line: str, n_fields: int) -> str | None:
+    """The first value field of the data line ``line``, of ``n_fields`` fields,
+    that the number rule refuses, or None; parsed whole, then field by field."""
     try:
-        return _loadtxt(data, n_fields)
-    except ValueError as exc:
-        for i, line in zip(numbers, data):
+        text_floats([line], range(1, n_fields))
+    except ValueError:
+        for k, field in enumerate(line.split(",")[1:], start=1):
             try:
-                _loadtxt([line], n_fields)
+                text_floats([line], [k])
             except ValueError:
-                for field in line.split(",")[1:]:
-                    try:
-                        _loadtxt(["+1," + field], 2)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {i}: could not convert string to float: {field!r}"
-                        ) from exc
-        raise ValueError(f"{path}: {exc}") from exc
+                return field
+    return None
 
 
 def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -333,32 +313,35 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     if table is not None:
         return table
     raw = Path(path).read_bytes()               # no sidecar is bound to these bytes
-    lines = raw.decode(locale.getpreferredencoding(False)).splitlines()   # as Path.read_text
+    lines = raw.decode(text_encoding()).splitlines()       # as Path.read_text
     if not lines:
         raise ValueError(f"{path}: empty feature file")
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
         raise ValueError(f"{path}: line 1: header must start with 'label' and name one feature")
     names = header[1:]
-    labels, data, numbers = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    if not any(body):
+        return np.empty((0, len(names))), np.empty(0, dtype=int), names
+    try:                                        # numpy skips the blank lines too
+        values, failure = text_floats(body, range(1, len(header))), None
+    except ValueError as exc:
+        values, failure = None, exc
+    labels = []
+    for i, line in enumerate(body, start=2):
         if not line:
             continue
-        error = None
-        if line.count(",") != len(names):
-            error = f"expected {len(header)} fields, found {line.count(',') + 1}"
-        elif (tag := line[:line.index(",")]) not in ("+1", "-1", "1"):
-            error = f"label must be +1 or -1, found {tag!r}"
-        if error:
-            if data:
-                _parse_values(path, data, numbers, len(header))   # a bad value above comes first
-            raise ValueError(f"{path}: line {i}: {error}")
-        labels.append(-1 if tag == "-1" else 1)
-        data.append(line)
-        numbers.append(i)
-    if not data:
-        return np.empty((0, len(names))), np.empty(0, dtype=int), names
-    return _parse_values(path, data, numbers, len(header)), np.asarray(labels, dtype=int), names
+        try:
+            if line.count(",") != len(names):
+                raise ValueError(f"expected {len(header)} fields, found {line.count(',') + 1}")
+            labels.append(label_of(line[:line.index(",")]))
+            if failure is not None and (field := _refused_field(line, len(header))) is not None:
+                raise ValueError(f"could not convert string to float: {field!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
+    if failure is not None:                     # no line alone is refused
+        raise ValueError(f"{path}: {failure}") from failure
+    return values, np.asarray(labels, dtype=int), names
 
 
 def load_labeled_csv(path) -> tuple[LabeledDataset, list[str]]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import row_chunks
+from ._rowblocks import label_of, row_chunks
 from .rules import NONNEGATIVE_INTEGER, require
 from .signals import (
     DEFAULT_BANDS,
@@ -304,12 +304,13 @@ def read_trial_labels(path) -> dict[str, int]:
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"{path}: line {i}: expected 'trial,label', found {line!r}")
-        trial_id, tag = fields
-        if tag not in ("+1", "-1", "1"):
-            raise ValueError(f"{path}: line {i}: label must be +1 or -1, found {tag!r}")
-        if trial_id in labels:
-            raise ValueError(f"{path}: line {i}: duplicate trial id {trial_id!r}")
-        labels[trial_id] = 1 if tag in ("+1", "1") else -1
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected 'trial,label', found {line!r}")
+            trial_id, label = fields[0], label_of(fields[1])
+            if trial_id in labels:
+                raise ValueError(f"duplicate trial id {trial_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
+        labels[trial_id] = label
     return labels

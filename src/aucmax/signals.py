@@ -14,7 +14,6 @@ row-major f64 samples.
 
 from __future__ import annotations
 
-import locale
 import math
 import struct
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from ._rowblocks import row_chunks, write_rows
+from ._rowblocks import row_chunks, text_floats, write_rows
 from .rules import (FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, NONNEGATIVE_INTEGER, POSITIVE,
                     POSITIVE_INTEGER, require)
 
@@ -422,37 +421,30 @@ def write_signal_csv(trial: TrialSignal, path):
     """The signal CSV of ``trial``: its header line, then one row of samples
     per channel at 17 significant digits, formatted on every CPU this
     process may use (see :mod:`aucmax._rowblocks`)."""
-    encoding = locale.getpreferredencoding(False)          # the encoding of Path.write_text
-    head = (f"fs={trial.sampling_rate:.17g},pretrial={trial.pretrial_seconds:.17g},"
-            f"channels={trial.n_channels}\n")
-    row_format = ",".join(["%.17g"] * trial.n_samples)
-
-    def encode(start, stop):
-        for row in trial.samples[start:stop]:
-            yield (row_format % tuple(row.tolist()) + "\n").encode(encoding)
-
-    write_rows(path, head.encode(encoding), trial.n_channels, trial.samples.size, encode)
+    write_rows(path, f"fs={trial.sampling_rate:.17g},pretrial={trial.pretrial_seconds:.17g},"
+                     f"channels={trial.n_channels}", trial.samples)
 
 
-def _floats(text: str) -> np.ndarray:
-    """The comma-separated numbers of one line, by numpy's text reader: the
-    feature CSV's rule, which refuses ``1_0`` and non-ASCII digits where
-    ``float()`` takes them.  ValueError on any other text."""
-    return np.loadtxt([text], delimiter=",", comments=None, dtype=float, ndmin=1)
-
-
-def _header_field(fields, index, key, path, offset):
+def _header_field(line: str, index: int, key: str, path) -> float:
+    """Field ``index`` of the header ``line``, ``<key>=<value>``, as a finite number
+    (``channels``: a positive integer); a refusal names the field's byte offset,
+    or the line's end if the field is missing."""
+    fields = line.split(",")
+    offset = min(sum(len(f) + 1 for f in fields[:index]), len(line))
     if index >= len(fields) or not fields[index].startswith(key + "="):
         raise ValueError(
             f"{path}: corrupt signal header at byte {offset}: expected '{key}=<value>'"
         )
     text = fields[index][len(key) + 1:]
     try:
-        value = float(_floats(text)[0]) if text else math.nan
+        value = float(text_floats([text])[0, 0]) if text else math.nan
     except ValueError:
         value = math.nan                        # refused below with nan and inf
     if not math.isfinite(value):
         raise ValueError(f"{path}: corrupt signal header at byte {offset}: bad {key} value {text!r}")
+    if key == "channels" and not POSITIVE_INTEGER.test(value):
+        raise ValueError(f"{path}: corrupt signal header at byte {offset}: "
+                         f"channel count must be {POSITIVE_INTEGER.what}")
     return value
 
 
@@ -466,29 +458,23 @@ def _trial(path, samples: np.ndarray, fs: float, pretrial: float) -> TrialSignal
 
 def read_signal_csv(path) -> TrialSignal:
     """The trial of a signal CSV.  Samples and header values are numbers by
-    :func:`_floats`; blank lines are skipped.  The rows are parsed on every
-    CPU this process may use (see :mod:`aucmax._rowblocks`), and the first
-    non-numeric line is refused before a row count or row lengths are."""
+    :func:`aucmax._rowblocks.text_floats`, the rule of every CSV format; blank
+    lines are skipped.  The rows are parsed on every CPU this process may
+    use (see :mod:`aucmax._rowblocks`), and the first non-numeric line is
+    refused before a row count or row lengths are."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: corrupt signal header at byte 0: empty file")
-    fields = lines[0].split(",")
-    offsets = [0]
-    for f in fields[:-1]:
-        offsets.append(offsets[-1] + len(f) + 1)
-    fs = _header_field(fields, 0, "fs", path, offsets[0])
-    pretrial = _header_field(fields, 1, "pretrial", path, offsets[1] if len(offsets) > 1 else len(fields[0]))
-    channels = _header_field(fields, 2, "channels", path, offsets[2] if len(offsets) > 2 else len(lines[0]))
-    if not POSITIVE_INTEGER.test(channels):
-        raise ValueError(f"{path}: corrupt signal header at byte {offsets[2]}: channel count must be {POSITIVE_INTEGER.what}")
+    fs, pretrial, channels = (_header_field(lines[0], index, key, path)
+                              for index, key in enumerate(("fs", "pretrial", "channels")))
     channels = int(channels)
     data = [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
 
     def parse(start, stop):
         for i, line in data[start:stop]:
             try:
-                row = _floats(line)
+                row = text_floats([line])
             except ValueError:
                 raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample") from None
             yield row.tobytes()

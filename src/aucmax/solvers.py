@@ -68,6 +68,7 @@ DENSE_TRACE_ROWS = 10_000     # first-order methods: record every iteration up t
 THIN_TRACE_EVERY = 10         # ... then only every 10th (bounded trace memory)
 TRACE_AUC_BLOCK = 16          # recorded iterates per auc_eval call; bounds the score block's memory
 CONDITION_LIMIT = 1e14        # condition estimate of a saddle factor treated as singular
+SPECTRAL_NORM_ITERATIONS = 300  # cap on ARPACK's restarts in spectral_norm_estimate
 SR1_DENOMINATOR_FLOOR = 1e-12 # relative curvature floor for the SR1 denominator
 REBASE_RANK = 32              # qn-broyden: Woodbury pieces held before Q is refactored
 
@@ -174,19 +175,19 @@ def _iterate(problem, config, z, step, auc_eval, dense, notes) -> SolveResult:
                        trace=trace, notes=notes)
 
 
-def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0, iterations: int = 300) -> float:
+def spectral_norm_estimate(matrix: np.ndarray, seed: int = 0) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     Lanczos (ARPACK ``eigsh``) from a start vector drawn from ``seed``, so a
-    repeated call returns the same bits; ``iterations`` caps ARPACK's
-    restarts.  A zero matrix gives 0.0.
+    repeated call returns the same bits; ``SPECTRAL_NORM_ITERATIONS`` caps
+    ARPACK's restarts.  A zero matrix gives 0.0.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape[0] < 2 or not m.any():           # ARPACK needs k = 1 < n and a nonzero Krylov space
         return float(np.abs(m).max(initial=0.0))
     v0 = np.random.default_rng(seed).standard_normal(m.shape[0])
-    eigenvalue = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, maxiter=iterations,
-                                           return_eigenvectors=False)
+    eigenvalue = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False,
+                                           maxiter=SPECTRAL_NORM_ITERATIONS)
     return float(abs(eigenvalue[0]))
 
 

@@ -274,10 +274,22 @@ def test_feature_csv_hash_is_not_a_comment(tmp_path):
         read_feature_csv(path)
 
 
-def test_feature_csv_first_error_in_line_order(tmp_path):
-    path = _csv(tmp_path, "label,f0\n+1,1\n-1,oops\n+1,1,2\n")
-    with pytest.raises(ValueError, match="line 3: could not convert"):
+@pytest.mark.parametrize("text, line, error", [
+    ("label,f0\n+1,1\n-1,oops\n+1,1,2\n", 3, "could not convert string to float: 'oops'"),
+    ("label,f0,f1\n+1,1,2\n-1,oops,3\n+1,1\n", 3, "could not convert string to float: 'oops'"),
+    ("label,f0,f1\n+1,1,2\n-1,3\n+1,x,2\n", 3, "expected 3 fields, found 2"),
+    ("label,f0\n+1,1\n+2,1\n-1,oops\n", 3, "label must be +1 or -1, found '+2'"),
+    # numpy's one call over every line ignores the extra field; the field count does not
+    ("label,f0\n+1,1\n-1,2,zz\n+1,oops\n", 3, "expected 2 fields, found 3"),
+    ("label,f0,f1\n" + "+1,1,2\n-1,3,4\n" * 2499 + "+1,5,bad\n", 5000,
+     "could not convert string to float: 'bad'"),
+], ids=["value-above-long-line", "value-above-short-line", "short-line-above-value",
+        "tag-above-value", "extra-field-above-value", "value-on-last-of-5000-lines"])
+def test_feature_csv_first_error_in_line_order(tmp_path, text, line, error):
+    path = _csv(tmp_path, text)
+    with pytest.raises(ValueError) as excinfo:
         read_feature_csv(path)
+    assert str(excinfo.value) == f"{path}: line {line}: {error}"
 
 
 def test_feature_csv_single_row_is_2d_and_label_1_accepted(tmp_path):

@@ -11,6 +11,15 @@ run only on draws with kappa(H) <= 1e3.
 Wide draws (fewer rows than columns, with an exact difference column) also
 check alt-gda, whose dual gradient ``AucProblem`` updates through the dual
 columns of ``H``, against a loop that takes two full products per step.
+
+The paper's objective is checked directly too.  With ``q = p(1-p)``, class
+means ``m+``, ``m-``, ``D = m+ - m-``, class covariances ``S+``, ``S-``
+(divided by the class counts) and ``k = (lam/2) / (q + lam/2)``, the optimal
+``u``, ``v`` and ``y`` of a given ``w`` are ``q m+@w / (q + lam/2)``,
+``q m-@w / (q + lam/2)`` and ``-D@w``.  There the objective is ``q`` times the
+mean over positive-negative pairs of ``(1 - w@(a_i - a_j))^2``, minus ``q``,
+plus ``q k ((m+@w)^2 + (m-@w)^2) + lam/2 ||w||^2``, and its minimizer solves
+``(S+ + S- + D D' + k (m+ m+' + m- m-') + lam/(2q) I) w = D``.
 """
 
 import numpy as np
@@ -24,6 +33,7 @@ from aucmax.solvers import (FIRST_ORDER_METHODS, SECOND_ORDER_METHODS, SolverCon
 
 FIRST_ORDER_KAPPA = 1e3
 SLACK = 1e-6            # relative floating-point slack on the saddle-distance bound
+CLOSED_FORM_SLACK = 10  # Newton's relative distance to the closed form, in units of cond(M) * eps
 
 
 def labeled(rng, n, d, p, collinear, difference):
@@ -61,6 +71,66 @@ def wide_splits(draw):
     collinear = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return (labeled(rng, n, d, p, collinear, True), labeled(rng, n, d, p, collinear, True), lam)
+
+
+@st.composite
+def wide_problems(draw):
+    """A problem with fewer rows than columns, one column the exact
+    difference of two others, and lambda from 1e-6 to 1e-1."""
+    d = draw(st.integers(6, 40))
+    n = draw(st.integers(4, d - 1))
+    p = draw(st.floats(0.1, 0.9))
+    lam = 10.0 ** draw(st.floats(-6.0, -1.0))
+    collinear = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return AucProblem(labeled(rng, n, d, p, collinear, True), lam=lam)
+
+
+def class_moments(problem):
+    """``q``, ``k``, the class means and the class covariances of ``problem``."""
+    a, labels = problem.dataset.features, problem.dataset.labels
+    p, lam = problem.params.p, problem.params.lam
+    q = p * (1.0 - p)
+    pos, neg = a[labels == 1], a[labels == -1]
+    m_pos, m_neg = pos.mean(axis=0), neg.mean(axis=0)
+    s_pos = (pos - m_pos).T @ (pos - m_pos) / len(pos)
+    s_neg = (neg - m_neg).T @ (neg - m_neg) / len(neg)
+    return q, (lam / 2) / (q + lam / 2), m_pos, m_neg, s_pos, s_neg
+
+
+def optimal_centers(problem, w):
+    """``z = [w; u; v; y]`` with the ``u``, ``v`` and ``y`` optimal for ``w``."""
+    q, _, m_pos, m_neg, _, _ = class_moments(problem)
+    shrink = q / (q + problem.params.lam / 2)
+    return np.concatenate([w, [shrink * (m_pos @ w), shrink * (m_neg @ w), -(m_pos - m_neg) @ w]])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(wide_problems())
+def test_newton_lands_on_the_closed_form_saddle(problem):
+    q, k, m_pos, m_neg, s_pos, s_neg = class_moments(problem)
+    delta = m_pos - m_neg
+    m = (s_pos + s_neg + np.outer(delta, delta)
+         + k * (np.outer(m_pos, m_pos) + np.outer(m_neg, m_neg))
+         + problem.params.lam / (2 * q) * np.eye(delta.size))
+    closed = optimal_centers(problem, np.linalg.solve(m, delta))
+    result = solve(problem, SolverConfig(method="newton"))
+    assert result.converged
+    bound = CLOSED_FORM_SLACK * np.linalg.cond(m) * np.finfo(float).eps
+    assert np.linalg.norm(result.final_z - closed) <= bound * np.linalg.norm(closed)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(wide_problems(), st.integers(0, 2**32 - 1))
+def test_value_is_the_pairwise_square_loss_at_the_optimal_centers(problem, seed):
+    q, k, m_pos, m_neg, _, _ = class_moments(problem)
+    a, labels = problem.dataset.features, problem.dataset.labels
+    w = np.random.default_rng(seed).standard_normal(problem.dim_x - 2)
+    margins = 1.0 - ((a[labels == 1] @ w)[:, None] - (a[labels == -1] @ w)[None, :])
+    terms = [q * np.mean(margins**2), -q, q * k * ((m_pos @ w) ** 2 + (m_neg @ w) ** 2),
+             problem.params.lam / 2 * (w @ w)]
+    value = problem.value(optimal_centers(problem, w))
+    assert abs(value - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
