@@ -209,6 +209,12 @@ if command -v taskset > /dev/null; then
     cmp "$WORK/ext_one_cpu/features.csv" "$WORK/ext_all_cpus/features.csv"
     cmp "$WORK/ext_one_cpu/features.csv.table" "$WORK/ext_all_cpus/features.csv.table"
     echo "byte-identical table and sidecar on CPU $first_cpu alone and on all $(nproc)"
+    # A reader hashes a large CSV on one thread per CPU; the digest does not depend
+    # on the mask: the table written on one CPU binds when read on all, and the reverse.
+    bound="import sys, aucmax.data; assert aucmax.data._read_table(sys.argv[1]) is not None"
+    python3 -c "$bound" "$WORK/ext_one_cpu/features.csv"
+    taskset -c "$first_cpu" python3 -c "$bound" "$WORK/ext_all_cpus/features.csv"
+    echo "each sidecar binds its CSV on CPU $first_cpu alone and on all $(nproc)"
 else
     echo "taskset not found: one-CPU check skipped"
 fi

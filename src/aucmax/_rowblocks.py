@@ -36,8 +36,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "process_count",
-           "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
+__all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "usable_cpus",
+           "process_count", "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
 
 # A fork and its reaping cost about 4 ms at 150 MB RSS; below this many values
 # a block is done sooner in place.
@@ -53,17 +53,21 @@ _FRAME = struct.Struct("<cQ")                   # kind, payload length
 _CHUNK, _ERROR, _END = b"c", b"e", b"."
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def process_count(n_values: int) -> int:
-    """How many processes share a table of ``n_values``: at most the CPUs
-    this process may run on, one where ``os.fork`` is missing, and no more
-    than gives each at least ``MIN_BLOCK_VALUES``."""
+    """How many processes share a table of ``n_values``: at most
+    :func:`usable_cpus`, one where ``os.fork`` is missing, and no more than
+    gives each at least ``MIN_BLOCK_VALUES``."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                      # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_values // MIN_BLOCK_VALUES))
+    return max(1, min(usable_cpus(), n_values // MIN_BLOCK_VALUES))
 
 
 def _bounds(n_rows: int, n_values: int, processes: int) -> list[tuple[int, int]]:

@@ -12,12 +12,14 @@ import hashlib
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import LABEL_RULE, label_of, text_encoding, text_floats, write_rows
+from ._rowblocks import (LABEL_RULE, label_of, text_encoding, text_floats, usable_cpus,
+                         write_rows)
 from .objective import LabeledDataset
 from .rules import FRACTION, NONNEGATIVE, POSITIVE_INTEGER, require
 
@@ -189,9 +191,10 @@ def write_feature_csv(path, features, labels, feature_names):
 
     The rows are formatted on every CPU this process may use, streamed
     (see :mod:`aucmax._rowblocks`); the bytes do not depend on how many.
-    Then writes the sidecar :func:`table_path`: the SHA-256 of the CSV's
-    bytes, followed by two ``np.save`` streams, the labels (int) and the
-    values (float64), exactly as :func:`read_feature_csv` returns them.
+    Then writes the sidecar :func:`table_path`: the 32-byte piece-tree
+    SHA-256 of the CSV's bytes (:class:`_PieceDigest`, fed the chunks as they
+    are written), followed by two ``np.save`` streams, the labels (int) and
+    the values (float64), exactly as :func:`read_feature_csv` returns them.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -208,7 +211,7 @@ def write_feature_csv(path, features, labels, feature_names):
             raise ValueError(f"feature name {name!r} contains a comma or line break")
     if not np.isin(y, (1, -1)).all():
         raise ValueError(f"labels must be {LABEL_RULE}")
-    digest = hashlib.sha256()
+    digest = _PieceDigest()
     write_rows(path, "label," + ",".join(names), x, y, digest)
     if np.isnan(x).any():                       # the text keeps no NaN sign or payload
         x = np.where(np.isnan(x), np.nan, x)
@@ -239,21 +242,111 @@ def _load_npy(fh, dtype) -> np.ndarray:
 
 
 HASH_PIECE = 1 << 20             # bytes per read while hashing the CSV against its sidecar
+DIGEST_PIECE = 1 << 20           # bytes per leaf of the sidecar's digest (a format constant)
+# The fewest digest pieces a hashing thread gets: 4 MiB, about 3 ms of SHA-256,
+# so that a thread's start, open and join stay small beside its work.
+THREAD_PIECES = 4
+_DIGEST_TAG = b"aucmax feature table: sha256 tree of 1 MiB pieces\n"
+
+
+class _PieceDigest:
+    """The sidecar's digest of a byte stream fed by :meth:`update`: the
+    SHA-256 of ``_DIGEST_TAG``, the stream's length as 8 little-endian bytes,
+    then the SHA-256 of each ``DIGEST_PIECE`` bytes in order (the last piece
+    may be shorter; an empty stream has none).  Its pieces hash apart, so a
+    file's ranges of whole pieces can be hashed on several threads."""
+
+    def __init__(self):
+        self._size = 0
+        self._leaves = []
+        self._piece = hashlib.sha256()
+        self._room = DIGEST_PIECE
+
+    def update(self, data) -> None:
+        view = memoryview(data)
+        self._size += len(view)
+        while len(view) >= self._room:
+            self._piece.update(view[:self._room])
+            view = view[self._room:]
+            self._leaves.append(self._piece.digest())
+            self._piece, self._room = hashlib.sha256(), DIGEST_PIECE
+        self._piece.update(view)
+        self._room -= len(view)
+
+    def pieces(self) -> list[bytes]:
+        """The leaf digests so far, the unfinished piece's included."""
+        return self._leaves + ([self._piece.digest()] if self._room < DIGEST_PIECE else [])
+
+    def digest(self) -> bytes:
+        return _tree_root(self._size, self.pieces())
+
+
+def _tree_root(size: int, leaves) -> bytes:
+    return hashlib.sha256(b"".join([_DIGEST_TAG, size.to_bytes(8, "little"), *leaves])).digest()
+
+
+def _hash_range(fh, start: int, stop: int, buffer: bytearray, head=None) -> list[bytes]:
+    """The leaf digests of bytes ``[start, stop)`` of the open file ``fh``, a
+    range of whole pieces, read into ``buffer``.  With ``head``, its first line
+    with the line break (the whole file if it has none) is appended there, read
+    on past ``stop`` when the line is longer.  ValueError if the file ends
+    before ``stop``: it shrank since its size was taken."""
+    digest = _PieceDigest()
+    fh.seek(start)
+    while start < stop:
+        size = fh.readinto(memoryview(buffer)[:stop - start])
+        if not size:
+            raise ValueError("the CSV shrank while it was hashed")
+        digest.update(memoryview(buffer)[:size])
+        start += size
+        if head is not None:
+            _extend_head(head, buffer, size)
+    while head is not None and not head.endswith(b"\n") and (size := fh.readinto(buffer)):
+        _extend_head(head, buffer, size)
+    return digest.pieces()
+
+
+def _extend_head(head: bytearray, buffer: bytearray, size: int) -> None:
+    """Append the first ``size`` bytes of ``buffer`` to ``head`` up to its first
+    line break, unless ``head`` already ends with one."""
+    if not head.endswith(b"\n"):
+        end = buffer.find(b"\n", 0, size)
+        head += memoryview(buffer)[:size if end < 0 else end + 1]
+
+
+def _hash_path_range(path, start: int, stop: int, buffer: bytearray) -> list[bytes]:
+    with open(path, "rb") as fh:
+        return _hash_range(fh, start, stop, buffer)
 
 
 def _hash_csv(path) -> tuple[bytes, bytes]:
-    """The SHA-256 of the file ``path`` and its first line with the line break
-    (the whole file if it has none), read in pieces of ``HASH_PIECE`` bytes."""
-    digest = hashlib.sha256()
-    head = bytearray()
-    piece = bytearray(HASH_PIECE)
+    """The sidecar digest (:class:`_PieceDigest`) of the file ``path`` and its
+    first line with the line break (the whole file if it has none), read in
+    pieces of ``HASH_PIECE`` bytes.
+
+    The pieces are split into contiguous ranges, one per CPU this process may
+    use but none shorter than ``THREAD_PIECES`` whole pieces.  The calling thread hashes
+    the first range and keeps the header line; each other range is hashed on
+    a thread of its own, which opens the file itself.  Threads, not forked
+    processes: ``readinto`` and SHA-256 release the interpreter lock on large
+    buffers, and a thread starts far faster than a fork.  Every read buffer is
+    allocated here, in the calling thread, which keeps the other threads from
+    growing the heap.  Every thread is joined before this returns or raises.
+    """
     with open(path, "rb") as fh:
-        while size := fh.readinto(piece):
-            digest.update(memoryview(piece)[:size])
-            if not head.endswith(b"\n"):
-                end = piece.find(b"\n", 0, size)
-                head += memoryview(piece)[:size if end < 0 else end + 1]
-    return digest.digest(), bytes(head)
+        size = os.fstat(fh.fileno()).st_size
+        n_pieces = -(-size // DIGEST_PIECE)
+        threads = max(1, min(usable_cpus(), size // (THREAD_PIECES * DIGEST_PIECE)))
+        cuts = [min(n_pieces * k // threads * DIGEST_PIECE, size) for k in range(threads + 1)]
+        buffers = [bytearray(HASH_PIECE) for _ in range(threads)]
+        head = bytearray()
+        with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+            rest = [pool.submit(_hash_path_range, path, cuts[k], cuts[k + 1], buffers[k])
+                    for k in range(1, threads)]
+            leaves = _hash_range(fh, 0, cuts[1], buffers[0], head)
+            for future in rest:
+                leaves += future.result()
+    return _tree_root(size, leaves), bytes(head)
 
 
 def _read_table(path):
@@ -302,12 +395,14 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     train.
 
     The CSV is the source of truth. Its sidecar (:func:`table_path`) is read
-    in place of parsing the text only when the SHA-256 it starts with is that
-    of the CSV's bytes and its arrays have the header's width and one label
-    per row; otherwise the text is parsed, silently. Readers never write a
-    sidecar. The digest is taken over the file in pieces, so a table read
-    from its sidecar never holds the CSV text; the text is read whole only
-    to be parsed.
+    in place of parsing the text only when the digest it starts with is the
+    piece-tree SHA-256 of the CSV's bytes (:class:`_PieceDigest`) and its
+    arrays have the header's width and one label per row; otherwise the text
+    is parsed, silently (so is a sidecar that holds the plain SHA-256 of
+    older releases). Readers never write a sidecar. The digest is taken over
+    the file in pieces, on every CPU of a large file (:func:`_hash_csv`), so a
+    table read from its sidecar never holds the CSV text; the text is read
+    whole only to be parsed.
     """
     table = _read_table(path)
     if table is not None:

@@ -2,6 +2,7 @@ import hashlib
 import re
 import shutil
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -460,11 +461,119 @@ def test_feature_table_hashes_the_csv_in_pieces(tmp_path, monkeypatch, piece):
 def test_feature_table_not_used_for_a_csv_without_a_line_break(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"label,a")
+    digest = data._PieceDigest()
+    digest.update(b"label,a")
+    assert data._hash_csv(path) == (digest.digest(), b"label,a")
     with open(table_path(path), "wb") as fh:    # bound to the bytes, arrays of the right shape
-        fh.write(hashlib.sha256(b"label,a").digest())
+        fh.write(digest.digest())
         np.save(fh, np.empty(0, dtype=int), allow_pickle=False)
         np.save(fh, np.empty((0, 1)), allow_pickle=False)
     assert_tables_equal(read_by_text(path), (np.empty((0, 1)), np.empty(0, dtype=int), ["a"]))
+
+
+def test_feature_table_with_a_plain_sha256_is_not_used(tmp_path):
+    path, want = written_table(tmp_path)        # the sidecar layout of older releases
+    sidecar = table_path(path)
+    sidecar.write_bytes(hashlib.sha256(path.read_bytes()).digest() + sidecar.read_bytes()[32:])
+    assert_tables_equal(read_by_text(path), want)
+
+
+def reference_digest(raw, piece):
+    """The sidecar digest by its definition, hashed one piece after another."""
+    leaves = [hashlib.sha256(raw[i:i + piece]).digest() for i in range(0, len(raw), piece)]
+    return hashlib.sha256(data._DIGEST_TAG + len(raw).to_bytes(8, "little")
+                          + b"".join(leaves)).digest()
+
+
+@pytest.fixture
+def hash_threads(monkeypatch):
+    """hash_threads(cpus, read=None): 64-byte digest pieces, as few as one per
+    hashing thread, ``cpus`` CPUs, and reads of ``read`` bytes (None: the
+    default), so that a small file is hashed on up to ``cpus`` threads."""
+    monkeypatch.setattr(data, "DIGEST_PIECE", 64)
+    monkeypatch.setattr(data, "THREAD_PIECES", 1)
+
+    def set_threads(cpus, read=None):
+        monkeypatch.setattr(data, "usable_cpus", lambda: cpus)
+        if read is not None:
+            monkeypatch.setattr(data, "HASH_PIECE", read)
+    return set_threads
+
+
+HASH_CPUS = (1, 2, 3)
+HASH_READS = (1, 7, 64, None)
+
+
+@pytest.mark.parametrize("size", [0, 63, 64, 65, 191, 192, 193])
+def test_table_digest_does_not_depend_on_threads_or_reads(tmp_path, hash_threads, size):
+    # a header line longer than a piece, so the first thread reads on past its range
+    text = b"label," + b"ab" * 40 + b"\n" + bytes(range(256))
+    raw = text[:size]
+    head = raw[:raw.index(b"\n") + 1] if b"\n" in raw else raw
+    want = reference_digest(raw, 64)
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    threads = threading.active_count()
+    for cpus in HASH_CPUS:
+        for read in HASH_READS:
+            hash_threads(cpus, read)
+            assert data._hash_csv(path) == (want, head), (cpus, read)
+            assert threading.active_count() == threads
+    for chunk in (1, 7, 64, 100):               # the writer's digest, fed as it writes
+        digest = data._PieceDigest()
+        for i in range(0, size, chunk):
+            digest.update(raw[i:i + chunk])
+        assert digest.digest() == want, chunk
+
+
+@pytest.mark.parametrize("read", HASH_READS)
+@pytest.mark.parametrize("cpus", HASH_CPUS)
+def test_feature_table_bound_read_does_not_depend_on_threads_or_reads(tmp_path, hash_threads,
+                                                                     cpus, read):
+    hash_threads(cpus, read)
+    path, want = written_table(tmp_path)
+    assert table_path(path).read_bytes()[:32] == reference_digest(path.read_bytes(), 64)
+    threads = threading.active_count()
+    assert_tables_equal(read_by_table(path), want)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("cpus", HASH_CPUS)
+def test_feature_table_edit_in_any_piece_falls_back_to_text(tmp_path, hash_threads, cpus, where):
+    hash_threads(cpus)
+    path, (features, labels, _) = written_table(tmp_path, n=24)   # its last piece holds a value
+    raw = bytearray(path.read_bytes())
+    n_pieces = -(-len(raw) // 64)
+    start = 64 * {"first": 0, "middle": n_pieces // 2, "last": n_pieces - 1}[where]
+    # the first leading digit of a value in the piece: editing it changes the value
+    i = next(i for i in range(start, min(start + 64, len(raw)))
+             if raw[i:i + 1].isdigit() and raw[:i].rstrip(b"-").endswith(b","))
+    raw[i] = ord("0") + (raw[i] - ord("0") + 1) % 10
+    path.write_bytes(raw)
+    threads = threading.active_count()
+    got = read_by_text(path)
+    assert threading.active_count() == threads
+    assert (got[0] != features).sum() == 1 and np.array_equal(got[1], labels)
+
+
+def test_feature_table_read_of_a_csv_gone_before_a_thread_opens_it(tmp_path, hash_threads,
+                                                                   monkeypatch):
+    path, _ = written_table(tmp_path)
+
+    def cpus():         # asked after the CSV's size is taken, before any thread opens it
+        path.unlink()
+        return 3
+
+    hash_threads(3)
+    monkeypatch.setattr(data, "usable_cpus", cpus)
+    threads = threading.active_count()
+    with pytest.raises(FileNotFoundError):
+        data._hash_csv(path)
+    assert threading.active_count() == threads
+    with pytest.raises(FileNotFoundError):
+        read_feature_csv(path)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("damage", [

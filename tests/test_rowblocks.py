@@ -130,6 +130,16 @@ def test_process_count_floor_and_platform(monkeypatch):
     assert _rowblocks.process_count(10**7) == 1
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert _rowblocks.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _rowblocks.usable_cpus() == 5
+    assert _rowblocks.process_count(10**7) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _rowblocks.usable_cpus() == 1
+
+
 @pytest.mark.parametrize("n_rows, n_values, processes, count", [
     (5, 10, 1, 1), (0, 0, 1, 0), (5, 10**6, 2, 4), (3, 10**6, 2, 3), (9, 10, 3, 3),
 ])
