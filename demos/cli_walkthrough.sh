@@ -13,6 +13,9 @@ echo; echo "== synth: a 2:1-imbalanced Gaussian feature table =="
 python3 -m aucmax synth --n 2000 --dim 12 --pos-frac 0.333 --sep 1.5 --seed 7 \
     --out "$WORK/data"
 head -c 300 "$WORK/data/features.csv"; echo; echo "..."
+# the sidecar: 32-byte digest, 16 bytes of counts, n int8 labels, n*d float64 values
+test "$(wc -c < "$WORK/data/features.csv.table")" -eq $((48 + 2000 + 8 * 2000 * 12))
+echo "sidecar: $((48 + 2000 + 8 * 2000 * 12)) bytes, as its layout asks"
 
 echo; echo "== extract: Set2 features from two generated trials (one CSV, one binary) =="
 python3 - "$WORK/trials" <<'PY'

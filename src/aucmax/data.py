@@ -9,9 +9,8 @@ other CSV formats, are :mod:`aucmax._rowblocks`'s."""
 from __future__ import annotations
 
 import hashlib
-import math
 import os
-import warnings
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,8 +192,9 @@ def write_feature_csv(path, features, labels, feature_names):
     (see :mod:`aucmax._rowblocks`); the bytes do not depend on how many.
     Then writes the sidecar :func:`table_path`: the 32-byte piece-tree
     SHA-256 of the CSV's bytes (:class:`_PieceDigest`, fed the chunks as they
-    are written), followed by two ``np.save`` streams, the labels (int) and
-    the values (float64), exactly as :func:`read_feature_csv` returns them.
+    are written), the row and column counts as ``struct`` ``"<QQ"``, the
+    labels as int8 ±1, then the values as C-order ``"<f8"``: the arrays
+    :func:`read_feature_csv` returns, written from memory without a copy.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels)
@@ -216,45 +216,26 @@ def write_feature_csv(path, features, labels, feature_names):
     if np.isnan(x).any():                       # the text keeps no NaN sign or payload
         x = np.where(np.isnan(x), np.nan, x)
     with open(table_path(path), "wb") as fh:
-        fh.write(digest.digest())
-        np.save(fh, np.where(y == 1, 1, -1), allow_pickle=False)
-        np.save(fh, np.ascontiguousarray(x), allow_pickle=False)
+        fh.write(digest.digest() + _COUNTS.pack(*x.shape))
+        fh.write(memoryview(np.where(y == 1, np.int8(1), np.int8(-1))))
+        fh.write(memoryview(np.ascontiguousarray(x, dtype="<f8")))
 
 
-def _load_npy(fh, dtype) -> np.ndarray:
-    """The next ``np.save`` stream of ``fh``. Raises ValueError unless it holds
-    a C-order array of ``dtype`` whose data fits in the rest of the file,
-    checked from its header before any data is read."""
-    start = fh.tell()
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("unsupported array format")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")      # numpy warns on some corrupt headers
-            shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
-    except Exception as exc:                    # and raises Value/Type/Syntax/TokenError on others
-        raise ValueError("unreadable array header") from exc
-    if (fortran_order or found != np.dtype(dtype)
-            or math.prod(shape) * found.itemsize > os.fstat(fh.fileno()).st_size - fh.tell()):
-        raise ValueError("array does not match the sidecar")
-    fh.seek(start)
-    return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-HASH_PIECE = 1 << 20             # bytes per read while hashing the CSV against its sidecar
-DIGEST_PIECE = 1 << 20           # bytes per leaf of the sidecar's digest (a format constant)
+DIGEST_PIECE = 1 << 20           # bytes per leaf of the sidecar's digest, and per read of the CSV
 # The fewest digest pieces a hashing thread gets: 4 MiB, about 3 ms of SHA-256,
 # so that a thread's start, open and join stay small beside its work.
 THREAD_PIECES = 4
 _DIGEST_TAG = b"aucmax feature table: sha256 tree of 1 MiB pieces\n"
+_COUNTS = struct.Struct("<QQ")   # the sidecar's row and column counts, after the digest
+_TABLE_START = 32 + _COUNTS.size
 
 
 class _PieceDigest:
     """The sidecar's digest of a byte stream fed by :meth:`update`: the
     SHA-256 of ``_DIGEST_TAG``, the stream's length as 8 little-endian bytes,
     then the SHA-256 of each ``DIGEST_PIECE`` bytes in order (the last piece
-    may be shorter; an empty stream has none).  Its pieces hash apart, so a
-    file's ranges of whole pieces can be hashed on several threads."""
+    may be shorter; an empty stream has none).  The writer feeds it as it
+    writes; a reader hashes the pieces apart (:func:`_hash_csv`)."""
 
     def __init__(self):
         self._size = 0
@@ -273,45 +254,27 @@ class _PieceDigest:
         self._piece.update(view)
         self._room -= len(view)
 
-    def pieces(self) -> list[bytes]:
-        """The leaf digests so far, the unfinished piece's included."""
-        return self._leaves + ([self._piece.digest()] if self._room < DIGEST_PIECE else [])
-
     def digest(self) -> bytes:
-        return _tree_root(self._size, self.pieces())
+        tail = [self._piece.digest()] if self._room < DIGEST_PIECE else []
+        return _tree_root(self._size, self._leaves + tail)
 
 
 def _tree_root(size: int, leaves) -> bytes:
     return hashlib.sha256(b"".join([_DIGEST_TAG, size.to_bytes(8, "little"), *leaves])).digest()
 
 
-def _hash_range(fh, start: int, stop: int, buffer: bytearray, head=None) -> list[bytes]:
+def _hash_range(fh, start: int, stop: int, buffer: bytearray) -> list[bytes]:
     """The leaf digests of bytes ``[start, stop)`` of the open file ``fh``, a
-    range of whole pieces, read into ``buffer``.  With ``head``, its first line
-    with the line break (the whole file if it has none) is appended there, read
-    on past ``stop`` when the line is longer.  ValueError if the file ends
-    before ``stop``: it shrank since its size was taken."""
-    digest = _PieceDigest()
+    range of whole pieces, each read whole into ``buffer``.  ValueError if the
+    file ends before ``stop``: it shrank since its size was taken."""
     fh.seek(start)
-    while start < stop:
-        size = fh.readinto(memoryview(buffer)[:stop - start])
-        if not size:
+    leaves = []
+    for start in range(start, stop, DIGEST_PIECE):
+        piece = memoryview(buffer)[:min(DIGEST_PIECE, stop - start)]
+        if fh.readinto(piece) != len(piece):
             raise ValueError("the CSV shrank while it was hashed")
-        digest.update(memoryview(buffer)[:size])
-        start += size
-        if head is not None:
-            _extend_head(head, buffer, size)
-    while head is not None and not head.endswith(b"\n") and (size := fh.readinto(buffer)):
-        _extend_head(head, buffer, size)
-    return digest.pieces()
-
-
-def _extend_head(head: bytearray, buffer: bytearray, size: int) -> None:
-    """Append the first ``size`` bytes of ``buffer`` to ``head`` up to its first
-    line break, unless ``head`` already ends with one."""
-    if not head.endswith(b"\n"):
-        end = buffer.find(b"\n", 0, size)
-        head += memoryview(buffer)[:size if end < 0 else end + 1]
+        leaves.append(hashlib.sha256(piece).digest())
+    return leaves
 
 
 def _hash_path_range(path, start: int, stop: int, buffer: bytearray) -> list[bytes]:
@@ -321,13 +284,13 @@ def _hash_path_range(path, start: int, stop: int, buffer: bytearray) -> list[byt
 
 def _hash_csv(path) -> tuple[bytes, bytes]:
     """The sidecar digest (:class:`_PieceDigest`) of the file ``path`` and its
-    first line with the line break (the whole file if it has none), read in
-    pieces of ``HASH_PIECE`` bytes.
+    first line with the line break (the whole file if it has none).
 
-    The pieces are split into contiguous ranges, one per CPU this process may
-    use but none shorter than ``THREAD_PIECES`` whole pieces.  The calling thread hashes
-    the first range and keeps the header line; each other range is hashed on
-    a thread of its own, which opens the file itself.  Threads, not forked
+    The calling thread opens the file once: it takes the size, reads the
+    header line, then hashes the first range of pieces from the same file.
+    The ranges are contiguous, one per CPU this process may use but none
+    shorter than ``THREAD_PIECES`` pieces; each other range is hashed on a
+    thread of its own, which opens the file itself.  Threads, not forked
     processes: ``readinto`` and SHA-256 release the interpreter lock on large
     buffers, and a thread starts far faster than a fork.  Every read buffer is
     allocated here, in the calling thread, which keeps the other threads from
@@ -335,39 +298,43 @@ def _hash_csv(path) -> tuple[bytes, bytes]:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
+        head = fh.readline()
         n_pieces = -(-size // DIGEST_PIECE)
         threads = max(1, min(usable_cpus(), size // (THREAD_PIECES * DIGEST_PIECE)))
         cuts = [min(n_pieces * k // threads * DIGEST_PIECE, size) for k in range(threads + 1)]
-        buffers = [bytearray(HASH_PIECE) for _ in range(threads)]
-        head = bytearray()
+        buffers = [bytearray(DIGEST_PIECE) for _ in range(threads)]
         with ThreadPoolExecutor(max(1, threads - 1)) as pool:
             rest = [pool.submit(_hash_path_range, path, cuts[k], cuts[k + 1], buffers[k])
                     for k in range(1, threads)]
-            leaves = _hash_range(fh, 0, cuts[1], buffers[0], head)
+            leaves = _hash_range(fh, 0, cuts[1], buffers[0])
             for future in rest:
                 leaves += future.result()
-    return _tree_root(size, leaves), bytes(head)
+    return _tree_root(size, leaves), head
 
 
 def _read_table(path):
     """``(features, labels, names)`` from the sidecar of ``path`` if it is bound
-    to the CSV's bytes and its arrays fit the CSV header; otherwise (no
-    sidecar, another digest, truncated, garbage) ``None``.  The CSV is hashed
+    to the CSV's bytes, is exactly as long as its counts ask, has the CSV
+    header's width and holds only ±1 labels; otherwise (no sidecar, another
+    digest, another layout, truncated, garbage) ``None``.  The CSV is hashed
     only when the sidecar opens."""
     try:
         with open(table_path(path), "rb") as fh:
             digest, head = _hash_csv(path)
-            if fh.read(32) != digest or not head.endswith(b"\n"):
+            start = fh.read(_TABLE_START)
+            rows, cols = _COUNTS.unpack(start[32:])
+            # once bound to these bytes, the CSV is the writer's: its first line is the header
+            names = head[:-1].decode(text_encoding()).split(",")[1:]
+            if (start[:32] != digest or not head.endswith(b"\n") or cols != len(names)
+                    or os.fstat(fh.fileno()).st_size != _TABLE_START + rows * (1 + 8 * cols)):
                 return None
-            labels = _load_npy(fh, int)
-            features = _load_npy(fh, float)
-        # bound to these bytes, so the CSV is the writer's: its first line is the header
-        header = head[:-1].decode(text_encoding()).split(",")
-    except (OSError, ValueError):
+            labels = np.fromfile(fh, np.int8, rows)
+            features = np.fromfile(fh, "<f8", rows * cols).reshape(rows, cols)
+    except (OSError, ValueError, struct.error):
         return None
-    if labels.ndim != 1 or features.shape != (labels.size, len(header) - 1):
+    if not np.isin(labels, (1, -1)).all():
         return None
-    return features, labels, header[1:]
+    return features, labels.astype(int), names
 
 
 def _refused_field(line: str, n_fields: int) -> str | None:
@@ -396,13 +363,13 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
     The CSV is the source of truth. Its sidecar (:func:`table_path`) is read
     in place of parsing the text only when the digest it starts with is the
-    piece-tree SHA-256 of the CSV's bytes (:class:`_PieceDigest`) and its
-    arrays have the header's width and one label per row; otherwise the text
-    is parsed, silently (so is a sidecar that holds the plain SHA-256 of
-    older releases). Readers never write a sidecar. The digest is taken over
-    the file in pieces, on every CPU of a large file (:func:`_hash_csv`), so a
-    table read from its sidecar never holds the CSV text; the text is read
-    whole only to be parsed.
+    piece-tree SHA-256 of the CSV's bytes (:class:`_PieceDigest`), its size is
+    exactly what its row and column counts ask, its width is the header's and
+    its labels are ±1; otherwise the text is parsed, silently (so is a sidecar
+    of an older layout). Readers never write a sidecar. The digest is taken
+    over the file in pieces, on every CPU of a large file (:func:`_hash_csv`),
+    so a table read from its sidecar never holds the CSV text; the text is
+    read whole only to be parsed.
     """
     table = _read_table(path)
     if table is not None:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import shutil
+import struct
 import tempfile
 import threading
 import warnings
@@ -448,12 +449,12 @@ def test_feature_table_not_used_after_the_csv_changed(tmp_path):
 
 @pytest.mark.parametrize("piece", [1, 7, 64])
 def test_feature_table_hashes_the_csv_in_pieces(tmp_path, monkeypatch, piece):
+    monkeypatch.setattr(data, "DIGEST_PIECE", piece)
     path, want = written_table(tmp_path)        # its header spans several pieces
 
     def whole_read(self):
         raise AssertionError(f"read whole: {self}")
 
-    monkeypatch.setattr(data, "HASH_PIECE", piece)
     monkeypatch.setattr(Path, "read_bytes", whole_read)
     assert_tables_equal(read_by_table(path), want)
 
@@ -464,17 +465,53 @@ def test_feature_table_not_used_for_a_csv_without_a_line_break(tmp_path):
     digest = data._PieceDigest()
     digest.update(b"label,a")
     assert data._hash_csv(path) == (digest.digest(), b"label,a")
-    with open(table_path(path), "wb") as fh:    # bound to the bytes, arrays of the right shape
-        fh.write(digest.digest())
-        np.save(fh, np.empty(0, dtype=int), allow_pickle=False)
-        np.save(fh, np.empty((0, 1)), allow_pickle=False)
+    # bound to the bytes, and counts of the right width for a size that fits them
+    table_path(path).write_bytes(digest.digest() + struct.pack("<QQ", 0, 1))
     assert_tables_equal(read_by_text(path), (np.empty((0, 1)), np.empty(0, dtype=int), ["a"]))
+
+
+def test_feature_table_layout_of_a_two_by_one_table(tmp_path):
+    path = tmp_path / "t.csv"
+    write_feature_csv(path, [[1.5], [-2.0]], [1, -1], ["a"])
+    assert path.read_bytes() == b"label,a\n+1,1.5\n-1,-2\n"
+    assert table_path(path).read_bytes() == bytes.fromhex(
+        "18afb77fde3cc105bfffd1f671044cd5b6bc6fe3fa43f545d36b34e8442ae470"   # digest
+        "0200000000000000" "0100000000000000"   # rows, cols
+        "01ff"                                  # labels +1, -1
+        "000000000000f83f" "00000000000000c0")  # values 1.5, -2.0
+    assert table_path(path).read_bytes()[:32] == reference_digest(path.read_bytes(), 1 << 20)
+    assert_tables_equal(read_by_table(path), (np.array([[1.5], [-2.0]]), np.array([1, -1]), ["a"]))
+
+
+def test_feature_table_label_other_than_plus_minus_one_falls_back_to_text(tmp_path):
+    path = tmp_path / "t.csv"
+    write_feature_csv(path, [[1.0], [2.0], [3.0]], [1, -1, 1], ["a"])
+    sidecar = table_path(path)
+    blob = bytearray(sidecar.read_bytes())
+    assert blob[48:51] == b"\x01\xff\x01"
+    blob[48] = 7                                # still bound, the size still right
+    sidecar.write_bytes(blob)
+    assert data._hash_csv(path)[0] == blob[:32]
+    got = read_by_text(path)
+    assert got[1].tolist() == [1, -1, 1]
 
 
 def test_feature_table_with_a_plain_sha256_is_not_used(tmp_path):
     path, want = written_table(tmp_path)        # the sidecar layout of older releases
     sidecar = table_path(path)
     sidecar.write_bytes(hashlib.sha256(path.read_bytes()).digest() + sidecar.read_bytes()[32:])
+    assert_tables_equal(read_by_text(path), want)
+
+
+def test_feature_table_of_the_np_save_layout_is_not_used(tmp_path):
+    path, want = written_table(tmp_path)        # the digest, then two np.save streams
+    sidecar = table_path(path)
+    with open(sidecar, "r+b") as fh:
+        fh.truncate(32)
+        fh.seek(32)
+        np.save(fh, want[1], allow_pickle=False)
+        np.save(fh, want[0], allow_pickle=False)
+    assert sidecar.read_bytes()[:32] == reference_digest(path.read_bytes(), 1 << 20)
     assert_tables_equal(read_by_text(path), want)
 
 
@@ -487,52 +524,52 @@ def reference_digest(raw, piece):
 
 @pytest.fixture
 def hash_threads(monkeypatch):
-    """hash_threads(cpus, read=None): 64-byte digest pieces, as few as one per
-    hashing thread, ``cpus`` CPUs, and reads of ``read`` bytes (None: the
-    default), so that a small file is hashed on up to ``cpus`` threads."""
-    monkeypatch.setattr(data, "DIGEST_PIECE", 64)
+    """hash_threads(cpus, piece=64): digest pieces (and reads) of ``piece``
+    bytes (None: the default), as few as one per hashing thread, and ``cpus``
+    CPUs, so that a small file is hashed on up to ``cpus`` threads."""
     monkeypatch.setattr(data, "THREAD_PIECES", 1)
 
-    def set_threads(cpus, read=None):
+    def set_threads(cpus, piece=64):
         monkeypatch.setattr(data, "usable_cpus", lambda: cpus)
-        if read is not None:
-            monkeypatch.setattr(data, "HASH_PIECE", read)
+        monkeypatch.setattr(data, "DIGEST_PIECE", piece or DEFAULT_PIECE)
     return set_threads
 
 
+DEFAULT_PIECE = data.DIGEST_PIECE
 HASH_CPUS = (1, 2, 3)
-HASH_READS = (1, 7, 64, None)
+HASH_PIECES = (1, 7, 64, None)                  # digest piece sizes, each also the read size
 
 
 @pytest.mark.parametrize("size", [0, 63, 64, 65, 191, 192, 193])
 def test_table_digest_does_not_depend_on_threads_or_reads(tmp_path, hash_threads, size):
-    # a header line longer than a piece, so the first thread reads on past its range
+    # a header line longer than a 64-byte piece, so it ends past the first range
     text = b"label," + b"ab" * 40 + b"\n" + bytes(range(256))
     raw = text[:size]
     head = raw[:raw.index(b"\n") + 1] if b"\n" in raw else raw
-    want = reference_digest(raw, 64)
     path = tmp_path / "t.csv"
     path.write_bytes(raw)
     threads = threading.active_count()
-    for cpus in HASH_CPUS:
-        for read in HASH_READS:
-            hash_threads(cpus, read)
-            assert data._hash_csv(path) == (want, head), (cpus, read)
+    for piece in HASH_PIECES:
+        want = reference_digest(raw, piece or DEFAULT_PIECE)
+        for cpus in HASH_CPUS:
+            hash_threads(cpus, piece)
+            assert data._hash_csv(path) == (want, head), (cpus, piece)
             assert threading.active_count() == threads
-    for chunk in (1, 7, 64, 100):               # the writer's digest, fed as it writes
-        digest = data._PieceDigest()
-        for i in range(0, size, chunk):
-            digest.update(raw[i:i + chunk])
-        assert digest.digest() == want, chunk
+        for chunk in (1, 7, 64, 100):           # the writer's digest, fed as it writes
+            digest = data._PieceDigest()
+            for i in range(0, size, chunk):
+                digest.update(raw[i:i + chunk])
+            assert digest.digest() == want, (piece, chunk)
 
 
-@pytest.mark.parametrize("read", HASH_READS)
+@pytest.mark.parametrize("piece", HASH_PIECES)
 @pytest.mark.parametrize("cpus", HASH_CPUS)
 def test_feature_table_bound_read_does_not_depend_on_threads_or_reads(tmp_path, hash_threads,
-                                                                     cpus, read):
-    hash_threads(cpus, read)
+                                                                     cpus, piece):
+    hash_threads(cpus, piece)
     path, want = written_table(tmp_path)
-    assert table_path(path).read_bytes()[:32] == reference_digest(path.read_bytes(), 64)
+    raw = path.read_bytes()
+    assert table_path(path).read_bytes()[:32] == reference_digest(raw, piece or DEFAULT_PIECE)
     threads = threading.active_count()
     assert_tables_equal(read_by_table(path), want)
     assert threading.active_count() == threads
@@ -577,32 +614,33 @@ def test_feature_table_read_of_a_csv_gone_before_a_thread_opens_it(tmp_path, has
 
 
 @pytest.mark.parametrize("damage", [
-    "missing", "empty", "digest-only", "cut-in-labels-header", "cut-in-values-header",
-    "cut-in-values-data", "garbage", "garbage-after-digest", "header-unbalanced",
-    "header-python2", "labels-swapped", "wrong-width",
+    "missing", "empty", "digest-only", "cut-in-counts", "cut-in-labels", "cut-in-values-data",
+    "one-trailing-byte", "garbage", "garbage-after-digest", "rows-2**63", "counts-2**63",
+    "labels-swapped", "wrong-width",
 ])
 def test_feature_table_damaged_sidecar_falls_back_to_text(tmp_path, damage):
     path, want = written_table(tmp_path)
     sidecar = table_path(path)
     blob = sidecar.read_bytes()
-    assert b"'shape': (12,)" in blob
-    values_start = blob.index(b"\x93NUMPY", 40)
+    assert blob[32:48] == struct.pack("<QQ", 12, 3) and len(blob) == 48 + 12 + 8 * 12 * 3
+    values_start = 48 + 12
     narrow = tmp_path / "narrow.csv"
     write_feature_csv(narrow, want[0][:, :2], want[1], want[2][:2])
     damaged = {
         "missing": None,
         "empty": b"",
         "digest-only": blob[:32],
-        "cut-in-labels-header": blob[:50],
-        "cut-in-values-header": blob[:values_start + 20],
+        "cut-in-counts": blob[:40],
+        "cut-in-labels": blob[:values_start - 5],
         "cut-in-values-data": blob[:-8],
+        "one-trailing-byte": blob + b"\0",
         "garbage": bytes(range(256)) * 4,
-        "garbage-after-digest": blob[:32] + b"\x93NUMPY\x01\x00" + bytes(range(200)),
-        # numpy's header parser raises tokenize.TokenError on the first, warns on the second
-        "header-unbalanced": blob.replace(b"(12,)", b"(12,(", 1),
-        "header-python2": blob.replace(b"(12,)", b"(12L)", 1),
-        # right digest, valid arrays, but not in the order or of the width of the CSV
-        "labels-swapped": blob[:32] + blob[values_start:] + blob[32:values_start],
+        "garbage-after-digest": blob[:32] + bytes(range(200)),
+        # counts whose size overflows 64 bits: the size rule is taken in Python integers
+        "rows-2**63": blob[:32] + struct.pack("<QQ", 2 ** 63, 3) + blob[48:],
+        "counts-2**63": blob[:32] + struct.pack("<QQ", 2 ** 63, 2 ** 63) + blob[48:],
+        # right digest, right size, but not in the order or of the width of the CSV
+        "labels-swapped": blob[:48] + blob[values_start:] + blob[48:values_start],
         "wrong-width": blob[:32] + table_path(narrow).read_bytes()[32:],
     }[damage]
     if damaged is None:
