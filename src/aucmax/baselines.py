@@ -22,6 +22,9 @@ from .objective import LabeledDataset, PrimalDualState
 from .rules import FINITE, FRACTION, POSITIVE, POSITIVE_INTEGER, require
 
 __all__ = [
+    "DEFAULT_C",
+    "DEFAULT_TOL",
+    "DEFAULT_MAX_ITER",
     "LinearModel",
     "logistic_objective",
     "svm_objective",
@@ -34,6 +37,10 @@ __all__ = [
     "linear_rule",
     "score",
 ]
+
+DEFAULT_C = 1.0                 # the trade-off: L2 weight 1/(C*N)
+DEFAULT_TOL = 1e-6              # logistic gradient norm, SVM relative duality gap
+DEFAULT_MAX_ITER = 10_000       # logistic Newton or SVM interior-point iterations
 
 
 @dataclass
@@ -56,51 +63,43 @@ class LinearModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 
-def _design(features) -> np.ndarray:
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D array")
-    return np.hstack([np.ones((x.shape[0], 1)), x])
-
-
 def _fit_inputs(train: LabeledDataset, C, max_iter):
     """What both fits start from once their arguments pass: the rows
-    ``z_i = y_i [1, x_i]``, their transpose, the L2 weight ``lam = 1/(C*N)``
-    and the per-coefficient weights ``lam P`` (0 on the intercept).  Refuses a
-    ``C`` for which ``lam`` is not a finite number."""
+    ``z_i = y_i [1, x_i]`` (the one design of both fits and both objectives),
+    their transpose, the L2 weight ``lam = 1/(C*N)`` and the per-coefficient
+    weights ``lam P`` (0 on the intercept).  Refuses a ``C`` for which ``lam``
+    is not a finite number."""
     require("C", C, POSITIVE)
     lam = 1.0 / (C * train.n_samples)
     if not np.isfinite(lam):
         raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {train.n_samples}")
     require("max_iter", max_iter, POSITIVE_INTEGER)
-    z = train.labels[:, None] * _design(train.features)
+    z = train.labels[:, None] * np.hstack([np.ones((train.n_samples, 1)), train.features])
     reg = np.full(z.shape[1], lam)
     reg[0] = 0.0                                # the intercept is not regularized
     return z, np.ascontiguousarray(z.T), lam, reg
 
 
-def logistic_objective(beta, features, labels, C: float):
-    """Mean logistic loss plus ``1/(2*C*N)`` L2 on the non-intercept weights.
+def logistic_objective(beta, z, C: float):
+    """Mean logistic loss plus ``1/(2*C*N)`` L2 on the non-intercept weights,
+    over the label-scaled rows ``z_i = y_i [1, x_i]``.
 
     Returns ``(value, gradient)``.
     """
-    xd = _design(features)
-    y = np.asarray(labels, dtype=float)
-    n = y.size
-    margins = y * (xd @ beta)
+    n = z.shape[0]
+    margins = z @ beta
     value = float(np.mean(np.logaddexp(0.0, -margins)))
     reg = np.asarray(beta, dtype=float).copy()
     reg[0] = 0.0
     value += float(reg @ reg) / (2.0 * C * n)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite logistic loss")
-    weights = y * expit(-margins)               # sigma(-y * score)
-    grad = -(xd.T @ weights) / n + reg / (C * n)
+    grad = -(z.T @ expit(-margins)) / n + reg / (C * n)
     return value, grad
 
 
-def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
-                 max_iter: int = 10_000) -> LinearModel:
+def fit_logistic(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> LinearModel:
     """L2-regularized logistic regression at one ``C`` by a damped Newton
     method; predicts +1 when the modeled probability exceeds 0.5.
 
@@ -109,7 +108,8 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     function, ``lam = 1/(C*N)``, ``P`` the identity without its intercept
     entry) by Cholesky and backtracks along the Newton direction ``d`` from
     step 1, halving at most 60 times until the Armijo test on ``grad . d``
-    holds.  Value and gradient come from ``logistic_objective``.
+    holds.  Value and gradient come from ``logistic_objective`` on the same
+    rows.
 
     The fit stops once the gradient norm is at most ``tol``
     (``train_meta["converged"]``) or after ``max_iter`` Newton iterations.
@@ -122,7 +122,7 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
     n = train.n_samples
     z, zt, lam, reg = _fit_inputs(train, C, max_iter)
     beta = np.zeros(z.shape[1])
-    value, grad = logistic_objective(beta, train.features, train.labels, C)
+    value, grad = logistic_objective(beta, z, C)
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     while grad_norm > tol and iterations < max_iter:
@@ -137,7 +137,7 @@ def fit_logistic(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
         step = 1.0
         for _ in range(60):                     # Armijo: halve until sufficient decrease
             candidate = beta + step * direction
-            cand_value, cand_grad = logistic_objective(candidate, train.features, train.labels, C)
+            cand_value, cand_grad = logistic_objective(candidate, z, C)
             # on the difference, so that a step that leaves the value as it is fails
             if cand_value - value <= 1e-4 * step * slope:
                 break
@@ -189,14 +189,11 @@ def _logistic_gap(zt, margins, beta, lam, positive) -> float:
     return float(divergence.sum() / n + (misfit @ misfit) / (2.0 * lam))
 
 
-def svm_objective(beta, features, labels, C: float) -> float:
+def svm_objective(beta, z, C: float) -> float:
     """Scaled soft-margin objective ``(0.5 ||w||^2 + C * sum hinge) / (C * N)``
-    (intercept unregularized)."""
-    xd = _design(features)
-    y = np.asarray(labels, dtype=float)
-    n = y.size
-    margins = y * (xd @ beta)
-    hinge = np.maximum(0.0, 1.0 - margins)
+    (intercept unregularized) over the label-scaled rows ``z_i = y_i [1, x_i]``."""
+    n = z.shape[0]
+    hinge = np.maximum(0.0, 1.0 - z @ beta)
     lam = 1.0 / (C * n)
     weights = np.asarray(beta, dtype=float).copy()
     weights[0] = 0.0
@@ -206,8 +203,8 @@ def svm_objective(beta, features, labels, C: float) -> float:
 SVM_STALL_STEP = 1e-8
 
 
-def fit_linear_svm(train: LabeledDataset, C: float = 1.0, tol: float = 1e-6,
-                   max_iter: int = 10_000) -> LinearModel:
+def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> LinearModel:
     """The soft-margin SVM at one ``C``, in its hinge form
 
         min  lam/2 ||w||^2 + mean(xi)   s.t.  y_i (x_i . w + b) >= 1 - xi_i,  xi >= 0,

@@ -29,6 +29,9 @@ import numpy as np
 
 from . import __version__, rules
 from .baselines import (
+    DEFAULT_C,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     LinearModel,
     auc_model,
     decision_scores,
@@ -177,16 +180,17 @@ FIT_KEYS = {                    # the solver's keys are SolverConfig's field nam
                           "quasi-Newton direction rule", "--direction"),
     "updates_per_iteration": Key(SolverConfig.updates_per_iteration, POSITIVE_INTEGER,
                                  "curvature updates per quasi-Newton iteration", "--k-updates"),
-    "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default 1e-6): logistic "
-                        "gradient norm, SVM relative duality gap"),
-    "baseline_max_iter": Key(10_000, POSITIVE_INTEGER, "baseline iteration cap: logistic Newton "
-                             "iterations, SVM interior-point iterations"),
+    "baseline_tol": Key(None, NONNEGATIVE, "baseline tolerance (default "
+                        f"{np.format_float_scientific(DEFAULT_TOL, trim='-', exp_digits=1)}): "
+                        "logistic gradient norm, SVM relative duality gap"),
+    "baseline_max_iter": Key(DEFAULT_MAX_ITER, POSITIVE_INTEGER, "baseline iteration cap: "
+                             "logistic Newton iterations, SVM interior-point iterations"),
     "train_fraction": Key(SplitSpec.train_fraction, FRACTION, "train split fraction",
                           "--train-frac"),
 }
 TRAIN_KEYS = {
     **FIT_KEYS,
-    "C": Key(1.0, POSITIVE, "baseline trade-off parameter"),
+    "C": Key(DEFAULT_C, POSITIVE, "baseline trade-off parameter"),
     "threshold": Key(None, FINITE, "classification threshold override"),
     "solver": Key("alt-gda", choice(SOLVER_CHOICES), "saddle solver or baseline"),
     "trace_auc": Key(True, SWITCH, "record train/test AUC on every trace row (default)"),
@@ -379,14 +383,15 @@ def _cmd_extract(eff) -> int:
     files = _signal_files(eff["signals"], {table, Path(eff["labels"]).resolve()})
     if not files:
         raise ValueError("no signal files found")
+    for path in files:                          # every label before any trial is read
+        if path.stem not in labels:
+            raise ValueError(f"missing label for trial {path.stem!r} in {eff['labels']}")
 
     channels = None if eff["channels"] == "auto" else eff["channels"]
     first, all_rows, all_labels, trials_meta = None, [], [], []
     for path in files:
         trial = read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
         trial_id = path.stem
-        if trial_id not in labels:
-            raise ValueError(f"missing label for trial {trial_id!r} in {eff['labels']}")
         try:
             fm = build_feature_sets(trial, channels=channels, spec=spec, set_id=eff["set"],
                                     filter_order=eff["order"], corr_lags=eff["corr_lags"])
@@ -455,7 +460,7 @@ def _trace_auc_eval(train_std, test_std):
 def _fit_baseline(kind: str, train_std, C: float, eff) -> LinearModel:
     fit = fit_logistic if kind == "logistic" else fit_linear_svm
     tol = eff["baseline_tol"]
-    return fit(train_std, C=C, tol=tol if tol is not None else 1e-6,
+    return fit(train_std, C=C, tol=tol if tol is not None else DEFAULT_TOL,
                max_iter=eff["baseline_max_iter"])
 
 

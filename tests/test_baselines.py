@@ -39,6 +39,12 @@ def synth_400():
     return generate_synthetic(SynthSpec(400, 5, 1 / 3, 1.0, seed=7))
 
 
+def rows(features, labels):
+    """The label-scaled rows ``z_i = y_i [1, x_i]`` that both objectives read."""
+    features = np.asarray(features, dtype=float)
+    return np.asarray(labels)[:, None] * np.hstack([np.ones((features.shape[0], 1)), features])
+
+
 def set2_shaped(seed=0, n=60, d=80):
     """Like an EEG Set2 table: n < d (so separable), one duplicated column,
     and per-row max, min and range = max - min columns, standardized."""
@@ -73,7 +79,8 @@ def test_logistic_gradient_matches_finite_differences():
     features = rng.standard_normal((40, 3))
     labels = np.where(rng.random(40) < 0.5, 1, -1)
     beta = rng.standard_normal(4)
-    _, grad = logistic_objective(beta, features, labels, C=2.0)
+    z = rows(features, labels)
+    _, grad = logistic_objective(beta, z, C=2.0)
     numeric = np.zeros_like(beta)
     h = 1e-6
     for i in range(beta.size):
@@ -81,8 +88,8 @@ def test_logistic_gradient_matches_finite_differences():
         bp[i] += h
         bm[i] -= h
         numeric[i] = (
-            logistic_objective(bp, features, labels, 2.0)[0]
-            - logistic_objective(bm, features, labels, 2.0)[0]
+            logistic_objective(bp, z, 2.0)[0]
+            - logistic_objective(bm, z, 2.0)[0]
         ) / (2 * h)
     assert np.linalg.norm(grad - numeric) / np.linalg.norm(numeric) <= 1e-6
 
@@ -103,8 +110,9 @@ def reference_fit_logistic(train, C, tol=1e-6, max_iter=10_000):
     """Full-batch gradient descent with Armijo backtracking (the step doubles
     after each accepted step, up to 1e6): slow, but a plain reference for the
     optimum.  Returns ``(beta, value, grad_norm, iterations)``."""
+    z = rows(train.features, train.labels)
     beta = np.zeros(train.n_features + 1)
-    value, grad = logistic_objective(beta, train.features, train.labels, C)
+    value, grad = logistic_objective(beta, z, C)
     step = 1.0
     iterations = 0
     grad_norm = float(np.linalg.norm(grad))
@@ -115,7 +123,7 @@ def reference_fit_logistic(train, C, tol=1e-6, max_iter=10_000):
         accepted = False
         for _ in range(60):
             candidate = beta - step * grad
-            cand_value, cand_grad = logistic_objective(candidate, train.features, train.labels, C)
+            cand_value, cand_grad = logistic_objective(candidate, z, C)
             if cand_value <= value - 1e-4 * step * grad_norm**2:
                 beta, value, grad = candidate, cand_value, cand_grad
                 grad_norm = float(np.linalg.norm(grad))
@@ -137,7 +145,7 @@ def assert_logistic_meta(model, ds, C):
     """``objective`` and ``grad_norm`` are the model's own, and the gap is a
     finite nonnegative number."""
     meta = model.train_meta
-    value, grad = logistic_objective(model.beta, ds.features, ds.labels, C)
+    value, grad = logistic_objective(model.beta, rows(ds.features, ds.labels), C)
     assert meta["objective"] == value
     assert meta["grad_norm"] == float(np.linalg.norm(grad))
     assert meta["converged"] is (meta["grad_norm"] <= 1e-6)
@@ -190,7 +198,7 @@ def test_logistic_certificate_is_a_lower_bound_off_balance(C):
     ds = synth_400()
     n, positive = ds.n_samples, ds.labels == 1
     optimum = fit_logistic(ds, C=C, tol=1e-12).train_meta["objective"]
-    z = ds.labels[:, None] * np.hstack([np.ones((n, 1)), ds.features])
+    z = rows(ds.features, ds.labels)
     rng = np.random.default_rng(5)
     saturated = np.zeros(z.shape[1])
     saturated[0] = 800.0                # s(-m) is 0 on every positive row: a = 0 elsewhere
@@ -201,7 +209,7 @@ def test_logistic_certificate_is_a_lower_bound_off_balance(C):
         assert abs(q @ ds.labels) > 1.0                  # off balance
         gap = baselines._logistic_gap(np.ascontiguousarray(z.T), margins, beta,
                                       1.0 / (C * n), positive)
-        primal = logistic_objective(beta, ds.features, ds.labels, C)[0]
+        primal = logistic_objective(beta, z, C)[0]
         assert primal - gap <= optimum * (1 + 1e-12)
         balanced = q.copy()
         scaled = positive if q[positive].sum() > q[~positive].sum() else ~positive
@@ -287,9 +295,10 @@ def test_svm_matches_1d_grid_search():
     labels = np.array([-1, -1, 1, 1, -1, 1])
     ds = LabeledDataset(features, labels)
     model = fit_linear_svm(ds, C=1.0, tol=1e-12)
-    fitted = svm_objective(model.beta, features, labels, 1.0)
+    z = rows(features, labels)
+    fitted = svm_objective(model.beta, z, 1.0)
     grid = np.linspace(-5.0, 5.0, 20_001)
-    best = min(svm_objective(np.array([0.0, b]), features, labels, 1.0) for b in grid)
+    best = min(svm_objective(np.array([0.0, b]), z, 1.0) for b in grid)
     assert fitted <= best + 1e-9
 
 
@@ -321,7 +330,7 @@ def reference_fit_linear_svm(train, C, max_iter, tol=None):
         beta = beta - subgrad / (r2 + lam * t)
         average = average * (t / (t + 1.0)) + beta / (t + 1.0)
         if (t + 1) % REFERENCE_CHECK_EVERY == 0 or t + 1 == max_iter:
-            objective = svm_objective(average, train.features, train.labels, C)
+            objective = svm_objective(average, y[:, None] * xd, C)
             trace.append((t + 1, objective))
             if (tol is not None and np.isfinite(previous)
                     and previous - objective <= tol * max(1.0, abs(previous))):
@@ -340,7 +349,7 @@ def assert_certified(model, ds, C, tol=1e-6):
     meta = model.train_meta
     assert meta["converged"] is True
     assert meta["objective"] == pytest.approx(
-        svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+        svm_objective(model.beta, rows(ds.features, ds.labels), C), rel=1e-12, abs=0)
     assert meta["objective"] == meta["objective_trace"][-1][1]
     assert [i for i, _ in meta["objective_trace"]] == list(range(1, meta["iterations"] + 1))
     assert 0.0 <= meta["duality_gap"] <= tol * meta["objective"]
@@ -354,7 +363,8 @@ def test_svm_objective_at_most_the_subgradient_reference(data, C):
     assert_certified(model, ds, C)
     assert model.train_meta["iterations"] <= 30
     reference, _, _, _ = reference_fit_linear_svm(ds, C, max_iter=20_000)
-    assert model.train_meta["objective"] <= svm_objective(reference, ds.features, ds.labels, C)
+    assert model.train_meta["objective"] <= svm_objective(
+        reference, rows(ds.features, ds.labels), C)
 
 
 @pytest.mark.parametrize("data, C, max_iter, stop", [
@@ -375,7 +385,7 @@ def test_svm_matches_reference_loop(data, C, max_iter, stop):
     assert (iterations < max_iter) == (stop == "tol")
     assert trace[-1][0] == iterations
     fitted, reference = model.train_meta["objective"], trace[-1][1]
-    assert reference == svm_objective(beta, ds.features, ds.labels, C)
+    assert reference == svm_objective(beta, rows(ds.features, ds.labels), C)
     slack = 1e-3 if stop == "tol" else 1e-2
     assert 0.0 <= reference - fitted <= slack * max(1.0, fitted)
     # separable blobs: the reference meets every margin at times, and the
@@ -406,7 +416,7 @@ def test_svm_certificate_is_a_lower_bound_at_any_dual_point(C):
     ds = synth_400()
     n = ds.n_samples
     optimum = fit_linear_svm(ds, C=C, tol=1e-12).train_meta["objective"]
-    z = ds.labels[:, None] * np.hstack([np.ones((n, 1)), ds.features])
+    z = rows(ds.features, ds.labels)
     rng = np.random.default_rng(5)
     dual_points = [np.full(n, 1.0 / n), np.full(n, 2.0 / n), rng.uniform(-1.0, 2.0, n) / n,
                    np.where(ds.labels == 1, 1.0 / n, 0.0)]
@@ -415,7 +425,7 @@ def test_svm_certificate_is_a_lower_bound_at_any_dual_point(C):
             primal, gap = baselines._svm_certificate(
                 np.ascontiguousarray(z.T), z @ beta, beta, alpha, 1.0 / (C * n), ds.labels == 1)
             assert primal == pytest.approx(
-                svm_objective(beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+                svm_objective(beta, z, C), rel=1e-12, abs=0)
             assert primal - gap <= optimum * (1 + 1e-12)
 
 
@@ -435,7 +445,7 @@ def assert_ends_unconverged(model, ds, C):
     assert meta["converged"] is False
     assert np.isfinite(model.beta).all() and np.isfinite(meta["duality_gap"])
     assert meta["objective"] == pytest.approx(
-        svm_objective(model.beta, ds.features, ds.labels, C), rel=1e-12, abs=0)
+        svm_objective(model.beta, rows(ds.features, ds.labels), C), rel=1e-12, abs=0)
     assert [i for i, _ in meta["objective_trace"]] == list(range(1, meta["iterations"] + 1))
 
 

@@ -268,6 +268,61 @@ def test_extract_refuses_a_trial_given_twice(tmp_path, capsys, work, given):
     assert work == ["read_trial_labels"]         # no trial is read
 
 
+@pytest.fixture
+def trial_reads(monkeypatch):
+    """The trial files the command read, in order; the readers still read."""
+    read = []
+    for name in ("read_signal_csv", "read_signal_binary"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda path, _real=real: read.append(path) or _real(path))
+    return read
+
+
+@pytest.mark.parametrize("labels_text, signals, message", [
+    ("trial,label\ntrial0,+1\ntrial2,-1\n", "signals",
+     "missing label for trial 'trial1' in {labels}"),
+    ("trial,label\na,+1\na,-1\n", "signals", "{labels}: line 3: duplicate trial id 'a'"),
+    ("trial,label\na,+1,x\n", "signals",
+     "{labels}: line 2: expected 'trial,label', found 'a,+1,x'"),
+    ("trial,label\ntrial0,+1\n", "empty", "no signal files found"),
+], ids=["unlabeled-trial", "duplicate-id", "three-fields", "no-signal-files"])
+def test_extract_refuses_before_any_trial_is_read(tmp_path, capsys, trial_reads, labels_text,
+                                                  signals, message):
+    # three binary trials: a trial without a label is refused before the
+    # first, labeled one is read
+    sig_dir = tmp_path / "signals"
+    sig_dir.mkdir()
+    (tmp_path / "empty").mkdir()
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        write_signal_binary(TrialSignal(rng.standard_normal((4, 8 * 128)), 128.0, 3.0),
+                            sig_dir / f"trial{i}.bin")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels_text)
+    out = tmp_path / "ext"
+    assert run("extract", "--signals", tmp_path / signals, "--labels", labels, "--set", 4,
+               "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message.format(labels=labels)}\n"
+    assert not out.exists()
+    assert trial_reads == []
+
+
+@pytest.mark.parametrize("lag", [254, 255])
+def test_extract_refuses_a_lag_that_leaves_no_window_pair(tmp_path, capsys, lag):
+    # 2 s windows at 128 Hz: lag 254 still pairs two samples, lag 255 one
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=4, seconds=8.0)
+    out = tmp_path / "ext"
+    code = run("extract", "--signals", sig_dir, "--labels", labels, "--set", 4,
+               "--corr-lags", lag, "--out", out)
+    if lag == 254:
+        assert code == 0 and out.exists()
+        return
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {sig_dir / 'trial00.csv'}: correlation lag 255 "
+                                       "incompatible with 256-sample windows\n")
+    assert not out.exists()
+
+
 # --- train
 
 def test_train_alt_gda_converges_and_reports(tmp_path):
@@ -716,6 +771,20 @@ def test_eval_missing_model_field_names_the_file(tmp_path, capsys, solver, edit,
     capsys.readouterr()
     assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_eval_refuses_a_baseline_beta_without_weights(tmp_path, capsys):
+    path = synth_csv(tmp_path)
+    out = tmp_path / "run"
+    assert run("train", "--features", path, "--solver", "svm", "--seed", 3, "--out", out) == 0
+    model = json.loads((out / "model.json").read_text())
+    model["beta"] = model["beta"][:1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert run("eval", "--features", path, "--model", bad, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {bad}: beta must be [intercept, weights...]\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_standardizer_width_mismatch_names_the_file(tmp_path, capsys):
@@ -1412,7 +1481,12 @@ def test_flag_text_not_of_its_kind_is_a_usage_error(tmp_path, capsys, flags, mes
      "sampling_rate must be a positive finite number"),
     ("short.csv", lambda p: p.write_text("fs=1,pretrial=5,channels=1\n1.0,2.0,3.0\n"),
      "signal is not longer than its pre-trial stretch"),
-], ids=["nan-sample", "inf-sample", "zero-rate", "all-pretrial"])
+    ("empty.csv", lambda p: p.write_text(""), "corrupt signal header at byte 0: empty file"),
+    ("cut.bin", lambda p: p.write_bytes(struct.pack("<IIdd", 32, 2560, 128.0, 0.0)
+                                        + bytes(8 * (32 * 2560 - 1))),
+     "malformed signal file: expected 655384 bytes for 32x2560 samples, found 655376"),
+], ids=["nan-sample", "inf-sample", "zero-rate", "all-pretrial", "empty-csv",
+        "bin-one-sample-short"])
 def test_extract_refusal_names_the_trial_file(tmp_path, capsys, name, write, message):
     sig_dir = tmp_path / "signals"
     sig_dir.mkdir()
