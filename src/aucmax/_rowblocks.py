@@ -1,17 +1,18 @@
-"""Row blocks of a table, worked on every CPU.
+"""Rows of CSV text, formatted or parsed on every CPU.
 
 The CSV writers format, and the signal CSV reader parses, one row of text at
-a time; ``build_feature_sets`` evaluates a trial's band-filtered windows a
-few at a time.  On a large table or a wide feature set that loop is the
-cost, and it has no faster single-core form.  A row is a line of text or a
-trial's window, and a chunk is bytes: text, or the raw values of windows.
-:func:`row_chunks` splits the rows into contiguous blocks and hands them
-out round-robin.  The calling process works its own blocks in place,
-streaming.  Each other process is a child made with ``os.fork()``: it works
-one block at a time into memory, then sends it down a pipe as length-framed
-chunks.  The caller sees every chunk in row order, so the output never
-depends on the number of processes.  Plain pipes keep the parent's heap
-flat: a child's chunks are copied out one at a time, never pickled.
+a time.  On a large table that loop is the cost, and it has no faster
+single-core form.  A row is a line of text, and a chunk is bytes: a line's
+text, or the values parsed from it.  :func:`row_chunks` splits the rows into
+contiguous blocks and hands them out round-robin.  The calling process works
+its own blocks in place, streaming.  Each other process is a child made with
+``os.fork()``: it works one block at a time into memory, then sends it down a
+pipe as length-framed chunks.  The caller sees every chunk in row order, so
+the output never depends on the number of processes.  Plain pipes keep the
+parent's heap flat: a child's chunks are copied out one at a time, never
+pickled.  The CPU count :func:`usable_cpus` also sizes :mod:`aucmax.data`'s
+hashing threads, and the split rule :func:`worker_count` the threads of
+``build_feature_sets``' window loop.
 
 It also holds, once, the text rules that every CSV format shares: the
 number rule :func:`text_floats` (written by :func:`write_rows` at 17
@@ -37,10 +38,11 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "usable_cpus",
-           "process_count", "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
+           "worker_count", "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
 
 # A fork and its reaping cost about 4 ms at 150 MB RSS; below this many values
-# a block is done sooner in place.
+# a block is done sooner in place.  ``build_feature_sets`` splits its window
+# loop among threads by the same rule.
 MIN_BLOCK_VALUES = 50_000
 # About 8 MB of text at 17 significant digits, or 2.8 MB of raw float64
 # values: the most one process holds.
@@ -61,12 +63,10 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def process_count(n_values: int) -> int:
-    """How many processes share a table of ``n_values``: at most
-    :func:`usable_cpus`, one where ``os.fork`` is missing, and no more than
-    gives each at least ``MIN_BLOCK_VALUES``."""
-    if not hasattr(os, "fork"):
-        return 1
+def worker_count(n_values: int) -> int:
+    """How many workers share a task of ``n_values``: at most
+    :func:`usable_cpus`, and no more than gives each at least
+    ``MIN_BLOCK_VALUES``."""
     return max(1, min(usable_cpus(), n_values // MIN_BLOCK_VALUES))
 
 
@@ -89,9 +89,7 @@ class _Child:
         try:
             with warnings.catch_warnings():
                 # Python 3.12 warns on forking with threads alive (e.g. BLAS workers).
-                # The child only works its rows, then leaves by os._exit.  OpenBLAS
-                # shuts its pool down across a fork (pthread_atfork), so the one BLAS
-                # product a child may run, a window block's phase-locking Gram, is safe.
+                # The child only works its rows of text, then leaves by os._exit.
                 warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
                 self.pid = os.fork()
         except OSError:
@@ -170,14 +168,15 @@ def row_chunks(n_rows: int, n_values: int, work):
     yields for every block of the rows ``range(n_rows)``, in row order.
 
     ``n_values`` (the table's value count, or an estimate) sets the number
-    of processes through :func:`process_count`.  The children are forked on
-    entry, so open an output file inside the ``with``.  A ValueError that
-    ``work`` raises in a child is raised again when the iterator reaches its
-    block, so errors come in row order.  On leaving, children still running
+    of processes through :func:`worker_count`, one where ``os.fork`` is
+    missing.  The children are forked on entry, so open an output file
+    inside the ``with``.  A ValueError that ``work`` raises in a child is
+    raised again when the iterator reaches its block, so errors come in row
+    order.  On leaving, children still running
     are killed and every child is waited for; a child that exited nonzero
     after a clean pass raises RuntimeError.
     """
-    processes = max(1, min(process_count(n_values), n_rows))
+    processes = max(1, min(worker_count(n_values), n_rows)) if hasattr(os, "fork") else 1
     bounds = _bounds(n_rows, n_values, processes)
     children = []
     try:

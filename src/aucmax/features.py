@@ -16,12 +16,13 @@ matrix; only Set4 builds correlation columns, so only its layout records lags.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import label_of, row_chunks
+from ._rowblocks import label_of, worker_count
 from .rules import NONNEGATIVE_INTEGER, require
 from .signals import (
     DEFAULT_BANDS,
@@ -64,8 +65,9 @@ CHANNEL_STAT_FIELDS = ChannelStats._fields
 DIFF_FIELDS = STAT_FIELDS + ("psd", "de")      # per-stream quantities differenced per window
 
 # Windows whose band-filtered features are evaluated together: a trial's
-# transient memory grows with this block, not with the trial's length.
-WINDOW_BLOCK = 16
+# transient memory grows with this block (once per thread), not with the
+# trial's length.
+WINDOW_BLOCK = 4
 
 
 def default_channel_indices() -> list[int]:
@@ -182,14 +184,15 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
     channels; PSD is taken from the raw window's spectrum.  The diff block
     holds per-stream changes versus the previous window (zeros on the
     first window).  Band-window features are evaluated ``WINDOW_BLOCK``
-    windows at a time, with the correlations of the same windows, bit-equal
-    to evaluating every window at once.  That loop runs on every CPU of the
-    affinity mask through ``aucmax._rowblocks.row_chunks``, over contiguous
-    blocks of windows, once its output holds about 50,000 values per CPU:
-    116,000 for a 14-channel Set4 trial of 117 windows, at most 52,000 (one
-    process) for Set1-3.  Everything else runs in the calling process; the
-    values, and the first error in window order, never depend on the CPU
-    count.
+    windows at a time, with the correlations of the same windows, each block
+    filling its rows of the outputs in place, bit-equal to evaluating every
+    window at once.  The blocks run in window order on threads, one per CPU
+    of the affinity mask, once the loop's output holds about 50,000 values
+    per CPU (``aucmax._rowblocks.worker_count``): 116,000 for a 14-channel
+    Set4 trial of 117 windows, at most 52,000 (the calling thread alone) for
+    Set1-3.  Everything else runs on the calling thread; the values, and the
+    first error in window order, never depend on the CPU count, and every
+    thread is joined before the call returns or raises.
     """
     level = set_level(set_id)
     fs = trial.sampling_rate
@@ -225,7 +228,7 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         [butterworth_bandpass(data, fs, band, filter_order) for band in bands], axis=1
     )                                           # (c, nbands, t')
     starts = spec.stride_samples(fs) * np.arange(m)
-    # The loop's outputs, in the order each block of windows yields them.
+    # The loop's outputs, each filled in place a block of rows at a time.
     de = np.empty(psd.shape)
     outputs = [de]
     if level >= 2:
@@ -236,39 +239,34 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         corr = np.empty((m, c * (c - 1) // 2, len(corr_lags)))
         outputs += [plv, corr]
 
-    def work(start, stop):
-        """For each ``WINDOW_BLOCK`` windows of ``[start, stop)``, the raw
-        bytes of their rows of each output, in ``outputs`` order."""
-        for lo in range(start, stop, WINDOW_BLOCK):
-            block = slice(lo, min(lo + WINDOW_BLOCK, stop))
-            window_idx = starts[block, None] + np.arange(w)
-            # Kept in the (c, nbands, k, w) memory order of the fancy index: the
-            # reductions below then sum in the same order at every block size.
-            band_windows = filtered[:, :, window_idx].transpose(2, 0, 1, 3)  # (k, c, nbands, w)
-            if level >= 2:
-                block_stats = moment_stats(band_windows)
-                band_var = block_stats[..., STAT_FIELDS.index("variance")]
-            else:
-                band_var = band_windows.var(axis=-1, ddof=1)
-            if np.any(band_var <= 0.0):
-                raise ValueError("degenerate segment (zero variance) in a band-filtered window")
-            yield (0.5 * np.log(2.0 * np.pi * np.e * band_var)).tobytes()
-            if level >= 2:
-                yield block_stats.tobytes()
-            if level >= 4:
-                yield pairwise_plv(band_windows).tobytes()
-                yield pairwise_lagged_correlation(windows[block], corr_lags).tobytes()
+    def work(lo):
+        """Fill the rows of windows ``[lo, lo + WINDOW_BLOCK)`` of every output."""
+        block = slice(lo, lo + WINDOW_BLOCK)
+        window_idx = starts[block, None] + np.arange(w)
+        # Kept in the (c, nbands, k, w) memory order of the fancy index: the
+        # reductions below then sum in the same order at every block size.
+        band_windows = filtered[:, :, window_idx].transpose(2, 0, 1, 3)  # (k, c, nbands, w)
+        if level >= 2:
+            stats[block] = moment_stats(band_windows)
+            band_var = stats[block, ..., STAT_FIELDS.index("variance")]
+        else:
+            band_var = band_windows.var(axis=-1, ddof=1)
+        if np.any(band_var <= 0.0):
+            raise ValueError("degenerate segment (zero variance) in a band-filtered window")
+        de[block] = 0.5 * np.log(2.0 * np.pi * np.e * band_var)
+        if level >= 4:
+            plv[block] = pairwise_plv(band_windows)
+            corr[block] = pairwise_lagged_correlation(windows[block], corr_lags)
+            if np.isnan(corr[block]).any():
+                raise ValueError("zero variance segment in correlation block")
 
-    n_values = sum(out.size for out in outputs)
-    with row_chunks(m, n_values, work) as chunks:
-        lo = 0
-        for block_chunks in zip(*[chunks] * len(outputs)):      # one chunk per output
-            # The window count comes from ``de``, never empty: plv and corr
-            # rows are zero-width on one channel, corr rows with no lags.
-            k = len(block_chunks[0]) // de[0].nbytes
-            for out, chunk in zip(outputs, block_chunks):
-                out[lo: lo + k] = np.frombuffer(chunk).reshape((k,) + out.shape[1:])
-            lo += k
+    n_workers = worker_count(sum(out.size for out in outputs))
+    block_starts = range(0, m, WINDOW_BLOCK)
+    if n_workers == 1:
+        list(map(work, block_starts))
+    else:
+        with ThreadPoolExecutor(n_workers) as pool:     # joins every thread on leaving
+            list(pool.map(work, block_starts))
 
     columns = [psd.reshape(m, -1), de.reshape(m, -1)]
 
@@ -283,10 +281,7 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
         columns.append(np.broadcast_to(chan.reshape(1, -1), (m, chan.size)).copy())
 
     if level >= 4:
-        columns.append(plv.reshape(m, -1))
-        if np.isnan(corr).any():
-            raise ValueError("zero variance segment in correlation block")
-        columns.append(corr.reshape(m, -1))
+        columns += [plv.reshape(m, -1), corr.reshape(m, -1)]
 
     blocks = feature_layout(channels, bands, level, corr_lags)
     names = [name for cols in blocks.values() for name in cols]

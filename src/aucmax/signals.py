@@ -94,11 +94,13 @@ class TrialSignal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2:
             raise ValueError("samples must be a channels x time 2-D array")
+        if self.n_channels == 0:
+            raise ValueError("samples must hold at least one channel")
         if not np.isfinite(self.samples).all():
             raise ValueError("samples contain NaN or Inf")
         require("sampling_rate", self.sampling_rate, POSITIVE)
         require("pretrial_seconds", self.pretrial_seconds, NONNEGATIVE)
-        if self.samples.shape[1] <= self.pretrial_seconds * self.sampling_rate:
+        if self.n_samples <= self.pretrial_samples:
             raise ValueError("signal is not longer than its pre-trial stretch")
 
     @property
@@ -109,10 +111,14 @@ class TrialSignal:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
+    @property
+    def pretrial_samples(self) -> int:
+        """The columns of the pre-trial stretch: pretrial_seconds * fs, rounded."""
+        return round(self.pretrial_seconds * self.sampling_rate)
+
     def post_pretrial(self) -> np.ndarray:
-        """Samples with the first pretrial_seconds * fs columns dropped."""
-        drop = int(round(self.pretrial_seconds * self.sampling_rate))
-        return self.samples[:, drop:]
+        """Samples with the first ``pretrial_samples`` columns dropped."""
+        return self.samples[:, self.pretrial_samples:]
 
 
 @dataclass(frozen=True)
@@ -506,6 +512,9 @@ def read_signal_binary(path) -> TrialSignal:
             f"{path}: corrupt signal header at byte {len(raw)}: need {_BIN_HEADER.size} header bytes"
         )
     channels, samples, fs, pretrial = _BIN_HEADER.unpack_from(raw)
+    if channels == 0:
+        raise ValueError(f"{path}: corrupt signal header at byte 0: "
+                         f"channel count must be {POSITIVE_INTEGER.what}")
     for key, value, offset in (("fs", fs, 8), ("pretrial", pretrial, 16)):
         if not math.isfinite(value):
             raise ValueError(f"{path}: corrupt signal header at byte {offset}: bad {key} value {value!r}")

@@ -1485,8 +1485,12 @@ def test_flag_text_not_of_its_kind_is_a_usage_error(tmp_path, capsys, flags, mes
     ("cut.bin", lambda p: p.write_bytes(struct.pack("<IIdd", 32, 2560, 128.0, 0.0)
                                         + bytes(8 * (32 * 2560 - 1))),
      "malformed signal file: expected 655384 bytes for 32x2560 samples, found 655376"),
+    ("none.bin", lambda p: p.write_bytes(struct.pack("<IIdd", 0, 1000, 128.0, 0.0)),
+     "corrupt signal header at byte 0: channel count must be a positive integer"),
+    ("none.csv", lambda p: p.write_text("fs=128,pretrial=0,channels=0\n"),
+     "corrupt signal header at byte 18: channel count must be a positive integer"),
 ], ids=["nan-sample", "inf-sample", "zero-rate", "all-pretrial", "empty-csv",
-        "bin-one-sample-short"])
+        "bin-one-sample-short", "bin-zero-channels", "csv-zero-channels"])
 def test_extract_refusal_names_the_trial_file(tmp_path, capsys, name, write, message):
     sig_dir = tmp_path / "signals"
     sig_dir.mkdir()

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -327,8 +329,8 @@ def trial_with_windows(count, spec, seed, n_channels=14, pretrial=3.0):
 
 
 @pytest.mark.parametrize("count, window, stride", [
-    (1, 2.0, 0.5), (WINDOW_BLOCK, 2.0, 0.5), (WINDOW_BLOCK + 1, 2.0, 0.5), (117, 2.0, 0.5),
-    (477, 0.5, 0.125),
+    (1, 2.0, 0.5), (WINDOW_BLOCK, 2.0, 0.5), (WINDOW_BLOCK + 1, 2.0, 0.5), (16, 2.0, 0.5),
+    (17, 2.0, 0.5), (117, 2.0, 0.5), (477, 0.5, 0.125),
 ])
 def test_blocked_windows_bit_equal_to_whole_trial(count, window, stride):
     spec = WindowSpec(window, stride)
@@ -342,7 +344,7 @@ def test_blocked_windows_bit_equal_to_whole_trial(count, window, stride):
         assert np.array_equal(got, want[:, : got.shape[1]]), level
 
 
-@pytest.mark.parametrize("count", [1, WINDOW_BLOCK + 1])
+@pytest.mark.parametrize("count", [1, WINDOW_BLOCK + 1, 17])
 def test_zero_variance_band_window_refused_at_every_level(count):
     trial = trial_with_windows(count, WindowSpec(), seed=8, n_channels=3)
     samples = trial.samples.copy()
@@ -386,38 +388,40 @@ def test_set4_trial_memory_bounded_by_the_window_block():
     assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-# --- windows on every CPU: forked window blocks bit-equal to one process
+# --- windows on every CPU: blocks filled in place on threads, bit-equal to one pass
 
 
 @pytest.mark.parametrize("count, window, stride", [(117, 2.0, 0.5), (477, 0.5, 0.125)])
-def test_forked_windows_bit_equal_to_whole_trial(force, count, window, stride):
-    # 30,000 values a block: at Set4, several blocks per process, each of more
-    # than WINDOW_BLOCK windows; at Set1, one block per process
+def test_threaded_windows_bit_equal_to_whole_trial(force, count, window, stride):
     spec = WindowSpec(window, stride)
     trial = trial_with_windows(count, spec, seed=count)
     channels, lags = list(range(14)), (0, int(0.25 * spec.window_samples(FS)))
     want = reference_set4_values(trial, channels, spec, lags)
-    for processes in COUNTS:
-        force(processes, 30_000)
-        for level in (1, 2, 3, 4):
-            got = build_feature_sets(trial, channels=channels, spec=spec, set_id=level,
-                                     corr_lags=lags).values
-            assert np.array_equal(got, want[:, : got.shape[1]]), (processes, level)
-    assert_no_child_left()
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)                 # threads switch often: a lost row would show
+    try:
+        for workers in COUNTS:
+            force(workers)
+            for level in (1, 2, 3, 4):
+                got = build_feature_sets(trial, channels=channels, spec=spec, set_id=level,
+                                         corr_lags=lags).values
+                assert np.array_equal(got, want[:, : got.shape[1]]), (workers, level)
+                assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("processes", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("n_channels, lags", [(1, (0, 64)), (14, ())])
-def test_forked_windows_with_zero_width_pair_blocks(force, processes, n_channels, lags):
-    # one channel has no pairs, no lags no correlations: plv or corr rows are
-    # zero-width, and the window count of each block still comes through
-    force(processes, 30_000)
+def test_threaded_windows_with_zero_width_pair_blocks(force, workers, n_channels, lags):
+    # one channel has no pairs, no lags no correlations: plv or corr rows are zero-width
+    force(workers)
     spec = WindowSpec()
     trial = trial_with_windows(117, spec, seed=5, n_channels=n_channels)
     channels = list(range(n_channels))
     fm = build_feature_sets(trial, channels=channels, spec=spec, set_id="Set4", corr_lags=lags)
     assert np.array_equal(fm.values, reference_set4_values(trial, channels, spec, lags))
-    assert_no_child_left()
 
 
 def forty_window_trial(seed):
@@ -428,8 +432,8 @@ def forty_window_trial(seed):
 @pytest.fixture
 def flat_last_band_window(monkeypatch):
     """Band filtering that leaves channel 0 flat over the last of 40 default
-    windows: a window of the last block, which a child works from two
-    processes up."""
+    windows: a window of the last block, which a pool thread works from two
+    workers up."""
     real = features.butterworth_bandpass
     spec = WindowSpec()
     start = 39 * spec.stride_samples(FS)
@@ -442,30 +446,48 @@ def flat_last_band_window(monkeypatch):
     monkeypatch.setattr(features, "butterworth_bandpass", bandpass)
 
 
-@pytest.mark.parametrize("processes", COUNTS)
-def test_flat_band_window_in_a_child_block_refused(force, flat_last_band_window, processes):
-    force(processes)
+@pytest.mark.parametrize("workers", COUNTS)
+def test_flat_band_window_in_a_child_block_refused(force, flat_last_band_window, workers):
+    force(workers)
     trial = forty_window_trial(seed=11)
     message = "^degenerate segment \\(zero variance\\) in a band-filtered window$"
+    threads = threading.active_count()
     for level in (1, 2, 3, 4):
         with pytest.raises(ValueError, match=message):
             build_feature_sets(trial, set_id=level)
-    assert_no_child_left()
+        assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("processes", COUNTS)
-def test_silent_raw_window_in_a_child_block_refused(force, processes):
-    force(processes)
+def silent_raw_window(trial, window):
+    """``trial`` with channel 1 all zeros over default window ``window``."""
     spec = WindowSpec()
-    trial = forty_window_trial(seed=12)
-    start = 38 * spec.stride_samples(FS)
+    start = window * spec.stride_samples(FS)
     samples = trial.samples.copy()
     samples[1, start: start + spec.window_samples(FS)] = 0.0
-    silent = TrialSignal(samples, FS)
+    return TrialSignal(samples, FS)
+
+
+@pytest.mark.parametrize("workers", COUNTS)
+def test_silent_raw_window_in_a_child_block_refused(force, workers):
+    force(workers)
+    silent = silent_raw_window(forty_window_trial(seed=12), 38)
+    threads = threading.active_count()
     assert build_feature_sets(silent, set_id="Set3").n_rows == 40
     with pytest.raises(ValueError, match="^zero variance segment in correlation block$"):
         build_feature_sets(silent, set_id="Set4")
-    assert_no_child_left()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", COUNTS)
+def test_silent_raw_window_before_a_later_flat_band_window_refused_first(
+        force, flat_last_band_window, workers):
+    # the first block's correlation refusal comes before the last block's band refusal
+    force(workers)
+    silent = silent_raw_window(forty_window_trial(seed=14), 2)
+    with pytest.raises(ValueError, match="^zero variance segment in correlation block$"):
+        build_feature_sets(silent, set_id="Set4")
+    with pytest.raises(ValueError, match="^degenerate segment \\(zero variance\\) in a band"):
+        build_feature_sets(silent, set_id="Set3")
 
 
 def test_extract_names_the_trial_of_a_child_block_refusal(tmp_path, capsys, force,

@@ -123,11 +123,17 @@ def test_child_that_dies_raises_and_is_reaped(force, capfd):
 
 
 def test_process_count_floor_and_platform(monkeypatch):
-    assert _rowblocks.process_count(0) == 1
-    assert _rowblocks.process_count(60_000) == 1        # a 3000x20 table stays in place
-    assert 1 <= _rowblocks.process_count(10**7) <= len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "fork")
-    assert _rowblocks.process_count(10**7) == 1
+    assert _rowblocks.worker_count(0) == 1
+    assert _rowblocks.worker_count(60_000) == 1         # a 3000x20 table stays in place
+    assert 1 <= _rowblocks.worker_count(10**7) <= len(os.sched_getaffinity(0))
+    monkeypatch.setattr(_rowblocks, "worker_count", lambda n_values: 2)
+    monkeypatch.delattr(os, "fork")                     # threads need no fork; processes do
+
+    def work(start, stop):
+        yield f"{start}-{stop} in {os.getpid()}".encode()
+
+    with _rowblocks.row_chunks(2, 10**7, work) as chunks:       # one block, in place
+        assert list(chunks) == [f"0-2 in {os.getpid()}".encode()]
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
@@ -135,7 +141,7 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert _rowblocks.usable_cpus() == 5
-    assert _rowblocks.process_count(10**7) == 5
+    assert _rowblocks.worker_count(10**7) == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _rowblocks.usable_cpus() == 1
 

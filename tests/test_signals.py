@@ -621,6 +621,26 @@ def test_trial_signal_refuses_non_finite_rate_or_pretrial(rate, pretrial, messag
     assert str(excinfo.value) == message
 
 
+def test_trial_signal_refuses_an_empty_channel_axis(tmp_path):
+    with pytest.raises(ValueError, match="^samples must hold at least one channel$"):
+        TrialSignal(np.zeros((0, 1000)), FS)
+    path = tmp_path / "none.bin"
+    path.write_bytes(struct.pack("<IIdd", 0, 1000, FS, 0.0))
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_binary(path)
+    assert str(excinfo.value) == (
+        f"{path}: corrupt signal header at byte 0: channel count must be a positive integer")
+
+
+def test_pretrial_stretch_is_counted_in_rounded_samples():
+    # 384.6 samples of pre-trial round to 385: a 385-sample trial keeps none of them
+    with pytest.raises(ValueError, match="^signal is not longer than its pre-trial stretch$"):
+        TrialSignal(np.ones((2, 385)), FS, pretrial_seconds=384.6 / FS)
+    trial = TrialSignal(np.ones((2, 386)), FS, pretrial_seconds=384.6 / FS)
+    assert trial.pretrial_samples == 385
+    assert trial.post_pretrial().shape == (2, 1)
+
+
 @pytest.mark.parametrize("header, offset, key, text", [
     ("fs=nan,pretrial=0,channels=1", 0, "fs", "nan"),
     ("fs=inf,pretrial=0,channels=1", 0, "fs", "inf"),
