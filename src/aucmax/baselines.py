@@ -64,20 +64,27 @@ class LinearModel:
 
 
 def _fit_inputs(train: LabeledDataset, C, max_iter):
-    """What both fits start from once their arguments pass: the rows
-    ``z_i = y_i [1, x_i]`` (the one design of both fits and both objectives),
-    their transpose, the L2 weight ``lam = 1/(C*N)`` and the per-coefficient
-    weights ``lam P`` (0 on the intercept).  Refuses a ``C`` for which ``lam``
-    is not a finite number."""
+    """What both fits start from once their arguments pass: the design
+    ``zt``, the L2 weight ``lam = 1/(C*N)`` and the per-coefficient weights
+    ``lam P`` (0 on the intercept).  ``zt`` is the one design of both fits,
+    stored features-major: the ``(d+1) x N`` array whose column ``i`` is
+    ``z_i = y_i [1, x_i]``.  The objectives and the margins read its rows
+    through the view ``zt.T``.  Refuses a ``C`` for which ``lam`` is not a
+    positive finite number."""
     require("C", C, POSITIVE)
-    lam = 1.0 / (C * train.n_samples)
+    n = train.n_samples
+    lam = 1.0 / (C * n)
     if not np.isfinite(lam):
-        raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {train.n_samples}")
+        raise ValueError(f"C = {C!r} is too small: 1/(C*N) overflows at N = {n}")
+    if lam == 0.0:
+        raise ValueError(f"C = {C!r} is too large: 1/(C*N) underflows to 0 at N = {n}")
     require("max_iter", max_iter, POSITIVE_INTEGER)
-    z = train.labels[:, None] * np.hstack([np.ones((train.n_samples, 1)), train.features])
-    reg = np.full(z.shape[1], lam)
+    zt = np.empty((train.n_features + 1, n))
+    zt[0] = train.labels
+    np.multiply(train.features.T, train.labels, out=zt[1:])
+    reg = np.full(zt.shape[0], lam)
     reg[0] = 0.0                                # the intercept is not regularized
-    return z, np.ascontiguousarray(z.T), lam, reg
+    return zt, lam, reg
 
 
 def logistic_objective(beta, z, C: float):
@@ -103,13 +110,14 @@ def fit_logistic(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAU
     """L2-regularized logistic regression at one ``C`` by a damped Newton
     method; predicts +1 when the modeled probability exceeds 0.5.
 
-    The rows ``z_i = y_i [1, x_i]`` are formed once.  An iteration factors
+    The design ``zt``, whose column ``i`` is ``z_i = y_i [1, x_i]``, is
+    formed once (``_fit_inputs``).  An iteration factors
     ``Z^T diag(s(m) s(-m) / N) Z + lam P`` (``m = Z beta``, ``s`` the logistic
     function, ``lam = 1/(C*N)``, ``P`` the identity without its intercept
-    entry) by Cholesky and backtracks along the Newton direction ``d`` from
-    step 1, halving at most 60 times until the Armijo test on ``grad . d``
-    holds.  Value and gradient come from ``logistic_objective`` on the same
-    rows.
+    entry), formed by ``_normal_system``, by Cholesky and backtracks along
+    the Newton direction ``d`` from step 1, halving at most 60 times until
+    the Armijo test on ``grad . d`` holds.  Value and gradient come from
+    ``logistic_objective`` on the rows ``zt.T``.
 
     The fit stops once the gradient norm is at most ``tol``
     (``train_meta["converged"]``) or after ``max_iter`` Newton iterations.
@@ -120,16 +128,16 @@ def fit_logistic(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAU
     (``_logistic_gap``).
     """
     n = train.n_samples
-    z, zt, lam, reg = _fit_inputs(train, C, max_iter)
-    beta = np.zeros(z.shape[1])
-    value, grad = logistic_objective(beta, z, C)
+    zt, lam, reg = _fit_inputs(train, C, max_iter)
+    beta = np.zeros(zt.shape[0])
+    value, grad = logistic_objective(beta, zt.T, C)
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
     while grad_norm > tol and iterations < max_iter:
-        margins = z @ beta
+        margins = zt.T @ beta
         curvature = expit(margins) * expit(-margins) / n
         try:
-            factor = cho_factor(_normal_system(z, zt, curvature, reg), check_finite=False)
+            factor = cho_factor(_normal_system(zt, curvature, reg), check_finite=False)
         except LinAlgError:
             break
         direction = -cho_solve(factor, grad, check_finite=False)
@@ -137,7 +145,7 @@ def fit_logistic(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAU
         step = 1.0
         for _ in range(60):                     # Armijo: halve until sufficient decrease
             candidate = beta + step * direction
-            cand_value, cand_grad = logistic_objective(candidate, z, C)
+            cand_value, cand_grad = logistic_objective(candidate, zt.T, C)
             # on the difference, so that a step that leaves the value as it is fails
             if cand_value - value <= 1e-4 * step * slope:
                 break
@@ -152,14 +160,19 @@ def fit_logistic(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEFAU
         "grad_norm": grad_norm,
         "objective": value,
         "converged": bool(grad_norm <= tol),
-        "duality_gap": _logistic_gap(zt, z @ beta, beta, lam, train.labels == 1),
+        "duality_gap": _logistic_gap(zt, zt.T @ beta, beta, lam, train.labels == 1),
     }
     return LinearModel(beta, "logistic", threshold=0.5, C=C, train_meta=meta)
 
 
-def _normal_system(z, zt, weights, reg) -> np.ndarray:
-    """``Z^T diag(weights) Z + diag(reg)``: the system each fit factors."""
-    system = (zt * weights) @ z
+def _normal_system(zt, weights, reg) -> np.ndarray:
+    """``Z^T diag(weights) Z + diag(reg)``: the system each fit factors, for
+    the design ``zt = Z^T`` and nonnegative ``weights``.  It is formed as the
+    Gram matrix ``S S^T`` of the one array ``S = zt * sqrt(weights)``, which
+    numpy hands to BLAS ``syrk`` at half the flops of a general product, as
+    ``AucProblem`` builds its ``H_ww``."""
+    s = zt * np.sqrt(weights)
+    system = s @ s.T
     system.flat[::system.shape[0] + 1] += reg
     return system
 
@@ -213,11 +226,13 @@ def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEF
     Mehrotra predictor-corrector primal-dual interior-point method (Ferris &
     Munson, SIAM J. Optim. 2002).
 
-    The rows ``z_i = y_i [1, x_i]`` are formed once.  An iteration factors one
-    ``(d+1) x (d+1)`` matrix ``lam P + Z^T diag(theta) Z`` (``P`` the identity
-    without its intercept entry) by Cholesky and solves with it twice, for
-    the predictor and for the corrector; one step length, 0.99 of the largest
-    feasible one, moves the slacks, the hinge variables and both multipliers.
+    The design ``zt``, whose column ``i`` is ``z_i = y_i [1, x_i]``, is
+    formed once (``_fit_inputs``).  An iteration factors one ``(d+1) x (d+1)``
+    matrix ``lam P + Z^T diag(theta) Z`` (``P`` the identity without its
+    intercept entry), formed by ``_normal_system``, by Cholesky and solves
+    with it twice, for the predictor and for the corrector; one step length,
+    0.99 of the largest feasible one, moves the slacks, the hinge variables
+    and both multipliers.
 
     The fit stops once the certified duality gap ``P(beta) - D(alpha)`` is at
     most ``tol * P(beta)`` (``train_meta["converged"]``).  ``alpha`` is the
@@ -231,10 +246,10 @@ def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEF
     or a step is not finite.  It then returns the last finite iterate.
     """
     n = train.n_samples
-    z, zt, lam, reg = _fit_inputs(train, C, max_iter)
+    zt, lam, reg = _fit_inputs(train, C, max_iter)
     positive = train.labels == 1
-    beta = np.zeros(z.shape[1])
-    margins = np.zeros(n)                       # z @ beta
+    beta = np.zeros(zt.shape[0])
+    margins = np.zeros(n)                       # zt.T @ beta
     v = np.empty((4, n))                        # the positive vectors s, xi, alpha, nu
     v[:2], v[2:] = 1.0, 0.5 / n
     s, xi, alpha, nu = v                        # views: updating v updates them
@@ -252,7 +267,7 @@ def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEF
             r_p = margins + xi - s - 1.0
             theta = nu * alpha / (alpha * xi + s * nu)
             try:
-                factor = cho_factor(_normal_system(z, zt, theta, reg), check_finite=False)
+                factor = cho_factor(_normal_system(zt, theta, reg), check_finite=False)
             except LinAlgError:
                 break
 
@@ -261,7 +276,7 @@ def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEF
                 rhs = r[0] / alpha - r_p - (r[1] - xi * r_xi) / nu
                 d_beta = cho_solve(factor, zt @ (theta * rhs) - r_beta, check_finite=False)
                 d_v = np.empty_like(v)
-                d_v[2] = theta * (rhs - z @ d_beta)
+                d_v[2] = theta * (rhs - zt.T @ d_beta)
                 d_v[3] = r_xi - d_v[2]
                 d_v[:2] = (r - v[:2] * d_v[2:]) / v[2:]
                 return d_beta, d_v
@@ -277,7 +292,7 @@ def fit_linear_svm(train: LabeledDataset, C: float = DEFAULT_C, tol: float = DEF
                 break
             beta = beta + step * d_beta
             v += step * d_v
-            margins = z @ beta
+            margins = zt.T @ beta
             objective, gap = _svm_certificate(zt, margins, beta, alpha, lam, positive)
             trace.append([t, objective])
             if gap <= tol * objective:

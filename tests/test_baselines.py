@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,9 +41,12 @@ def synth_400():
 
 
 def rows(features, labels):
-    """The label-scaled rows ``z_i = y_i [1, x_i]`` that both objectives read."""
+    """The label-scaled rows ``z_i = y_i [1, x_i]`` that both objectives read,
+    stored features-major as the fits store them: through BLAS the last bit
+    of an objective depends on the memory layout of its rows."""
     features = np.asarray(features, dtype=float)
-    return np.asarray(labels)[:, None] * np.hstack([np.ones((features.shape[0], 1)), features])
+    z = np.asarray(labels)[:, None] * np.hstack([np.ones((features.shape[0], 1)), features])
+    return np.ascontiguousarray(z.T).T
 
 
 def set2_shaped(seed=0, n=60, d=80):
@@ -533,6 +537,7 @@ def test_svm_rank_deficient_columns_fail_the_factorization(monkeypatch):
     (float("nan"), "C must be positive"),
     (float("inf"), "C must be finite"),
     (1e-320, "C = 1e-320 is too small: 1/(C*N) overflows at N = 60"),
+    (1e308, "C = 1e+308 is too large: 1/(C*N) underflows to 0 at N = 60"),
 ])
 @pytest.mark.parametrize("fit", [
     fit_logistic,
@@ -540,9 +545,34 @@ def test_svm_rank_deficient_columns_fail_the_factorization(monkeypatch):
     lambda ds, C: [fit_linear_svm(ds, C=c) for c in (1.0, C)],   # compare's tuning: one fit per C
 ], ids=["logistic", "svm", "svm-grid"])
 def test_fits_refuse_unusable_c(fit, C, rule):
-    message = rule if "overflows" in rule else "C must be a positive finite number"
+    message = rule if "1/(C*N)" in rule else "C must be a positive finite number"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fit(blobs(), C=C)
+
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear_svm])
+def test_fits_accept_a_subnormal_penalty(fit):
+    # C * N = 1.6e308 is finite: lam = 6.25e-309 is below the smallest normal
+    # number but positive, and the certificate stays finite
+    ds = synth_400()
+    lam = 1.0 / (4e305 * ds.n_samples)
+    assert 0.0 < lam < np.finfo(float).tiny
+    assert np.isfinite(fit(ds, C=4e305).train_meta["duality_gap"])
+
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear_svm])
+def test_fit_peak_memory_is_about_two_designs(fit):
+    # a fit holds one design and, while it forms a system, one scaled copy of
+    # it: no transposed copy and no GEMM operand beside them
+    ds = generate_synthetic(SynthSpec(4000, 300, 1 / 3, 1.0, seed=11))
+    design = ds.n_samples * (ds.n_features + 1) * 8
+    tracemalloc.start()
+    try:
+        fit(ds, C=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * design
 
 
 # --- scores, predictions, serialization

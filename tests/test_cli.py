@@ -1128,6 +1128,23 @@ def test_c_whose_penalty_overflows_is_named_and_leaves_no_output(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("train", "--solver", "svm", "--C", "1e308"),
+    ("train", "--solver", "logistic", "--C", "1e308"),
+    ("compare", "--solver", "newton", "--c-grid", "1,1e308"),   # refused at the grid's second C
+], ids=["svm", "logistic", "compare"])
+def test_c_whose_penalty_underflows_is_named_and_leaves_no_output(tmp_path, capsys, command):
+    path = synth_csv(tmp_path, n=100, dim=3)
+    train_std, (fit_part, _) = tuning_split(path, seed=2)
+    n = (fit_part if command[0] == "compare" else train_std).n_samples
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(*command, "--features", path, "--seed", 2, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: C = 1e+308 is too large: 1/(C*N) underflows to 0 at N = {n}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, cap", [("0.01,0.1,1,10,100", 10_000), ("1,1,10", 10_000),
                                        ("100,0.01,1", 40), ("100,0.01,1", 2)])
 def test_compare_tuning_matches_per_c_fits(tmp_path, grid, cap):
