@@ -9,6 +9,26 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 echo "working in $WORK"
 
+# A feature CSV's rows must be exactly what Python's '%.17g' makes of the labels
+# and values its sidecar holds, one call per value: the writer's vectorized
+# number kernel promises those bytes.
+check_rendering() {
+    python3 - "$1" <<'PY'
+import struct, sys
+import numpy as np
+path = sys.argv[1]
+raw = open(path + ".table", "rb").read()
+rows, cols = struct.unpack_from("<QQ", raw, 32)
+labels = np.frombuffer(raw, np.int8, rows, 48).tolist()
+values = np.frombuffer(raw, "<f8", rows * cols, 48 + rows).reshape(rows, cols).tolist()
+text = open(path, "rb").read()
+want = "".join(("+1," if label == 1 else "-1,") + ",".join("%.17g" % v for v in row) + "\n"
+               for label, row in zip(labels, values))
+assert text[text.index(b"\n") + 1:] == want.encode("ascii"), path
+print(f"{rows}x{cols} values, each written as '%.17g' % v writes it")
+PY
+}
+
 echo; echo "== synth: a 2:1-imbalanced Gaussian feature table =="
 python3 -m aucmax synth --n 2000 --dim 12 --pos-frac 0.333 --sep 1.5 --seed 7 \
     --out "$WORK/data"
@@ -16,6 +36,7 @@ head -c 300 "$WORK/data/features.csv"; echo; echo "..."
 # the sidecar: 32-byte digest, 16 bytes of counts, n int8 labels, n*d float64 values
 test "$(wc -c < "$WORK/data/features.csv.table")" -eq $((48 + 2000 + 8 * 2000 * 12))
 echo "sidecar: $((48 + 2000 + 8 * 2000 * 12)) bytes, as its layout asks"
+check_rendering "$WORK/data/features.csv"
 
 echo; echo "== extract: Set2 features from two generated trials (one CSV, one binary) =="
 python3 - "$WORK/trials" <<'PY'
@@ -88,6 +109,11 @@ test "$status" -eq 1
 grep -qx "error: seed must be a nonnegative integer" "$WORK/seed.err"
 test ! -e "$WORK/synth_refused"
 echo "refused with exit 1, naming the key, and no output directory created"
+
+echo; echo "== extract --set 4: the Set4 table of the same two trials =="
+python3 -m aucmax extract --signals "$WORK/trials" --labels "$WORK/labels.csv" --set 4 \
+    --out "$WORK/ext4"
+check_rendering "$WORK/ext4/features.csv"
 
 echo; echo "== extract refuses a repeated correlation lag before reading any trial =="
 status=0
@@ -212,6 +238,7 @@ if command -v taskset > /dev/null; then
     cmp "$WORK/ext_one_cpu/features.csv" "$WORK/ext_all_cpus/features.csv"
     cmp "$WORK/ext_one_cpu/features.csv.table" "$WORK/ext_all_cpus/features.csv.table"
     echo "byte-identical table and sidecar on CPU $first_cpu alone and on all $(nproc)"
+    check_rendering "$WORK/ext_all_cpus/features.csv"
     # A reader hashes a large CSV on one thread per CPU; the digest does not depend
     # on the mask: the table written on one CPU binds when read on all, and the reverse.
     bound="import sys, aucmax.data; assert aucmax.data._read_table(sys.argv[1]) is not None"

@@ -1,13 +1,24 @@
 """Rows of CSV text, formatted or parsed on every CPU.
 
-The CSV writers format, and the signal CSV reader parses, one row of text at
-a time.  On a large table that loop is the cost, and it has no faster
-single-core form.  A row is a line of text, and a chunk is bytes: a line's
-text, or the values parsed from it.  :func:`row_chunks` splits the rows into
-contiguous blocks and hands them out round-robin.  The calling process works
-its own blocks in place, streaming.  Each other process is a child made with
-``os.fork()``: it works one block at a time into memory, then sends it down a
-pipe as length-framed chunks.  The caller sees every chunk in row order, so
+The CSV writers turn float64 rows into text with a vectorized number kernel,
+:func:`_csv_text`, and write exactly the bytes of ``'%.17g' % v``.  Dekker's
+exact product scales each value by a power of ten held as two doubles, to a
+17-digit integer plus a fraction within about 2**-47 of the true one, so
+rounding it is exact wherever the fraction is not within 2**-30 of one half.
+Python formats every other value, and its text is spliced in: NaN, the
+infinities, magnitudes outside 1e-280 to 1e280 and the fractions near one
+half, which take in every exact tie.  The kernel fills a NUL-padded array one
+character position at a time for up to ``_BATCH_VALUES`` values, about 400 KB
+of it; one transposed copy and ``bytes.translate`` give the text.  The signal
+CSV reader parses one row of text at a time; on a large table that loop is
+the cost, and it has no faster single-core form.
+
+A chunk is bytes: the text of a batch of values, or the values parsed from a
+line of text.  :func:`row_chunks` splits the rows into contiguous blocks and
+hands them out round-robin.  The calling process works its own blocks in
+place, streaming.  Each other process is a child made with ``os.fork()``: it
+works one block at a time into memory, then sends it down a pipe as
+length-framed chunks.  The caller sees every chunk in row order, so
 the output never depends on the number of processes.  Plain pipes keep the
 parent's heap flat: a child's chunks are copied out one at a time, never
 pickled.  The CPU count :func:`usable_cpus` also sizes :mod:`aucmax.data`'s
@@ -50,6 +61,30 @@ MAX_BLOCK_VALUES = 350_000
 
 LABEL_TAGS = ("+1", "-1", "1")  # written for +1 and -1; readers also take 1 for +1
 LABEL_RULE = "+1 or -1"         # how a refusal names the labels
+
+# The number kernel :func:`_csv_text` formats at most this many values at once:
+# the text of a batch is about 400 KB, and its other arrays 64 KB or less.
+_BATCH_VALUES = 8192
+# Its fast path takes |x| in [_FAST_MIN, _FAST_MAX]: there x and every
+# 10**(16 - k) it needs (k within one of floor(log10 |x|)) are below 2**996,
+# where Dekker's split would overflow, and the low double of each power is normal.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_K_MIN = -282                                   # the least such k; the greatest is 281
+_SPLIT = 2.0**27 + 1                            # splits a double into two 26-bit halves
+# The rows of its text array: a value's characters in order, NUL where absent.
+_TAG = 0                                        # the label tag and its comma
+_SIGN = 3
+_LEAD = 4                                       # "0." and up to three zeros
+_DIGIT = 9                                      # digit j at _DIGIT + 2j, then its point
+_EXP = _DIGIT + 33                              # "e", the sign, up to three digits
+_SEP = _EXP + 5                                 # "," or a line break
+_FIELDS = _SEP + 1
+_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+_DIGIT_COUNT = _DIGIT_INDEX + np.uint8(1)
+_LEAD_INDEX = np.arange(5)[:, None]
+_LEAD_TEXT = np.frombuffer(b"0.000", np.uint8)[:, None]
+_TAG_TEXT = np.array([list(tag.encode("ascii")) for tag in LABEL_TAGS[:2]], np.uint8).T
+_KERNEL_CHARS = "+-.,\n0123456789einfa"          # every character the kernel writes
 
 _FRAME = struct.Struct("<cQ")                   # kind, payload length
 _CHUNK, _ERROR, _END = b"c", b"e", b"."
@@ -201,25 +236,159 @@ def row_chunks(n_rows: int, n_values: int, work):
 
 
 def write_rows(path, head: str, values: np.ndarray, labels=None, digest=None) -> None:
-    """Write the line ``head`` to ``path``, then each row of ``values`` at 17
-    significant digits, after its label tag when ``labels`` are given, through
-    :func:`row_chunks`; every byte also goes to ``digest`` when one is given."""
+    """Write the line ``head`` to ``path``, then each row of the float64 array
+    ``values`` as ``'%.17g' % v`` joined by commas, after its label tag when
+    ``labels`` are given, through :func:`row_chunks`; every byte also goes
+    to ``digest`` when one is given.
+
+    Each block's rows are formatted by :func:`_csv_text`, one chunk per
+    batch of at most ``_BATCH_VALUES`` values taken in row-major order, so a
+    batch may start or end inside a row."""
     encoding = text_encoding()
-    row_format = ",".join(["%.17g"] * values.shape[1])
+    ascii_text = _KERNEL_CHARS.encode(encoding) == _KERNEL_CHARS.encode("ascii")
+    n_cols = values.shape[1]
 
     def encode(start, stop):
-        for k in range(start, stop):
-            # one row at a time: a whole-matrix tolist() holds every value as a Python float
-            line = row_format % tuple(values[k].tolist())
-            if labels is not None:
-                line = (LABEL_TAGS[0] if labels[k] == 1 else LABEL_TAGS[1]) + "," + line
-            yield (line + "\n").encode(encoding)
+        for first in range(start * n_cols, stop * n_cols, _BATCH_VALUES):
+            last = min(first + _BATCH_VALUES, stop * n_cols)
+            top = first // n_cols
+            rows = values[top:-(-last // n_cols)].reshape(-1)  # copies only a non-C-order table
+            text = _csv_text(rows[first - top * n_cols:last - top * n_cols], first, n_cols, labels)
+            yield text if ascii_text else text.decode("ascii").encode(encoding)
 
     with row_chunks(values.shape[0], values.size, encode) as chunks, open(path, "wb") as fh:
         for chunk in itertools.chain([(head + "\n").encode(encoding)], chunks):
             if digest is not None:
                 digest.update(chunk)
             fh.write(chunk)
+
+
+def _powers_of_ten():
+    """``10**(16 - k)`` for each k of ``range(_K_MIN, -_K_MIN)`` as a pair of
+    doubles ``hi + lo``: ``hi`` is the nearest double, ``lo`` the nearest to
+    the remainder.  Both come from exact integer ratios, which ``int / int``
+    rounds correctly, so the pair is within 2**-106 of the power."""
+    hi, lo = [], []
+    for k in range(_K_MIN, -_K_MIN):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    return np.array(hi), np.array(lo)
+
+
+_POWER_HI, _POWER_LO = _powers_of_ten()
+
+
+def _scaled(ax, k):
+    """``floor(y)`` as int64 and ``y - floor(y)`` for ``y = ax * 10**(16 - k)``.
+
+    ``y`` is the double-double ``p + e``: ``p = fl(ax * hi)``, ``e`` the exact
+    error of that product by Dekker's split and TwoProduct, plus ``ax * lo``.
+    For y in [1e16, 1e17), ``p`` is an integer and |e| < 20, and the computed
+    fraction is within about 2**-47 of the true one."""
+    hi = _POWER_HI.take(k - _K_MIN)
+    lo = _POWER_LO.take(k - _K_MIN)
+    p = ax * hi
+    c = ax * _SPLIT
+    ah = c - (c - ax)
+    al = ax - ah
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    hl = hi - hh
+    e = ((ah * hh - p) + ah * hl + al * hh) + al * hl + ax * lo
+    f = np.floor(e)
+    return p.astype(np.int64) + f.astype(np.int64), e - f
+
+
+def _significand(ax):
+    """``(d, k, sure)`` for positive ``ax`` in the fast range: the 17
+    significant digits ``d`` as an integer in [1e16, 1e17) and the decimal
+    exponent ``k``, ``ax ~ d * 10**(k - 16)``, rounded to nearest; ``sure``
+    is false where ``d`` may not be the correctly rounded one: the fraction
+    lies within 2**-30 of one half (every exact tie does), or ``d`` is still
+    out of range after one retry of the exponent that log10 gave."""
+    k = np.floor(np.log10(ax)).astype(np.intp)
+    whole, frac = _scaled(ax, k)
+    shift = (whole >= 10**17).astype(np.intp) - (whole < 10**16)   # log10 was one off
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        k[redo] += shift[redo]
+        whole[redo], frac[redo] = _scaled(ax[redo], k[redo])
+    sure = (np.abs(frac - 0.5) > 2.0**-30) & (whole >= 10**16) & (whole < 10**17)
+    d = whole + (frac > 0.5)
+    carry = d == 10**17                         # 99999999999999999.7 rounds to 1e17
+    d[carry] = 10**16
+    k += carry
+    return d, k, sure
+
+
+def _csv_text(x, first, n_cols, labels) -> bytes:
+    """The ASCII CSV text of the float64 values ``x``, which continue a
+    row-major table of ``n_cols`` columns at flat position ``first``: each
+    value as ``'%.17g' % v``, then ``,``, or a line break at the end of a
+    row; a row's first value follows its tag of ``LABEL_TAGS`` when
+    ``labels`` are given.
+
+    Each value gets one column of a NUL-padded (``_FIELDS`` x values) byte
+    array, whose rows are written at once for every value.  The rows that
+    hold a character of some value are kept, and one transposed copy and
+    ``translate`` deleting the NULs give the text.  Zero is written as
+    ``0``.  Python formats NaN, the infinities, magnitudes outside
+    [``_FAST_MIN``, ``_FAST_MAX``] and every value :func:`_significand` is
+    not sure of, and its text is spliced in."""
+    n = x.size
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):         # NaN compares false: Python formats it
+        fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    digits, exponent, sure = _significand(np.where(fast, ax, 1.0))
+    digits *= fast                              # zero: the digit 0 at exponent 0
+    exponent *= fast
+    slow = np.flatnonzero(~(fast & sure) & (ax != 0))
+
+    text = np.zeros((_FIELDS, n), np.uint8)
+    text[_SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    digit = text[_DIGIT:_DIGIT + 33:2]          # digit j of each value, most significant first
+    high = digits // 10**8
+    halves = np.stack([high, digits - high * 10**8]).astype(np.uint32)
+    for j in range(8, 0, -1):                   # digits j and j + 8
+        tens = halves // 10
+        digit[j::8] = halves - tens * 10
+        halves = tens
+    digit[0] = halves[0]
+    sci = (exponent < -4) | (exponent > 16)
+    whole = np.where(sci, 1, exponent + 1)      # digits before the point: none below 1
+    # %g drops trailing zeros after the point, not before it
+    kept = np.maximum(((digit != 0) * _DIGIT_COUNT).max(axis=0), whole)
+    digit += ord("0")
+    digit *= _DIGIT_INDEX < kept
+    point = np.flatnonzero((whole > 0) & (kept > whole))
+    text[_DIGIT + 2 * whole[point] - 1, point] = ord(".")
+    lead = np.where(whole > 0, 0, 2 - whole)    # "0." and a zero per place below 0.1
+    text[_LEAD:_LEAD + 5] = _LEAD_TEXT * (_LEAD_INDEX < lead)
+    at = np.flatnonzero(sci)
+    if at.size:
+        e = exponent[at]
+        text[_EXP, at] = ord("e")
+        text[_EXP + 1, at] = np.where(e < 0, ord("-"), ord("+"))
+        e = np.abs(e)
+        text[_EXP + 2, at] = np.where(e >= 100, ord("0") + e // 100, 0)
+        text[_EXP + 3, at] = ord("0") + e // 10 % 10
+        text[_EXP + 4, at] = ord("0") + e % 10
+    if slow.size:
+        width = _SEP - _SIGN
+        words = "".join(("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist())
+        text[_SIGN:_SEP, slow] = np.frombuffer(words.encode("ascii"), np.uint8).reshape(-1, width).T
+    text[_SEP] = ord(",")
+    text[_SEP, (n_cols - 1 - first) % n_cols::n_cols] = ord("\n")
+    if labels is not None:
+        starts = slice(-first % n_cols, None, n_cols)
+        row_labels = labels[-(-first // n_cols):-(-(first + n) // n_cols)]
+        text[_TAG:_TAG + 2, starts] = _TAG_TEXT[:, (row_labels != 1).astype(np.intp)]
+        text[_TAG + 2, starts] = ord(",")
+    text = text[text.any(axis=1)]               # the copy and translate cost per byte
+    return text.T.tobytes().translate(None, b"\0")
 
 
 def text_floats(lines, usecols=None) -> np.ndarray:

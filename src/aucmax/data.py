@@ -185,11 +185,12 @@ def table_path(csv_path) -> Path:
 
 
 def write_feature_csv(path, features, labels, feature_names):
-    """Label-first CSV: header ``label,<names...>``, labels as +1/-1, values
-    at 17 significant digits (enough to read every float64 back exactly).
+    """Label-first CSV: header ``label,<names...>``, labels as +1/-1, each
+    value as ``'%.17g' % v`` (enough to read every float64 back exactly).
 
-    The rows are formatted on every CPU this process may use, streamed
-    (see :mod:`aucmax._rowblocks`); the bytes do not depend on how many.
+    The rows are formatted on every CPU this process may use, streamed, by
+    the vectorized number kernel of :mod:`aucmax._rowblocks`, which writes
+    Python's bytes for every float64; they do not depend on how many CPUs.
     Then writes the sidecar :func:`table_path`: the 32-byte piece-tree
     SHA-256 of the CSV's bytes (:class:`_PieceDigest`, fed the chunks as they
     are written), the row and column counts as ``struct`` ``"<QQ"``, the

@@ -425,8 +425,8 @@ _BIN_HEADER = struct.Struct("<IIdd")
 
 def write_signal_csv(trial: TrialSignal, path):
     """The signal CSV of ``trial``: its header line, then one row of samples
-    per channel at 17 significant digits, formatted on every CPU this
-    process may use (see :mod:`aucmax._rowblocks`)."""
+    per channel, each as ``'%.17g' % v``, formatted on every CPU this process
+    may use by the vectorized number kernel of :mod:`aucmax._rowblocks`."""
     write_rows(path, f"fs={trial.sampling_rate:.17g},pretrial={trial.pretrial_seconds:.17g},"
                      f"channels={trial.n_channels}", trial.samples)
 

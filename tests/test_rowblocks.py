@@ -4,6 +4,10 @@ Every test forces its process count, so the forked path runs on any machine,
 one CPU included."""
 
 import os
+import random
+import tracemalloc
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -63,6 +67,105 @@ def test_signal_csv_bytes_and_samples_do_not_depend_on_the_process_count(
         assert np.signbit(loaded.samples[0, 0])
     assert texts[1] == texts[0] and texts[2] == texts[0]
     assert_no_child_left()
+
+
+def reference_text(values, labels=None):
+    """The rows as one ``'%.17g' % v`` per value, each after its tag when labels are given."""
+    lines = []
+    for k, row in enumerate(values.tolist()):
+        fields = ["%.17g" % v for v in row]
+        if labels is not None:
+            fields.insert(0, "+1" if labels[k] == 1 else "-1")
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
+
+
+def exact_ties():
+    """Doubles m * 2**-j whose decimal expansion has exactly 18 significant
+    digits, the last a 5: halfway between two 17-digit decimals."""
+    draw = random.Random(17)
+    ties = [1 + 2**-17]
+    for j in range(1, 64):
+        low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        for _ in range(200 if low < high else 0):
+            x = (draw.randrange(low, high) | 1) / 2**j
+            digits = Decimal(x).normalize().as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    assert len(ties) > 2000
+    return np.array(ties)
+
+
+def hard_values():
+    powers = 10.0 ** np.arange(-323, 309)
+    edges = np.array([_rowblocks._FAST_MIN, _rowblocks._FAST_MAX])
+    specials = [0.0, np.nan, np.inf, 5e-324, np.nextafter(2.2250738585072014e-308, 0),
+                2.2250738585072014e-308, 1.7976931348623157e308]
+    bits = np.random.default_rng(39).integers(0, 2**64, 100_000, dtype=np.uint64)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), specials, exact_ties()])
+    return np.concatenate([values, -values, bits.view(np.float64)])
+
+
+@pytest.mark.parametrize("n_cols, batch", [(1, None), (7, None), (10_000, None),
+                                           (7, 1), (7, 5), (7, 13), (1, 3)])
+@pytest.mark.parametrize("labelled", [False, True], ids=["values", "labelled"])
+def test_written_numbers_equal_python_formatting(tmp_path, monkeypatch, force, n_cols, batch,
+                                                 labelled):
+    force(1)
+    values = hard_values()
+    if batch is not None:                       # batches then cut rows at every position
+        monkeypatch.setattr(_rowblocks, "_BATCH_VALUES", batch)
+        values = values[:2000]
+    values = values[:values.size // n_cols * n_cols].reshape(-1, n_cols)
+    labels = np.where(np.arange(values.shape[0]) % 3 == 0, 1, -1) if labelled else None
+    path = tmp_path / "rows.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _rowblocks.write_rows(path, "head", values, labels)
+    assert path.read_bytes() == ("head\n" + reference_text(values, labels)).encode("ascii")
+
+
+def test_written_numbers_are_reencoded_when_ascii_is_not(tmp_path, monkeypatch, force):
+    force(1)
+    monkeypatch.setattr(_rowblocks, "text_encoding", lambda: "utf-16-le")
+    values = hard_values()[:3003].reshape(-1, 3)
+    labels = np.where(np.arange(values.shape[0]) % 2 == 0, 1, -1)
+    path = tmp_path / "rows.csv"
+    _rowblocks.write_rows(path, "head", values, labels)
+    assert path.read_bytes() == ("head\n" + reference_text(values, labels)).encode("utf-16-le")
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_signal_csv_equals_python_formatting(tmp_path, force, processes):
+    force(processes)
+    rng = np.random.default_rng(8)
+    samples = rng.choice([-1.0, 1.0], (5, 400)) * 10.0 ** rng.uniform(-300, 300, (5, 400))
+    samples[:, :2] = [1e-300, 1e300]
+    trial = TrialSignal(samples, 128.0, pretrial_seconds=0.1)
+    write_signal_csv(trial, tmp_path / "trial.csv")
+    lines = ["fs=128,pretrial=0.10000000000000001,channels=5"]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in samples]
+    assert (tmp_path / "trial.csv").read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert_no_child_left()
+
+
+def test_feature_csv_writer_working_set(tmp_path, force):
+    """The writer holds one batch of text at a time, not a block's."""
+    force(1)
+    x = np.random.default_rng(9).standard_normal((300, 1680))
+    y = np.where(np.arange(300) % 3 == 0, 1, -1)
+    names = [f"f{j}" for j in range(1680)]
+    tracemalloc.start()
+    try:
+        write_feature_csv(tmp_path / "t.csv", x, y, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 2 MB at 8192 values a batch; 16,384 take 3.9 MB and 32,768 take 7.7 MB
+    assert peak < 3_000_000
+    assert read_feature_csv(tmp_path / "t.csv")[0].tobytes() == x.tobytes()
 
 
 def bad_signal(tmp_path, bad_rows, unequal=False):
