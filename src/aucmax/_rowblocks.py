@@ -10,15 +10,16 @@ infinities, magnitudes outside 1e-280 to 1e280 and the fractions near one
 half, which take in every exact tie.  The kernel fills a NUL-padded array one
 character position at a time for up to ``_BATCH_VALUES`` values, about 400 KB
 of it; one transposed copy and ``bytes.translate`` give the text.  The signal
-CSV reader parses one row of text at a time; on a large table that loop is
-the cost, and it has no faster single-core form.
+CSV reader parses each line apart, in the forked blocks: on one core a single
+parse of a trial's lines is a little faster, but this form measured faster
+end to end.
 
 A chunk is bytes: the text of a batch of values, or the values parsed from a
-line of text.  :func:`row_chunks` splits the rows into contiguous blocks and
-hands them out round-robin.  The calling process works its own blocks in
-place, streaming.  Each other process is a child made with ``os.fork()``: it
-works one block at a time into memory, then sends it down a pipe as
-length-framed chunks.  The caller sees every chunk in row order, so
+line of text (none if the line is not numbers).  :func:`row_chunks` splits
+the rows into contiguous blocks and hands them out round-robin.  The calling
+process works its own blocks in place, streaming.  Each other process is a
+child made with ``os.fork()``: it works one block at a time into memory, then
+sends it down a pipe as length-framed chunks.  The caller sees every chunk in row order, so
 the output never depends on the number of processes.  Plain pipes keep the
 parent's heap flat: a child's chunks are copied out one at a time, never
 pickled.  The CPU count :func:`usable_cpus` also sizes :mod:`aucmax.data`'s
@@ -28,15 +29,15 @@ hashing threads, and the split rule :func:`worker_count` the threads of
 It also holds, once, the text rules that every CSV format shares: the
 number rule :func:`text_floats` (written by :func:`write_rows` at 17
 significant digits), the label tags ``LABEL_TAGS`` that :func:`label_of`
-reads, and the encoding :func:`text_encoding`.  Each format's header, field
-counts and messages stay in :mod:`aucmax.data`, :mod:`aucmax.signals` or
+reads, and ``ENCODING``, the encoding of every file aucmax reads or writes,
+whatever the locale; :func:`read_text` reads by it.  Each format's header,
+field counts and messages stay in :mod:`aucmax.data`, :mod:`aucmax.signals` or
 :mod:`aucmax.features`.
 """
 
 from __future__ import annotations
 
 import itertools
-import locale
 import math
 import os
 import signal
@@ -45,11 +46,12 @@ import sys
 import traceback
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "usable_cpus",
-           "worker_count", "row_chunks", "write_rows", "text_floats", "label_of", "text_encoding"]
+__all__ = ["ENCODING", "MIN_BLOCK_VALUES", "MAX_BLOCK_VALUES", "LABEL_TAGS", "LABEL_RULE", "usable_cpus",
+           "worker_count", "row_chunks", "write_rows", "text_floats", "label_of", "read_text"]
 
 # A fork and its reaping cost about 4 ms at 150 MB RSS; below this many values
 # a block is done sooner in place.  ``build_feature_sets`` splits its window
@@ -61,6 +63,7 @@ MAX_BLOCK_VALUES = 350_000
 
 LABEL_TAGS = ("+1", "-1", "1")  # written for +1 and -1; readers also take 1 for +1
 LABEL_RULE = "+1 or -1"         # how a refusal names the labels
+ENCODING = "utf-8"              # of every file read or written, whatever the locale
 
 # The number kernel :func:`_csv_text` formats at most this many values at once:
 # the text of a batch is about 400 KB, and its other arrays 64 KB or less.
@@ -84,10 +87,9 @@ _DIGIT_COUNT = _DIGIT_INDEX + np.uint8(1)
 _LEAD_INDEX = np.arange(5)[:, None]
 _LEAD_TEXT = np.frombuffer(b"0.000", np.uint8)[:, None]
 _TAG_TEXT = np.array([list(tag.encode("ascii")) for tag in LABEL_TAGS[:2]], np.uint8).T
-_KERNEL_CHARS = "+-.,\n0123456789einfa"          # every character the kernel writes
 
 _FRAME = struct.Struct("<cQ")                   # kind, payload length
-_CHUNK, _ERROR, _END = b"c", b"e", b"."
+_CHUNK, _END = b"c", b"."
 
 
 def usable_cpus() -> int:
@@ -138,14 +140,9 @@ class _Child:
         self.status = None
 
     def chunks(self):
-        """The chunks of this child's next block; a ValueError it met there is raised."""
-        while True:
-            kind, payload = self._frame()
-            if kind == _END:
-                return
-            if kind == _ERROR:
-                raise ValueError(payload.decode("utf-8", "surrogateescape"))
-            yield payload
+        """The chunks of this child's next block."""
+        while (frame := self._frame())[0] != _END:
+            yield frame[1]
 
     def _frame(self):
         header = self.pipe.read(_FRAME.size)
@@ -170,7 +167,7 @@ class _Child:
 
 def _serve(blocks, work, read_fd, write_fd, siblings):
     """The child's whole life: each block worked into memory, then written
-    as frames; a ValueError is sent in place of its block and ends the work."""
+    as frames.  Whatever ``work`` raises is a crash: reported, exit status 1."""
     status = 1
     try:
         os.close(read_fd)
@@ -178,16 +175,10 @@ def _serve(blocks, work, read_fd, write_fd, siblings):
             sibling.pipe.close()
         with open(write_fd, "wb") as out:
             for start, stop in blocks:
-                try:
-                    frames = []
-                    for chunk in work(start, stop):
-                        frames += (_FRAME.pack(_CHUNK, len(chunk)), chunk)
-                    frames.append(_FRAME.pack(_END, 0))
-                except ValueError as exc:
-                    message = str(exc).encode("utf-8", "surrogateescape")
-                    out.writelines((_FRAME.pack(_ERROR, len(message)), message))
-                    break
-                out.writelines(frames)
+                frames = []
+                for chunk in work(start, stop):
+                    frames += (_FRAME.pack(_CHUNK, len(chunk)), chunk)
+                out.writelines(frames + [_FRAME.pack(_END, 0)])
         status = 0
     except BaseException:                       # reported here: os._exit flushes nothing
         traceback.print_exc()
@@ -205,11 +196,11 @@ def row_chunks(n_rows: int, n_values: int, work):
     ``n_values`` (the table's value count, or an estimate) sets the number
     of processes through :func:`worker_count`, one where ``os.fork`` is
     missing.  The children are forked on entry, so open an output file
-    inside the ``with``.  A ValueError that ``work`` raises in a child is
-    raised again when the iterator reaches its block, so errors come in row
-    order.  On leaving, children still running
-    are killed and every child is waited for; a child that exited nonzero
-    after a clean pass raises RuntimeError.
+    inside the ``with``.  A child that dies, whatever ``work`` raised there,
+    raises RuntimeError when the iterator reaches its block; so a worker
+    passes a refusal on as a chunk for the caller to raise.  On leaving,
+    children still running are killed and every child is waited for; a
+    child that exited nonzero after a clean pass raises RuntimeError.
     """
     processes = max(1, min(worker_count(n_values), n_rows)) if hasattr(os, "fork") else 1
     bounds = _bounds(n_rows, n_values, processes)
@@ -244,8 +235,6 @@ def write_rows(path, head: str, values: np.ndarray, labels=None, digest=None) ->
     Each block's rows are formatted by :func:`_csv_text`, one chunk per
     batch of at most ``_BATCH_VALUES`` values taken in row-major order, so a
     batch may start or end inside a row."""
-    encoding = text_encoding()
-    ascii_text = _KERNEL_CHARS.encode(encoding) == _KERNEL_CHARS.encode("ascii")
     n_cols = values.shape[1]
 
     def encode(start, stop):
@@ -253,11 +242,10 @@ def write_rows(path, head: str, values: np.ndarray, labels=None, digest=None) ->
             last = min(first + _BATCH_VALUES, stop * n_cols)
             top = first // n_cols
             rows = values[top:-(-last // n_cols)].reshape(-1)  # copies only a non-C-order table
-            text = _csv_text(rows[first - top * n_cols:last - top * n_cols], first, n_cols, labels)
-            yield text if ascii_text else text.decode("ascii").encode(encoding)
+            yield _csv_text(rows[first - top * n_cols:last - top * n_cols], first, n_cols, labels)
 
     with row_chunks(values.shape[0], values.size, encode) as chunks, open(path, "wb") as fh:
-        for chunk in itertools.chain([(head + "\n").encode(encoding)], chunks):
+        for chunk in itertools.chain([(head + "\n").encode(ENCODING)], chunks):
             if digest is not None:
                 digest.update(chunk)
             fh.write(chunk)
@@ -405,6 +393,10 @@ def label_of(tag: str) -> int:
     return -1 if tag == LABEL_TAGS[1] else 1
 
 
-def text_encoding() -> str:
-    """The encoding of every CSV file read or written: that of ``Path.read_text``."""
-    return locale.getpreferredencoding(False)
+def read_text(path) -> str:
+    """The text of the file ``path`` by ``ENCODING``; ValueError naming the
+    file and the first byte that is not."""
+    try:
+        return Path(path).read_bytes().decode(ENCODING)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {ENCODING} text: {exc.reason} at byte {exc.start}") from None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -28,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, rules
+from ._rowblocks import ENCODING
 from .baselines import (
     DEFAULT_C,
     DEFAULT_MAX_ITER,
@@ -273,7 +275,7 @@ def _add_flag(p: argparse.ArgumentParser, key: str, entry: Key) -> None:
 def _read_json_object(path, what: str) -> dict:
     """The JSON object stored in ``path``; ValueError naming the file otherwise."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding=ENCODING))
     except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -312,7 +314,7 @@ def _out_dir(effective: dict) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding=ENCODING)
 
 
 def _finish(out: Path, command: str, eff: dict, outputs: dict, **sections) -> int:
@@ -349,19 +351,20 @@ def _cmd_synth(eff) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _signal_files(raw_paths, skip: set[Path]) -> list[Path]:
+def _signal_files(raw_paths, skip: set[Path]) -> dict[str, Path]:
     """Each named file, and each ``.csv``/``.bin`` file of a named directory
-    in name order (a subdirectory is not a trial, whatever its name),
-    leaving out the resolved paths ``skip`` (the labels file and the feature
-    CSV about to be written).  Refuses a named file of another suffix, and a
-    trial id (the file stem) that two paths give, naming the paths, before
-    any is read."""
-    files: dict[str, Path] = {}                 # trial id -> its file
+    in the byte order of its name (a subdirectory is not a trial, whatever
+    its name), by trial id: the UTF-8 reading of the file stem's bytes, as
+    the labels file is read, whatever the locale.  Leaves out the resolved
+    paths ``skip`` (the labels file and the feature CSV about to be
+    written).  Refuses a named file of another suffix, and a trial id that
+    two paths give, naming the paths, before any is read."""
+    files: dict[str, Path] = {}
     for raw in raw_paths:
         path = Path(raw)
         if path.is_dir():
-            listed = sorted(p for p in path.iterdir()
-                            if p.suffix in (".csv", ".bin") and p.is_file())
+            listed = sorted((p for p in path.iterdir()
+                             if p.suffix in (".csv", ".bin") and p.is_file()), key=os.fsencode)
         elif path.suffix in (".csv", ".bin"):
             listed = [path]
         else:
@@ -369,10 +372,11 @@ def _signal_files(raw_paths, skip: set[Path]) -> list[Path]:
         for p in listed:
             if p.resolve() in skip:
                 continue
-            if p.stem in files:
-                raise ValueError(f"trial {p.stem!r} is given twice: {files[p.stem]} and {p}")
-            files[p.stem] = p
-    return list(files.values())
+            trial_id = os.fsencode(p.stem).decode(ENCODING, "surrogateescape")
+            if trial_id in files:
+                raise ValueError(f"trial {trial_id!r} is given twice: {files[trial_id]} and {p}")
+            files[trial_id] = p
+    return files
 
 
 def _cmd_extract(eff) -> int:
@@ -383,15 +387,14 @@ def _cmd_extract(eff) -> int:
     files = _signal_files(eff["signals"], {table, Path(eff["labels"]).resolve()})
     if not files:
         raise ValueError("no signal files found")
-    for path in files:                          # every label before any trial is read
-        if path.stem not in labels:
-            raise ValueError(f"missing label for trial {path.stem!r} in {eff['labels']}")
+    for trial_id in files:                      # every label before any trial is read
+        if trial_id not in labels:
+            raise ValueError(f"missing label for trial {trial_id!r} in {eff['labels']}")
 
     channels = None if eff["channels"] == "auto" else eff["channels"]
     first, all_rows, all_labels, trials_meta = None, [], [], []
-    for path in files:
+    for trial_id, path in files.items():
         trial = read_signal_csv(path) if path.suffix == ".csv" else read_signal_binary(path)
-        trial_id = path.stem
         try:
             fm = build_feature_sets(trial, channels=channels, spec=spec, set_id=eff["set"],
                                     filter_order=eff["order"], corr_lags=eff["corr_lags"])
@@ -587,7 +590,7 @@ def _cmd_compare(eff) -> int:
             report = _report(model_dict, data.features, data.labels)
             csv_lines.append(f"{label},{part},{report_csv_row(report)}")
             json_rows.append({"model": label, "split": part, **report_to_dict(report)})
-    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
+    (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n", encoding=ENCODING)
     _write_json(out / "comparison.json",
                 {"rows": json_rows, "tuning": tuning, "config": eff})
     outputs = {"comparison_csv": "comparison.csv", "comparison_json": "comparison.json",

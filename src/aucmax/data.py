@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import (LABEL_RULE, label_of, text_encoding, text_floats, usable_cpus,
+from ._rowblocks import (ENCODING, LABEL_RULE, label_of, read_text, text_floats, usable_cpus,
                          write_rows)
 from .objective import LabeledDataset
 from .rules import FRACTION, NONNEGATIVE, POSITIVE_INTEGER, require
@@ -325,7 +325,7 @@ def _read_table(path):
             start = fh.read(_TABLE_START)
             rows, cols = _COUNTS.unpack(start[32:])
             # once bound to these bytes, the CSV is the writer's: its first line is the header
-            names = head[:-1].decode(text_encoding()).split(",")[1:]
+            names = head[:-1].decode(ENCODING).split(",")[1:]
             if (start[:32] != digest or not head.endswith(b"\n") or cols != len(names)
                     or os.fstat(fh.fileno()).st_size != _TABLE_START + rows * (1 + 8 * cols)):
                 return None
@@ -375,8 +375,7 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     table = _read_table(path)
     if table is not None:
         return table
-    raw = Path(path).read_bytes()               # no sidecar is bound to these bytes
-    lines = raw.decode(text_encoding()).splitlines()       # as Path.read_text
+    lines = read_text(path).splitlines()        # no sidecar is bound to these bytes
     if not lines:
         raise ValueError(f"{path}: empty feature file")
     header = lines[0].split(",")

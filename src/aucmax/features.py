@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._rowblocks import label_of, worker_count
+from ._rowblocks import label_of, read_text, worker_count
 from .rules import NONNEGATIVE_INTEGER, require
 from .signals import (
     DEFAULT_BANDS,
@@ -290,8 +289,8 @@ def build_feature_sets(trial: TrialSignal, channels=None, spec: WindowSpec | Non
 
 
 def read_trial_labels(path) -> dict[str, int]:
-    """Sidecar label CSV: header ``trial,label``, rows ``<id>,<+1|-1>``."""
-    lines = Path(path).read_text().splitlines()
+    """Sidecar label CSV, UTF-8 text: header ``trial,label``, rows ``<id>,<+1|-1>``."""
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "trial,label":
         raise ValueError(f"{path}: line 1: expected header 'trial,label'")
     labels: dict[str, int] = {}

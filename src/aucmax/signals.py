@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from ._rowblocks import row_chunks, text_floats, write_rows
+from ._rowblocks import read_text, row_chunks, text_floats, write_rows
 from .rules import (FILTER_ORDER, MAX_FILTER_ORDER, NONNEGATIVE, NONNEGATIVE_INTEGER, POSITIVE,
                     POSITIVE_INTEGER, require)
 
@@ -463,12 +463,13 @@ def _trial(path, samples: np.ndarray, fs: float, pretrial: float) -> TrialSignal
 
 
 def read_signal_csv(path) -> TrialSignal:
-    """The trial of a signal CSV.  Samples and header values are numbers by
-    :func:`aucmax._rowblocks.text_floats`, the rule of every CSV format; blank
-    lines are skipped.  The rows are parsed on every CPU this process may
-    use (see :mod:`aucmax._rowblocks`), and the first non-numeric line is
-    refused before a row count or row lengths are."""
-    text = Path(path).read_text()
+    """The trial of a signal CSV, UTF-8 text.  Samples and header values are
+    numbers by :func:`aucmax._rowblocks.text_floats`, the rule of every CSV
+    format; blank lines are skipped.  The rows are parsed on every CPU this
+    process may use (see :mod:`aucmax._rowblocks`); a line the number rule
+    refuses comes back as no numbers, and the first such line is refused
+    before a row count or row lengths are."""
+    text = read_text(path)
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: corrupt signal header at byte 0: empty file")
@@ -478,16 +479,19 @@ def read_signal_csv(path) -> TrialSignal:
     data = [(i, line) for i, line in enumerate(lines[1:], start=2) if line]
 
     def parse(start, stop):
-        for i, line in data[start:stop]:
+        for _, line in data[start:stop]:
             try:
-                row = text_floats([line])
-            except ValueError:
-                raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample") from None
-            yield row.tobytes()
+                chunk = text_floats([line]).tobytes()
+            except ValueError:                  # a nonblank line that parses holds a number
+                chunk = b""
+            yield chunk
 
     n_values = sum(line.count(",") + 1 for _, line in data)
     with row_chunks(len(data), n_values, parse) as chunks:
         rows = [np.frombuffer(chunk) for chunk in chunks]
+    for (i, _), row in zip(data, rows):
+        if not row.size:
+            raise ValueError(f"{path}: malformed signal file at line {i}: non-numeric sample")
     if len(rows) != channels:
         raise ValueError(
             f"{path}: malformed signal file: header declares {channels} channels, found {len(rows)} rows"

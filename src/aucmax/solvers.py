@@ -39,6 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from ._rowblocks import ENCODING
 from .rules import BROYDEN_TAU, POSITIVE, POSITIVE_INTEGER, choice, require
 
 __all__ = [
@@ -516,4 +517,4 @@ def trace_to_csv(trace: list[TraceRow]) -> str:
 
 
 def write_trace_csv(trace: list[TraceRow], path):
-    Path(path).write_text(trace_to_csv(trace))
+    Path(path).write_text(trace_to_csv(trace), encoding=ENCODING)

@@ -189,6 +189,48 @@ def test_extract_accepts_two_sampling_rates_below_set4(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["layout"]["corr_lags"] == [0, 32]
 
 
+def test_extract_and_train_refuse_files_that_are_not_utf8_by_name(tmp_path, capsys):
+    sig_dir, labels = make_trial_files(tmp_path, n_trials=1, n_channels=4, seconds=8.0)
+    labels.write_bytes(b"trial,label\ntrial00,+1\xff\n")
+    assert run("extract", "--signals", sig_dir, "--labels", labels, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == (
+        f"error: {labels}: not utf-8 text: invalid start byte at byte 22\n")
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"label,a\xff\n+1,1\n-1,2\n")
+    assert run("train", "--features", table, "--solver", "newton", "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}: not utf-8 text: invalid start byte at byte 7\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_extract_and_train_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, UTF-8 trial names and labels
+    and a non-ASCII feature name give the files that UTF-8 mode gives."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    outputs = []
+    for mode in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+        work = tmp_path / mode["PYTHONUTF8"]
+        (work / "signals").mkdir(parents=True)
+        trial = TrialSignal(np.random.default_rng(5).standard_normal((4, 8 * 128)), 128.0, 3.0)
+        # file names as bytes: the test's own locale may not encode them
+        write_signal_csv(trial, work / "signals" / os.fsdecode("sujet_é1.csv".encode()))
+        write_signal_binary(trial, work / "signals" / os.fsdecode("sujet_é2.bin".encode()))
+        (work / "labels.csv").write_bytes("trial,label\nsujet_é1,+1\nsujet_é2,-1\n".encode())
+        x = np.random.default_rng(6).standard_normal((60, 3))
+        write_feature_csv(work / "table.csv", x, np.where(np.arange(60) % 3 == 0, 1, -1),
+                          ["puissance_é", "b", "c"])
+        for argv in (("extract", "--signals", "signals", "--labels", "labels.csv", "--out", "e"),
+                     ("train", "--features", "table.csv", "--solver", "newton", "--out", "t")):
+            done = subprocess.run([sys.executable, "-m", "aucmax", *argv], cwd=work,
+                                  env={**env, **mode}, capture_output=True)
+            assert done.returncode == 0, done.stderr
+        outputs.append((snapshot(work / "e"), snapshot(work / "t")))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0]["manifest.json"])["trials"][0]["trial"] == "sujet_é1"
+
+
 def test_extract_missing_label(tmp_path, capsys):
     sig_dir, labels = make_trial_files(tmp_path, n_trials=2)
     labels.write_text("trial,label\ntrial00,+1\n")

@@ -651,6 +651,21 @@ def test_feature_table_damaged_sidecar_falls_back_to_text(tmp_path, damage):
     assert not sidecar.exists() if damaged is None else sidecar.read_bytes() == damaged
 
 
+@pytest.mark.parametrize("bound", [False, True], ids=["no-sidecar", "bound-sidecar"])
+def test_feature_csv_that_is_not_utf8_names_the_file(tmp_path, bound):
+    path = tmp_path / "t.csv"
+    write_feature_csv(path, [[1.0], [2.0]], [1, -1], ["a"])
+    path.write_bytes(path.read_bytes().replace(b"label,a", b"label,\xff"))
+    sidecar = table_path(path)
+    if bound:                                   # its header does not decode: read as text
+        sidecar.write_bytes(data._hash_csv(path)[0] + sidecar.read_bytes()[32:])
+    else:
+        sidecar.unlink()
+    with pytest.raises(ValueError) as excinfo:
+        read_feature_csv(path)
+    assert str(excinfo.value) == f"{path}: not utf-8 text: invalid start byte at byte 6"
+
+
 def test_feature_table_bad_csv_next_to_old_sidecar_names_its_line(tmp_path):
     path, _ = written_table(tmp_path)
     path.write_text("label,s8_0,s8_1,s8_2\n+1,1,2,3\n-1,4,x,6\n")

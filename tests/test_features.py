@@ -276,6 +276,14 @@ def test_read_trial_labels(tmp_path):
         read_trial_labels(path)
 
 
+def test_read_trial_labels_that_are_not_utf8_name_the_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes("trial,label\nsujet_é,+1\nt\xff,-1\n".encode("latin-1"))
+    with pytest.raises(ValueError) as excinfo:
+        read_trial_labels(path)
+    assert str(excinfo.value) == f"{path}: not utf-8 text: invalid continuation byte at byte 18"
+
+
 # --- windows in blocks: bit-equal to one pass over the whole trial
 
 def reference_moment_stats(x):

@@ -127,16 +127,6 @@ def test_written_numbers_equal_python_formatting(tmp_path, monkeypatch, force, n
     assert path.read_bytes() == ("head\n" + reference_text(values, labels)).encode("ascii")
 
 
-def test_written_numbers_are_reencoded_when_ascii_is_not(tmp_path, monkeypatch, force):
-    force(1)
-    monkeypatch.setattr(_rowblocks, "text_encoding", lambda: "utf-16-le")
-    values = hard_values()[:3003].reshape(-1, 3)
-    labels = np.where(np.arange(values.shape[0]) % 2 == 0, 1, -1)
-    path = tmp_path / "rows.csv"
-    _rowblocks.write_rows(path, "head", values, labels)
-    assert path.read_bytes() == ("head\n" + reference_text(values, labels)).encode("utf-16-le")
-
-
 @pytest.mark.parametrize("processes", [1, 2])
 def test_signal_csv_equals_python_formatting(tmp_path, force, processes):
     force(processes)
@@ -210,18 +200,20 @@ def test_signal_csv_bad_sample_comes_before_unequal_rows(tmp_path, force, proces
     assert_no_child_left()
 
 
-def test_child_that_dies_raises_and_is_reaped(force, capfd):
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_child_that_dies_raises_and_is_reaped(force, capfd, error):
     force(2)
 
     def work(start, stop):
         if start:
-            raise KeyError("lost")              # not a refusal: the child exits nonzero
+            raise error("lost")                 # whatever a child raises, it exits nonzero
         yield b"row"
 
     with pytest.raises(RuntimeError, match="exited with status 1"):
         with _rowblocks.row_chunks(2, 2, work) as chunks:
             list(chunks)
-    assert "KeyError: 'lost'" in capfd.readouterr().err
+    err = capfd.readouterr().err
+    assert "Traceback" in err and f"{error.__name__}: " in err and "lost" in err
     assert_no_child_left()
 
 

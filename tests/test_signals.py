@@ -592,6 +592,14 @@ def test_signal_csv_numbers_follow_the_feature_csv_rule(tmp_path, header, body, 
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+def test_signal_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"fs=128,pretrial=0,channels=1\n1.0,2.0\n\xff")
+    with pytest.raises(ValueError) as excinfo:
+        read_signal_csv(path)
+    assert str(excinfo.value) == f"{path}: not utf-8 text: invalid start byte at byte 37"
+
+
 def test_signal_csv_numbers_keep_spaces_signs_and_exponents(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("fs= 2 ,pretrial=+0.5e0,channels=1\n -1.5 ,+2,3e-1,-0\n")
